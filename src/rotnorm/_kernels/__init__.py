@@ -1,30 +1,11 @@
-"""Kernel backend selection.
+"""The exact kernels: permutation closure, BFS word lengths and l-infinity
+coset CVP, in pure Python."""
 
-The compiled extension is preferred; the pure-Python module is a drop-in
-fallback.  Set ROTNORM_PURE=1 to force the fallback (used by the benchmark
-and by CI environments without a C compiler).
-"""
+from rotnorm._kernels._pure import (
+    BACKEND,
+    closure_bytes,
+    cvp_enumerate,
+    word_lengths_bytes,
+)
 
-from __future__ import annotations
-
-import os
-
-from rotnorm._kernels import _pure
-
-if os.environ.get("ROTNORM_PURE"):
-    impl = _pure
-else:
-    try:
-        from rotnorm._kernels import _fast as impl  # type: ignore[no-redef]
-    except ImportError:  # pragma: no cover - depends on build environment
-        impl = _pure
-
-BACKEND: str = impl.BACKEND
-
-closure_bytes = impl.closure_bytes
-word_lengths_bytes = impl.word_lengths_bytes
-cvp_enumerate = impl.cvp_enumerate
-
-# Magnitude guard for the compiled CVP kernel (long long arithmetic).  The
-# dispatcher in coset.py falls back to the pure kernel past this.
-CVP_SAFE_LIMIT = 2**31
+__all__ = ["BACKEND", "closure_bytes", "cvp_enumerate", "word_lengths_bytes"]

@@ -1,9 +1,7 @@
-"""Pure-Python reference kernels.
+"""Pure-Python kernels on plain ints and bytes.
 
-Same API as the compiled module `_fast`; used as the fallback when the
-extension is unavailable (or when ROTNORM_PURE is set), and as the comparison
-baseline in benchmarks.  Permutations are passed as bytes objects (degree <=
-12, so every image fits in one byte).
+Permutations are passed as bytes objects (degree <= 12, so every image fits
+in one byte); CVP works on exact Python integers of any size.
 """
 
 from __future__ import annotations

@@ -55,10 +55,3 @@ def floor_q(value) -> int:
     q = Q(value)
     return int(q.numerator // q.denominator)
 
-
-def lcm_denominators(values) -> int:
-    """Least common multiple of the denominators of a sequence of rationals."""
-    from math import lcm
-
-    denoms = [int(Q(v).denominator) for v in values]
-    return lcm(*denoms) if denoms else 1

@@ -231,7 +231,16 @@ class PLCircleDiffeo:
         return self._displacement(other)[0] == 0
 
     def __hash__(self):
-        return hash((self.xs, self.ys))
+        # Equal maps can list different breakpoints, so hash the lift at 0
+        # and the points where the slope changes, which they share.
+        dx, dy = self.dx, self.dy
+        kinks = tuple(
+            (Q(x, self.den), Q(y, self.den))
+            for x, y, rx, ry, lx, ly in zip(self.xn, self.yn, dx, dy,
+                                            dx[-1:] + dx, dy[-1:] + dy)
+            if ry * lx != ly * rx
+        )
+        return hash((self.eval(0), kinks))
 
     def is_identity(self) -> bool:
         """True when the diffeo is the identity on the circle (the lift may
@@ -337,9 +346,6 @@ class PLIsotopy:
         start = self.frames[0].eval(p)
         shift = floor_q(start)  # pin the t=0 lift value into [0, 1)
         return PLPath(self.times, tuple(f.eval(p) - shift for f in self.frames))
-
-    def is_based(self) -> bool:
-        return self.frames[0].is_identity()
 
     def is_based_loop(self) -> bool:
         return self.frames[0].is_identity() and self.frames[-1].is_identity()

@@ -5,7 +5,7 @@ representative y0 with norm r, every coset point at least as good lies in
 the box |coordinate| <= r + |x|, so recursing over the triangular basis with
 pivot-coordinate constraints enumerates a superset of all candidates.  The
 arithmetic is rescaled to integers (common denominator of the offset) so the
-hot loop runs on machine integers in the compiled kernel.
+enumeration in ``_kernels.cvp_enumerate`` runs on exact integers.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import lcm
 
 from rotnorm import _kernels
-from rotnorm._kernels import _pure
 from rotnorm._rat import INF, Q, floor_q
 from rotnorm.errors import DimensionMismatch, RankDeficient, ValidationError
 from rotnorm.lattice import IntLattice, quotient_info
@@ -94,13 +93,7 @@ def theta(z: AffineCoset) -> NearestData:
     target = [int(Q(v) * d) for v in x]
     basis = [[d * e for e in row] for row in A.hnf_basis]
     bound = _ceil_q(d * (r + xnorm))
-    big = max(
-        [abs(t) for t in target]
-        + [abs(e) for row in basis for e in row]
-        + [bound]
-    )
-    kern = _kernels if big < _kernels.CVP_SAFE_LIMIT else _pure
-    best, pts = kern.cvp_enumerate(basis, list(A.pivots), target, bound)
+    best, pts = _kernels.cvp_enumerate(basis, list(A.pivots), target, bound)
     points = tuple(tuple(Q(v, d) for v in p) for p in pts)
     return NearestData(theta=Q(best, d), theta_points=points)
 

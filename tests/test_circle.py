@@ -224,6 +224,29 @@ class TestFractionOracle:
             PLCircleDiffeo((0,), (0,), 0)
 
 
+class TestHash:
+    """Maps that are equal pointwise hash equal, whatever their breakpoints."""
+
+    def test_identity_on_two_breakpoints(self):
+        a = PLCircleDiffeo.identity()
+        b = PLCircleDiffeo((0, Q(1, 2)), (0, Q(1, 2)))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_rotation_with_breakpoint_off_zero(self):
+        a = PLCircleDiffeo.rotation(Q(1, 3))
+        b = PLCircleDiffeo((Q(1, 5),), (Q(1, 5) + Q(1, 3),))
+        assert a == b and hash(a) == hash(b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(maps, st.lists(unit_fractions, min_size=1, max_size=5))
+    def test_collinear_breakpoints_inserted(self, f, extra):
+        xs = sorted(set(f.xs).union(Q(x.numerator, x.denominator) for x in extra))
+        g = PLCircleDiffeo(xs, [f.eval(x) for x in xs])
+        assert f == g and hash(f) == hash(g)
+        assert len({f, g}) == 1
+
+
 class TestPLIsotopy:
     def test_rotation_mu(self):
         F = PLIsotopy.rotation(Q(3, 2), samples=7)

@@ -125,6 +125,43 @@ class TestTheta:
             assert member(A, [int(v) for v in diff])
 
 
+class TestThetaLargeMagnitudes:
+    """Rescaled bases and targets past 2**31: the kernel's integers are
+    unbounded, so theta stays exact however large the lattice entries."""
+
+    BIG = 2**33 + 1
+
+    def test_large_diagonal_lattice(self):
+        A = normalize([(self.BIG, 0), (0, 3)])
+        # Coordinatewise: 1/3 is the only value of 1/3 + BIG*Z within 3/2,
+        # and 3/2 + 3Z ties at +-3/2.
+        nd = theta(AffineCoset.build(A, (Q(1, 3), Q(3, 2))))
+        assert nd.theta == Q(3, 2)
+        assert nd.theta_points == ((Q(1, 3), Q(-3, 2)), (Q(1, 3), Q(3, 2)))
+        # The offset is reduced to (BIG - 1/3, 1/2): a target past 2**31.
+        z = AffineCoset.build(A, (Q(-1, 3), Q(1, 2)))
+        assert z.offset[0] * 6 > 2**31
+        nd = theta(z)
+        assert nd.theta == Q(1, 2)
+        assert nd.theta_points == ((Q(-1, 3), Q(1, 2)),)
+
+    def test_large_theta_on_free_coordinate(self):
+        # Rank 1: the first coordinate is fixed, the second moves by 2**42 + 1.
+        A = normalize([(0, 2**42 + 1)], ambient_dim=2)
+        nd = theta(AffineCoset.build(A, (2**40 + Q(1, 2), Q(1, 3))))
+        assert nd.theta == 2**40 + Q(1, 2)
+        assert nd.theta_points == ((2**40 + Q(1, 2), Q(1, 3)),)
+
+    def test_shift_by_lattice_vector_near_2_40(self):
+        A = normalize([(self.BIG, 0), (0, 3)])
+        off = (Q(1, 3), Q(3, 2))
+        want = theta(AffineCoset.build(A, off))
+        for s in (1, -1):
+            shift = (s * 128 * self.BIG, s * 3 * (2**40 // 3))
+            moved = [o + v for o, v in zip(off, shift)]
+            assert theta(AffineCoset.build(A, moved)) == want
+
+
 class TestThetaOracle:
     def test_random_instances_match_brute_force(self):
         rng = random.Random(42)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import rotnorm
 from rotnorm import groups as g
 from rotnorm._rat import INF
 from rotnorm.errors import (
@@ -60,6 +61,9 @@ class TestGenerateGroup:
     def test_canonical_order(self):
         G = S3()
         assert list(G.elements) == sorted(G.elements)
+
+    def test_kernel_backend(self):
+        assert rotnorm.BACKEND == "pure"
 
 
 class TestConjugacyClass:
