@@ -42,6 +42,10 @@ def word_lengths_bytes(elements: list[bytes], s: list[bytes]) -> list[int]:
     Result is aligned with `elements`; unreachable elements get -1 (meaning
     infinite word norm).  Every product of a group element with a member of
     `s` must again lie in `elements`.
+
+    This is the element-level BFS.  ``groups.word_norm`` runs its BFS over
+    conjugacy classes instead; perfbench's ``bfs_s8_transpositions`` case
+    still times this kernel.
     """
     if not elements:
         return []

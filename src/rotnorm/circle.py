@@ -357,10 +357,32 @@ def mu(F: PLIsotopy, p):
 
 
 def compose(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
-    """Pointwise-in-t composition (F_t o G_t) on the merged time grid."""
+    """Pointwise-in-t composition (F_t o G_t) on the merged time grid.
+
+    A step of F_t o G_t can move by 1/2 or more even when no step of F or G
+    does.  Only then are such steps bisected, sampling F_t o G_t at their
+    midpoints until every step moves less than 1/2.
+    """
     ts = sorted(set(F.times) | set(G.times))
     frames = [F.frame_at(t).compose(G.frame_at(t)) for t in ts]
-    return PLIsotopy(ts, frames)
+    try:
+        return PLIsotopy(ts, frames)
+    except AmbiguousLift:
+        pass
+    lim = MAX_STEP_DISPLACEMENT
+    out_t, out_f = [ts[0]], [frames[0]]
+    pending = list(zip(ts[1:], frames[1:]))[::-1]  # a stack, earliest on top
+    while pending:
+        t1, f1 = pending[-1]
+        n, d = out_f[-1]._displacement(f1)
+        if n * lim.denominator < lim.numerator * d:
+            out_t.append(t1)
+            out_f.append(f1)
+            pending.pop()
+        else:
+            tm = (out_t[-1] + t1) / 2
+            pending.append((tm, F.frame_at(tm).compose(G.frame_at(tm))))
+    return PLIsotopy(out_t, out_f)
 
 
 def invert(F: PLIsotopy) -> PLIsotopy:

@@ -2,9 +2,13 @@
 
 Elements are permutations of at most 12 points, stored as tuples of images.
 Groups are fully enumerated (cap 10^6 elements), which keeps every norm
-computable by breadth-first search and every axiom checkable exhaustively.
-This module is the finite brute-force oracle for the norm calculus used by
-the rest of the package.
+exact and every axiom checkable exhaustively.
+
+Every norm here is conjugation invariant, so on a finite group it is a class
+function.  A group labels its conjugacy classes once, on first use, as
+orbits under conjugation by its generators; the commutator set, word norms
+and normal closures are then computed over classes rather than over
+elements or pairs of elements.
 """
 
 from __future__ import annotations
@@ -51,10 +55,6 @@ def conjugate(h: Perm, g: Perm) -> Perm:
     return compose(compose(h, g), inverse(h))
 
 
-def commutator(a: Perm, b: Perm) -> Perm:
-    return compose(compose(a, b), compose(inverse(a), inverse(b)))
-
-
 def validate_perm(images) -> Perm:
     p = tuple(int(i) for i in images)
     if len(p) > MAX_DEGREE:
@@ -93,15 +93,31 @@ def _from_bytes(b: bytes) -> Perm:
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A fully enumerated permutation group with canonically ordered elements."""
+    """A fully enumerated permutation group with canonically ordered elements.
+
+    ``generators`` must generate ``elements``: the conjugacy classes and the
+    invariance checks are taken under conjugation by the generators alone.
+    """
 
     degree: int
     elements: tuple[Perm, ...]
     generators: tuple[Perm, ...]
     _index: dict = field(default=None, repr=False, compare=False)
+    _classes: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {g: i for i, g in enumerate(self.elements)})
+
+    def _class_table(self):
+        """(class label of each element index, sorted members of each class).
+
+        Computed once, as orbits under conjugation by the generators, which
+        costs |G| * |generators| conjugations.  Labels follow the order of
+        each class's least element, so the identity's class is label 0.
+        """
+        if self._classes is None:
+            object.__setattr__(self, "_classes", _label_classes(self))
+        return self._classes
 
     @property
     def order(self) -> int:
@@ -135,28 +151,118 @@ def generate_group(generators) -> FiniteGroup:
     return FiniteGroup(degree=degree, elements=elements, generators=gens)
 
 
+def _label_classes(G: FiniteGroup):
+    index, elements = G._index, G.elements
+    # x -> s x s^-1 reads x at s^-1, then s at the result.
+    conjugators = [(s.__getitem__, inverse(s)) for s in G.generators]
+    labels = [-1] * len(elements)
+    classes = []
+    for i, g in enumerate(elements):
+        if labels[i] >= 0:
+            continue
+        k = len(classes)
+        labels[i] = k
+        orbit = [i]
+        stack = [g]
+        while stack:
+            x = stack.pop()
+            x_at = x.__getitem__
+            for s_at, s_inv in conjugators:
+                j = index[tuple(map(s_at, map(x_at, s_inv)))]
+                if labels[j] < 0:
+                    labels[j] = k
+                    orbit.append(j)
+                    stack.append(elements[j])
+        orbit.sort()
+        classes.append(tuple(elements[j] for j in orbit))
+    return labels, tuple(classes)
+
+
+def _union_of_classes(G: FiniteGroup, keep) -> tuple[Perm, ...]:
+    """The sorted members of the classes whose labels satisfy keep."""
+    labels, _ = G._class_table()
+    return tuple(g for g, k in zip(G.elements, labels) if keep(k))
+
+
+def _class_distances(G: FiniteGroup, s_labels) -> list[int]:
+    """Word length per class over S, the union of the classes s_labels;
+    -1 where unreachable.
+
+    A class enters layer d+1 as the class of f*s, f in a class K of layer d
+    and s in a class C of S.  Conjugating f*s by h gives (h f h^-1)(h s
+    h^-1), so the classes of f*s over f in K, s in C are those of r*s over
+    s in C, r the representative of K, and also those of f*c over f in K,
+    c the representative of C: the shorter of the two loops suffices.
+    """
+    labels, classes = G._class_table()
+    index = G._index
+    dist = [-1] * len(classes)
+    start = labels[index[G.identity]]
+    dist[start] = 0
+    unseen = len(classes) - 1
+    frontier = [start]
+    d = 0
+    while frontier and unseen:
+        d += 1
+        nxt = []
+        for k in frontier:
+            K = classes[k]
+            for c in s_labels:
+                C = classes[c]
+                if len(C) <= len(K):
+                    r_at = K[0].__getitem__
+                    hit = {labels[index[tuple(map(r_at, s))]] for s in C}
+                else:
+                    c_rep = C[0]
+                    hit = {labels[index[tuple(map(f.__getitem__, c_rep))]]
+                           for f in K}
+                for j in hit:
+                    if dist[j] < 0:
+                        dist[j] = d
+                        nxt.append(j)
+                        unseen -= 1
+        frontier = nxt
+    return dist
+
+
 def conjugacy_class(G: FiniteGroup, g: Perm) -> tuple[Perm, ...]:
     G.require_member(g)
-    return tuple(sorted({conjugate(h, g) for h in G.elements}))
+    labels, classes = G._class_table()
+    return classes[labels[G._index[g]]]
 
 
 def normal_closure(G: FiniteGroup, g: Perm) -> FiniteGroup:
-    """Smallest normal subgroup of G containing g."""
+    """Smallest normal subgroup of G containing g.
+
+    It is the set of finite products of conjugates of g and g^-1: the
+    classes reachable by the class BFS over class(g) and class(g^-1).
+    """
     G.require_member(g)
     if g == G.identity:
         return FiniteGroup(G.degree, (G.identity,), (G.identity,))
-    gens = set(conjugacy_class(G, g)) | set(conjugacy_class(G, inverse(g)))
-    return generate_group(sorted(gens))
+    labels, classes = G._class_table()
+    s_labels = {labels[G._index[g]], labels[G._index[inverse(g)]]}
+    dist = _class_distances(G, s_labels)
+    gens = tuple(sorted(s for c in s_labels for s in classes[c]))
+    return FiniteGroup(G.degree, _union_of_classes(G, lambda k: dist[k] >= 0),
+                       gens)
 
 
 @dataclass(frozen=True)
 class SymmetricSet:
-    """A generating set closed under inversion and ambient conjugation."""
+    """A generating set closed under inversion and ambient conjugation.
+
+    Conjugation invariance is what the class-level engines rely on: a
+    SymmetricSet built directly, not through ``checked``, must be a union of
+    conjugacy classes of the group it is used in.
+    """
 
     members: tuple[Perm, ...]
 
     @staticmethod
     def checked(G: FiniteGroup, members) -> "SymmetricSet":
+        """Validate members; invariance under conjugation by the generators
+        of G is invariance under all of G."""
         mems = tuple(sorted({tuple(m) for m in members}))
         for s in mems:
             G.require_member(s)
@@ -164,7 +270,7 @@ class SymmetricSet:
         for s in mems:
             if inverse(s) not in mset:
                 raise NotSymmetric(f"inverse of {s} missing from the set")
-        for h in G.elements:
+        for h in G.generators:
             for s in mems:
                 if conjugate(h, s) not in mset:
                     raise NotConjInvariant(f"{h} conjugates {s} out of the set")
@@ -205,24 +311,40 @@ class NormTable:
 
 
 def word_norm(G: FiniteGroup, S: SymmetricSet | tuple | list | set) -> NormTable:
-    """BFS word length over S; inf outside the subgroup generated by S."""
+    """BFS word length over S; inf outside the subgroup generated by S.
+
+    S is conjugation invariant (see SymmetricSet), so the norm is a class
+    function and the BFS runs over conjugacy classes: a class K gets
+    distance d+1 when it is unvisited and k*s has distance d for some k in
+    K and s in S.
+    """
     if not isinstance(S, SymmetricSet):
         S = SymmetricSet.checked(G, S)
-    elements_b = [_to_bytes(g) for g in G.elements]
-    s_b = [_to_bytes(s) for s in S.members if s != G.identity]
-    dists = _kernels.word_lengths_bytes(elements_b, s_b)
+    labels, _ = G._class_table()
+    identity = labels[G._index[G.identity]]
+    s_labels = {labels[G._index[s]] for s in S.members} - {identity}
+    dist = _class_distances(G, s_labels)
     values = {
-        g: (INF if d < 0 else d) for g, d in zip(G.elements, dists)
+        g: (INF if dist[k] < 0 else dist[k]) for g, k in zip(G.elements, labels)
     }
     return NormTable(group=G, values=values)
 
 
 def commutator_set(G: FiniteGroup) -> tuple[Perm, ...]:
-    out = set()
-    for a in G.elements:
-        for b in G.elements:
-            out.add(commutator(a, b))
-    return tuple(sorted(out))
+    """All commutators [a, b] = a b a^-1 b^-1, sorted.
+
+    For fixed a, {[a, b] : b in G} = a * class(a^-1), and h [a, b] h^-1 =
+    [h a h^-1, h b h^-1], so the set is the union of the classes of r*c for
+    r a class representative and c in class(r^-1): |G| products in all.
+    """
+    labels, classes = G._class_table()
+    index = G._index
+    hit = set()
+    for cls in classes:
+        r_at = cls[0].__getitem__
+        for c in classes[labels[index[inverse(cls[0])]]]:
+            hit.add(labels[index[tuple(map(r_at, c))]])
+    return _union_of_classes(G, hit.__contains__)
 
 
 def commutator_length(G: FiniteGroup) -> NormTable:
@@ -283,12 +405,13 @@ def weakly_simple_set(G: FiniteGroup):
 def quotient_group(G: FiniteGroup, N: FiniteGroup):
     """Quotient G/N realized by the left-multiplication action on cosets.
 
-    N must be normal in G.  Returns (Q, proj) where Q is a permutation group
-    on the coset indices and proj maps each element of G to its image in Q.
+    N must be normal in G, which is checked under conjugation by G's
+    generators.  Returns (Q, proj) where Q is a permutation group on the
+    coset indices and proj maps each element of G to its image in Q.
     """
     for n in N.elements:
         G.require_member(n)
-        for g in G.elements:
+        for g in G.generators:
             if conjugate(g, n) not in N:
                 raise ValidationError("subgroup is not normal")
     # Enumerate cosets deterministically, keyed by their minimal element.

@@ -30,6 +30,32 @@ def oracle_word_lengths(elements, s, compose, identity):
     return {g: dist.get(g) for g in elements}  # None = unreachable
 
 
+def _mul(a, b):
+    """a*b on image tuples: apply b first."""
+    return tuple(a[i] for i in b)
+
+
+def _inv(a):
+    out = [0] * len(a)
+    for i, v in enumerate(a):
+        out[v] = i
+    return tuple(out)
+
+
+def oracle_conjugacy_class(elements, g):
+    """Sorted {h g h^-1 : h in elements}, conjugating by every element."""
+    return tuple(sorted({_mul(_mul(h, g), _inv(h)) for h in elements}))
+
+
+def oracle_commutator_set(elements):
+    """Sorted {a b a^-1 b^-1}, looping over all |G|^2 pairs."""
+    out = set()
+    for a in elements:
+        for b in elements:
+            out.add(_mul(_mul(a, b), _mul(_inv(a), _inv(b))))
+    return tuple(sorted(out))
+
+
 def oracle_theta(hnf_basis, pivots, offset):
     """Brute-force minimal l-infinity norm over offset + lattice.
 

@@ -341,6 +341,41 @@ class TestMuAlgebra:
             assert abs(mu(K, Q(0))) < 3
 
 
+class TestComposeResampling:
+    # Seeds whose two random_isotopy draws compose to a step of 1/2 or more
+    # on the merged time grid, though no step of either factor moves that far.
+    SEEDS = (184, 212, 313, 330)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_bisected_steps_match_oracle(self, seed):
+        rng = random.Random(seed)
+        F, G = random_isotopy(rng), random_isotopy(rng)
+        merged = set(F.times) | set(G.times)
+        steps = [F.frame_at(t).compose(G.frame_at(t)) for t in sorted(merged)]
+        with pytest.raises(AmbiguousLift):
+            PLIsotopy(sorted(merged), steps)
+        H = compose(F, G)
+        assert merged < set(H.times)
+        for t, h in zip(H.times, H.frames):
+            want = FractionCircleDiffeo.of(F.frame_at(t)).compose(
+                FractionCircleDiffeo.of(G.frame_at(t)))
+            assert want.displacement(FractionCircleDiffeo.of(h)) == 0
+        for p in (Q(0), Q(1, 3), Q(5, 7)):
+            assert abs(mu(H, p) - mu(F, p) - mu(G, p)) < 1
+        commutator(F, G)  # composes the inverses too
+
+    def test_accepted_pairs_keep_the_merged_grid(self):
+        rng = random.Random(17)
+        for _ in range(15):
+            F, G = random_isotopy(rng), random_isotopy(rng)
+            ts = sorted(set(F.times) | set(G.times))
+            H = compose(F, G)
+            assert list(H.times) == ts
+            for t, h in zip(ts, H.frames):
+                want = F.frame_at(t).compose(G.frame_at(t))
+                assert (h.den, h.xn, h.yn) == (want.den, want.xn, want.yn)
+
+
 class TestBasedLoopHomomorphism:
     def test_nu_additive_on_loops(self):
         rng = random.Random(31)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 
 def run_cli(args, env_extra=None, input_text=None):
@@ -58,6 +59,33 @@ class TestGroupCommand:
         assert r.returncode == 1
         err = json.loads(r.stderr)
         assert err["error"]["kind"] == "validation"
+
+    def test_s8_summary_and_cl(self, tmp_path):
+        # S8 has 40320 elements; cl is 1 on A8 minus the identity (every
+        # element of A_n, n >= 5, is a commutator) and inf off A8.
+        gens = [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]
+        path = write_json(tmp_path, "s8.json", gens)
+        r = run_cli(["group", "--in", path])
+        assert r.returncode == 0
+        data = json.loads(r.stdout)
+        assert data["classification"] == "weakly simple"
+        assert data["weakly_simple_set_size"] == 20160
+        t0 = time.monotonic()
+        r = run_cli(["group", "--in", path, "--norm", "cl"])
+        assert time.monotonic() - t0 < 30.0
+        assert r.returncode == 0
+        table = json.loads(r.stdout)
+        assert len(table) == 40320
+        for key, value in table.items():
+            # a cycle of length L is L - 1 transpositions
+            moved = sum(len(c.split()) - 1 for c in key.strip("()").split(")(")
+                        if c)
+            if key == "()":
+                assert value == 0
+            elif moved % 2 == 0:
+                assert value == 1, key
+            else:
+                assert value == "inf", key
 
     def test_bad_file_exits_1(self):
         r = run_cli(["group", "--in", "/no/such/file.json"])

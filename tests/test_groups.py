@@ -13,9 +13,15 @@ from rotnorm.errors import (
     NotConjInvariant,
     NotSymmetric,
     TrivialGroup,
+    ValidationError,
 )
 
-from oracles import oracle_word_lengths, s4_mod_v4_to_s3
+from oracles import (
+    oracle_commutator_set,
+    oracle_conjugacy_class,
+    oracle_word_lengths,
+    s4_mod_v4_to_s3,
+)
 
 
 def S3():
@@ -124,6 +130,16 @@ class TestWordNorm:
         G = S3()
         with pytest.raises(NotConjInvariant):
             g.word_norm(G, ((1, 0, 2), (2, 1, 0)))
+
+    @pytest.mark.parametrize("gens", [
+        [(1, 0, 2), (1, 2, 0)],
+        [(1, 2, 0), (1, 0, 2)],
+    ], ids=["transposition-first", "three-cycle-first"])
+    def test_invariant_under_one_generator_only(self, gens):
+        # {(0 1)} is fixed by conjugation with (0 1), moved by the 3-cycle.
+        G = g.generate_group(gens)
+        with pytest.raises(NotConjInvariant):
+            g.SymmetricSet.checked(G, [(1, 0, 2)])
 
     def test_matches_bfs_oracle(self):
         G = S4()
@@ -294,6 +310,24 @@ class TestQuotientNormLaws:
                 )
 
 
+class TestQuotientGroup:
+    @pytest.mark.parametrize("gens", [
+        [(1, 0, 2), (1, 2, 0)],
+        [(1, 2, 0), (1, 0, 2)],
+    ], ids=["transposition-first", "three-cycle-first"])
+    def test_not_normal(self, gens):
+        # <(0 1)> is invariant under conjugation by (0 1) only.
+        G = g.generate_group(gens)
+        N = g.generate_group([(1, 0, 2)])
+        with pytest.raises(ValidationError, match="subgroup is not normal"):
+            g.quotient_group(G, N)
+
+    def test_normal(self):
+        Q, proj = g.quotient_group(S3(), g.normal_closure(S3(), (1, 2, 0)))
+        assert Q.order == 2
+        assert proj[(1, 0, 2)] != proj[(1, 2, 0)]
+
+
 class TestFactorizationLaw:
     @pytest.mark.parametrize("ambient", [S4, A4], ids=["S4", "A4"])
     def test_cl_mod_n_equals_cl_of_quotient(self, ambient):
@@ -334,3 +368,116 @@ class TestMasterNormRule:
                 continue
             for e in G.elements:
                 assert cl.values[e] <= k * cl.values[gen]
+
+
+def _shuffled(rng, points):
+    p = list(points)
+    rng.shuffle(p)
+    return p
+
+
+def _power(a, k):
+    out = tuple(range(len(a)))
+    for _ in range(k):
+        out = g.compose(a, out)
+    return out
+
+
+def _seeded_pair(rng, kind):
+    """A generator pair of degree <= 6 of the given kind, seeded."""
+    d = rng.randint(3, 6)
+    if kind == "free":
+        return [tuple(_shuffled(rng, range(d))) for _ in range(2)]
+    if kind == "abelian":  # a and a power of a, or two disjoint supports
+        a = tuple(_shuffled(rng, range(d)))
+        if rng.random() < 0.5:
+            return [a, _power(a, rng.randint(0, 5))]
+        cut = rng.randint(2, d - 1)
+        return [tuple(_shuffled(rng, range(cut))) + tuple(range(cut, d)),
+                tuple(range(cut)) + tuple(_shuffled(rng, range(cut, d)))]
+    if kind == "intransitive":  # both preserve the blocks [0, cut), [cut, d)
+        cut = rng.randint(1, d - 1)
+        return [tuple(_shuffled(rng, range(cut)) + _shuffled(rng, range(cut, d)))
+                for _ in range(2)]
+    # order 2: one non-trivial involution, paired with itself or the identity
+    points = _shuffled(rng, range(d))
+    t = list(range(d))
+    for i in range(0, 2 * rng.randint(1, d // 2), 2):
+        t[points[i]], t[points[i + 1]] = points[i + 1], points[i]
+    return [tuple(t), rng.choice([tuple(t), tuple(range(d))])]
+
+
+# kind -> least order kept, so that each kind holds non-trivial examples
+KINDS = {"free": 2, "abelian": 3, "intransitive": 6, "order-2": 2}
+
+
+def _seeded_groups(seed, per_kind, max_order=120):
+    """Seeded groups of every kind, each of order <= max_order so that the
+    O(|G|^2) oracles stay cheap."""
+    rng = random.Random(seed)
+    out = []
+    for kind, least in KINDS.items():
+        count = 0
+        while count < per_kind:
+            G = g.generate_group(_seeded_pair(rng, kind))
+            if least <= G.order <= max_order:
+                out.append((kind, G))
+                count += 1
+    return out
+
+
+GROUPS = _seeded_groups(20260, 6)
+
+
+def _oracle_norm(G, s):
+    lengths = oracle_word_lengths(
+        G.elements, [x for x in s if x != G.identity], g.compose, G.identity)
+    return {x: INF if v is None else v for x, v in lengths.items()}
+
+
+def _oracle_classes(G):
+    """The oracle class of every element, each class computed once."""
+    classes = {}
+    for x in G.elements:
+        if x not in classes:
+            cls = oracle_conjugacy_class(G.elements, x)
+            classes.update((y, cls) for y in cls)
+    return classes
+
+
+class TestClassEngineOracle:
+    """The class-level engines against element-level oracles."""
+
+    def test_kinds_present(self):
+        abelian = intransitive = order_2 = False
+        for _, G in GROUPS:
+            abelian |= all(g.compose(a, b) == g.compose(b, a)
+                           for a in G.elements for b in G.elements)
+            intransitive |= len({x[0] for x in G.elements}) < G.degree
+            order_2 |= G.order == 2
+        assert abelian and intransitive and order_2
+
+    @pytest.mark.parametrize("kind,G", GROUPS)
+    def test_conjugacy_class(self, kind, G):
+        for x in G.elements:
+            assert g.conjugacy_class(G, x) == oracle_conjugacy_class(G.elements, x)
+
+    @pytest.mark.parametrize("kind,G", GROUPS)
+    def test_commutator_set_and_length(self, kind, G):
+        s = oracle_commutator_set(G.elements)
+        assert g.commutator_set(G) == s
+        assert g.commutator_length(G).values == _oracle_norm(G, s)
+
+    @pytest.mark.parametrize("kind,G", GROUPS)
+    def test_normal_closure_and_zeta(self, kind, G):
+        classes = _oracle_classes(G)
+        for x in G.elements:
+            if x == G.identity:
+                continue
+            s = tuple(sorted(set(classes[x]) | set(classes[g.inverse(x)])))
+            norm = _oracle_norm(G, s)
+            N = g.normal_closure(G, x)
+            assert N.elements == tuple(y for y in G.elements if norm[y] != INF)
+            assert N.generators == s
+            if x == min(classes[x]):
+                assert g.zeta_norm(G, x).values == norm
