@@ -1,15 +1,24 @@
 """Exact minimal l-infinity representatives of affine cosets x + A.
 
-theta(z) is computed by certified enumeration: starting from a reduced
-representative y0 with norm r, every coset point at least as good lies in
-the box |coordinate| <= r + |x|, so recursing over the triangular basis with
-pivot-coordinate constraints enumerates a superset of all candidates.  The
-arithmetic is rescaled to integers (common denominator of the offset) so the
-enumeration in ``_kernels.cvp_enumerate`` runs on exact integers.
+Both ``theta`` and ``theta_sup`` go through one integer core,
+``_coset_min``.  It takes the offset as integer numerators over a common
+denominator D, reduces each pivot coordinate into [0, pivot) and then into
+(-pivot/2, pivot/2] on those integers, and hands the reduced representative
+to ``_kernels.cvp_enumerate``.  theta(z) is certified: the representative y0
+has norm r, and every coset point at least as good lies in the box
+|coordinate| <= r + |x|, so recursing over the triangular basis with
+pivot-coordinate constraints enumerates a superset of all candidates.  theta
+is the exact minimum, so any common denominator gives the same rational.
+
+``theta_sup`` brackets sup_x theta(x + A) by branch-and-bound over dyadic
+boxes of the fundamental box J_A.  Every box corner is k_i/2 - j*k_i/2^d, so
+all corners share one denominator D = 2^(d+1) for the deepest depth d the
+search can reach, and every corner, theta value and bound is an integer.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from math import lcm
 
@@ -76,24 +85,45 @@ class NearestData:
     theta_points: tuple
 
 
+def _coset_min(A: IntLattice, nums, den: int):
+    """theta of the coset (nums/den) + A as a numerator over den.
+
+    Returns (best, points) with the attaining points as sorted numerator
+    tuples over den.
+    """
+    m = A.m
+    x = list(nums)
+    # Pivot coordinates into [0, pivot), as AffineCoset.build does.
+    for row, p in zip(A.hnf_basis, A.pivots):
+        n = x[p] // (row[p] * den)
+        if n:
+            for i in range(m):
+                x[i] -= n * den * row[i]
+    y = list(x)
+    if A.rank == m:
+        # Then into (-pivot/2, pivot/2], as canonical_rep does:
+        # n = ceil((2y - P) / 2P) with P the pivot over den.
+        for row, p in zip(A.hnf_basis, A.pivots):
+            piv = row[p] * den
+            n = -((piv - 2 * y[p]) // (2 * piv))
+            if n:
+                for i in range(m):
+                    y[i] -= n * den * row[i]
+    # A rank-deficient lattice is searched from the [0, pivot) representative.
+    r = max(map(abs, y), default=0)
+    if r == 0:
+        return 0, [(0,) * m]
+    basis = [[den * e for e in row] for row in A.hnf_basis]
+    bound = r + max(map(abs, x))
+    return _kernels.cvp_enumerate(basis, list(A.pivots), x, bound)
+
+
 def theta(z: AffineCoset) -> NearestData:
     """Certified minimum l-infinity norm over the coset and its attaining set."""
-    A = z.lattice
-    m = A.m
-    if A.rank == A.m:
-        y0 = canonical_rep(z)
-    else:
-        y0 = z.offset  # already reduced against the rank-deficient basis
-    r = max(abs(v) for v in y0) if m else Q(0)
-    if r == 0:
-        return NearestData(theta=Q(0), theta_points=(tuple(Q(0) for _ in range(m)),))
-    x = z.offset
-    xnorm = max(abs(v) for v in x)
-    d = lcm(*(int(Q(v).denominator) for v in x)) if x else 1
-    target = [int(Q(v) * d) for v in x]
-    basis = [[d * e for e in row] for row in A.hnf_basis]
-    bound = _ceil_q(d * (r + xnorm))
-    best, pts = _kernels.cvp_enumerate(basis, list(A.pivots), target, bound)
+    x = [Q(v) for v in z.offset]
+    d = lcm(*(int(v.denominator) for v in x)) if x else 1
+    nums = [int(v.numerator) * (d // int(v.denominator)) for v in x]
+    best, pts = _coset_min(z.lattice, nums, d)
     points = tuple(tuple(Q(v, d) for v in p) for p in pts)
     return NearestData(theta=Q(best, d), theta_points=points)
 
@@ -104,7 +134,18 @@ def theta_sup(A: IntLattice, epsilon):
     Infinite for rank-deficient lattices; exactly k/2 for m = 1.  For m >= 2
     the supremum over the fundamental box J_A is bracketed by branch-and-
     bound: theta is 1-Lipschitz in the offset (l-infinity), so a box of size
-    s evaluated at a corner pins its supremum within max(s).
+    s evaluated at its upper corner pins its supremum within max(s).  The
+    box with the largest bound is split into 2^m halves, ties going to the
+    box made first; boxes whose bound is at most the best theta seen are
+    dropped.  The search stops once the best bound is within epsilon of the
+    best theta.
+
+    A heap keyed (-bound, creation order) holds the boxes.  Each box keeps
+    its corner's theta, which its first half (same corner) reuses, so a
+    split costs 2^m - 1 evaluations of ``_coset_min``.  A box of depth d has
+    sizes k_i/2^d and is split only while k/2^d > epsilon, so every corner
+    is an integer over D = 2^(depth+1), depth the first d with k/2^d <=
+    epsilon; bounds, theta values and the stopping test are integers over D.
     """
     epsilon = Q(epsilon)
     if epsilon <= 0:
@@ -115,35 +156,43 @@ def theta_sup(A: IntLattice, epsilon):
     if A.m == 1:
         v = Q(int(info.k), 2)
         return (v, v)
-    cap = Q(int(info.k), 2)
-
-    def theta_at(point):
-        return theta(AffineCoset.build(A, point)).theta
-
-    # Boxes are (upper corner, sizes); every coset meets J_A, so the initial
-    # box [lo, lo + k_i] with upper corner (k_1/2, ..., k_m/2) covers all.
-    corner0 = tuple(Q(int(ki), 2) for ki in info.orders)
-    sizes0 = tuple(Q(int(ki)) for ki in info.orders)
-    t0 = theta_at(corner0)
-    lo_best = t0
-    boxes = [(min(t0 + max(sizes0), cap), corner0, sizes0)]
     m = A.m
+    k = int(info.k)
+    depth = 0
+    while k > epsilon * (1 << depth):
+        depth += 1
+    den = 2 << depth
+    cap = k << depth  # k/2 over den
+    eps = floor_q(epsilon * den)  # hi - lo <= epsilon, on integers over den
+
+    # Boxes are (-bound, seq, theta at corner, upper corner, sizes); every
+    # coset meets J_A, so the initial box [lo, lo + k_i] with upper corner
+    # (k_1/2, ..., k_m/2) covers all.
+    corner0 = tuple(int(ki) << depth for ki in info.orders)
+    sizes0 = tuple(int(ki) * den for ki in info.orders)
+    t0 = _coset_min(A, corner0, den)[0]
+    lo_best = t0
+    heap = [(-min(t0 + max(sizes0), cap), 0, t0, corner0, sizes0)]
+    seq = 1
     while True:
-        boxes = [b for b in boxes if b[0] > lo_best]
-        if not boxes:
-            return (lo_best, lo_best)
-        hi_best = max(b[0] for b in boxes)
-        if hi_best - lo_best <= epsilon:
-            return (lo_best, min(hi_best, cap))
-        widest = max(boxes, key=lambda b: b[0])
-        boxes.remove(widest)
-        _, corner, sizes = widest
-        half = tuple(s / 2 for s in sizes)
+        while heap and -heap[0][0] <= lo_best:
+            heapq.heappop(heap)
+        if not heap:
+            lo = Q(lo_best, den)
+            return (lo, lo)
+        hi_best = -heap[0][0]
+        if hi_best - lo_best <= eps:
+            return (Q(lo_best, den), Q(min(hi_best, cap), den))
+        _, _, t_parent, corner, sizes = heapq.heappop(heap)
+        half = tuple(s >> 1 for s in sizes)
+        reach = max(half)
         for mask in range(1 << m):
             child_corner = tuple(
-                corner[i] - (half[i] if mask & (1 << i) else 0) for i in range(m)
+                c - h if mask >> i & 1 else c
+                for i, (c, h) in enumerate(zip(corner, half))
             )
-            t = theta_at(child_corner)
+            t = _coset_min(A, child_corner, den)[0] if mask else t_parent
             if t > lo_best:
                 lo_best = t
-            boxes.append((min(t + max(half), cap), child_corner, half))
+            heapq.heappush(heap, (-min(t + reach, cap), seq, t, child_corner, half))
+            seq += 1

@@ -381,25 +381,26 @@ def weakly_simple_set(G: FiniteGroup):
     """
     if G.order <= 1:
         raise TrivialGroup("classification undefined for the trivial group")
-    # One normal-closure computation per conjugacy class.
-    remaining = set(G.elements)
-    s_g: set[Perm] = set()
-    while remaining:
-        g = min(remaining)
-        cls = set(conjugacy_class(G, g))
-        remaining -= cls
-        if g == G.identity:
-            s_g.add(g)
+    # A class lies in S_G when the normal closure of its elements is proper;
+    # that closure is the union of the classes the class BFS reaches over
+    # class(g) and class(g^-1), so its order is a sum of class sizes.
+    labels, classes = G._class_table()
+    index = G._index
+    keep = {labels[index[G.identity]]}
+    for k, cls in enumerate(classes):
+        if k in keep:
             continue
-        if normal_closure(G, g).order < G.order:
-            s_g |= cls
-    if s_g == {G.identity}:
+        dist = _class_distances(G, {k, labels[index[inverse(cls[0])]]})
+        if sum(len(classes[j]) for j, d in enumerate(dist) if d >= 0) < G.order:
+            keep.add(k)
+    s_g = tuple(sorted(_union_of_classes(G, keep.__contains__)))
+    if len(s_g) == 1:  # the identity alone
         classification = "simple"
     elif len(s_g) < G.order:
         classification = "weakly simple"
     else:
         classification = "not weakly simple"
-    return tuple(sorted(s_g)), classification
+    return s_g, classification
 
 
 def quotient_group(G: FiniteGroup, N: FiniteGroup):

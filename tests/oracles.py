@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own enumeration strategies and use
 fractions.Fraction (not the package's rational type) so that agreement is a
-meaningful cross-check.
+meaningful cross-check.  ``oracle_theta_sup`` is the exception: it is the
+list-based box search over the library's ``theta``, kept as the reference
+for the order in which ``coset.theta_sup`` evaluates boxes.
 """
 
 from __future__ import annotations
@@ -10,6 +12,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
+
+from rotnorm._rat import INF, Q
+from rotnorm.coset import AffineCoset, theta
+from rotnorm.errors import ValidationError
+from rotnorm.lattice import quotient_info
 
 
 def oracle_word_lengths(elements, s, compose, identity):
@@ -131,6 +138,62 @@ def oracle_theta_cost(hnf_basis, pivots, offset):
         for i in range(m):
             slack[i] += bound * abs(hnf_basis[j][i])
     return size
+
+
+def oracle_theta_sup(A, epsilon):
+    """sup of theta over all cosets of A, as a certified interval [lo, hi].
+
+    The list-based search that ``coset.theta_sup`` replaced: every split
+    re-filters the whole box list and takes its max, and every corner is a
+    Fraction coset through the public ``theta``.  It makes the same theta
+    evaluations in the same order, so both return the same interval.
+
+    Infinite for rank-deficient lattices; exactly k/2 for m = 1.  For m >= 2
+    the supremum over the fundamental box J_A is bracketed by branch-and-
+    bound: theta is 1-Lipschitz in the offset (l-infinity), so a box of size
+    s evaluated at a corner pins its supremum within max(s).
+    """
+    epsilon = Q(epsilon)
+    if epsilon <= 0:
+        raise ValidationError("epsilon must be positive")
+    info = quotient_info(A)
+    if info.rank < A.m:
+        return (INF, INF)
+    if A.m == 1:
+        v = Q(int(info.k), 2)
+        return (v, v)
+    cap = Q(int(info.k), 2)
+
+    def theta_at(point):
+        return theta(AffineCoset.build(A, point)).theta
+
+    # Boxes are (upper corner, sizes); every coset meets J_A, so the initial
+    # box [lo, lo + k_i] with upper corner (k_1/2, ..., k_m/2) covers all.
+    corner0 = tuple(Q(int(ki), 2) for ki in info.orders)
+    sizes0 = tuple(Q(int(ki)) for ki in info.orders)
+    t0 = theta_at(corner0)
+    lo_best = t0
+    boxes = [(min(t0 + max(sizes0), cap), corner0, sizes0)]
+    m = A.m
+    while True:
+        boxes = [b for b in boxes if b[0] > lo_best]
+        if not boxes:
+            return (lo_best, lo_best)
+        hi_best = max(b[0] for b in boxes)
+        if hi_best - lo_best <= epsilon:
+            return (lo_best, min(hi_best, cap))
+        widest = max(boxes, key=lambda b: b[0])
+        boxes.remove(widest)
+        _, corner, sizes = widest
+        half = tuple(s / 2 for s in sizes)
+        for mask in range(1 << m):
+            child_corner = tuple(
+                corner[i] - (half[i] if mask & (1 << i) else 0) for i in range(m)
+            )
+            t = theta_at(child_corner)
+            if t > lo_best:
+                lo_best = t
+            boxes.append((min(t + max(half), cap), child_corner, half))
 
 
 def s4_mod_v4_to_s3(g):

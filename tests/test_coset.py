@@ -1,14 +1,19 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, seed, settings
+from hypothesis import strategies as st
 
+import oracles
+from rotnorm import coset
 from rotnorm._rat import INF, Q
 from rotnorm.coset import AffineCoset, canonical_rep, theta, theta_sup
 from rotnorm.errors import DimensionMismatch, RankDeficient, ValidationError
 from rotnorm.lattice import member, normalize, quotient_info
 
-from oracles import oracle_theta, oracle_theta_cost
+from oracles import oracle_theta, oracle_theta_cost, oracle_theta_sup
 
 
 class TestBuild:
@@ -223,3 +228,82 @@ class TestThetaSup:
     def test_epsilon_validation(self):
         with pytest.raises(ValidationError):
             theta_sup(normalize([(2,)]), 0)
+
+
+@st.composite
+def _hnf_and_epsilon(draw):
+    """An upper-triangular HNF (m = 2 or 3, pivots <= 9) and an epsilon."""
+    m = draw(st.sampled_from((2, 3)))
+    pivots = [draw(st.integers(1, 9)) for _ in range(m)]
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = pivots[i]
+        for j in range(i + 1, m):
+            rows[i][j] = draw(st.integers(0, pivots[j] - 1))
+    return rows, draw(st.sampled_from((Q(2), Q(1, 2), Q(1, 4))))
+
+
+class TestThetaSupOracle:
+    """The heap search against the list-based search it replaced."""
+
+    # Both searches split every side of a box, so they can evaluate up to
+    # about (k/epsilon)^m corners, and the list-based one costs the square of
+    # its box count.  Draws with more cells than this are skipped.
+    CELLS = 2000
+
+    @seed(20251018)
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(_hnf_and_epsilon())
+    def test_matches_list_search(self, case):
+        rows, eps = case
+        A = normalize(rows)
+        assume((Q(int(quotient_info(A).k)) / eps) ** A.m <= self.CELLS)
+        with pytest.MonkeyPatch.context() as mp:
+            heap_order = _record_calls(
+                mp, coset, "_coset_min",
+                lambda A, nums, den: AffineCoset.build(
+                    A, [Q(n, den) for n in nums]).offset)
+            got = theta_sup(A, eps)
+            mp.undo()
+            list_order = _record_calls(mp, oracles, "theta", lambda z: z.offset)
+            want = oracle_theta_sup(A, eps)
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+        # Same corners in the same order, less each split's first half,
+        # whose corner is its parent's.
+        halves = 1 << A.m
+        assert heap_order == list_order[:1] + [
+            c for i, c in enumerate(list_order[1:]) if i % halves]
+
+
+def _record_calls(monkeypatch, module, name, key):
+    """Wrap module.name; the returned list gets key(*args) for each call."""
+    seen = []
+    inner = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        seen.append(key(*args, **kwargs))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return seen
+
+
+class TestThetaSupCost:
+    def test_skewed_m3_lattice_within_a_minute(self):
+        # The list-based search made 35,841 theta calls here in about 3 min.
+        A = normalize([(1, 0, 5), (0, 1, 46), (0, 0, 61)])
+        start = time.perf_counter()
+        assert theta_sup(A, 2) == (Q(5, 2), Q(9, 2))
+        assert time.perf_counter() - start < 60
+
+    def test_first_half_reuses_the_parent_theta(self, monkeypatch):
+        # Each split of an m = 2 box evaluates 3 new corners, not 4.
+        A = normalize([(1, 9), (0, 29)])
+        core = _record_calls(monkeypatch, coset, "_coset_min", lambda *a: a)
+        listed = _record_calls(monkeypatch, oracles, "theta", lambda z: z)
+        assert theta_sup(A, Q(1, 2)) == (Q(7, 2), Q(4))
+        assert (len(core), len(listed)) == (1003, 0)
+        assert oracle_theta_sup(A, Q(1, 2)) == (Q(7, 2), Q(4))
+        assert len(listed) == 1337

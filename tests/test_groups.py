@@ -481,3 +481,16 @@ class TestClassEngineOracle:
             assert N.generators == s
             if x == min(classes[x]):
                 assert g.zeta_norm(G, x).values == norm
+
+    @pytest.mark.parametrize("kind,G", GROUPS)
+    def test_weakly_simple_set(self, kind, G):
+        classes = _oracle_classes(G)
+        s_g = []
+        for x in G.elements:
+            s = set(classes[x]) | set(classes[g.inverse(x)])
+            closure = _oracle_norm(G, s)
+            if sum(1 for v in closure.values() if v != INF) < G.order:
+                s_g.append(x)
+        label = ("simple" if len(s_g) == 1 else
+                 "weakly simple" if len(s_g) < G.order else "not weakly simple")
+        assert g.weakly_simple_set(G) == (tuple(s_g), label)
