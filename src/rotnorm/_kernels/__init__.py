@@ -5,7 +5,9 @@ from rotnorm._kernels._pure import (
     BACKEND,
     closure_bytes,
     cvp_enumerate,
+    cvp_min,
     word_lengths_bytes,
 )
 
-__all__ = ["BACKEND", "closure_bytes", "cvp_enumerate", "word_lengths_bytes"]
+__all__ = ["BACKEND", "closure_bytes", "cvp_enumerate", "cvp_min",
+           "word_lengths_bytes"]

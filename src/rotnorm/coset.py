@@ -1,19 +1,23 @@
 """Exact minimal l-infinity representatives of affine cosets x + A.
 
-Both ``theta`` and ``theta_sup`` go through one integer core,
-``_coset_min``.  It takes the offset as integer numerators over a common
-denominator D, reduces each pivot coordinate into [0, pivot) and then into
-(-pivot/2, pivot/2] on those integers, and hands the reduced representative
-to ``_kernels.cvp_enumerate``.  theta(z) is certified: the representative y0
-has norm r, and every coset point at least as good lies in the box
-|coordinate| <= r + |x|, so recursing over the triangular basis with
-pivot-coordinate constraints enumerates a superset of all candidates.  theta
-is the exact minimum, so any common denominator gives the same rational.
+Both ``theta`` and ``theta_sup`` work on integers: the offset as numerators
+over a common denominator D, the HNF rows scaled by D.  One reduction,
+``_reduce``, takes each pivot coordinate into (-P/2, P/2], P the scaled
+pivot.  That representative has some norm r >= theta, and every point that
+attains theta has all of its coordinates within theta <= r, so r is a
+certified search radius.  ``theta`` passes the representative and r to
+``_kernels.cvp_enumerate``, which returns the minimum with every attaining
+point; theta is the exact minimum, so any common denominator gives the same
+rational.
 
 ``theta_sup`` brackets sup_x theta(x + A) by branch-and-bound over dyadic
 boxes of the fundamental box J_A.  Every box corner is k_i/2 - j*k_i/2^d, so
 all corners share one denominator D = 2^(d+1) for the deepest depth d the
 search can reach, and every corner, theta value and bound is an integer.
+The lattice is scaled to D once per call.  A corner needs only its theta
+value: it is reduced and passed to ``_kernels.cvp_min``, which keeps no
+attaining points and prunes strictly, entering no branch that could only
+tie the best norm found.
 """
 
 from __future__ import annotations
@@ -85,45 +89,39 @@ class NearestData:
     theta_points: tuple
 
 
-def _coset_min(A: IntLattice, nums, den: int):
-    """theta of the coset (nums/den) + A as a numerator over den.
+def _reduce(basis, pivots, nums) -> list:
+    """The point of nums + span(basis) with each pivot coordinate in
+    (-P/2, P/2], P the row's pivot entry; ``canonical_rep`` on integers,
+    for any rank.
 
-    Returns (best, points) with the attaining points as sorted numerator
-    tuples over den.
+    Row j is zero before its pivot, so reducing pivot j leaves the pivots
+    before it alone.  n = ceil((2y - P) / 2P) takes y[p] into (-P/2, P/2].
     """
-    m = A.m
-    x = list(nums)
-    # Pivot coordinates into [0, pivot), as AffineCoset.build does.
-    for row, p in zip(A.hnf_basis, A.pivots):
-        n = x[p] // (row[p] * den)
+    y = list(nums)
+    m = len(y)
+    for row, p in zip(basis, pivots):
+        piv = row[p]
+        n = -((piv - 2 * y[p]) // (2 * piv))
         if n:
-            for i in range(m):
-                x[i] -= n * den * row[i]
-    y = list(x)
-    if A.rank == m:
-        # Then into (-pivot/2, pivot/2], as canonical_rep does:
-        # n = ceil((2y - P) / 2P) with P the pivot over den.
-        for row, p in zip(A.hnf_basis, A.pivots):
-            piv = row[p] * den
-            n = -((piv - 2 * y[p]) // (2 * piv))
-            if n:
-                for i in range(m):
-                    y[i] -= n * den * row[i]
-    # A rank-deficient lattice is searched from the [0, pivot) representative.
-    r = max(map(abs, y), default=0)
-    if r == 0:
-        return 0, [(0,) * m]
-    basis = [[den * e for e in row] for row in A.hnf_basis]
-    bound = r + max(map(abs, x))
-    return _kernels.cvp_enumerate(basis, list(A.pivots), x, bound)
+            for i in range(p, m):
+                y[i] -= n * row[i]
+    return y
 
 
 def theta(z: AffineCoset) -> NearestData:
     """Certified minimum l-infinity norm over the coset and its attaining set."""
+    A = z.lattice
     x = [Q(v) for v in z.offset]
     d = lcm(*(int(v.denominator) for v in x)) if x else 1
     nums = [int(v.numerator) * (d // int(v.denominator)) for v in x]
-    best, pts = _coset_min(z.lattice, nums, d)
+    basis = [[d * e for e in row] for row in A.hnf_basis]
+    pivots = list(A.pivots)
+    y = _reduce(basis, pivots, nums)
+    r = max(map(abs, y), default=0)
+    if r:
+        best, pts = _kernels.cvp_enumerate(basis, pivots, y, r)
+    else:
+        best, pts = 0, [tuple(y)]
     points = tuple(tuple(Q(v, d) for v in p) for p in pts)
     return NearestData(theta=Q(best, d), theta_points=points)
 
@@ -142,10 +140,14 @@ def theta_sup(A: IntLattice, epsilon):
 
     A heap keyed (-bound, creation order) holds the boxes.  Each box keeps
     its corner's theta, which its first half (same corner) reuses, so a
-    split costs 2^m - 1 evaluations of ``_coset_min``.  A box of depth d has
-    sizes k_i/2^d and is split only while k/2^d > epsilon, so every corner
-    is an integer over D = 2^(depth+1), depth the first d with k/2^d <=
-    epsilon; bounds, theta values and the stopping test are integers over D.
+    split costs 2^m - 1 corner evaluations.  A box of depth d has sizes
+    k_i/2^d and is split only while k/2^d > epsilon, so every corner is an
+    integer over D = 2^(depth+1), depth the first d with k/2^d <= epsilon;
+    bounds, theta values and the stopping test are integers over D.  The
+    basis is scaled to D once per call.  A corner is evaluated by reducing
+    it into the pivot box (``_reduce``) and asking ``_kernels.cvp_min`` for
+    its theta alone: no attaining points, and no branch that can only tie
+    the best norm found.
     """
     epsilon = Q(epsilon)
     if epsilon <= 0:
@@ -170,7 +172,10 @@ def theta_sup(A: IntLattice, epsilon):
     # (k_1/2, ..., k_m/2) covers all.
     corner0 = tuple(int(ki) << depth for ki in info.orders)
     sizes0 = tuple(int(ki) * den for ki in info.orders)
-    t0 = _coset_min(A, corner0, den)[0]
+    # The lattice over den, prepared once for every corner.
+    basis = [[den * e for e in row] for row in A.hnf_basis]
+    pivots = list(A.pivots)
+    t0 = _kernels.cvp_min(basis, pivots, _reduce(basis, pivots, corner0))
     lo_best = t0
     heap = [(-min(t0 + max(sizes0), cap), 0, t0, corner0, sizes0)]
     seq = 1
@@ -191,7 +196,11 @@ def theta_sup(A: IntLattice, epsilon):
                 c - h if mask >> i & 1 else c
                 for i, (c, h) in enumerate(zip(corner, half))
             )
-            t = _coset_min(A, child_corner, den)[0] if mask else t_parent
+            if mask:
+                t = _kernels.cvp_min(
+                    basis, pivots, _reduce(basis, pivots, child_corner))
+            else:
+                t = t_parent
             if t > lo_best:
                 lo_best = t
             heapq.heappush(heap, (-min(t + reach, cap), seq, t, child_corner, half))

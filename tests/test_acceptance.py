@@ -2,7 +2,7 @@
 
 Eight criteria, one test each, each printing a single PASS/FAIL line.  The
 final test asserts the cumulative budget of the preceding seven stayed under
-two minutes.
+two minutes; it first times any of them that did not run before it.
 """
 
 import json
@@ -205,7 +205,25 @@ def test_criterion_7_cli_determinism(tmp_path):
             time.monotonic() - t0)
 
 
-def test_criterion_8_total_budget():
+def test_criterion_8_total_budget(tmp_path):
+    # Run alone or under -k, criteria 1-7 have not all reported; time the
+    # missing ones here.  A full run in order re-runs none of them.
+    criteria = (
+        test_criterion_1_catalog_reference_family,
+        test_criterion_2_cvp_oracle_equivalence,
+        test_criterion_3_defect_inequalities_100k,
+        test_criterion_4_based_loop_homomorphism,
+        test_criterion_5_finite_group_oracle,
+        test_criterion_6_formula_battery,
+        lambda: test_criterion_7_cli_determinism(tmp_path),
+    )
+    failed = []
+    for number, criterion in enumerate(criteria, 1):
+        if not any(name.startswith(f"criterion {number}:") for name in _DURATIONS):
+            try:
+                criterion()
+            except AssertionError:
+                failed.append(number)
     total = sum(_DURATIONS.values())
-    _report("criterion 8: acceptance suite total runtime", len(_DURATIONS) == 7,
-            120.0, total)
+    _report("criterion 8: acceptance suite total runtime",
+            len(_DURATIONS) == 7 and not failed, 120.0, total)

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
-from rotnorm import coset
+from rotnorm import _kernels
 from rotnorm._rat import INF, Q
 from rotnorm.coset import AffineCoset, canonical_rep, theta, theta_sup
 from rotnorm.errors import DimensionMismatch, RankDeficient, ValidationError
@@ -167,6 +167,66 @@ class TestThetaLargeMagnitudes:
             assert theta(AffineCoset.build(A, moved)) == want
 
 
+class TestCvpMin:
+    """The value-only kernel against the enumerating kernel and brute force."""
+
+    def test_matches_enumeration_and_brute_force(self):
+        # Denominators up to 2**33 + 1 put basis and target entries past
+        # 2**31; the brute force works on Fractions, so its cost is unchanged.
+        rng = random.Random(20261018)
+        dims = []
+        while len(dims) < 400:
+            m = rng.randint(2, 5)
+            gens = [
+                [rng.randint(-5, 5) for _ in range(m)]
+                for _ in range(rng.randint(1, m + 1))
+            ]
+            A = normalize(gens, ambient_dim=m)
+            if not A.rank:
+                continue
+            hnf = [list(r) for r in A.hnf_basis]
+            pivots = list(A.pivots)
+            den = rng.choice((1, 2, 3, 4, 6, 2**33 + 1))
+            target = [rng.randint(-6 * den, 6 * den) for _ in range(m)]
+            frac = [Fraction(t, den) for t in target]
+            if oracle_theta_cost(hnf, pivots, frac) > 20_000:
+                continue
+            basis = [[den * e for e in row] for row in hnf]
+            got = _kernels.cvp_min(basis, pivots, target)
+            bound = max(map(abs, target))
+            assert got == _kernels.cvp_enumerate(
+                basis, pivots, target, bound)[0], (hnf, den, target)
+            assert Fraction(got, den) == oracle_theta(hnf, pivots, frac)[0]
+            dims.append(m)
+        assert set(dims) == {2, 3, 4, 5}
+
+    def test_targets_in_the_lattice(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            m = rng.randint(2, 5)
+            A = normalize([[rng.randint(-9, 9) for _ in range(m)]
+                           for _ in range(rng.randint(1, m))], ambient_dim=m)
+            basis = [[(2**33 + 1) * e for e in row] for row in A.hnf_basis]
+            coeffs = [rng.randint(-50, 50) for _ in basis]
+            target = [sum(c * row[i] for c, row in zip(coeffs, basis))
+                      for i in range(m)]
+            assert _kernels.cvp_min(basis, list(A.pivots), target) == 0
+
+    def test_large_magnitudes_by_hand(self):
+        # theta((BIG - 1/3, 1/2) + A) = 1/2 for A = BIG*Z x 3Z, over den 6,
+        # also after a shift by a lattice vector with entries near 2**40.
+        big = TestThetaLargeMagnitudes.BIG
+        basis = [[6 * big, 0], [0, 18]]
+        for shift in ((0, 0), (128 * big, 3 * (2**40 // 3)),
+                      (-128 * big, -3 * (2**40 // 3))):
+            target = [6 * (big + shift[0]) - 2, 3 + 6 * shift[1]]
+            assert _kernels.cvp_min(basis, [0, 1], target) == 3
+        # Rank 1 in Z^2: the first coordinate, 2**40 + 1/2, is never moved.
+        basis = [[0, 6 * (2**42 + 1)]]
+        target = [6 * 2**40 + 3, 2 + 6 * (2**42 + 1)]
+        assert _kernels.cvp_min(basis, [1], target) == 6 * 2**40 + 3
+
+
 class TestThetaOracle:
     def test_random_instances_match_brute_force(self):
         rng = random.Random(42)
@@ -259,11 +319,14 @@ class TestThetaSupOracle:
         rows, eps = case
         A = normalize(rows)
         assume((Q(int(quotient_info(A).k)) / eps) ** A.m <= self.CELLS)
+
+        def corner(basis, pivots, target):
+            # The kernel gets the basis scaled by the corners' denominator.
+            den = basis[0][pivots[0]] // A.hnf_basis[0][pivots[0]]
+            return AffineCoset.build(A, [Q(n, den) for n in target]).offset
+
         with pytest.MonkeyPatch.context() as mp:
-            heap_order = _record_calls(
-                mp, coset, "_coset_min",
-                lambda A, nums, den: AffineCoset.build(
-                    A, [Q(n, den) for n in nums]).offset)
+            heap_order = _record_calls(mp, _kernels, "cvp_min", corner)
             got = theta_sup(A, eps)
             mp.undo()
             list_order = _record_calls(mp, oracles, "theta", lambda z: z.offset)
@@ -301,7 +364,7 @@ class TestThetaSupCost:
     def test_first_half_reuses_the_parent_theta(self, monkeypatch):
         # Each split of an m = 2 box evaluates 3 new corners, not 4.
         A = normalize([(1, 9), (0, 29)])
-        core = _record_calls(monkeypatch, coset, "_coset_min", lambda *a: a)
+        core = _record_calls(monkeypatch, _kernels, "cvp_min", lambda *a: a)
         listed = _record_calls(monkeypatch, oracles, "theta", lambda z: z)
         assert theta_sup(A, Q(1, 2)) == (Q(7, 2), Q(4))
         assert (len(core), len(listed)) == (1003, 0)
