@@ -9,6 +9,11 @@ function.  A group labels its conjugacy classes once, on first use, as
 orbits under conjugation by its generators; the commutator set, word norms
 and normal closures are then computed over classes rather than over
 elements or pairs of elements.
+
+The two steps that touch every element, closing the generators under
+products and labelling the classes, work on bytes: a permutation padded to
+256 bytes is a ``bytes.translate`` table, so each product is one C-level
+lookup, and the elements become tuples once, after the closure.
 """
 
 from __future__ import annotations
@@ -83,14 +88,6 @@ def cycle_str(p: Perm) -> str:
     return "".join(cycles) if cycles else "()"
 
 
-def _to_bytes(p: Perm) -> bytes:
-    return bytes(p)
-
-
-def _from_bytes(b: bytes) -> Perm:
-    return tuple(b)
-
-
 @dataclass(frozen=True)
 class FiniteGroup:
     """A fully enumerated permutation group with canonically ordered elements.
@@ -144,17 +141,21 @@ def generate_group(generators) -> FiniteGroup:
     degree = len(gens[0])
     if any(len(g) != degree for g in gens):
         raise ValidationError("generators have mixed degrees")
-    raw = _kernels.closure_bytes([_to_bytes(g) for g in gens], CLOSURE_CAP)
+    raw = _kernels.closure_bytes(list(map(bytes, gens)), CLOSURE_CAP)
     if raw is None:
         raise ClosureTooLarge(f"closure exceeds {CLOSURE_CAP} elements")
-    elements = tuple(sorted(_from_bytes(b) for b in raw))
+    # Bytes of one length sort exactly as the tuples of their values.
+    elements = tuple(map(tuple, sorted(raw)))
     return FiniteGroup(degree=degree, elements=elements, generators=gens)
 
 
 def _label_classes(G: FiniteGroup):
-    index, elements = G._index, G.elements
-    # x -> s x s^-1 reads x at s^-1, then s at the result.
-    conjugators = [(s.__getitem__, inverse(s)) for s in G.generators]
+    elements = G.elements
+    pad = bytes(256 - G.degree)
+    index = {bytes(g): i for i, g in enumerate(elements)}
+    # (s x s^-1)[i] = s[x[s^-1[i]]]: translate s^-1 through x, then through
+    # s; x and s are kept padded to 256 bytes, as translate tables.
+    conjugators = [(bytes(s) + pad, bytes(inverse(s))) for s in G.generators]
     labels = [-1] * len(elements)
     classes = []
     for i, g in enumerate(elements):
@@ -163,16 +164,16 @@ def _label_classes(G: FiniteGroup):
         k = len(classes)
         labels[i] = k
         orbit = [i]
-        stack = [g]
+        stack = [bytes(g) + pad]
         while stack:
             x = stack.pop()
-            x_at = x.__getitem__
-            for s_at, s_inv in conjugators:
-                j = index[tuple(map(s_at, map(x_at, s_inv)))]
+            for s_table, s_inv in conjugators:
+                y = s_inv.translate(x).translate(s_table)
+                j = index[y]
                 if labels[j] < 0:
                     labels[j] = k
                     orbit.append(j)
-                    stack.append(elements[j])
+                    stack.append(y + pad)
         orbit.sort()
         classes.append(tuple(elements[j] for j in orbit))
     return labels, tuple(classes)

@@ -37,6 +37,31 @@ def oracle_word_lengths(elements, s, compose, identity):
     return {g: dist.get(g) for g in elements}  # None = unreachable
 
 
+def oracle_closure_bytes(gens, cap):
+    """Breadth-first closure of bytes permutations under products, each
+    product formed point by point; the reference for
+    ``_kernels.closure_bytes``: the same elements in the same discovery
+    order, or None past ``cap`` elements."""
+    if not gens:
+        return []
+    n = len(gens[0])
+    ident = bytes(range(n))
+    index = {ident: 0}
+    elems = [ident]
+    head = 0
+    while head < len(elems):
+        cur = elems[head]
+        head += 1
+        for g in gens:
+            prod = bytes(cur[g[i]] for i in range(n))
+            if prod not in index:
+                if len(elems) >= cap:
+                    return None
+                index[prod] = len(elems)
+                elems.append(prod)
+    return elems
+
+
 def _mul(a, b):
     """a*b on image tuples: apply b first."""
     return tuple(a[i] for i in b)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import rotnorm
+from rotnorm import _kernels
 from rotnorm import groups as g
 from rotnorm._rat import INF
 from rotnorm.errors import (
@@ -17,6 +18,7 @@ from rotnorm.errors import (
 )
 
 from oracles import (
+    oracle_closure_bytes,
     oracle_commutator_set,
     oracle_conjugacy_class,
     oracle_word_lengths,
@@ -429,6 +431,78 @@ def _seeded_groups(seed, per_kind, max_order=120):
 GROUPS = _seeded_groups(20260, 6)
 
 
+def _cycles(degree, *cycles):
+    """The permutation of range(degree) with the given disjoint cycles."""
+    p = list(range(degree))
+    for c in cycles:
+        for a, b in zip(c, c[1:] + c[:1]):
+            p[a] = b
+    return tuple(p)
+
+
+# Groups past the seeded ones' degree 6: S7 (5040 elements, 15 classes),
+# the dihedral group D12 of the 12-gon, and an intransitive degree-12 group
+# with orbits {0..4}, {5, 6, 7}, {8..11} (720 elements, 42 classes).
+LARGE_GENS = {
+    "S7": [_cycles(7, (0, 1)), _cycles(7, tuple(range(7)))],
+    "D12": [_cycles(12, tuple(range(12))),
+            tuple(-i % 12 for i in range(12))],
+    "intransitive-12": [_cycles(12, (0, 1, 2, 3, 4), (5, 6, 7)),
+                        _cycles(12, (0, 1), (8, 9, 10, 11))],
+}
+
+
+def _seeded_gen_sets(seed, per_degree=5, max_order=5000):
+    """Seeded bytes generator sets of every degree 1..MAX_DEGREE, each
+    closing to a group of order 2..max_order (order 1 at degree 1).  A
+    generator permutes a random set of at most five points, or is one random
+    permutation of all points when it is alone (a cyclic group)."""
+    rng = random.Random(seed)
+    out = []
+    for d in range(1, g.MAX_DEGREE + 1):
+        count = 0
+        while count < per_degree:
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                perm = list(range(d))
+                support = rng.sample(range(d), rng.randint(1, min(d, 5)))
+                for i, j in zip(support, _shuffled(rng, support)):
+                    perm[i] = j
+                gens.append(bytes(perm))
+            if len(gens) == 1 and rng.random() < 0.5:
+                gens = [bytes(_shuffled(rng, range(d)))]
+            elems = oracle_closure_bytes(gens, max_order)
+            if elems is not None and len(elems) >= min(d, 2):
+                out.append(gens)
+                count += 1
+    return out
+
+
+GEN_SETS = _seeded_gen_sets(20261)
+
+
+class TestClosureKernel:
+    """``_kernels.closure_bytes`` against the point-by-point oracle."""
+
+    def test_degrees_covered(self):
+        assert {len(gens[0]) for gens in GEN_SETS} == set(
+            range(1, g.MAX_DEGREE + 1))
+
+    @pytest.mark.parametrize("gens", GEN_SETS + [
+        list(map(bytes, gens)) for gens in LARGE_GENS.values()],
+        ids=lambda gens: f"deg{len(gens[0])}")
+    def test_same_elements_in_discovery_order(self, gens):
+        expect = oracle_closure_bytes(gens, 10_000)
+        assert _kernels.closure_bytes(gens, 10_000) == expect
+        order = len(expect)
+        assert _kernels.closure_bytes(gens, order) == expect
+        if order > 1:  # the identity is never counted against the cap
+            assert _kernels.closure_bytes(gens, order - 1) is None
+
+    def test_no_generators(self):
+        assert _kernels.closure_bytes([], 10) == oracle_closure_bytes([], 10) == []
+
+
 def _oracle_norm(G, s):
     lengths = oracle_word_lengths(
         G.elements, [x for x in s if x != G.identity], g.compose, G.identity)
@@ -461,6 +535,14 @@ class TestClassEngineOracle:
     def test_conjugacy_class(self, kind, G):
         for x in G.elements:
             assert g.conjugacy_class(G, x) == oracle_conjugacy_class(G.elements, x)
+
+    @pytest.mark.parametrize("name", LARGE_GENS)
+    def test_conjugacy_class_past_degree_6(self, name):
+        G = g.generate_group(LARGE_GENS[name])
+        assert list(G.elements) == sorted(G.elements)
+        classes = _oracle_classes(G)
+        for x in G.elements:
+            assert g.conjugacy_class(G, x) == classes[x]
 
     @pytest.mark.parametrize("kind,G", GROUPS)
     def test_commutator_set_and_length(self, kind, G):
