@@ -2,14 +2,18 @@
 
 Circle maps are stored as lifts: strictly increasing PL functions on one
 period satisfying f(x+1) = f(x) + 1.  All breakpoints and values are exact
-rationals, so rotation angles, the basepoint quasimorphism mu, and its
-vector version nu are computed exactly, and the strict defect inequalities
-can be tested without floating-point noise.
+rationals, kept as integer numerators over one shared denominator, so
+rotation angles, the basepoint quasimorphism mu, and its vector version nu
+are computed exactly, and the strict defect inequalities can be tested
+without floating-point noise.
 
 An isotopy is a finite list of time-sampled frames with lift-space convex
-interpolation in between.  Frames must move by less than 1/2 (in sup norm)
-per time step; this pins down the continuous lift of any basepoint trace,
-so mu is simply the endpoint lift difference.
+interpolation in between; its times are integer numerators over one
+denominator too.  Frames must move by less than 1/2 (in sup norm) per time
+step; this pins down the continuous lift of any basepoint trace, so mu is
+simply the difference of the end frames' lifts at the basepoint.
+Composition walks each factor's frames once along the merged time grid,
+and composing two maps costs one lookup per breakpoint.
 """
 
 from __future__ import annotations
@@ -139,18 +143,26 @@ class PLCircleDiffeo:
         """self after other: x -> self(other(x)).
 
         Breakpoints are other's plus the preimages under other of self's
-        breakpoints, taken mod 1.
+        breakpoints, taken mod 1.  At other's breakpoint x_i the value is
+        self(y_i), one forward lookup.  The preimage u of self's breakpoint
+        b_j lies k whole periods above its residue u - k, where other takes
+        the value b_j - k, so the value there is y_j - k with no lookup.
+        Coincident points carry equal values and are kept once.
         """
-        pts = [(x, other.den) for x in other.xn]
-        for b in self.xn:
-            t, d = other._eval_inv(b, self.den)
-            pts.append((t % d, d))
+        D, E = self.den, other.den
+        pts = [(x, E) for x in other.xn]
+        vals = [self._eval(y, E) for y in other.yn]
+        for b, y in zip(self.xn, self.yn):
+            t, d = other._eval_inv(b, D)
+            k = t // d
+            pts.append((t - k * d, d))
+            vals.append((y - k * D, D))
         L, xs = _common(pts)
-        xs = sorted(set(xs))
-        D, ys = _common([self._eval(*other._eval(x, L)) for x in xs])
-        m = lcm(L, D)
+        V, ys = _common(vals)
+        m = lcm(L, V)
+        xs, ys = zip(*sorted(set(zip(xs, ys))))
         return PLCircleDiffeo([x * (m // L) for x in xs],
-                              [y * (m // D) for y in ys], m)
+                              [y * (m // V) for y in ys], m)
 
     def inverse(self) -> "PLCircleDiffeo":
         D = self.den
@@ -287,21 +299,34 @@ MAX_STEP_DISPLACEMENT = HALF
 class PLIsotopy:
     """Time-sampled isotopy of PL circle diffeos with interpolated lifts.
 
+    The sample times are kept as strictly increasing integer numerators
+    ``tn`` over one positive denominator ``tden``, running from 0 to
+    ``tden``, as the frames keep their breakpoints; ``times`` gives them as
+    rationals.  ``PLIsotopy(times, frames)`` takes rational times;
+    ``PLIsotopy(tn, frames, tden)`` takes integer numerators.  Both are
+    validated the same way.
+
     Construction refuses inputs whose frames move by >= 1/2 between adjacent
     samples: below that threshold the continuous lift of every point trace
     is unambiguous, so rotation angles are exact endpoint differences.
     """
 
-    __slots__ = ("times", "frames")
+    __slots__ = ("tn", "tden", "frames")
 
-    def __init__(self, times, frames):
-        ts = tuple(t if type(t) is Q else Q(t) for t in times)
+    def __init__(self, times, frames, tden=None):
+        if tden is None:
+            ts = [t if type(t) is Q else Q(t) for t in times]
+            tden = lcm(*(int(t.denominator) for t in ts))
+            times = [t.numerator * (tden // t.denominator) for t in ts]
+        tn = tuple(times)
         frames = tuple(frames)
-        if len(ts) < 2 or len(ts) != len(frames):
+        if len(tn) < 2 or len(tn) != len(frames):
             raise ValidationError("need at least 2 matching time samples")
-        if ts[0] != 0 or ts[-1] != 1:
+        if tden <= 0:
+            raise ValidationError("time denominator must be positive")
+        if tn[0] != 0 or tn[-1] != tden:
             raise ValidationError("isotopy must be parametrized over [0, 1]")
-        if not all(map(lt, ts, ts[1:])):
+        if not all(map(lt, tn, tn[1:])):
             raise ValidationError("time samples must strictly increase")
         lim = MAX_STEP_DISPLACEMENT
         for fa, fb in zip(frames, frames[1:]):
@@ -311,13 +336,18 @@ class PLIsotopy:
                     "frames move by >= 1/2 within one time step; "
                     "resample the isotopy more finely"
                 )
-        self.times = ts
+        self.tn = tn
+        self.tden = tden
         self.frames = frames
+
+    @property
+    def times(self) -> tuple:
+        return tuple(Q(t, self.tden) for t in self.tn)
 
     @staticmethod
     def identity() -> "PLIsotopy":
         ident = PLCircleDiffeo.identity()
-        return PLIsotopy((Q(0), Q(1)), (ident, ident))
+        return PLIsotopy((0, 1), (ident, ident), 1)
 
     @staticmethod
     def rotation(angle, samples: int | None = None) -> "PLIsotopy":
@@ -325,19 +355,25 @@ class PLIsotopy:
         angle = Q(angle)
         if samples is None:
             samples = max(2, 3 * (abs(floor_q(angle)) + 1))
-        ts = [Q(j, samples - 1) for j in range(samples)]
-        return PLIsotopy(ts, [PLCircleDiffeo.rotation(angle * t) for t in ts])
+        if samples < 2:
+            raise ValidationError("a rotation isotopy needs at least 2 samples")
+        S = samples - 1
+        return PLIsotopy(range(samples), [PLCircleDiffeo.rotation(angle * Q(j, S))
+                                          for j in range(samples)], S)
 
     def frame_at(self, t) -> PLCircleDiffeo:
         t = Q(t)
         if t < 0 or t > 1:
             raise ValidationError("time outside [0, 1]")
-        i = bisect_right(self.times, t) - 1
-        if i >= len(self.times) - 1:
+        tn, q = self.tn, t.denominator
+        a = t.numerator * self.tden  # t = a / (q * tden)
+        i = bisect_right(tn, a // q) - 1
+        if i >= len(tn) - 1:
             return self.frames[-1]
-        if self.times[i] == t:
+        r = a - tn[i] * q
+        if r == 0:
             return self.frames[i]
-        s = (t - self.times[i]) / (self.times[i + 1] - self.times[i])
+        s = Q(r, (tn[i + 1] - tn[i]) * q)
         return self.frames[i].interpolate(self.frames[i + 1], s)
 
     def trace(self, p) -> PLPath:
@@ -352,24 +388,58 @@ class PLIsotopy:
 
 
 def mu(F: PLIsotopy, p):
-    """Rotation angle of the basepoint trace t -> F_t(p)."""
-    return rotation_angle(F.trace(p))
+    """Rotation angle of the basepoint trace t -> F_t(p).
+
+    The trace has a continuous lift through the frame lifts (adjacent frames
+    move by less than 1/2), so its rotation angle is the difference of the
+    end frames' lifts at p, evaluated on integers.
+    """
+    p = Q(p)
+    a, q = p.numerator, p.denominator
+    n1, d1 = F.frames[-1]._eval(a, q)
+    n0, d0 = F.frames[0]._eval(a, q)
+    return Q(n1 * d0 - n0 * d1, d0 * d1)
+
+
+def _frames_on(tn, frames, grid):
+    """Frames at the sorted integer times ``grid`` (which include every
+    time of ``tn``, on the same denominator), walking the samples once."""
+    last = len(tn) - 1
+    i = 0
+    out = []
+    for t in grid:
+        while i < last and tn[i + 1] <= t:
+            i += 1
+        t0 = tn[i]
+        if t == t0:
+            out.append(frames[i])
+        else:
+            s = Q(t - t0, tn[i + 1] - t0)
+            out.append(frames[i].interpolate(frames[i + 1], s))
+    return out
 
 
 def compose(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
     """Pointwise-in-t composition (F_t o G_t) on the merged time grid.
 
-    A step of F_t o G_t can move by 1/2 or more even when no step of F or G
-    does.  Only then are such steps bisected, sampling F_t o G_t at their
-    midpoints until every step moves less than 1/2.
+    The grid is the union of both sample times over the least common
+    multiple of their denominators, and each factor's frames are walked
+    once along it.  A step of F_t o G_t can move by 1/2 or more even when no
+    step of F or G does.  Only then are such steps bisected, sampling
+    F_t o G_t at their midpoints until every step moves less than 1/2.
     """
-    ts = sorted(set(F.times) | set(G.times))
-    frames = [F.frame_at(t).compose(G.frame_at(t)) for t in ts]
+    T = lcm(F.tden, G.tden)
+    fa = [t * (T // F.tden) for t in F.tn]
+    ga = [t * (T // G.tden) for t in G.tn]
+    grid = fa if fa == ga else sorted(set(fa).union(ga))
+    frames = [f.compose(g) for f, g in zip(_frames_on(fa, F.frames, grid),
+                                           _frames_on(ga, G.frames, grid))]
     try:
-        return PLIsotopy(ts, frames)
+        return PLIsotopy(grid, frames, T)
     except AmbiguousLift:
         pass
     lim = MAX_STEP_DISPLACEMENT
+    ts = [Q(t, T) for t in grid]
     out_t, out_f = [ts[0]], [frames[0]]
     pending = list(zip(ts[1:], frames[1:]))[::-1]  # a stack, earliest on top
     while pending:
@@ -386,7 +456,7 @@ def compose(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
 
 
 def invert(F: PLIsotopy) -> PLIsotopy:
-    return PLIsotopy(F.times, [f.inverse() for f in F.frames])
+    return PLIsotopy(F.tn, [f.inverse() for f in F.frames], F.tden)
 
 
 def _lift_gap(f: PLCircleDiffeo, g: PLCircleDiffeo):
@@ -418,9 +488,10 @@ def concat(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
         else PLCircleDiffeo(g.xn, [y + d * g.den for y in g.yn], g.den)
         for g in G.frames[1:]
     ]
-    ts = [t / 2 for t in F.times] + [HALF + t / 2 for t in G.times[1:]]
-    frames = list(F.frames) + tail
-    return PLIsotopy(ts, frames)
+    T = lcm(F.tden, G.tden)  # over 2T: F on [0, T], G on [T, 2T]
+    tn = [t * (T // F.tden) for t in F.tn]
+    tn += [T + t * (T // G.tden) for t in G.tn[1:]]
+    return PLIsotopy(tn, list(F.frames) + tail, 2 * T)
 
 
 def commutator(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
@@ -428,27 +499,35 @@ def commutator(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
 
 
 def refine(F: PLIsotopy, max_disp) -> PLIsotopy:
-    """Insert interpolated frames until each step moves less than max_disp."""
+    """Insert interpolated frames until each step moves less than max_disp.
+
+    Each step is cut into equal pieces, so the new times are integers over
+    ``tden`` times the least common multiple of the piece counts.
+    """
     max_disp = Q(max_disp)
     if max_disp <= 0:
         raise ValidationError("max_disp must be positive")
-    ts: list = []
-    frames: list = []
-    for i in range(len(F.times) - 1):
-        t0, t1 = F.times[i], F.times[i + 1]
-        fa, fb = F.frames[i], F.frames[i + 1]
+    mn, md = max_disp.numerator, max_disp.denominator
+    counts = []
+    for fa, fb in zip(F.frames, F.frames[1:]):
         n, d = fa._displacement(fb)
-        # fewest pieces with (n/d) / pieces < max_disp
-        pieces = n * max_disp.denominator // (d * max_disp.numerator) + 1
-        ts.append(t0)
+        counts.append(n * md // (d * mn) + 1)  # fewest pieces below max_disp
+    P = lcm(*counts)
+    tn: list = []
+    frames: list = []
+    for t0, t1, fa, fb, pieces in zip(F.tn, F.tn[1:], F.frames, F.frames[1:],
+                                      counts):
+        step = (t1 - t0) * (P // pieces)
+        t0 *= P
+        tn.append(t0)
         frames.append(fa)
         for j in range(1, pieces):
-            s = Q(j, pieces)
-            ts.append(t0 + (t1 - t0) * s)
-            frames.append(fa.interpolate(fb, s))
-    ts.append(F.times[-1])
+            tn.append(t0 + j * step)
+            frames.append(fa.interpolate(fb, Q(j, pieces)))
+    T = F.tden * P
+    tn.append(T)
     frames.append(F.frames[-1])
-    return PLIsotopy(ts, frames)
+    return PLIsotopy(tn, frames, T)
 
 
 @dataclass(frozen=True)
@@ -516,14 +595,13 @@ def random_isotopy(rng: random.Random) -> PLIsotopy:
     b = rng.randint(2, 8)
     D = 64 * b
     xs = [64 * i for i in range(b)]
-    times = [Q(j, samples - 1) for j in range(samples)]
     frames = [PLCircleDiffeo(xs, xs, D)]
     c = 0
     for _ in range(samples - 1):
         c += rng.randint(-16, 16) * b
         ys = [x + c + rng.randint(-8, 8) for x in xs]
         frames.append(PLCircleDiffeo(xs, ys, D))
-    return PLIsotopy(times, frames)
+    return PLIsotopy(range(samples), frames, samples - 1)
 
 
 def random_based_loop(rng: random.Random, winding: int | None = None) -> PLIsotopy:
@@ -534,7 +612,6 @@ def random_based_loop(rng: random.Random, winding: int | None = None) -> PLIsoto
     S = samples - 1
     D = 64 * b * S  # lifts over 64*b*S: time steps are 1/S
     xs = [64 * S * i for i in range(b)]
-    times = [Q(j, S) for j in range(samples)]
     frames = [PLCircleDiffeo(xs, xs, D)]
     for j in range(1, samples):
         if j == S:
@@ -545,7 +622,12 @@ def random_based_loop(rng: random.Random, winding: int | None = None) -> PLIsoto
             jitter = [rng.randint(-8, 8) * S for _ in range(b)]
         ys = [x + c + e for x, e in zip(xs, jitter)]
         frames.append(PLCircleDiffeo(xs, ys, D))
-    return PLIsotopy(times, frames)
+    return PLIsotopy(range(samples), frames, S)
+
+
+#: Most trials one defect_experiment call runs: 10**6 trials take two to three
+#: minutes on a 2-vCPU host, while larger counts would run for hours.
+MAX_DEFECT_TRIALS = 10 ** 6
 
 
 def defect_experiment(seed: int, trials: int) -> dict:
@@ -562,9 +644,13 @@ def defect_experiment(seed: int, trials: int) -> dict:
     rotation angle is the endpoint lift difference.  Every lift value is
     kept as an integer pair (num, den); only the maxima become rationals.
     Returns a report with per-inequality maxima and the violation count.
+    More than ``MAX_DEFECT_TRIALS`` trials are refused.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
+    if trials > MAX_DEFECT_TRIALS:
+        raise ValidationError(
+            f"trials {trials} exceeds the cap MAX_DEFECT_TRIALS = {MAX_DEFECT_TRIALS}")
     rng = random.Random(seed)
     names = ("left_mult", "right_mult", "product", "inverse_sum",
              "commutator", "basepoint_change")

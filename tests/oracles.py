@@ -4,7 +4,12 @@ These deliberately avoid the library's own enumeration strategies and use
 fractions.Fraction (not the package's rational type) so that agreement is a
 meaningful cross-check.  ``oracle_theta_sup`` is the exception: it is the
 list-based box search over the library's ``theta``, kept as the reference
-for the order in which ``coset.theta_sup`` evaluates boxes.
+for the order in which ``coset.theta_sup`` evaluates boxes.  So are the
+circle composition oracles (``oracle_diffeo_compose``, ``oracle_frame_at``,
+``oracle_isotopy_compose``, ``oracle_refine``): they are the earlier
+lookup-per-point and Fraction-time paths over the library's own map
+lookups, kept as the reference for the exact denominators and times that
+``circle.compose`` and ``circle.refine`` produce.
 """
 
 from __future__ import annotations
@@ -310,3 +315,73 @@ class FractionCircleDiffeo:
         return FractionCircleDiffeo(
             xs, [(1 - s) * self.eval(x) + s * other.eval(x) for x in xs]
         )
+
+
+def oracle_diffeo_compose(f, g):
+    """f after g with three lookups per merged point: the inverse lookups
+    that give g's preimages of f's breakpoints (mod 1), then g and f
+    evaluated at every merged point.  The reference for
+    ``PLCircleDiffeo.compose``, which reads the values at the preimages off
+    f's breakpoints; both keep the least common denominator."""
+    pts = {Fraction(x, g.den) for x in g.xn}
+    for b in f.xn:
+        t, d = g._eval_inv(b, f.den)
+        pts.add(Fraction(t % d, d))
+    xs = sorted(pts)
+    ys = [Fraction(*f._eval(*g._eval(x.numerator, x.denominator))) for x in xs]
+    return type(f)(xs, ys)
+
+
+def oracle_frame_at(F, t):
+    """Frame of the isotopy F at time t by bisecting its Fraction times."""
+    t = Fraction(t)
+    times = F.times
+    i = bisect_right(times, t) - 1
+    if i >= len(times) - 1:
+        return F.frames[-1]
+    if times[i] == t:
+        return F.frames[i]
+    s = (t - times[i]) / (times[i + 1] - times[i])
+    return F.frames[i].interpolate(F.frames[i + 1], s)
+
+
+def oracle_isotopy_compose(F, G):
+    """F_t o G_t on the merged Fraction time grid, each frame found by
+    ``oracle_frame_at``; steps that move by 1/2 or more are bisected at
+    their midpoints.  The reference for ``circle.compose``."""
+    iso = type(F)
+    ts = sorted(set(F.times) | set(G.times))
+
+    def at(t):
+        return oracle_diffeo_compose(oracle_frame_at(F, t), oracle_frame_at(G, t))
+
+    out_t, out_f = [ts[0]], [at(ts[0])]
+    pending = [(t, at(t)) for t in reversed(ts[1:])]  # earliest on top
+    while pending:
+        t1, f1 = pending[-1]
+        if out_f[-1].displacement(f1) < Fraction(1, 2):
+            out_t.append(t1)
+            out_f.append(f1)
+            pending.pop()
+        else:
+            tm = (out_t[-1] + t1) / 2
+            pending.append((tm, at(tm)))
+    return iso(out_t, out_f)
+
+
+def oracle_refine(F, max_disp):
+    """``circle.refine`` on Fraction times: each step cut into the fewest
+    equal pieces that move less than max_disp."""
+    max_disp = Fraction(max_disp)
+    ts, frames = [], []
+    for t0, t1, fa, fb in zip(F.times, F.times[1:], F.frames, F.frames[1:]):
+        pieces = int(fa.displacement(fb) // max_disp) + 1
+        ts.append(t0)
+        frames.append(fa)
+        for j in range(1, pieces):
+            s = Fraction(j, pieces)
+            ts.append(t0 + (t1 - t0) * s)
+            frames.append(fa.interpolate(fb, s))
+    ts.append(F.times[-1])
+    frames.append(F.frames[-1])
+    return type(F)(ts, frames)

@@ -34,7 +34,12 @@ from rotnorm.errors import (
 )
 from rotnorm.lattice import normalize
 
-from oracles import FractionCircleDiffeo
+from oracles import (
+    FractionCircleDiffeo,
+    oracle_diffeo_compose,
+    oracle_isotopy_compose,
+    oracle_refine,
+)
 
 
 class TestPLPath:
@@ -293,12 +298,66 @@ class TestPLIsotopy:
         with pytest.raises(FrameMismatch):
             concat(F, G)
 
+    def test_rotation_needs_two_samples(self):
+        for samples in (1, 0, -2):
+            with pytest.raises(ValidationError):
+                PLIsotopy.rotation(Q(1, 4), samples=samples)
+        F = PLIsotopy.rotation(Q(1, 4), samples=2)
+        assert F.times == (0, 1) and mu(F, Q(1, 3)) == Q(1, 4)
+
     def test_refine(self):
         F = PLIsotopy.rotation(Q(3, 2), samples=5)
         R = refine(F, Q(1, 8))
         for a, b in zip(R.frames, R.frames[1:]):
             assert a.displacement(b) < Q(1, 8)
         assert mu(R, Q(0)) == Q(3, 2)
+
+
+def _rotations(*angles):
+    return [PLCircleDiffeo.rotation(a) for a in angles]
+
+
+class TestIntegerTimes:
+    """``PLIsotopy(tn, frames, tden)`` against the rational constructor."""
+
+    def test_integer_constructor_matches_rational_one(self):
+        frames = _rotations(0, Q(1, 8), Q(3, 8), Q(1, 2))
+        R = PLIsotopy((0, Q(1, 3), Q(1, 2), 1), frames)
+        for tn, tden in (((0, 2, 3, 6), 6), ((0, 4, 6, 12), 12)):
+            F = PLIsotopy(tn, frames, tden)
+            assert F.times == R.times == (0, Q(1, 3), Q(1, 2), 1)
+            assert all(type(t) is Q for t in F.times)
+            assert F.frames == R.frames
+            for t in (0, Q(1, 6), Q(1, 3), Q(5, 12), Q(7, 9), 1):
+                assert F.frame_at(t) == R.frame_at(t)
+            assert mu(F, Q(1, 5)) == mu(R, Q(1, 5)) == Q(1, 2)
+        assert (R.tn, R.tden) == ((0, 2, 3, 6), 6)  # least common denominator
+
+    def test_integer_constructor_validation(self):
+        ident = PLCircleDiffeo.identity()
+        three = [ident] * 3
+        for tden in (0, -2):
+            with pytest.raises(ValidationError, match="denominator"):
+                PLIsotopy((0, 1, tden), three, tden)
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            PLIsotopy((1, 2, 3), three, 3)  # tn[0] != 0
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            PLIsotopy((0, 1, 2), three, 3)  # tn[-1] != tden
+        with pytest.raises(ValidationError, match="increase"):
+            PLIsotopy((0, 2, 2, 3), [ident] * 4, 3)
+        with pytest.raises(ValidationError, match="increase"):
+            PLIsotopy((0, 2, 1, 3), [ident] * 4, 3)
+        with pytest.raises(ValidationError, match="matching"):
+            PLIsotopy((0, 3), three, 3)
+        with pytest.raises(AmbiguousLift):
+            PLIsotopy((0, 1), _rotations(0, Q(1, 2)), 1)
+        PLIsotopy((0, 1), _rotations(0, Q(7, 16)), 1)  # fine
+
+    def test_frame_at_outside_unit_interval(self):
+        F = PLIsotopy.rotation(Q(1, 2), samples=3)
+        for t in (Q(-1, 7), Q(8, 7)):
+            with pytest.raises(ValidationError):
+                F.frame_at(t)
 
 
 class TestMuAlgebra:
@@ -374,6 +433,127 @@ class TestComposeResampling:
             for t, h in zip(ts, H.frames):
                 want = F.frame_at(t).compose(G.frame_at(t))
                 assert (h.den, h.xn, h.yn) == (want.den, want.xn, want.yn)
+
+
+def _key(f):
+    return f.den, f.xn, f.yn
+
+
+def _diffeo_of_kind(rng):
+    """A seeded map: random, inverse, interpolated, composite, identity,
+    rotation, or the end frame of a random isotopy."""
+    kind = rng.randrange(7)
+    f = random_diffeo(rng)
+    if kind == 1:
+        return f.inverse()
+    if kind == 2:
+        return f.interpolate(random_diffeo(rng), Q(rng.randint(1, 7), 8))
+    if kind == 3:
+        return f.compose(random_diffeo(rng))
+    if kind == 4:
+        return PLCircleDiffeo.identity()
+    if kind == 5:
+        return PLCircleDiffeo.rotation(
+            Q(rng.randint(-64, 64), rng.choice((1, 2, 3, 8, 64))))
+    if kind == 6:
+        return random_isotopy(rng).frames[-1]
+    return f
+
+
+def _same_isotopy(H, R):
+    assert H.times == R.times
+    assert all(type(t) is Q for t in H.times)
+    assert [_key(f) for f in H.frames] == [_key(f) for f in R.frames]
+
+
+def _isotopy_pair(seed, kind):
+    rng = random.Random(seed)
+    if kind == 0:
+        return random_isotopy(rng), random_isotopy(rng)
+    if kind == 1:
+        return (refine(random_based_loop(rng), Q(1, 8)),
+                refine(random_based_loop(rng), Q(1, 8)))
+    if kind == 2:
+        return refine(random_isotopy(rng), Q(1, rng.randint(2, 9))), random_isotopy(rng)
+    return PLIsotopy.rotation(Q(rng.randint(-9, 9), 4)), random_based_loop(rng)
+
+
+class TestCompositionOracles:
+    """compose and refine against the lookup-per-point references in
+    ``tests/oracles.py``: identical denominators, numerators and times."""
+
+    def test_diffeo_compose_matches_three_lookup_oracle(self):
+        coincident = shifted = 0
+        for seed in range(20_000):
+            rng = random.Random(seed)
+            f = _diffeo_of_kind(rng)
+            g = f.inverse() if rng.random() < 0.2 else _diffeo_of_kind(rng)
+            h = f.compose(g)
+            assert _key(h) == _key(oracle_diffeo_compose(f, g)), seed
+            coincident += len(h.xn) < len(f.xn) + len(g.xn)
+            shifted += any(t // d for t, d in (g._eval_inv(b, f.den) for b in f.xn))
+        assert coincident > 5000 and shifted > 5000
+
+    def test_isotopy_operations_match_oracles(self):
+        bisected = 0
+        cases = [(seed, seed % 4) for seed in range(40)]
+        for seed, kind in cases + [(s, 0) for s in TestComposeResampling.SEEDS]:
+            F, G = _isotopy_pair(seed, kind)
+            H = compose(F, G)
+            _same_isotopy(H, oracle_isotopy_compose(F, G))
+            bisected += len(H.times) > len(set(F.times) | set(G.times))
+            Fi, Gi = invert(F), invert(G)
+            assert Fi.times == F.times
+            assert [_key(f) for f in Fi.frames] == [_key(f.inverse()) for f in F.frames]
+            K = commutator(F, G)
+            _same_isotopy(K, oracle_isotopy_compose(H, compose(Fi, Gi)))
+            loop = random_based_loop(random.Random(seed))
+            C = concat(loop, G)  # G starts at the identity
+            assert C.times == (tuple(t / 2 for t in loop.times)
+                               + tuple(Q(1, 2) + t / 2 for t in G.times[1:]))
+            made = [F, G, H, Fi, K, C]
+            for X, max_disp in ((F, Q(1, 3)), (K, Q(1, 8)), (C, Q(1, 5))):
+                R = refine(X, max_disp)
+                _same_isotopy(R, oracle_refine(X, max_disp))
+                made.append(R)
+            _same_isotopy(compose(C, Fi), oracle_isotopy_compose(C, Fi))
+            for X in made:
+                for p in (Q(0), Q(1, 3), Q(5, 7), Q(63, 64)):
+                    got = mu(X, p)
+                    assert got == rotation_angle(X.trace(p)) and type(got) is Q
+        assert bisected >= len(TestComposeResampling.SEEDS)
+
+    def test_refine_with_unequal_piece_counts(self):
+        # steps of 3/20, 1/4, 7/20 and 9/20 below 1/10: 2, 3, 4 and 5 pieces
+        angles = (0, Q(3, 20), Q(2, 5), Q(3, 4), Q(6, 5))
+        F = PLIsotopy((0, Q(1, 7), Q(1, 2), Q(2, 3), 1), _rotations(*angles))
+        R = refine(F, Q(1, 10))
+        _same_isotopy(R, oracle_refine(F, Q(1, 10)))
+        assert len(R.times) == 2 + 3 + 4 + 5 + 1
+        assert R.times[:3] == (0, Q(1, 14), Q(1, 7))
+        assert R.times[-2] == Q(2, 3) + Q(1, 3) * Q(4, 5)
+        assert mu(R, Q(2, 9)) == Q(6, 5)
+
+    def test_compose_interpolates_only_off_the_factor_samples(self, monkeypatch):
+        calls = []
+        interpolate = PLCircleDiffeo.interpolate
+
+        def counting(f, g, s):
+            calls.append(s)
+            return interpolate(f, g, s)
+
+        rng = random.Random(59)
+        for _ in range(10):
+            F = refine(random_based_loop(rng), Q(1, 8))
+            G = refine(random_isotopy(rng), Q(1, 5))
+            grid = set(F.times) | set(G.times)
+            calls.clear()
+            monkeypatch.setattr(PLCircleDiffeo, "interpolate", counting)
+            H = compose(F, G)
+            monkeypatch.undo()
+            assert set(H.times) == grid  # no step was bisected
+            assert len(calls) == len(grid - set(F.times)) + len(grid - set(G.times))
+            assert all(0 < s < 1 for s in calls)
 
 
 class TestBasedLoopHomomorphism:

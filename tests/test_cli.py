@@ -181,6 +181,16 @@ class TestDefectCommand:
                     env_extra={"ROTNORM_SEED": "not-a-number"})
         assert r.returncode == 1
 
+    def test_trials_over_the_cap_exit_1(self):
+        start = time.perf_counter()
+        r = run_cli(["defect", "--trials", "2000000000"])
+        assert time.perf_counter() - start < 30  # refused, not run
+        assert r.returncode == 1
+        assert r.stdout == ""
+        err = json.loads(r.stderr)["error"]
+        assert err["kind"] == "validation"
+        assert "MAX_DEFECT_TRIALS = 1000000" in err["message"]
+
 
 class TestBoundsVerdictCommands:
     def test_bounds_plain(self):
