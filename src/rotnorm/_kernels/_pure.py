@@ -2,7 +2,8 @@
 
 Permutations are passed as bytes objects (degree <= 12, so every image fits
 in one byte), and ``closure_bytes`` forms each product with one
-``bytes.translate`` call; CVP works on exact Python integers of any size.
+``bytes.translate`` call; ``cvp_enumerate``, the one CVP kernel, works on
+exact Python integers of any size.
 """
 
 from __future__ import annotations
@@ -163,82 +164,3 @@ def cvp_enumerate(
     points.sort()
     return best[0], points
 
-
-def cvp_min(basis: list[list[int]], pivots: list[int], target: list[int]) -> int:
-    """Exact integer l-infinity distance from `target` to a lattice: the value only.
-
-    Returns min max|target + sum_j c_j * basis[j]| over integer coefficients,
-    for the same upper-triangular rows as ``cvp_enumerate``.  The search
-    starts from best = max|target|, since c = 0 is a candidate, and keeps
-    only what beats it strictly: a coefficient is visited only while its
-    pivot coordinate is below best, so points that merely tie best are never
-    entered.  Coefficients are explored center-out (Schnorr-Euchner), from
-    the one that brings the pivot coordinate nearest 0, down, then up.  Row
-    j is zero before its pivot, so choosing its coefficient changes only the
-    later columns; columns pivots[j] .. pivots[j+1] - 1 are then final.  A
-    last row that pivots on the last column needs no search: its best
-    coefficient takes that coordinate to the nearest multiple of the pivot.
-    """
-    ell = len(basis)
-    m = len(target)
-    y = list(target)
-    best = max(map(abs, y), default=0)
-    # Columns before the first pivot are never touched: a hard norm floor.
-    floor_norm = max(map(abs, y[:pivots[0]]), default=0) if ell else best
-    if floor_norm >= best:
-        return best
-    ends = [*pivots[1:], m]
-    q = m - 1
-    qpiv = basis[-1][q]
-    fold = pivots[-1] == q  # the last row is settled without a search
-    searched = ell - 1 if fold else ell
-
-    def descend(j: int, settled: int) -> None:
-        nonlocal best
-        row = basis[j]
-        p = pivots[j]
-        piv = row[p]
-        yp = y[p]
-        # yp + c0*piv lies in [-piv/2, piv/2); |yp + c*piv| grows away from c0.
-        c0 = -((2 * yp + piv) // (2 * piv))
-        later = range(p + 1, m)
-        final = range(p + 1, ends[j])
-        deeper = j + 1 < searched
-        applied = 0
-        for c, step in ((c0, -1), (c0 + 1, 1)):
-            while True:
-                done = abs(yp + c * piv)
-                if done >= best:
-                    break
-                shift = c - applied
-                for i in later:
-                    y[i] += shift * row[i]
-                applied = c
-                if settled > done:
-                    done = settled
-                for i in final:
-                    if abs(y[i]) > done:
-                        done = abs(y[i])
-                if done < best:
-                    if deeper:
-                        descend(j + 1, done)
-                    else:
-                        if fold:
-                            r = y[q] % qpiv
-                            if qpiv - r < r:
-                                r = qpiv - r
-                            if r > done:
-                                done = r
-                        if done < best:
-                            best = done
-                c += step
-        if applied:
-            for i in later:
-                y[i] -= applied * row[i]
-
-    if searched:
-        descend(0, floor_norm)
-    else:  # a single row, pivoting on the last column
-        r = y[q] % qpiv
-        best = min(best, max(floor_norm, min(r, qpiv - r)))
-    return best

@@ -1,35 +1,40 @@
 """Exact minimal l-infinity representatives of affine cosets x + A.
 
-Both ``theta`` and ``theta_sup`` work on integers: the offset as numerators
-over a common denominator D, the HNF rows scaled by D.  One reduction,
-``_reduce``, takes each pivot coordinate into (-P/2, P/2], P the scaled
-pivot.  That representative has some norm r >= theta, and every point that
-attains theta has all of its coordinates within theta <= r, so r is a
-certified search radius.  ``theta`` passes the representative and r to
+``theta`` works on integers: the offset as numerators over a common
+denominator D, the HNF rows scaled by D.  One reduction, ``_reduce``, takes
+each pivot coordinate into (-P/2, P/2], P the scaled pivot.  That
+representative has some norm r >= theta, and every point that attains theta
+has all of its coordinates within theta <= r, so r is a certified search
+radius.  ``theta`` passes the representative and r to
 ``_kernels.cvp_enumerate``, which returns the minimum with every attaining
 point; theta is the exact minimum, so any common denominator gives the same
 rational.
 
-``theta_sup`` brackets sup_x theta(x + A) by branch-and-bound over dyadic
-boxes of the fundamental box J_A.  Every box corner is k_i/2 - j*k_i/2^d, so
-all corners share one denominator D = 2^(d+1) for the deepest depth d the
-search can reach, and every corner, theta value and bound is an integer.
-The lattice is scaled to D once per call.  A corner needs only its theta
-value: it is reduced and passed to ``_kernels.cvp_min``, which keeps no
-attaining points and prunes strictly, entering no branch that could only
-tie the best norm found.
+``theta_sup`` is exact and needs no CVP.  The maximum of theta over the
+torus R^m/A lies on (1/2)Z^m, and there 2*theta is the king-move distance
+to 2A; so 2*theta_sup is the eccentricity of 0 in the king-move Cayley
+graph of the finite group Z^m/2A, which one breadth-first search over its
+2^m*det(A) nodes finds (the proof is in ``theta_sup``).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from math import lcm
+from itertools import product
+from math import lcm, prod
+from operator import add
 
 from rotnorm import _kernels
 from rotnorm._rat import INF, Q, floor_q
 from rotnorm.errors import DimensionMismatch, RankDeficient, ValidationError
 from rotnorm.lattice import IntLattice, quotient_info
+
+
+#: Most king moves one theta_sup search makes, 2^m*det(A)*(3^m - 1).  A
+#: search at the cap takes 8 to 10 s for m = 2 to 5 on a 2-vCPU host with
+#: Python 3.11, and the largest m = 8 search under it (det 4) 13 s; larger
+#: lattices would run for hours.
+MAX_SUP_MOVES = 8 * 10 ** 6
 
 
 def _ceil_q(q) -> int:
@@ -126,28 +131,71 @@ def theta(z: AffineCoset) -> NearestData:
     return NearestData(theta=Q(best, d), theta_points=points)
 
 
+def _sup_bfs(A: IntLattice):
+    """(2*theta_sup, witness) for a full-rank A, by one breadth-first search.
+
+    The nodes are the integer points y with 0 <= y_i < 2*d_i, d_i the HNF
+    diagonal: one per element of Z^m/2A.  A move adds a vector of
+    {-1, 0, 1}^m other than 0 and reduces the sum by the rows of the HNF of
+    2A, 2*``hnf_basis``; row i is zero before column i, so reducing
+    coordinate i leaves the coordinates before it alone.  The moves are
+    closed under negation, so the graph is undirected and the neighbours of
+    a layer lie in the layers before, at and after it: those three sets are
+    all the search keeps.  Returns the depth of the last layer and its least
+    node w; theta(w/2 + A) is that depth over 2.
+    """
+    m = A.m
+    basis = [[2 * e for e in row] for row in A.hnf_basis]
+    rows = [(i, row, row[i], range(i, m)) for i, row in enumerate(basis)]
+    moves = [d for d in product((-1, 0, 1), repeat=m) if any(d)]
+    prev, cur = set(), {(0,) * m}
+    depth = 0
+    while True:
+        nxt = set()
+        for y in cur:
+            for d in moves:
+                z = list(map(add, y, d))
+                for i, row, p, tail in rows:
+                    n = z[i] // p
+                    if n:
+                        for j in tail:
+                            z[j] -= n * row[j]
+                nxt.add(tuple(z))
+        nxt -= cur
+        nxt -= prev
+        if not nxt:
+            return depth, min(cur)
+        prev, cur = cur, nxt
+        depth += 1
+
+
 def theta_sup(A: IntLattice, epsilon):
-    """sup of theta over all cosets of A, as a certified interval [lo, hi].
+    """sup of theta over all cosets of A, exactly, as the pair (v, v).
 
     Infinite for rank-deficient lattices; exactly k/2 for m = 1.  For m >= 2
-    the supremum over the fundamental box J_A is bracketed by branch-and-
-    bound: theta is 1-Lipschitz in the offset (l-infinity), so a box of size
-    s evaluated at its upper corner pins its supremum within max(s).  The
-    box with the largest bound is split into 2^m halves, ties going to the
-    box made first; boxes whose bound is at most the best theta seen are
-    dropped.  The search stops once the best bound is within epsilon of the
-    best theta.
+    the value is exact too, so the interval has width 0 and meets every
+    epsilon; epsilon must still be positive.
 
-    A heap keyed (-bound, creation order) holds the boxes.  Each box keeps
-    its corner's theta, which its first half (same corner) reuses, so a
-    split costs 2^m - 1 corner evaluations.  A box of depth d has sizes
-    k_i/2^d and is split only while k/2^d > epsilon, so every corner is an
-    integer over D = 2^(depth+1), depth the first d with k/2^d <= epsilon;
-    bounds, theta values and the stopping test are integers over D.  The
-    basis is scaled to D once per call.  A corner is evaluated by reducing
-    it into the pivot box (``_reduce``) and asking ``_kernels.cvp_min`` for
-    its theta alone: no attaining points, and no branch that can only tie
-    the best norm found.
+    Why the value is exact and half-integral.  theta(x + A), the minimum
+    over a in A of ||x - a||_inf, is piecewise linear in x: on each cell of
+    the arrangement of the hyperplanes x_i = c, 2x_i = c and x_i +- x_j = c
+    (c an integer), one |x_i - a_i| with a fixed sign is the minimum.  The
+    hyperplanes x_i = c alone cut R^m into unit cubes, so every cell is a
+    bounded polytope, and theta attains its maximum over the torus R^m/A at
+    a vertex.  A vertex solves m independent equations whose rows are e_i,
+    2e_i or e_i +- e_j: a signed-graph incidence system, whose solutions
+    are half-integral (Zaslavsky, "Signed graphs", 1982).  So the maximum
+    is attained on (1/2)Z^m, and theta_sup lies in (1/2)Z.
+
+    The search.  For x in (1/2)Z^m, 2*theta(x + A) is the l-infinity
+    distance from the integer point 2x to 2A, and on Z^m the l-infinity
+    distance is the king-move distance, a move changing each coordinate by
+    -1, 0 or 1.  So 2*theta_sup is the eccentricity of 0 in the Cayley
+    graph of Z^m/2A with the 3^m - 1 moves {-1, 0, 1}^m minus 0, which
+    ``_sup_bfs`` finds by one breadth-first search over 2^m*det(A) nodes.
+    That is 2^m*det(A)*(3^m - 1) moves; a lattice that needs more than
+    ``MAX_SUP_MOVES`` is rejected with a ValidationError before the search
+    starts.
     """
     epsilon = Q(epsilon)
     if epsilon <= 0:
@@ -159,49 +207,12 @@ def theta_sup(A: IntLattice, epsilon):
         v = Q(int(info.k), 2)
         return (v, v)
     m = A.m
-    k = int(info.k)
-    depth = 0
-    while k > epsilon * (1 << depth):
-        depth += 1
-    den = 2 << depth
-    cap = k << depth  # k/2 over den
-    eps = floor_q(epsilon * den)  # hi - lo <= epsilon, on integers over den
-
-    # Boxes are (-bound, seq, theta at corner, upper corner, sizes); every
-    # coset meets J_A, so the initial box [lo, lo + k_i] with upper corner
-    # (k_1/2, ..., k_m/2) covers all.
-    corner0 = tuple(int(ki) << depth for ki in info.orders)
-    sizes0 = tuple(int(ki) * den for ki in info.orders)
-    # The lattice over den, prepared once for every corner.
-    basis = [[den * e for e in row] for row in A.hnf_basis]
-    pivots = list(A.pivots)
-    t0 = _kernels.cvp_min(basis, pivots, _reduce(basis, pivots, corner0))
-    lo_best = t0
-    heap = [(-min(t0 + max(sizes0), cap), 0, t0, corner0, sizes0)]
-    seq = 1
-    while True:
-        while heap and -heap[0][0] <= lo_best:
-            heapq.heappop(heap)
-        if not heap:
-            lo = Q(lo_best, den)
-            return (lo, lo)
-        hi_best = -heap[0][0]
-        if hi_best - lo_best <= eps:
-            return (Q(lo_best, den), Q(min(hi_best, cap), den))
-        _, _, t_parent, corner, sizes = heapq.heappop(heap)
-        half = tuple(s >> 1 for s in sizes)
-        reach = max(half)
-        for mask in range(1 << m):
-            child_corner = tuple(
-                c - h if mask >> i & 1 else c
-                for i, (c, h) in enumerate(zip(corner, half))
-            )
-            if mask:
-                t = _kernels.cvp_min(
-                    basis, pivots, _reduce(basis, pivots, child_corner))
-            else:
-                t = t_parent
-            if t > lo_best:
-                lo_best = t
-            heapq.heappush(heap, (-min(t + reach, cap), seq, t, child_corner, half))
-            seq += 1
+    det = prod(row[i] for i, row in enumerate(A.hnf_basis))
+    moves = 2 ** m * det * (3 ** m - 1)
+    if moves > MAX_SUP_MOVES:
+        raise ValidationError(
+            f"theta_sup needs {moves} moves, which exceeds the cap "
+            f"MAX_SUP_MOVES = {MAX_SUP_MOVES}")
+    depth, _ = _sup_bfs(A)
+    v = Q(depth, 2)
+    return (v, v)

@@ -2,10 +2,11 @@
 
 These deliberately avoid the library's own enumeration strategies and use
 fractions.Fraction (not the package's rational type) so that agreement is a
-meaningful cross-check.  ``oracle_theta_sup`` is the exception: it is the
-list-based box search over the library's ``theta``, kept as the reference
-for the order in which ``coset.theta_sup`` evaluates boxes.  So are the
-circle composition oracles (``oracle_diffeo_compose``, ``oracle_frame_at``,
+meaningful cross-check.  ``oracle_theta_sup`` is the exception: it is a
+list-based branch-and-bound over dyadic boxes through the library's
+``theta``, kept as the interval oracle that must contain the exact value
+``coset.theta_sup`` finds by breadth-first search.  So are the circle
+composition oracles (``oracle_diffeo_compose``, ``oracle_frame_at``,
 ``oracle_isotopy_compose``, ``oracle_refine``): they are the earlier
 lookup-per-point and Fraction-time paths over the library's own map
 lookups, kept as the reference for the exact denominators and times that
@@ -173,10 +174,9 @@ def oracle_theta_cost(hnf_basis, pivots, offset):
 def oracle_theta_sup(A, epsilon):
     """sup of theta over all cosets of A, as a certified interval [lo, hi].
 
-    The list-based search that ``coset.theta_sup`` replaced: every split
-    re-filters the whole box list and takes its max, and every corner is a
-    Fraction coset through the public ``theta``.  It makes the same theta
-    evaluations in the same order, so both return the same interval.
+    A list-based box search: every split re-filters the whole box list and
+    takes its max, and every corner is a Fraction coset through the public
+    ``theta``.  The exact ``coset.theta_sup`` must lie in the interval.
 
     Infinite for rank-deficient lattices; exactly k/2 for m = 1.  For m >= 2
     the supremum over the fundamental box J_A is bracketed by branch-and-

@@ -1,15 +1,16 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
-import oracles
-from rotnorm import _kernels
+from rotnorm import coset
 from rotnorm._rat import INF, Q
-from rotnorm.coset import AffineCoset, canonical_rep, theta, theta_sup
+from rotnorm.coset import AffineCoset, _sup_bfs, canonical_rep, theta, theta_sup
 from rotnorm.errors import DimensionMismatch, RankDeficient, ValidationError
 from rotnorm.lattice import member, normalize, quotient_info
 
@@ -167,66 +168,6 @@ class TestThetaLargeMagnitudes:
             assert theta(AffineCoset.build(A, moved)) == want
 
 
-class TestCvpMin:
-    """The value-only kernel against the enumerating kernel and brute force."""
-
-    def test_matches_enumeration_and_brute_force(self):
-        # Denominators up to 2**33 + 1 put basis and target entries past
-        # 2**31; the brute force works on Fractions, so its cost is unchanged.
-        rng = random.Random(20261018)
-        dims = []
-        while len(dims) < 400:
-            m = rng.randint(2, 5)
-            gens = [
-                [rng.randint(-5, 5) for _ in range(m)]
-                for _ in range(rng.randint(1, m + 1))
-            ]
-            A = normalize(gens, ambient_dim=m)
-            if not A.rank:
-                continue
-            hnf = [list(r) for r in A.hnf_basis]
-            pivots = list(A.pivots)
-            den = rng.choice((1, 2, 3, 4, 6, 2**33 + 1))
-            target = [rng.randint(-6 * den, 6 * den) for _ in range(m)]
-            frac = [Fraction(t, den) for t in target]
-            if oracle_theta_cost(hnf, pivots, frac) > 20_000:
-                continue
-            basis = [[den * e for e in row] for row in hnf]
-            got = _kernels.cvp_min(basis, pivots, target)
-            bound = max(map(abs, target))
-            assert got == _kernels.cvp_enumerate(
-                basis, pivots, target, bound)[0], (hnf, den, target)
-            assert Fraction(got, den) == oracle_theta(hnf, pivots, frac)[0]
-            dims.append(m)
-        assert set(dims) == {2, 3, 4, 5}
-
-    def test_targets_in_the_lattice(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            m = rng.randint(2, 5)
-            A = normalize([[rng.randint(-9, 9) for _ in range(m)]
-                           for _ in range(rng.randint(1, m))], ambient_dim=m)
-            basis = [[(2**33 + 1) * e for e in row] for row in A.hnf_basis]
-            coeffs = [rng.randint(-50, 50) for _ in basis]
-            target = [sum(c * row[i] for c, row in zip(coeffs, basis))
-                      for i in range(m)]
-            assert _kernels.cvp_min(basis, list(A.pivots), target) == 0
-
-    def test_large_magnitudes_by_hand(self):
-        # theta((BIG - 1/3, 1/2) + A) = 1/2 for A = BIG*Z x 3Z, over den 6,
-        # also after a shift by a lattice vector with entries near 2**40.
-        big = TestThetaLargeMagnitudes.BIG
-        basis = [[6 * big, 0], [0, 18]]
-        for shift in ((0, 0), (128 * big, 3 * (2**40 // 3)),
-                      (-128 * big, -3 * (2**40 // 3))):
-            target = [6 * (big + shift[0]) - 2, 3 + 6 * shift[1]]
-            assert _kernels.cvp_min(basis, [0, 1], target) == 3
-        # Rank 1 in Z^2: the first coordinate, 2**40 + 1/2, is never moved.
-        basis = [[0, 6 * (2**42 + 1)]]
-        target = [6 * 2**40 + 3, 2 + 6 * (2**42 + 1)]
-        assert _kernels.cvp_min(basis, [1], target) == 6 * 2**40 + 3
-
-
 class TestThetaOracle:
     def test_random_instances_match_brute_force(self):
         rng = random.Random(42)
@@ -303,70 +244,83 @@ def _hnf_and_epsilon(draw):
     return rows, draw(st.sampled_from((Q(2), Q(1, 2), Q(1, 4))))
 
 
-class TestThetaSupOracle:
-    """The heap search against the list-based search it replaced."""
+class TestThetaSupExact:
+    """The breadth-first search against brute force and the box-search
+    interval oracle."""
 
-    # Both searches split every side of a box, so they can evaluate up to
-    # about (k/epsilon)^m corners, and the list-based one costs the square of
-    # its box count.  Draws with more cells than this are skipped.
-    CELLS = 2000
+    # Draws are skipped when the quarter grid has more than GRID points, or
+    # when the box-search oracle could split into more than CELLS boxes: it
+    # can evaluate about (k/epsilon)^m corners and costs the square of its
+    # box count.
+    GRID = 1500
+    CELLS = 1000
 
     @seed(20251018)
-    @settings(max_examples=200, deadline=None,
+    @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much])
     @given(_hnf_and_epsilon())
-    def test_matches_list_search(self, case):
+    def test_equals_quarter_grid_maximum(self, case):
+        # The maximum lies on (1/2)Z^m, so the finer grid can only tie it.
+        rows, eps = case
+        A = normalize(rows)
+        diag = [row[i] for i, row in enumerate(rows)]
+        assume(prod(4 * d for d in diag) <= self.GRID)
+        grid = product(*(range(-2 * d + 1, 2 * d + 1) for d in diag))
+        want = max(theta(AffineCoset.build(A, [Q(j, 4) for j in x])).theta
+                   for x in grid)
+        assert theta_sup(A, eps) == (want, want)
+        depth, witness = _sup_bfs(A)
+        assert depth == 2 * want
+        z = AffineCoset.build(A, [Q(c, 2) for c in witness])
+        assert theta(z).theta == want
+
+    @seed(20251019)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(_hnf_and_epsilon())
+    def test_inside_box_search_interval(self, case):
         rows, eps = case
         A = normalize(rows)
         assume((Q(int(quotient_info(A).k)) / eps) ** A.m <= self.CELLS)
+        lo, hi = oracle_theta_sup(A, eps)
+        v, w = theta_sup(A, eps)
+        assert v == w and lo <= v <= hi
 
-        def corner(basis, pivots, target):
-            # The kernel gets the basis scaled by the corners' denominator.
-            den = basis[0][pivots[0]] // A.hnf_basis[0][pivots[0]]
-            return AffineCoset.build(A, [Q(n, den) for n in target]).offset
-
-        with pytest.MonkeyPatch.context() as mp:
-            heap_order = _record_calls(mp, _kernels, "cvp_min", corner)
-            got = theta_sup(A, eps)
-            mp.undo()
-            list_order = _record_calls(mp, oracles, "theta", lambda z: z.offset)
-            want = oracle_theta_sup(A, eps)
-        assert got == want
-        assert [type(v) for v in got] == [type(v) for v in want]
-        # Same corners in the same order, less each split's first half,
-        # whose corner is its parent's.
-        halves = 1 << A.m
-        assert heap_order == list_order[:1] + [
-            c for i, c in enumerate(list_order[1:]) if i % halves]
-
-
-def _record_calls(monkeypatch, module, name, key):
-    """Wrap module.name; the returned list gets key(*args) for each call."""
-    seen = []
-    inner = getattr(module, name)
-
-    def recorded(*args, **kwargs):
-        seen.append(key(*args, **kwargs))
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, recorded)
-    return seen
+    def test_bfs_depth_is_k_for_m1(self):
+        for k in (1, 2, 3, 6, 7, 40):
+            assert _sup_bfs(normalize([(k,)])) == (k, (k,))
+            assert theta_sup(normalize([(k,)]), 1) == (Q(k, 2), Q(k, 2))
 
 
 class TestThetaSupCost:
     def test_skewed_m3_lattice_within_a_minute(self):
-        # The list-based search made 35,841 theta calls here in about 3 min.
         A = normalize([(1, 0, 5), (0, 1, 46), (0, 0, 61)])
         start = time.perf_counter()
-        assert theta_sup(A, 2) == (Q(5, 2), Q(9, 2))
+        assert theta_sup(A, 2) == (Q(5, 2), Q(5, 2))
         assert time.perf_counter() - start < 60
 
-    def test_first_half_reuses_the_parent_theta(self, monkeypatch):
-        # Each split of an m = 2 box evaluates 3 new corners, not 4.
-        A = normalize([(1, 9), (0, 29)])
-        core = _record_calls(monkeypatch, _kernels, "cvp_min", lambda *a: a)
-        listed = _record_calls(monkeypatch, oracles, "theta", lambda z: z)
-        assert theta_sup(A, Q(1, 2)) == (Q(7, 2), Q(4))
-        assert (len(core), len(listed)) == (1003, 0)
-        assert oracle_theta_sup(A, Q(1, 2)) == (Q(7, 2), Q(4))
-        assert len(listed) == 1337
+    @pytest.mark.parametrize("rows, want", [
+        (((3, 1, 2), (0, 4, 1), (0, 0, 5)), Q(5, 2)),
+        (((1, 9), (0, 29)), Q(7, 2)),
+        (((1, 0, 0, 7), (0, 1, 0, 11), (0, 0, 1, 13), (0, 0, 0, 97)), Q(5, 2)),
+    ], ids=["m3-det60", "m2-det29", "m4-det97"])
+    def test_exact_within_a_minute(self, rows, want):
+        start = time.perf_counter()
+        assert theta_sup(normalize(rows), Q(1, 2)) == (want, want)
+        assert time.perf_counter() - start < 60
+
+    def test_work_cap_fails_fast(self):
+        # 2^2 * 10^9 * 8 moves: the search would not end in hours.
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="MAX_SUP_MOVES"):
+            theta_sup(normalize([(1, 0), (0, 10**9)]), Q(1, 2))
+        assert time.perf_counter() - start < 1
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        # ((1, 0), (0, 3)) needs 2^2 * 3 * (3^2 - 1) = 96 moves.
+        A = normalize([(1, 0), (0, 3)])
+        monkeypatch.setattr(coset, "MAX_SUP_MOVES", 96)
+        assert theta_sup(A, 1) == (Q(3, 2), Q(3, 2))
+        monkeypatch.setattr(coset, "MAX_SUP_MOVES", 95)
+        with pytest.raises(ValidationError, match="MAX_SUP_MOVES = 95"):
+            theta_sup(A, 1)
