@@ -1,37 +1,37 @@
-"""Exact rational arithmetic helpers.
+"""Exact rationals and their integer encoding.
 
-Everything downstream (lattice cosets, circle lifts, bound formulas) works with
-exact rationals.  gmpy2's mpq is used when available because its arithmetic
-is faster than fractions.Fraction; Fraction is the fallback.  The circle
-layer does its own work on integer numerators and builds rationals only for
-the values it returns, so the randomized defect experiment makes a few
-rationals per trial on either type.
+``Q`` is ``fractions.Fraction``, the one rational type of the package.  The
+engines compute on integers: a list of rationals becomes its numerators
+over their least common denominator (``common``), and a rational is built
+only for a value that is returned.  ``rat`` parses user input; a string
+that is not 'p/q' with integer parts and q != 0 is a ``ValidationError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-try:
-    from gmpy2 import mpq as Q  # type: ignore[import-untyped]
+from rotnorm.errors import ValidationError
 
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Q = Fraction
-    HAVE_GMPY2 = False
+Q = Fraction
+
+#: There is no second rational type; kept because benchmark reports read it.
+HAVE_GMPY2 = False
 
 #: Positive infinity sentinel used for norm values and upper bounds.
 INF = float("inf")
 
 
-def rat(value) -> "Q":
+def rat(value) -> Q:
     """Build an exact rational from an int, rational, or 'p/q' string."""
     if isinstance(value, str):
-        text = value.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Q(int(num), int(den))
-        return Q(int(text))
+        num, slash, den = value.strip().partition("/")
+        try:
+            return Q(int(num), int(den)) if slash else Q(int(num))
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(
+                f"not a rational 'p/q' with q != 0: {value!r}") from None
     if isinstance(value, float):
         raise TypeError("floats are not accepted; pass 'p/q' strings or ints")
     return Q(value)
@@ -44,14 +44,28 @@ def rat_str(value) -> str:
     if value == -INF:
         return "-inf"
     q = Q(value)
-    num, den = q.numerator, q.denominator
-    if den == 1:
-        return str(int(num))
-    return f"{int(num)}/{int(den)}"
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
 
 
 def floor_q(value) -> int:
     """Floor of a rational as a Python int."""
     q = Q(value)
-    return int(q.numerator // q.denominator)
+    return q.numerator // q.denominator
 
+
+def common(pairs):
+    """Rationals given as (num, den) pairs, den > 0, as numerators over
+    their least common denominator: returns (den, numerators)."""
+    reduced = []
+    L = 1
+    for n, d in pairs:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+        if L % d:
+            L = lcm(L, d)
+        reduced.append((n, d))
+    return L, [n * (L // d) for n, d in reduced]

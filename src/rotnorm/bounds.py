@@ -45,10 +45,6 @@ def _upper_rank(u):
     return (0, u)
 
 
-def _upper_min(a, b):
-    return a if _upper_rank(a) <= _upper_rank(b) else b
-
-
 def _upper_add(a, b):
     if a == INF or b == INF:
         return INF
@@ -96,6 +92,8 @@ class ManifoldContext:
         unknown = set(data) - allowed
         if unknown:
             raise ValidationError(f"unknown context keys: {sorted(unknown)}")
+        if type(data["n"]) is not int or type(data["m"]) is not int:
+            raise ValidationError('context "n" and "m" must be integers')
         return ManifoldContext(**data)
 
 
@@ -201,7 +199,7 @@ def diameter_ledger(ctx: ManifoldContext, q: QuotientInfo) -> BoundLedger:
     # n in {2, 4}: no upper bounds available.
     if ctx.m == 1 and q.k != INF:
         led = led.with_lower(
-            "cld", Q(int(q.k) + 2, 8), "half_order_quasimorphism_lower")
+            "cld", Q(q.k + 2, 8), "half_order_quasimorphism_lower")
     else:
         # theta_sup >= 0 always, so the generic quasimorphism lower bound
         # (theta_sup + 1) / 4 degrades to 1/4.

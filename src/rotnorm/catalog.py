@@ -129,7 +129,7 @@ def check_fixture(name: str) -> dict:
         if "rank" in exp:
             record("rank", exp["rank"], info.rank)
         if "k_max" in exp:
-            actual = "inf" if info.k == INF else int(info.k)
+            actual = "inf" if info.k == INF else info.k
             record("k_max", exp["k_max"], actual)
         if "k_hat" in exp:
             record("k_hat", exp["k_hat"], info.k_hat)

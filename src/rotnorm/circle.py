@@ -12,8 +12,8 @@ interpolation in between; its times are integer numerators over one
 denominator too.  Frames must move by less than 1/2 (in sup norm) per time
 step; this pins down the continuous lift of any basepoint trace, so mu is
 simply the difference of the end frames' lifts at the basepoint.
-Composition walks each factor's frames once along the merged time grid,
-and composing two maps costs one lookup per breakpoint.
+Composition looks up each factor's frame at every time of the merged
+grid, and composing two maps costs one lookup per breakpoint.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 from operator import lt, sub
 
-from rotnorm._rat import Q, floor_q
+from rotnorm._rat import Q, common, floor_q
 from rotnorm.errors import (
     AmbiguousLift,
     DimensionMismatch,
@@ -80,11 +80,9 @@ class PLCircleDiffeo:
 
     def __init__(self, xs, ys, den=None):
         if den is None:
-            xs = [Q(x) for x in xs]
-            ys = [Q(y) for y in ys]
-            den = lcm(*(int(v.denominator) for v in xs + ys))
-            xs = [v.numerator * (den // v.denominator) for v in xs]
-            ys = [v.numerator * (den // v.denominator) for v in ys]
+            xs = list(xs)
+            den, nums = common(Q(v).as_integer_ratio() for v in [*xs, *ys])
+            xs, ys = nums[:len(xs)], nums[len(xs):]
         if not xs or len(xs) != len(ys):
             raise ValidationError("need matching non-empty breakpoint lists")
         if den <= 0:
@@ -157,8 +155,8 @@ class PLCircleDiffeo:
             k = t // d
             pts.append((t - k * d, d))
             vals.append((y - k * D, D))
-        L, xs = _common(pts)
-        V, ys = _common(vals)
+        L, xs = common(pts)
+        V, ys = common(vals)
         m = lcm(L, V)
         xs, ys = zip(*sorted(set(zip(xs, ys))))
         return PLCircleDiffeo([x * (m // L) for x in xs],
@@ -231,8 +229,8 @@ class PLCircleDiffeo:
             return other
         sn, sd = s.numerator, s.denominator
         L, xs, mine, theirs = self._merged(other)
-        D, ys = _common([((sd - sn) * pa * rb + sn * pb * ra, sd * ra * rb * L)
-                         for (pa, ra), (pb, rb) in zip(mine, theirs)])
+        D, ys = common([((sd - sn) * pa * rb + sn * pb * ra, sd * ra * rb * L)
+                        for (pa, ra), (pb, rb) in zip(mine, theirs)])
         m = lcm(L, D)
         return PLCircleDiffeo([x * (m // L) for x in xs],
                               [y * (m // D) for y in ys], m)
@@ -277,22 +275,6 @@ def _lookup(D, us, vs, du, dv, a, q):
     return (vs[i] + n) * q * run + (aD - (us[i] + n) * q) * dv[i], D * q * run
 
 
-def _common(pairs):
-    """Rationals given as (num, den) pairs, den > 0, as numerators over
-    their least common denominator: returns (den, numerators)."""
-    reduced = []
-    L = 1
-    for n, d in pairs:
-        g = gcd(n, d)
-        if g != 1:
-            n //= g
-            d //= g
-        if L % d:
-            L = lcm(L, d)
-        reduced.append((n, d))
-    return L, [n * (L // d) for n, d in reduced]
-
-
 MAX_STEP_DISPLACEMENT = HALF
 
 
@@ -315,9 +297,7 @@ class PLIsotopy:
 
     def __init__(self, times, frames, tden=None):
         if tden is None:
-            ts = [t if type(t) is Q else Q(t) for t in times]
-            tden = lcm(*(int(t.denominator) for t in ts))
-            times = [t.numerator * (tden // t.denominator) for t in ts]
+            tden, times = common(Q(t).as_integer_ratio() for t in times)
         tn = tuple(times)
         frames = tuple(frames)
         if len(tn) < 2 or len(tn) != len(frames):
@@ -365,8 +345,12 @@ class PLIsotopy:
         t = Q(t)
         if t < 0 or t > 1:
             raise ValidationError("time outside [0, 1]")
-        tn, q = self.tn, t.denominator
-        a = t.numerator * self.tden  # t = a / (q * tden)
+        return self._frame(t.numerator, t.denominator)
+
+    def _frame(self, a, q) -> PLCircleDiffeo:
+        """The frame at the time a/q, integers with q > 0 and 0 <= a <= q."""
+        tn = self.tn
+        a *= self.tden  # the time is a / (q * tden)
         i = bisect_right(tn, a // q) - 1
         if i >= len(tn) - 1:
             return self.frames[-1]
@@ -401,39 +385,20 @@ def mu(F: PLIsotopy, p):
     return Q(n1 * d0 - n0 * d1, d0 * d1)
 
 
-def _frames_on(tn, frames, grid):
-    """Frames at the sorted integer times ``grid`` (which include every
-    time of ``tn``, on the same denominator), walking the samples once."""
-    last = len(tn) - 1
-    i = 0
-    out = []
-    for t in grid:
-        while i < last and tn[i + 1] <= t:
-            i += 1
-        t0 = tn[i]
-        if t == t0:
-            out.append(frames[i])
-        else:
-            s = Q(t - t0, tn[i + 1] - t0)
-            out.append(frames[i].interpolate(frames[i + 1], s))
-    return out
-
-
 def compose(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
     """Pointwise-in-t composition (F_t o G_t) on the merged time grid.
 
     The grid is the union of both sample times over the least common
-    multiple of their denominators, and each factor's frames are walked
-    once along it.  A step of F_t o G_t can move by 1/2 or more even when no
-    step of F or G does.  Only then are such steps bisected, sampling
-    F_t o G_t at their midpoints until every step moves less than 1/2.
+    multiple of their denominators, and each factor's frame is looked up at
+    every time of it.  A step of F_t o G_t can move by 1/2 or more even
+    when no step of F or G does.  Only then are such steps bisected,
+    sampling F_t o G_t at their midpoints until every step moves less than
+    1/2.
     """
     T = lcm(F.tden, G.tden)
-    fa = [t * (T // F.tden) for t in F.tn]
-    ga = [t * (T // G.tden) for t in G.tn]
-    grid = fa if fa == ga else sorted(set(fa).union(ga))
-    frames = [f.compose(g) for f, g in zip(_frames_on(fa, F.frames, grid),
-                                           _frames_on(ga, G.frames, grid))]
+    grid = sorted({t * (T // F.tden) for t in F.tn}.union(
+        t * (T // G.tden) for t in G.tn))
+    frames = [F._frame(t, T).compose(G._frame(t, T)) for t in grid]
     try:
         return PLIsotopy(grid, frames, T)
     except AmbiguousLift:
@@ -451,7 +416,8 @@ def compose(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
             pending.pop()
         else:
             tm = (out_t[-1] + t1) / 2
-            pending.append((tm, F.frame_at(tm).compose(G.frame_at(tm))))
+            a, q = tm.numerator, tm.denominator
+            pending.append((tm, F._frame(a, q).compose(G._frame(a, q))))
     return PLIsotopy(out_t, out_f)
 
 

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import lcm, prod
+from math import prod
 from operator import add
 
 from rotnorm import _kernels
-from rotnorm._rat import INF, Q, floor_q
+from rotnorm._rat import INF, Q, common, floor_q
 from rotnorm.errors import DimensionMismatch, RankDeficient, ValidationError
 from rotnorm.lattice import IntLattice, quotient_info
 
@@ -35,10 +35,6 @@ from rotnorm.lattice import IntLattice, quotient_info
 #: Python 3.11, and the largest m = 8 search under it (det 4) 13 s; larger
 #: lattices would run for hours.
 MAX_SUP_MOVES = 8 * 10 ** 6
-
-
-def _ceil_q(q) -> int:
-    return -floor_q(-Q(q))
 
 
 @dataclass(frozen=True)
@@ -66,26 +62,6 @@ class AffineCoset:
         return self.lattice.m
 
 
-def canonical_rep(z: AffineCoset) -> tuple:
-    """The representative with each pivot coordinate in (-pivot/2, pivot/2].
-
-    Requires full rank.  The result lies in the box J_A = prod(-k_i/2, k_i/2]
-    because each pivot divides the corresponding coset order k_i.
-    """
-    A = z.lattice
-    if A.rank < A.m:
-        raise RankDeficient("canonical representative needs a full-rank lattice")
-    y = list(z.offset)
-    for row, p in zip(A.hnf_basis, A.pivots):
-        piv = row[p]
-        # n with y[p] - n*piv in (-piv/2, piv/2]  <=>  n = ceil(y[p]/piv - 1/2)
-        n = _ceil_q(y[p] / piv - Q(1, 2))
-        if n:
-            for i in range(A.m):
-                y[i] -= n * row[i]
-    return tuple(y)
-
-
 @dataclass(frozen=True)
 class NearestData:
     """Minimal l-infinity norm over a coset and all attaining points."""
@@ -96,8 +72,7 @@ class NearestData:
 
 def _reduce(basis, pivots, nums) -> list:
     """The point of nums + span(basis) with each pivot coordinate in
-    (-P/2, P/2], P the row's pivot entry; ``canonical_rep`` on integers,
-    for any rank.
+    (-P/2, P/2], P the row's pivot entry, for any rank.
 
     Row j is zero before its pivot, so reducing pivot j leaves the pivots
     before it alone.  n = ceil((2y - P) / 2P) takes y[p] into (-P/2, P/2].
@@ -113,18 +88,35 @@ def _reduce(basis, pivots, nums) -> list:
     return y
 
 
+def _reduced(z: AffineCoset):
+    """(d, basis, y): the offset of z as integer numerators over their least
+    common denominator d, reduced by ``_reduce`` against the HNF rows scaled
+    by d."""
+    A = z.lattice
+    d, nums = common(Q(v).as_integer_ratio() for v in z.offset)
+    basis = [[d * e for e in row] for row in A.hnf_basis]
+    return d, basis, _reduce(basis, A.pivots, nums)
+
+
+def canonical_rep(z: AffineCoset) -> tuple:
+    """The representative with each pivot coordinate in (-pivot/2, pivot/2].
+
+    Requires full rank.  The result lies in the box J_A = prod(-k_i/2, k_i/2]
+    because each pivot divides the corresponding coset order k_i.
+    """
+    A = z.lattice
+    if A.rank < A.m:
+        raise RankDeficient("canonical representative needs a full-rank lattice")
+    d, _, y = _reduced(z)
+    return tuple(Q(v, d) for v in y)
+
+
 def theta(z: AffineCoset) -> NearestData:
     """Certified minimum l-infinity norm over the coset and its attaining set."""
-    A = z.lattice
-    x = [Q(v) for v in z.offset]
-    d = lcm(*(int(v.denominator) for v in x)) if x else 1
-    nums = [int(v.numerator) * (d // int(v.denominator)) for v in x]
-    basis = [[d * e for e in row] for row in A.hnf_basis]
-    pivots = list(A.pivots)
-    y = _reduce(basis, pivots, nums)
+    d, basis, y = _reduced(z)
     r = max(map(abs, y), default=0)
     if r:
-        best, pts = _kernels.cvp_enumerate(basis, pivots, y, r)
+        best, pts = _kernels.cvp_enumerate(basis, z.lattice.pivots, y, r)
     else:
         best, pts = 0, [tuple(y)]
     points = tuple(tuple(Q(v, d) for v in p) for p in pts)
@@ -204,7 +196,7 @@ def theta_sup(A: IntLattice, epsilon):
     if info.rank < A.m:
         return (INF, INF)
     if A.m == 1:
-        v = Q(int(info.k), 2)
+        v = Q(info.k, 2)
         return (v, v)
     m = A.m
     det = prod(row[i] for i, row in enumerate(A.hnf_basis))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from rotnorm._rat import INF, Q
+from rotnorm._rat import INF, Q, common
 from rotnorm.errors import DimensionMismatch, FullRank, ValidationError
 
 MAX_DIM = 8
@@ -195,10 +195,10 @@ class QuotientInfo:
     def to_json(self) -> dict:
         out = {
             "rank": self.rank,
-            "k": ["inf" if o == INF else int(o) for o in self.orders],
-            "k_max": "inf" if self.k == INF else int(self.k),
+            "k": ["inf" if o == INF else o for o in self.orders],
+            "k_max": "inf" if self.k == INF else self.k,
             "k_hat": self.k_hat,
-            "invariant_factors": [int(d) for d in self.invariant_factors],
+            "invariant_factors": list(self.invariant_factors),
             "extension": self.extension,
         }
         if self.k_scalar is not None:
@@ -217,17 +217,17 @@ def quotient_info(A: IntLattice) -> QuotientInfo:
             orders.append(INF)
             continue
         # min t >= 1 with all t*c_j integral is the lcm of the denominators
-        t = lcm(*(int(Q(c).denominator) for c in coeffs)) if coeffs else 1
+        t = lcm(*(c.denominator for c in coeffs))
         scaled = [t * x for x in e]
         assert member(A, scaled), "order certificate failed"
         orders.append(t)
     rank = A.rank
     k = max(orders) if orders else 1
-    k_hat = 2 * (int(k) // 2) + 3 if rank == A.m else None
+    k_hat = 2 * (k // 2) + 3 if rank == A.m else None
     factors = _smith_invariant_factors([list(r) for r in A.hnf_basis]) if rank else []
     k_scalar = None
     if A.m == 1:
-        k_scalar = int(A.hnf_basis[0][0]) if rank else 0
+        k_scalar = A.hnf_basis[0][0] if rank else 0
     return QuotientInfo(
         rank=rank,
         orders=tuple(orders),
@@ -257,8 +257,7 @@ def kernel_functional(A: IntLattice):
     for row, p in zip(reversed(A.hnf_basis), reversed(A.pivots)):
         s = sum(Q(row[i]) * c[i] for i in range(A.m) if i != p)
         c[p] = -s / row[p]
-    denom = lcm(*(int(Q(x).denominator) for x in c))
-    ints = [int(Q(x) * denom) for x in c]
+    _, ints = common(x.as_integer_ratio() for x in c)
     g = 0
     for x in ints:
         g = gcd(g, abs(x))
@@ -274,7 +273,13 @@ def kernel_functional(A: IntLattice):
 
 
 def lattice_from_json(data) -> IntLattice:
-    """Parse {"m": int, "generators": [[int,...],...]}."""
+    """Parse {"m": int, "generators": [[int,...],...]}; every entry must be
+    a JSON integer."""
     if not isinstance(data, dict) or "m" not in data:
         raise ValidationError('lattice JSON needs keys "m" and "generators"')
-    return normalize(data.get("generators", []), ambient_dim=data["m"])
+    m, gens = data["m"], data.get("generators", [])
+    if type(m) is not int or not isinstance(gens, list) or not all(
+            isinstance(g, list) and all(type(x) is int for x in g)
+            for g in gens):
+        raise ValidationError('lattice "m" and generator entries must be integers')
+    return normalize(gens, ambient_dim=m)

@@ -1,16 +1,17 @@
 """Independent brute-force oracles used by the test suite.
 
-These deliberately avoid the library's own enumeration strategies and use
-fractions.Fraction (not the package's rational type) so that agreement is a
-meaningful cross-check.  ``oracle_theta_sup`` is the exception: it is a
-list-based branch-and-bound over dyadic boxes through the library's
-``theta``, kept as the interval oracle that must contain the exact value
-``coset.theta_sup`` finds by breadth-first search.  So are the circle
-composition oracles (``oracle_diffeo_compose``, ``oracle_frame_at``,
-``oracle_isotopy_compose``, ``oracle_refine``): they are the earlier
-lookup-per-point and Fraction-time paths over the library's own map
-lookups, kept as the reference for the exact denominators and times that
-``circle.compose`` and ``circle.refine`` produce.
+These deliberately avoid the library's own enumeration strategies and
+compute on fractions.Fraction directly, not on the package's integer
+encodings, so that agreement is a meaningful cross-check.
+``oracle_theta_sup`` is the exception: it is a list-based branch-and-bound
+over dyadic boxes through the library's ``theta``, kept as the interval
+oracle that must contain the exact value ``coset.theta_sup`` finds by
+breadth-first search.  So are the circle composition oracles
+(``oracle_diffeo_compose``, ``oracle_frame_at``, ``oracle_isotopy_compose``,
+``oracle_refine``): they are the earlier lookup-per-point and Fraction-time
+paths over the library's own map lookups, kept as the reference for the
+exact denominators and times that ``circle.compose`` and ``circle.refine``
+produce.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
+from math import ceil
 
 from rotnorm._rat import INF, Q
 from rotnorm.coset import AffineCoset, theta
@@ -144,6 +146,21 @@ def oracle_theta(hnf_basis, pivots, offset):
         Fraction(best, d),
         sorted(tuple(Fraction(v, d) for v in p) for p in points),
     )
+
+
+def oracle_canonical_rep(z):
+    """The representative of the coset z with each pivot coordinate in
+    (-pivot/2, pivot/2], reduced row by row on Fractions: the reference for
+    ``coset.canonical_rep``, which reduces integer numerators through
+    ``coset._reduce``.  Needs a full-rank lattice."""
+    A = z.lattice
+    y = [Fraction(v) for v in z.offset]
+    for row, p in zip(A.hnf_basis, A.pivots):
+        # y[p] - n*piv lies in (-piv/2, piv/2]  <=>  n = ceil(y[p]/piv - 1/2)
+        n = ceil(y[p] / row[p] - Fraction(1, 2))
+        for i in range(A.m):
+            y[i] -= n * row[i]
+    return tuple(y)
 
 
 def _gcd(a, b):

@@ -50,6 +50,12 @@ class TestContext:
         with pytest.raises(ValidationError):
             ManifoldContext.from_json({"n": 3})
 
+    def test_from_json_rejects_non_integer_n_m(self):
+        for data in ({"n": "3", "m": 1}, {"n": 3, "m": 1.0},
+                     {"n": 3, "m": True}, {"n": None, "m": 1}):
+            with pytest.raises(ValidationError, match="integers"):
+                ManifoldContext.from_json(data)
+
 
 class TestFormulas:
     def test_lower_cl_example(self):

@@ -37,6 +37,7 @@ from rotnorm.lattice import normalize
 from oracles import (
     FractionCircleDiffeo,
     oracle_diffeo_compose,
+    oracle_frame_at,
     oracle_isotopy_compose,
     oracle_refine,
 )
@@ -130,6 +131,15 @@ class TestPLCircleDiffeo:
             PLCircleDiffeo((0, Q(1, 2)), (0, 0))  # not strictly increasing
         with pytest.raises(ValidationError):
             PLCircleDiffeo((0, Q(1, 2)), (0, Q(3, 2)))  # period overflow
+
+    def test_unequal_lists_rejected(self):
+        # The rational constructor encodes xs and ys as one list; each half
+        # must keep its own length.
+        for xs, ys in (((0, Q(1, 4), Q(1, 2)), (0,)),
+                       ((0,), (0, Q(1, 4), Q(1, 2))),
+                       ((), (0,)), ((0,), ())):
+            with pytest.raises(ValidationError, match="matching"):
+                PLCircleDiffeo(xs, ys)
 
 
 def _seeded_map(kind, seed):
@@ -522,6 +532,22 @@ class TestCompositionOracles:
                     got = mu(X, p)
                     assert got == rotation_angle(X.trace(p)) and type(got) is Q
         assert bisected >= len(TestComposeResampling.SEEDS)
+
+    def test_frame_at_matches_oracle(self):
+        # at seeded times off the samples, and at t = 0 and t = 1
+        for seed in range(40):
+            F, G = _isotopy_pair(seed, seed % 4)
+            for X in (F, G, compose(F, G)):
+                rng = random.Random(seed)
+                times = [Q(0), Q(1)]
+                while len(times) < 8:
+                    t = Q(rng.randint(1, 999), rng.randint(1000, 5000))
+                    if t not in X.times:
+                        times.append(t)
+                for t in times:
+                    assert _key(X.frame_at(t)) == _key(oracle_frame_at(X, t))
+                assert X.frame_at(0) is X.frames[0]
+                assert X.frame_at(1) is X.frames[-1]
 
     def test_refine_with_unequal_piece_counts(self):
         # steps of 3/20, 1/4, 7/20 and 9/20 below 1/10: 2, 3, 4 and 5 pieces

@@ -271,6 +271,48 @@ class TestDeterminism:
         assert "k_max: 2" in r.stdout
 
 
+def assert_validation_error(r):
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["error"]["kind"] == "validation"
+
+
+class TestMalformedInput:
+    """Malformed rationals and non-integer lattice or context fields are
+    validation errors (exit 1, one JSON line on stderr), not tracebacks."""
+
+    def test_coset_zero_denominator(self, tmp_path):
+        path = write_json(tmp_path, "A.json", {"m": 1, "generators": [[2]]})
+        assert_validation_error(
+            run_cli(["coset", "--lattice", path, "--offset", "1/0"]))
+
+    def test_bounds_zero_denominator(self):
+        assert_validation_error(run_cli(["bounds", "--theta", "1/0"]))
+
+    def test_mu_bad_basepoint(self, tmp_path):
+        path = write_json(tmp_path, "iso.json", rotation_isotopy_json(1, 2, 3))
+        assert_validation_error(
+            run_cli(["mu", "--in", path, "--basepoint", "abc"]))
+
+    def test_nu_bad_basepoint(self, tmp_path):
+        multi = {"components": [rotation_isotopy_json(1, 2, 3)],
+                 "basepoints": ["abc"]}
+        path = write_json(tmp_path, "multi.json", multi)
+        assert_validation_error(run_cli(["nu", "--in", path]))
+
+    def test_lattice_non_integer_fields(self, tmp_path):
+        for i, data in enumerate(({"m": 2, "generators": [[1, "a"]]},
+                                  {"m": "x", "generators": []})):
+            path = write_json(tmp_path, f"A{i}.json", data)
+            assert_validation_error(run_cli(["lattice", "--in", path]))
+
+    def test_verdict_non_integer_context(self, tmp_path):
+        cp = write_json(tmp_path, "ctx.json", {"n": "3", "m": 1})
+        ap = write_json(tmp_path, "A.json", {"m": 1, "generators": [[2]]})
+        assert_validation_error(
+            run_cli(["verdict", "--context", cp, "--lattice", ap]))
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self):
         r = run_cli(["lattice"])  # missing required --in

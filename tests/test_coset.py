@@ -14,7 +14,12 @@ from rotnorm.coset import AffineCoset, _sup_bfs, canonical_rep, theta, theta_sup
 from rotnorm.errors import DimensionMismatch, RankDeficient, ValidationError
 from rotnorm.lattice import member, normalize, quotient_info
 
-from oracles import oracle_theta, oracle_theta_cost, oracle_theta_sup
+from oracles import (
+    oracle_canonical_rep,
+    oracle_theta,
+    oracle_theta_cost,
+    oracle_theta_sup,
+)
 
 
 class TestBuild:
@@ -47,6 +52,32 @@ class TestCanonicalRep:
         assert canonical_rep(z) == (1,)
         z = AffineCoset.build(A, (Q(-1),))
         assert canonical_rep(z) == (1,)
+
+    def test_matches_fraction_oracle(self):
+        # Seeded full-rank lattices with m <= 4, at random offsets and at
+        # offsets whose pivot coordinates sit on the ties +-P/2 (unreduced,
+        # so -P/2 must move to +P/2).
+        rng = random.Random(29)
+        checked = 0
+        while checked < 60:
+            m = rng.randint(1, 4)
+            A = normalize([[rng.randint(-5, 5) for _ in range(m)]
+                           for _ in range(m + rng.randint(0, 1))], m)
+            if A.rank < m:
+                continue
+            checked += 1
+            piv = [row[p] for row, p in zip(A.hnf_basis, A.pivots)]
+            offsets = [[Q(rng.randint(-40, 40), rng.randint(1, 6))
+                        for _ in range(m)] for _ in range(4)]
+            offsets += [[Q(rng.choice((-1, 1)) * P, 2) for P in piv]
+                        for _ in range(4)]
+            for off in offsets:
+                for z in (AffineCoset.build(A, off),
+                          AffineCoset(lattice=A, offset=tuple(off))):
+                    assert canonical_rep(z) == oracle_canonical_rep(z), (A, off)
+        A = normalize([(4, 0), (0, 6)])
+        z = AffineCoset(lattice=A, offset=(Q(-2), Q(-3)))
+        assert canonical_rep(z) == oracle_canonical_rep(z) == (2, 3)
 
     def test_rank_deficient_rejected(self):
         A = normalize([(1, 1)])

@@ -246,3 +246,14 @@ class TestJsonRoundtrip:
     def test_bad_payload(self):
         with pytest.raises(ValidationError):
             lattice_from_json({"generators": [[1]]})
+
+    def test_non_integer_entries_rejected(self):
+        for data in ({"m": 2, "generators": [[1, "a"]]},
+                     {"m": 2, "generators": [[1, 2.0]]},
+                     {"m": 2, "generators": [[1, True]]},
+                     {"m": 2, "generators": [3, 4]},
+                     {"m": 2, "generators": "12"},
+                     {"m": "x", "generators": []},
+                     {"m": 2.0, "generators": [[1, 0]]}):
+            with pytest.raises(ValidationError, match="integers"):
+                lattice_from_json(data)
