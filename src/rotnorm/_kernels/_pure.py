@@ -8,7 +8,13 @@ exact Python integers of any size.
 
 from __future__ import annotations
 
+from rotnorm._rat import INF
+
 BACKEND = "pure"
+
+
+class _OverBudget(Exception):
+    """Unwinds ``cvp_enumerate``'s recursion once it passes its node cap."""
 
 
 def closure_bytes(gens: list[bytes], cap: int):
@@ -83,6 +89,7 @@ def cvp_enumerate(
     pivots: list[int],
     target: list[int],
     bound: int,
+    max_nodes=None,
 ):
     """Exact integer l-infinity closest-point enumeration on a coset.
 
@@ -94,7 +101,8 @@ def cvp_enumerate(
     so far.  Coefficients are explored center-out so the radius shrinks fast.
 
     Returns (best_norm, points) where points is the sorted list of all
-    attaining integer vectors.
+    attaining integer vectors, or None once the search has entered more than
+    ``max_nodes`` nodes (one per partial choice of coefficients).
     """
     ell = len(basis)
     m = len(target)
@@ -110,8 +118,12 @@ def cvp_enumerate(
     y = list(target)  # current candidate: target + partial lattice sum
     best: list[int | None] = [None]
     points: list[tuple[int, ...]] = []
+    budget = [INF if max_nodes is None else max_nodes]
 
     def rec(j: int, settled: int) -> None:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise _OverBudget
         if best[0] is not None and max(settled, floor_norm) > best[0]:
             return
         if j == ell:
@@ -160,7 +172,10 @@ def cvp_enumerate(
         while c <= hi and visit(c):
             c += 1
 
-    rec(0, 0)
+    try:
+        rec(0, 0)
+    except _OverBudget:
+        return None
     points.sort()
     return best[0], points
 

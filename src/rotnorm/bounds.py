@@ -94,6 +94,10 @@ class ManifoldContext:
             raise ValidationError(f"unknown context keys: {sorted(unknown)}")
         if type(data["n"]) is not int or type(data["m"]) is not int:
             raise ValidationError('context "n" and "m" must be integers')
+        if any(type(data.get(k, False)) is not bool
+               for k in ("connected", "assumption_P")):
+            raise ValidationError(
+                'context "connected" and "assumption_P" must be true or false')
         return ManifoldContext(**data)
 
 

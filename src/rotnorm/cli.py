@@ -96,7 +96,11 @@ def group_cmd(path, norm_kind, element, fmt):
     else:
         if element is None:
             raise ValidationError("--norm zeta requires --element")
-        g = groups_mod.validate_perm(json.loads(element))
+        try:
+            images = json.loads(element)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"bad --element {element!r}: {exc}") from None
+        g = groups_mod.validate_perm(images)
         table = groups_mod.zeta_norm(G, g)
     _emit(table.to_json(), fmt)
 

@@ -8,7 +8,7 @@ has all of its coordinates within theta <= r, so r is a certified search
 radius.  ``theta`` passes the representative and r to
 ``_kernels.cvp_enumerate``, which returns the minimum with every attaining
 point; theta is the exact minimum, so any common denominator gives the same
-rational.
+rational.  A search past ``MAX_CVP_NODES`` nodes is a ValidationError.
 
 ``theta_sup`` is exact and needs no CVP.  The maximum of theta over the
 torus R^m/A lies on (1/2)Z^m, and there 2*theta is the king-move distance
@@ -25,7 +25,7 @@ from math import prod
 from operator import add
 
 from rotnorm import _kernels
-from rotnorm._rat import INF, Q, common, floor_q
+from rotnorm._rat import INF, Q, common
 from rotnorm.errors import DimensionMismatch, RankDeficient, ValidationError
 from rotnorm.lattice import IntLattice, quotient_info
 
@@ -35,6 +35,13 @@ from rotnorm.lattice import IntLattice, quotient_info
 #: Python 3.11, and the largest m = 8 search under it (det 4) 13 s; larger
 #: lattices would run for hours.
 MAX_SUP_MOVES = 8 * 10 ** 6
+
+#: Most nodes one theta search enters in ``_kernels.cvp_enumerate``, each a
+#: partial choice of coefficients.  The benchmark panel's searches enter at
+#: most 513 (seeds 0 to 3 and 20251); a search at the cap takes 1.5 to 2 s
+#: for m = 2 to 8 on a 2-vCPU host with Python 3.11.  Every attaining point
+#: is a node, so the cap also bounds the size of the output.
+MAX_CVP_NODES = 3 * 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -46,16 +53,17 @@ class AffineCoset:
 
     @staticmethod
     def build(A: IntLattice, offset) -> "AffineCoset":
-        x = [Q(v) for v in offset]
-        if len(x) != A.m:
-            raise DimensionMismatch(f"offset length {len(x)} != ambient {A.m}")
-        # Reduce each pivot coordinate into [0, pivot) against the basis.
+        d, y = common(Q(v).as_integer_ratio() for v in offset)
+        if len(y) != A.m:
+            raise DimensionMismatch(f"offset length {len(y)} != ambient {A.m}")
+        # Reduce each pivot coordinate into [0, pivot) against the basis,
+        # on the numerators over d.
         for row, p in zip(A.hnf_basis, A.pivots):
-            n = floor_q(x[p] / row[p])
+            n = y[p] // (d * row[p])
             if n:
-                for i in range(A.m):
-                    x[i] -= n * row[i]
-        return AffineCoset(lattice=A, offset=tuple(x))
+                for i in range(p, A.m):
+                    y[i] -= n * d * row[i]
+        return AffineCoset(lattice=A, offset=tuple(Q(v, d) for v in y))
 
     @property
     def m(self) -> int:
@@ -112,11 +120,19 @@ def canonical_rep(z: AffineCoset) -> tuple:
 
 
 def theta(z: AffineCoset) -> NearestData:
-    """Certified minimum l-infinity norm over the coset and its attaining set."""
+    """Certified minimum l-infinity norm over the coset and its attaining set.
+
+    A search past ``MAX_CVP_NODES`` nodes raises ValidationError."""
     d, basis, y = _reduced(z)
     r = max(map(abs, y), default=0)
     if r:
-        best, pts = _kernels.cvp_enumerate(basis, z.lattice.pivots, y, r)
+        found = _kernels.cvp_enumerate(basis, z.lattice.pivots, y, r,
+                                       MAX_CVP_NODES)
+        if found is None:
+            raise ValidationError(
+                f"theta needs more CVP nodes than the cap "
+                f"coset.MAX_CVP_NODES = {MAX_CVP_NODES}")
+        best, pts = found
     else:
         best, pts = 0, [tuple(y)]
     points = tuple(tuple(Q(v, d) for v in p) for p in pts)

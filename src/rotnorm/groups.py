@@ -61,7 +61,12 @@ def conjugate(h: Perm, g: Perm) -> Perm:
 
 
 def validate_perm(images) -> Perm:
-    p = tuple(int(i) for i in images)
+    """The permutation with these images; each must be an int (not a bool,
+    float or string)."""
+    if not isinstance(images, (list, tuple)) or any(
+            type(i) is not int for i in images):
+        raise ValidationError(f"a permutation is a list of integers: {images!r}")
+    p = tuple(images)
     if len(p) > MAX_DEGREE:
         raise ValidationError(f"degree {len(p)} exceeds cap {MAX_DEGREE}")
     if sorted(p) != list(range(len(p))):

@@ -1,18 +1,21 @@
 """Exact invariants of integer sublattices A < Z^m.
 
 Row-style Hermite normal form (positive pivots, entries above a pivot reduced
-into [0, pivot)) gives a unique canonical basis.  From it we derive the rank,
-the orders k_i of the unit cosets [e_i] in Z^m/A, k = max k_i, the bound
-constant k_hat = 2*floor(k/2) + 3, Smith invariant factors, and — in the
+into [0, pivot)) gives a unique canonical basis.  Everything else comes from
+that one routine, on integers: the rank, the orders k_i of the unit cosets
+[e_i] in Z^m/A by back-substitution (``_order``), k = max k_i, the bound
+constant k_hat = 2*floor(k/2) + 3, the Smith invariant factors from
+alternating row and column HNFs (``_smith_factors``), and — in the
 rank-deficient case — a primitive integer functional vanishing on A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from itertools import chain
+from math import gcd
 
-from rotnorm._rat import INF, Q, common
+from rotnorm._rat import INF
 from rotnorm.errors import DimensionMismatch, FullRank, ValidationError
 
 MAX_DIM = 8
@@ -56,57 +59,32 @@ def _hnf(vectors: list[list[int]], m: int):
     return basis, pivots
 
 
-def _smith_invariant_factors(mat: list[list[int]]) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... of an integer matrix."""
-    a = [list(r) for r in mat]
-    rows, cols = len(a), (len(mat[0]) if mat else 0)
-    factors: list[int] = []
-    r = c = 0
-    while r < rows and c < cols:
-        # Find a nonzero pivot in the remaining submatrix.
-        pivot = None
-        for i in range(r, rows):
-            for j in range(c, cols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(pivot[2])):
-                    pivot = (i, j, a[i][j])
-        if pivot is None:
+def _smith_factors(basis: list[list[int]]) -> list[int]:
+    """Invariant factors d_1 | d_2 | ... of the lattice spanned by the
+    nonzero rows of ``basis``.
+
+    Alternate ``_hnf`` on the rows and on the transpose until every row
+    holds one nonzero entry, then take the gcd/lcm chain of those entries.
+    Each HNF multiplies one side by a unimodular matrix, so the factors are
+    unchanged (dropped zero rows carry none).  The loop ends: after a row
+    HNF the first pivot p is the only nonzero entry of its column.  If p
+    divides the rest of its row, the next HNF clears that row too, and no
+    later round touches p's row or column; otherwise the next first pivot,
+    a gcd of p and that row, is strictly smaller.  A positive pivot cannot
+    fall forever, so by induction on the size every round that is not yet
+    diagonal brings the end closer (Kannan & Bachem, SIAM J. Comput. 1979).
+    """
+    mat = basis
+    while True:
+        mat, pivots = _hnf(mat, len(mat[0]))
+        if sum(map(bool, chain.from_iterable(mat))) == len(mat):
             break
-        i, j, _ = pivot
-        a[r], a[i] = a[i], a[r]
-        for row in a:
-            row[c], row[j] = row[j], row[c]
-        while True:
-            # Eliminate the pivot column.
-            done = True
-            for i in range(r + 1, rows):
-                if a[i][c]:
-                    q = a[i][c] // a[r][c]
-                    for j in range(c, cols):
-                        a[i][j] -= q * a[r][j]
-                    if a[i][c]:
-                        a[r], a[i] = a[i], a[r]
-                        done = False
-            # Eliminate the pivot row.
-            for j in range(c + 1, cols):
-                if a[r][j]:
-                    q = a[r][j] // a[r][c]
-                    for i in range(r, rows):
-                        a[i][j] -= q * a[i][c]
-                    if a[r][j]:
-                        for row in a:
-                            row[c], row[j] = row[j], row[c]
-                        done = False
-            if done:
-                break
-        factors.append(abs(a[r][c]))
-        r += 1
-        c += 1
-    # Enforce the divisibility chain.
+        mat = list(zip(*mat))
+    factors = [row[p] for row, p in zip(mat, pivots)]
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             g = gcd(factors[i], factors[j])
-            l = factors[i] * factors[j] // g if g else 0
-            factors[i], factors[j] = g, l
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
     return factors
 
 
@@ -149,35 +127,35 @@ def normalize(generators, ambient_dim: int | None = None) -> IntLattice:
     )
 
 
-def member(A: IntLattice, v) -> bool:
-    """Exact membership test by triangular integer back-substitution."""
+def _order(A: IntLattice, v):
+    """The least t >= 1 with t*v in A, or INF if no multiple of v lies in A.
+
+    Back-substitution over the HNF rows on integers, w = t*v minus the rows
+    taken so far: before pivot p is reduced, w and t are scaled by
+    P/gcd(w[p], P), P = row[p], the least factor that makes w[p] a multiple
+    of P.  So t stays the least scale whose coefficients so far are all
+    integers, and t*v is in A exactly when nothing is left of w.
+    """
     w = [int(x) for x in v]
     if len(w) != A.m:
         raise DimensionMismatch(f"vector {v} does not have length {A.m}")
+    t = 1
     for row, p in zip(A.hnf_basis, A.pivots):
-        if w[p] % row[p] != 0:
-            return False
-        c = w[p] // row[p]
+        piv = row[p]
+        s = piv // gcd(w[p], piv)
+        if s != 1:
+            t *= s
+            w = [s * x for x in w]
+        c = w[p] // piv
         if c:
-            for i in range(A.m):
+            for i in range(p, A.m):
                 w[i] -= c * row[i]
-    return not any(w)
+    return INF if any(w) else t
 
 
-def _rational_coefficients(A: IntLattice, v):
-    """Coefficients of v over the HNF basis in Q, or None if v is outside
-    the rational span."""
-    w = [Q(int(x)) for x in v]
-    coeffs = []
-    for row, p in zip(A.hnf_basis, A.pivots):
-        c = w[p] / row[p]
-        coeffs.append(c)
-        if c:
-            for i in range(A.m):
-                w[i] -= c * row[i]
-    if any(w):
-        return None
-    return coeffs
+def member(A: IntLattice, v) -> bool:
+    """Exact membership test: v lies in A when its order is 1."""
+    return _order(A, v) == 1
 
 
 @dataclass(frozen=True)
@@ -212,19 +190,14 @@ def quotient_info(A: IntLattice) -> QuotientInfo:
     for i in range(A.m):
         e = [0] * A.m
         e[i] = 1
-        coeffs = _rational_coefficients(A, e)
-        if coeffs is None:
-            orders.append(INF)
-            continue
-        # min t >= 1 with all t*c_j integral is the lcm of the denominators
-        t = lcm(*(c.denominator for c in coeffs))
-        scaled = [t * x for x in e]
-        assert member(A, scaled), "order certificate failed"
+        t = _order(A, e)
+        if t != INF:
+            assert member(A, [t * x for x in e]), "order certificate failed"
         orders.append(t)
     rank = A.rank
     k = max(orders) if orders else 1
     k_hat = 2 * (k // 2) + 3 if rank == A.m else None
-    factors = _smith_invariant_factors([list(r) for r in A.hnf_basis]) if rank else []
+    factors = _smith_factors(A.hnf_basis) if rank else []
     k_scalar = None
     if A.m == 1:
         k_scalar = A.hnf_basis[0][0] if rank else 0
@@ -249,23 +222,23 @@ def kernel_functional(A: IntLattice):
     """
     if A.rank == A.m:
         raise FullRank("lattice has full rank; no nonzero orthogonal functional")
-    free_cols = [i for i in range(A.m) if i not in A.pivots]
-    f = free_cols[0]
-    c = [Q(0)] * A.m
-    c[f] = Q(1)
-    # Back-substitute from the bottom row up: row . c = 0.
+    f = next(i for i in range(A.m) if i not in A.pivots)
+    c = [0] * A.m
+    c[f] = 1
+    # Back-substitute from the bottom row up, row . c = 0, scaling c by the
+    # least factor that keeps c[p] integral.  The total scale is then the
+    # lcm of the denominators of the rational solution, so c is primitive.
     for row, p in zip(reversed(A.hnf_basis), reversed(A.pivots)):
-        s = sum(Q(row[i]) * c[i] for i in range(A.m) if i != p)
-        c[p] = -s / row[p]
-    _, ints = common(x.as_integer_ratio() for x in c)
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x)
-    if first < 0:
-        ints = [-x for x in ints]
-    result = tuple(ints)
+        piv = row[p]
+        s = sum(row[i] * c[i] for i in range(p + 1, A.m))
+        g = piv // gcd(s, piv)
+        if g != 1:
+            c = [g * x for x in c]
+            s *= g
+        c[p] = -s // piv
+    if next(x for x in c if x) < 0:
+        c = [-x for x in c]
+    result = tuple(c)
     assert all(
         sum(ci * gi for ci, gi in zip(result, gen)) == 0 for gen in A.generators
     ), "functional does not vanish on the generators"

@@ -11,7 +11,10 @@ breadth-first search.  So are the circle composition oracles
 ``oracle_refine``): they are the earlier lookup-per-point and Fraction-time
 paths over the library's own map lookups, kept as the reference for the
 exact denominators and times that ``circle.compose`` and ``circle.refine``
-produce.
+produce.  The lattice oracles (``oracle_smith_invariant_factors``,
+``oracle_order``, ``oracle_kernel_functional``) are the earlier elimination
+and Fraction back-substitution paths, kept as the reference for the integer
+routines of ``lattice`` that all run on its one HNF.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
-from math import ceil
+from math import ceil, gcd, lcm
 
-from rotnorm._rat import INF, Q
+from rotnorm._rat import INF, Q, common
 from rotnorm.coset import AffineCoset, theta
-from rotnorm.errors import ValidationError
-from rotnorm.lattice import quotient_info
+from rotnorm.errors import FullRank, ValidationError
+from rotnorm.lattice import IntLattice, quotient_info
 
 
 def oracle_word_lengths(elements, s, compose, identity):
@@ -402,3 +405,121 @@ def oracle_refine(F, max_disp):
     ts.append(F.times[-1])
     frames.append(F.frames[-1])
     return type(F)(ts, frames)
+
+
+def oracle_smith_invariant_factors(mat: list[list[int]]) -> list[int]:
+    """Invariant factors d_1 | d_2 | ... of an integer matrix, by an
+    elimination with its own pivot search, row and column swaps and a
+    divisibility fix-up: the reference for ``lattice._smith_factors``."""
+    a = [list(r) for r in mat]
+    rows, cols = len(a), (len(mat[0]) if mat else 0)
+    factors: list[int] = []
+    r = c = 0
+    while r < rows and c < cols:
+        # Find a nonzero pivot in the remaining submatrix.
+        pivot = None
+        for i in range(r, rows):
+            for j in range(c, cols):
+                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(pivot[2])):
+                    pivot = (i, j, a[i][j])
+        if pivot is None:
+            break
+        i, j, _ = pivot
+        a[r], a[i] = a[i], a[r]
+        for row in a:
+            row[c], row[j] = row[j], row[c]
+        while True:
+            # Eliminate the pivot column.
+            done = True
+            for i in range(r + 1, rows):
+                if a[i][c]:
+                    q = a[i][c] // a[r][c]
+                    for j in range(c, cols):
+                        a[i][j] -= q * a[r][j]
+                    if a[i][c]:
+                        a[r], a[i] = a[i], a[r]
+                        done = False
+            # Eliminate the pivot row.
+            for j in range(c + 1, cols):
+                if a[r][j]:
+                    q = a[r][j] // a[r][c]
+                    for i in range(r, rows):
+                        a[i][j] -= q * a[i][c]
+                    if a[r][j]:
+                        for row in a:
+                            row[c], row[j] = row[j], row[c]
+                        done = False
+            if done:
+                break
+        factors.append(abs(a[r][c]))
+        r += 1
+        c += 1
+    # Enforce the divisibility chain.
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            l = factors[i] * factors[j] // g if g else 0
+            factors[i], factors[j] = g, l
+    return factors
+
+
+def oracle_rational_coefficients(A: IntLattice, v):
+    """Coefficients of v over the HNF basis in Q, or None if v is outside
+    the rational span."""
+    w = [Q(int(x)) for x in v]
+    coeffs = []
+    for row, p in zip(A.hnf_basis, A.pivots):
+        c = w[p] / row[p]
+        coeffs.append(c)
+        if c:
+            for i in range(A.m):
+                w[i] -= c * row[i]
+    if any(w):
+        return None
+    return coeffs
+
+
+def oracle_order(A, v):
+    """The least t >= 1 with t*v in A, or INF: the lcm of the denominators of
+    v's rational coefficients over the HNF basis.  The reference for
+    ``lattice._order``."""
+    coeffs = oracle_rational_coefficients(A, v)
+    if coeffs is None:
+        return INF
+    # min t >= 1 with all t*c_j integral is the lcm of the denominators
+    return lcm(*(c.denominator for c in coeffs))
+
+
+def oracle_kernel_functional(A: IntLattice):
+    """A primitive integer functional vanishing on A (rank < m only), by
+    Fraction back-substitution: the reference for ``lattice.kernel_functional``.
+
+    Policy: solve the echelon system for the nullspace basis vector whose
+    free coordinate is the smallest non-pivot column, scale it to a primitive
+    integer vector, and normalize the sign so the first nonzero entry is
+    positive.  Deterministic given the canonical HNF basis.
+    """
+    if A.rank == A.m:
+        raise FullRank("lattice has full rank; no nonzero orthogonal functional")
+    free_cols = [i for i in range(A.m) if i not in A.pivots]
+    f = free_cols[0]
+    c = [Q(0)] * A.m
+    c[f] = Q(1)
+    # Back-substitute from the bottom row up: row . c = 0.
+    for row, p in zip(reversed(A.hnf_basis), reversed(A.pivots)):
+        s = sum(Q(row[i]) * c[i] for i in range(A.m) if i != p)
+        c[p] = -s / row[p]
+    _, ints = common(x.as_integer_ratio() for x in c)
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    ints = [x // g for x in ints]
+    first = next(x for x in ints if x)
+    if first < 0:
+        ints = [-x for x in ints]
+    result = tuple(ints)
+    assert all(
+        sum(ci * gi for ci, gi in zip(result, gen)) == 0 for gen in A.generators
+    ), "functional does not vanish on the generators"
+    return result
+

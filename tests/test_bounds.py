@@ -56,6 +56,16 @@ class TestContext:
             with pytest.raises(ValidationError, match="integers"):
                 ManifoldContext.from_json(data)
 
+    def test_from_json_rejects_non_boolean_flags(self):
+        for data in ({"n": 3, "m": 1, "connected": "false"},
+                     {"n": 3, "m": 1, "connected": 0},
+                     {"n": 3, "m": 1, "assumption_P": "no"},
+                     {"n": 3, "m": 1, "assumption_P": None}):
+            with pytest.raises(ValidationError, match="true or false"):
+                ManifoldContext.from_json(data)
+        ctx = ManifoldContext.from_json({"n": 3, "m": 1, "connected": False})
+        assert ctx.connected is False
+
 
 class TestFormulas:
     def test_lower_cl_example(self):

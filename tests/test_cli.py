@@ -4,6 +4,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 
 def run_cli(args, env_extra=None, input_text=None):
     env = dict(os.environ)
@@ -311,6 +313,48 @@ class TestMalformedInput:
         ap = write_json(tmp_path, "A.json", {"m": 1, "generators": [[2]]})
         assert_validation_error(
             run_cli(["verdict", "--context", cp, "--lattice", ap]))
+
+    @pytest.mark.parametrize("ctx", [
+        {"n": 3, "m": 1, "connected": "false"},
+        {"n": 3, "m": 1, "regularity": "finite_r", "assumption_P": "no"},
+    ], ids=["connected", "assumption_P"])
+    def test_verdict_string_flag(self, tmp_path, ctx):
+        # "false" and "no" are truthy strings: both printed Bounded.
+        cp = write_json(tmp_path, "ctx.json", ctx)
+        ap = write_json(tmp_path, "A.json", {"m": 1, "generators": [[2]]})
+        assert_validation_error(
+            run_cli(["verdict", "--context", cp, "--lattice", ap]))
+
+    def test_group_float_images(self, tmp_path):
+        # int(1.7) == 1 used to build S3 from a truncated generator.
+        path = write_json(tmp_path, "g.json", [[1.7, 0, 2], [1, 2, 0]])
+        assert_validation_error(run_cli(["group", "--in", path]))
+
+    def test_group_string_image(self, tmp_path):
+        path = write_json(tmp_path, "g.json", [[1, 0, "x"]])
+        assert_validation_error(run_cli(["group", "--in", path]))
+
+    @pytest.mark.parametrize("element", ["[1,0", '"ab"'],
+                             ids=["unclosed", "string"])
+    def test_group_bad_element(self, tmp_path, element):
+        path = write_json(tmp_path, "g.json", [[1, 0, 2], [1, 2, 0]])
+        assert_validation_error(run_cli(
+            ["group", "--in", path, "--norm", "zeta", "--element", element]))
+
+
+class TestThetaCap:
+    """theta lists every attaining point; past coset.MAX_CVP_NODES search
+    nodes it stops with a validation error instead of running for minutes."""
+
+    def test_coset_fails_fast(self, tmp_path):
+        for i, (gens, offset) in enumerate((([[1, 0], [0, 2000000]], "0,1000000"),
+                                            ([[1, 0]], "0,300000"))):
+            path = write_json(tmp_path, f"A{i}.json", {"m": 2, "generators": gens})
+            start = time.perf_counter()
+            r = run_cli(["coset", "--lattice", path, "--offset", offset])
+            assert time.perf_counter() - start < 5
+            assert_validation_error(r)
+            assert "MAX_CVP_NODES" in r.stderr
 
 
 class TestExitCodes:

@@ -39,6 +39,25 @@ class TestBuild:
         with pytest.raises(DimensionMismatch):
             AffineCoset.build(normalize([(2,)]), (1, 2))
 
+    @seed(20251020)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda m: st.tuples(
+        st.lists(st.lists(st.integers(-9, 9), min_size=m, max_size=m),
+                 max_size=m + 1),
+        st.lists(st.fractions(-50, 50, max_denominator=12),
+                 min_size=m, max_size=m))))
+    def test_canonical_offset_in_same_coset(self, case):
+        # The offset with every pivot coordinate in [0, pivot) is unique in
+        # its coset, so these two properties pin build's result.
+        gens, off = case
+        A = normalize(gens, ambient_dim=len(off))
+        z = AffineCoset.build(A, off)
+        for row, p in zip(A.hnf_basis, A.pivots):
+            assert 0 <= z.offset[p] < row[p]
+        diff = [a - b for a, b in zip(z.offset, off)]
+        assert all(v.denominator == 1 for v in diff)
+        assert member(A, [int(v) for v in diff])
+
 
 class TestCanonicalRep:
     def test_example(self):
@@ -197,6 +216,30 @@ class TestThetaLargeMagnitudes:
             shift = (s * 128 * self.BIG, s * 3 * (2**40 // 3))
             moved = [o + v for o, v in zip(off, shift)]
             assert theta(AffineCoset.build(A, moved)) == want
+
+
+class TestThetaCost:
+    def test_cap_is_inclusive(self, monkeypatch):
+        # Rank 1 in Z^2 at (0, 3): the root and one node per coefficient
+        # c = -3..3, each attaining theta = 3.
+        z = AffineCoset.build(normalize([(1, 0)]), (0, 3))
+        monkeypatch.setattr(coset, "MAX_CVP_NODES", 8)
+        assert len(theta(z).theta_points) == 7
+        monkeypatch.setattr(coset, "MAX_CVP_NODES", 7)
+        with pytest.raises(ValidationError, match="MAX_CVP_NODES = 7"):
+            theta(z)
+
+    @pytest.mark.parametrize("gens, offset", [
+        ([(1, 0), (0, 2 * 10**6)], (0, 10**6)),
+        ([(1, 0)], (0, 300000)),
+    ], ids=["4e6-points", "6e5-points"])
+    def test_work_cap_fails_fast(self, gens, offset):
+        # Millions of attaining points: listing them took minutes.
+        z = AffineCoset.build(normalize(gens), offset)
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="MAX_CVP_NODES"):
+            theta(z)
+        assert time.perf_counter() - start < 5
 
 
 class TestThetaOracle:

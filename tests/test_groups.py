@@ -66,6 +66,11 @@ class TestGenerateGroup:
         with pytest.raises(ClosureTooLarge):
             A5()
 
+    def test_images_must_be_integers(self):
+        for images in ([1.7, 0, 2], [1, 0, "x"], [1, True, 0], "10", 3):
+            with pytest.raises(ValidationError, match="list of integers"):
+                g.validate_perm(images)
+
     def test_canonical_order(self):
         G = S3()
         assert list(G.elements) == sorted(G.elements)

@@ -1,12 +1,14 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from rotnorm._rat import INF
 from rotnorm.errors import DimensionMismatch, FullRank, ValidationError
 from rotnorm.lattice import (
+    _order,
+    _smith_factors,
     kernel_functional,
     lattice_from_json,
     member,
@@ -14,7 +16,12 @@ from rotnorm.lattice import (
     quotient_info,
 )
 
-sympy = pytest.importorskip("sympy")
+from oracles import (
+    oracle_kernel_functional,
+    oracle_order,
+    oracle_rational_coefficients,
+    oracle_smith_invariant_factors,
+)
 
 
 class TestNormalize:
@@ -193,6 +200,7 @@ class TestSmithOracle:
     @settings(max_examples=50, deadline=None)
     @given(small_vecs)
     def test_matches_sympy(self, vecs):
+        sympy = pytest.importorskip("sympy")
         A = normalize(vecs)
         info = quotient_info(A)
         if A.rank == 0:
@@ -204,6 +212,84 @@ class TestSmithOracle:
         D = smith_normal_form(M)
         diag = [int(D[i, i]) for i in range(min(D.shape)) if D[i, i] != 0]
         assert list(info.invariant_factors) == diag
+
+
+@st.composite
+def wide_generators(draw):
+    """(m, generators): m = 1..8, entries up to +-1000, 0 to m + 2
+    generators, some columns all zero, and sometimes one generator an
+    integer combination of two others."""
+    m = draw(st.integers(1, 8))
+    zero = draw(st.sets(st.integers(0, m - 1), max_size=m))
+    gens = [[0 if j in zero else draw(st.integers(-1000, 1000))
+             for j in range(m)] for _ in range(draw(st.integers(0, m + 2)))]
+    if len(gens) >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        gens.append([a * x + b * y for x, y in zip(gens[0], gens[1])])
+    return m, gens
+
+
+def _oracle_member(A, v):
+    coeffs = oracle_rational_coefficients(A, v)
+    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+
+
+class TestAgainstEliminationOracles:
+    """The integer routines on the one HNF against the elimination and
+    Fraction paths they replaced (``tests/oracles.py``)."""
+
+    @seed(20251101)
+    @settings(max_examples=300, deadline=None)
+    @given(wide_generators(), st.data())
+    def test_orders(self, case, data):
+        m, gens = case
+        A = normalize(gens, ambient_dim=m)
+        info = quotient_info(A)
+        for i in range(m):
+            e = [0] * m
+            e[i] = 1
+            assert info.orders[i] == oracle_order(A, e)
+        v = data.draw(st.lists(st.integers(-1000, 1000), min_size=m, max_size=m))
+        assert _order(A, v) == oracle_order(A, v)
+        assert member(A, v) == _oracle_member(A, v)
+
+    @seed(20251102)
+    @settings(max_examples=300, deadline=None)
+    @given(wide_generators())
+    def test_invariant_factors(self, case):
+        m, gens = case
+        A = normalize(gens, ambient_dim=m)
+        want = oracle_smith_invariant_factors(A.hnf_basis) if A.rank else []
+        assert list(quotient_info(A).invariant_factors) == want
+        # The raw generators span the same lattice; with zero and dependent
+        # rows they take more rounds.
+        if gens:
+            assert _smith_factors(gens) == want
+
+    @seed(20251103)
+    @settings(max_examples=300, deadline=None)
+    @given(wide_generators())
+    def test_kernel_functional(self, case):
+        m, gens = case
+        A = normalize(gens, ambient_dim=m)
+        if A.rank < m:
+            assert kernel_functional(A) == oracle_kernel_functional(A)
+
+    @seed(20251104)
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+        st.lists(st.lists(st.integers(-9, 9), min_size=m, max_size=m),
+                 max_size=m + 1),
+        st.lists(st.integers(-9, 9), min_size=m, max_size=m))))
+    def test_order_is_least_multiple(self, case):
+        # Brute force over t <= 50: t*v is in A exactly for the multiples
+        # of the order.
+        gens, v = case
+        A = normalize(gens, ambient_dim=len(v))
+        order = _order(A, v)
+        for t in range(1, 51):
+            assert _oracle_member(A, [t * x for x in v]) == (
+                order != INF and t % order == 0)
 
 
 class TestKernelFunctional:
