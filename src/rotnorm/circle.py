@@ -542,39 +542,83 @@ def compose_multi(F: MultiIsotopy, G: MultiIsotopy) -> MultiIsotopy:
 # ---------------------------------------------------------------------------
 # Seeded random generators.  Each draws its maps on one integer grid (the
 # breakpoints i/b and jitter in units of 1/(64*b)), so every map is built
-# straight from integer numerators.
+# straight from integer numerators.  Every draw goes through ``_randint``.
 # ---------------------------------------------------------------------------
+
+
+def _randint(bits, a: int, b: int) -> int:
+    """``rng.randint(a, b)`` drawn through ``bits = rng.getrandbits``.
+
+    Returns a + r for the first draw r of n.bit_length() bits below
+    n = b - a + 1.  This is the standard library's own rule, so the seeded
+    stream and its values are those of ``randint``, without its argument
+    checks and call chain.
+    """
+    n = b - a + 1
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return a + r
 
 
 def random_diffeo(rng: random.Random, breakpoints: int | None = None) -> PLCircleDiffeo:
     """Random PL circle diffeo: jittered rotation, slopes within [3/4, 5/4]."""
-    b = breakpoints if breakpoints is not None else rng.randint(2, 8)
-    c = rng.randint(-64, 64) * b  # over 64*b
+    bits = rng.getrandbits
+    b = breakpoints if breakpoints is not None else _randint(bits, 2, 8)
+    c = _randint(bits, -64, 64) * b  # over 64*b
     xs = [64 * i for i in range(b)]
-    ys = [x + c + rng.randint(-8, 8) for x in xs]
+    ys = [x + c + _randint(bits, -8, 8) for x in xs]
     return PLCircleDiffeo(xs, ys, 64 * b)
+
+
+def _isotopy_rows(rng: random.Random):
+    """The draws of ``random_isotopy``: (samples, D, xs, rows).
+
+    ``rows`` holds the lift numerators over D, on the breakpoints ``xs``, of
+    the samples - 1 frames after the identity.  Adjacent frames share one
+    grid, so PLIsotopy's step rule reads 2 * max|dy| < D on the integers;
+    it holds by construction (steps are <= 3/8), and a row that broke it
+    would raise AmbiguousLift here.
+    """
+    bits = rng.getrandbits
+    samples = _randint(bits, 2, 6)
+    b = _randint(bits, 2, 8)
+    D = 64 * b
+    xs = [64 * i for i in range(b)]
+    rows = []
+    prev = xs
+    c = 0
+    for _ in range(samples - 1):
+        c += _randint(bits, -16, 16) * b
+        ys = [x + c + _randint(bits, -8, 8) for x in xs]
+        if 2 * max(map(abs, map(sub, ys, prev))) >= D:
+            raise AmbiguousLift("random isotopy frames move by >= 1/2 in one step")
+        rows.append(ys)
+        prev = ys
+    return samples, D, xs, rows
 
 
 def random_isotopy(rng: random.Random) -> PLIsotopy:
     """Random isotopy starting at the identity; per-step movement <= 3/8."""
-    samples = rng.randint(2, 6)
-    b = rng.randint(2, 8)
-    D = 64 * b
-    xs = [64 * i for i in range(b)]
-    frames = [PLCircleDiffeo(xs, xs, D)]
-    c = 0
-    for _ in range(samples - 1):
-        c += rng.randint(-16, 16) * b
-        ys = [x + c + rng.randint(-8, 8) for x in xs]
-        frames.append(PLCircleDiffeo(xs, ys, D))
+    samples, D, xs, rows = _isotopy_rows(rng)
+    frames = [PLCircleDiffeo(xs, ys, D) for ys in [xs, *rows]]
     return PLIsotopy(range(samples), frames, samples - 1)
+
+
+def _end_frame(rng: random.Random) -> PLCircleDiffeo:
+    """``random_isotopy(rng).frames[-1]`` with the same draws, building only
+    that frame."""
+    _, D, xs, rows = _isotopy_rows(rng)
+    return PLCircleDiffeo(xs, rows[-1], D)
 
 
 def random_based_loop(rng: random.Random, winding: int | None = None) -> PLIsotopy:
     """Random loop at the identity with a prescribed integer winding number."""
-    w = winding if winding is not None else rng.randint(-2, 2)
+    bits = rng.getrandbits
+    w = winding if winding is not None else _randint(bits, -2, 2)
     samples = 4 * abs(w) + 2
-    b = rng.randint(2, 8)
+    b = _randint(bits, 2, 8)
     S = samples - 1
     D = 64 * b * S  # lifts over 64*b*S: time steps are 1/S
     xs = [64 * S * i for i in range(b)]
@@ -584,15 +628,15 @@ def random_based_loop(rng: random.Random, winding: int | None = None) -> PLIsoto
             c = w * D
             jitter = [0] * b
         else:
-            c = 64 * b * w * j + rng.randint(-2, 2) * b * S
-            jitter = [rng.randint(-8, 8) * S for _ in range(b)]
+            c = 64 * b * w * j + _randint(bits, -2, 2) * b * S
+            jitter = [_randint(bits, -8, 8) * S for _ in range(b)]
         ys = [x + c + e for x, e in zip(xs, jitter)]
         frames.append(PLCircleDiffeo(xs, ys, D))
     return PLIsotopy(range(samples), frames, S)
 
 
-#: Most trials one defect_experiment call runs: 10**6 trials take two to three
-#: minutes on a 2-vCPU host, while larger counts would run for hours.
+#: Most trials one defect_experiment call runs: 10**6 trials take about 100 s
+#: on a 2-vCPU host, while larger counts would run for hours.
 MAX_DEFECT_TRIALS = 10 ** 6
 
 
@@ -611,6 +655,12 @@ def defect_experiment(seed: int, trials: int) -> dict:
     kept as an integer pair (num, den); only the maxima become rationals.
     Returns a report with per-inequality maxima and the violation count.
     More than ``MAX_DEFECT_TRIALS`` trials are refused.
+
+    F and G are drawn as ``random_isotopy`` draws them, so the seeded
+    instances do not change, but only their end frames f = F_1 and g = G_1
+    are built.  mu from the identity depends only on the end lift, so the
+    intermediate frames are drawn (to keep the stream) and step-checked by
+    ``_isotopy_rows``, never built: a trial makes three validated maps.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
@@ -625,14 +675,13 @@ def defect_experiment(seed: int, trials: int) -> dict:
     bounds = [limits[name] for name in names]
     maxima = [(0, 1)] * len(names)
     violations = 0
+    bits = rng.getrandbits
     for _ in range(trials):
-        F = random_isotopy(rng)
-        G = random_isotopy(rng)
+        f = _end_frame(rng)
+        g = _end_frame(rng)
         h = random_diffeo(rng)
-        p = (rng.randint(0, 63), 64)
-        qpt = (rng.randint(0, 63), 64)
-        f = F.frames[-1]
-        g = G.frames[-1]
+        p = (_randint(bits, 0, 63), 64)
+        qpt = (_randint(bits, 0, 63), 64)
         f_p = f._eval(*p)
         g_p = g._eval(*p)
         h_p = h._eval(*p)

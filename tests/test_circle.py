@@ -634,6 +634,112 @@ class TestMultiIsotopy:
             assert mu(h, p) == mu(compose(f, g), p)
 
 
+class TestSeededStreams:
+    """The seeded instances are part of the output: a reworked generator
+    must draw these same values from the same seeds."""
+
+    # seed -> (time denominator, lift numerators of the frames after the
+    # identity); breakpoints are 64*i over 64*b, b the row length
+    ISOTOPIES = {
+        0: (4, [(73, 144, 216, 279, 340, 401, 471, 531),
+                (64, 116, 185, 244, 307, 376, 436, 505),
+                (-30, 42, 111, 163, 235, 301, 362, 422),
+                (94, 160, 216, 273, 336, 402, 476, 528)]),
+        1: (2, [(-72, -13, 63, 126, 191, 252), (-95, -19, 30, 106, 171, 222)]),
+        2: (1, [(-19, 39)]),
+    }
+    # seed -> lift numerators over 64*b
+    DIFFEOS = {
+        0: (277, 329, 400, 472, 535, 596, 657, 727),
+        1: (-144, -85, -9),
+        2: (-406, -342, -269, -211, -143, -80, -18, 41),
+    }
+    # seed -> (denominator, lift numerators of every frame)
+    LOOPS = {
+        1: (1920, [(0, 320, 640, 960, 1280, 1600),
+                   (-444, -149, 231, 546, 871, 1176),
+                   (-823, -443, -198, 182, 507, 762),
+                   (-1122, -807, -507, -152, 118, 438),
+                   (-1636, -1256, -966, -611, -356, 44),
+                   (-1920, -1600, -1280, -960, -640, -320)]),
+        2: (1152, [(0, 576), (-265, 257), (-512, 46), (-795, -183),
+                   (-970, -358), (-1226, -632), (-1599, -1032),
+                   (-1738, -1198), (-1985, -1382), (-2304, -1728)]),
+    }
+    # every (a, b) that circle.py draws
+    RANGES = ((2, 8), (-64, 64), (-8, 8), (2, 6), (-16, 16), (-2, 2), (0, 63))
+
+    @pytest.mark.parametrize("seed", sorted(ISOTOPIES))
+    def test_random_isotopy(self, seed):
+        tden, rows = self.ISOTOPIES[seed]
+        F = random_isotopy(random.Random(seed))
+        b = len(rows[0])
+        xs = tuple(64 * i for i in range(b))
+        assert F.tn == tuple(range(tden + 1)) and F.tden == tden
+        assert all(f.den == 64 * b and f.xn == xs for f in F.frames)
+        assert [f.yn for f in F.frames] == [xs, *rows]
+
+    @pytest.mark.parametrize("seed", sorted(DIFFEOS))
+    def test_random_diffeo(self, seed):
+        ys = self.DIFFEOS[seed]
+        f = random_diffeo(random.Random(seed))
+        assert f.den == 64 * len(ys)
+        assert f.xn == tuple(64 * i for i in range(len(ys)))
+        assert f.yn == ys
+
+    @pytest.mark.parametrize("seed", sorted(LOOPS))
+    def test_random_based_loop(self, seed):
+        D, rows = self.LOOPS[seed]
+        F = random_based_loop(random.Random(seed))
+        assert F.tn == tuple(range(len(rows))) and F.tden == len(rows) - 1
+        assert all(f.den == D and f.xn == rows[0] for f in F.frames)
+        assert [f.yn for f in F.frames] == rows
+
+    def test_defect_report(self):
+        assert defect_experiment(0, 2000) == {
+            "seed": 0,
+            "trials": 2000,
+            "violations": 0,
+            "max_observed": {
+                "left_mult": Q(15029, 196608),
+                "right_mult": Q(1269, 16384),
+                "product": Q(23763, 262144),
+                "inverse_sum": Q(87, 1216),
+                "commutator": Q(258541, 2588672),
+                "basepoint_change": Q(325, 4096),
+            },
+            "limits": {"left_mult": 1, "right_mult": 1, "product": 1,
+                       "inverse_sum": 1, "commutator": 3,
+                       "basepoint_change": 1},
+        }
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_end_frame_is_the_isotopy_end_frame(self, seed):
+        a, b = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            F = random_isotopy(a)
+            f = c._end_frame(b)
+            assert (f.den, f.xn, f.yn) == (F.frames[-1].den, F.frames[-1].xn,
+                                           F.frames[-1].yn)
+            assert a.getstate() == b.getstate()
+
+    def test_row_drawer_checks_steps(self, monkeypatch):
+        # two samples on two breakpoints (D = 128); the second frame sits
+        # 2*160 + 80 above the identity
+        monkeypatch.setattr(c, "_randint",
+                            lambda bits, a, b: 2 if a == 2 else 10 * b)
+        with pytest.raises(AmbiguousLift):
+            c._isotopy_rows(random.Random(0))
+
+    def test_randint_matches_stdlib(self):
+        for seed in range(300):
+            a, b = random.Random(seed), random.Random(seed)
+            for lo, hi in self.RANGES:
+                assert ([c._randint(b.getrandbits, lo, hi) for _ in range(40)]
+                        == [a.randint(lo, hi) for _ in range(40)]), (seed, lo, hi)
+            assert a.getstate() == b.getstate()
+
+
 class TestDefectExperiment:
     def test_small_run_clean(self):
         report = defect_experiment(seed=123, trials=300)
