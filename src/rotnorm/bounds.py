@@ -180,27 +180,33 @@ NU_COMMUTATOR_BOUND = Q(3)
 def diameter_ledger(ctx: ManifoldContext, q: QuotientInfo) -> BoundLedger:
     """Diameter bounds implied by the quotient invariants and the context.
 
-    Emits nothing when rank < m (no finite bounds exist on that path).  The
-    clb_modG_f entry is bounded by k_hat: the quotient norm diameter bounds
-    the per-element value.
+    Emits nothing when rank < m (no finite bounds exist on that path), and
+    no upper bound for an open manifold: the theorems behind them are for
+    closed pairs.  The clb_modG_f entry is bounded by k_hat: the quotient
+    norm diameter bounds the per-element value.  A lattice whose dimension
+    is not the context's m is a DimensionMismatch.
     """
+    if len(q.orders) != ctx.m:
+        raise DimensionMismatch(
+            f"lattice dimension {len(q.orders)} != context m {ctx.m}")
     led = BoundLedger()
     if q.rank < ctx.m:
         return led
-    k_hat = q.k_hat
-    led = led.with_upper("clb_modG_f", Q(k_hat), "quotient_diameter_k_hat")
-    n = ctx.n
-    if n % 2 == 1 and n >= 3:
+    k_hat, n = q.k_hat, ctx.n
+    closed = ctx.closed_or_open == "closed"
+    if closed:
+        led = led.with_upper("clb_modG_f", Q(k_hat), "quotient_diameter_k_hat")
+    if closed and n % 2 == 1 and n >= 3:
         led = led.with_upper("cld_G", Q(4), "odd_dim_complement_cl_diameter")
         led = led.with_upper(
             "clbd_G", Q(2 * n + 4), "odd_dim_complement_clb_diameter")
         led = led.with_upper("cld", Q(k_hat + 4), "cl_diameter_k_hat_plus_4")
         led = led.with_upper(
             "clbd", Q(k_hat + 2 * n + 4), "clb_diameter_k_hat_plus_2n_plus_4")
-    elif n % 2 == 0 and n >= 6:
+    elif closed and n % 2 == 0 and n >= 6:
         for name in ("cld_G", "clbd_G", "cld", "clbd"):
             led = led.with_upper(name, FINITE, "even_dim_finiteness")
-    # n in {2, 4}: no upper bounds available.
+    # n in {2, 4} or an open manifold: no upper bounds available.
     if ctx.m == 1 and q.k != INF:
         led = led.with_lower(
             "cld", Q(q.k + 2, 8), "half_order_quasimorphism_lower")
@@ -275,8 +281,8 @@ def verdict(ctx: ManifoldContext, A: IntLattice) -> Verdict:
     """Boundedness verdict for the diffeomorphism group of the pair.
 
     Unbounded when rank < m (an orthogonal functional induces a surjective
-    quasimorphism).  Bounded when rank = m, n not in {2, 4}, connected, and
-    the perfectness assumption holds.  Unknown otherwise.
+    quasimorphism).  Bounded when rank = m, n not in {2, 4}, connected,
+    closed, and the perfectness assumption holds.  Unknown otherwise.
     """
     if A.m != ctx.m:
         raise DimensionMismatch(f"lattice dimension {A.m} != context m {ctx.m}")
@@ -295,6 +301,8 @@ def verdict(ctx: ManifoldContext, A: IntLattice) -> Verdict:
         gaps.append("disconnected_base")
     if not ctx.assumption_P:
         gaps.append("perfectness_assumption_missing")
+    if ctx.closed_or_open == "open":
+        gaps.append("open_manifold_excluded")
     if gaps:
         return Verdict(Status.UNKNOWN, ("rank_eq_m",) + tuple(gaps))
     return Verdict(Status.BOUNDED, (

@@ -208,26 +208,22 @@ def defect_cmd(trials, seed, fmt):
 @_format_option
 def bounds_cmd(theta_str, context_path, lattice_path, fmt):
     """Certified bounds from a theta value (plus optional context/lattice)."""
+    if (context_path is None) != (lattice_path is None):
+        missing = "--lattice" if lattice_path is None else "--context"
+        raise ValidationError(
+            f"bounds needs {missing} too: --context and --lattice go together")
     th = rat(theta_str)
-    out = {
-        "theta": rat_str(th),
-        "lower_cl": rat_str(bounds_mod.lower_cl(
-            th, bounds_mod.NU_DEFECT, bounds_mod.NU_COMMUTATOR_BOUND)),
-        "upper_clb_modG": bounds_mod.upper_clb_modG(th),
-    }
-    if context_path is not None and lattice_path is not None:
+    lower = bounds_mod.lower_cl(
+        th, bounds_mod.NU_DEFECT, bounds_mod.NU_COMMUTATOR_BOUND)
+    upper = bounds_mod.upper_clb_modG(th)
+    out = {"theta": rat_str(th), "lower_cl": rat_str(lower),
+           "upper_clb_modG": upper}
+    if context_path is not None:
         ctx = bounds_mod.ManifoldContext.from_json(_read_json(context_path))
         A = lattice_mod.lattice_from_json(_read_json(lattice_path))
-        info = lattice_mod.quotient_info(A)
-        led = bounds_mod.diameter_ledger(ctx, info)
-        led = led.with_lower(
-            "cl_f",
-            bounds_mod.lower_cl(th, bounds_mod.NU_DEFECT,
-                                bounds_mod.NU_COMMUTATOR_BOUND),
-            "quasimorphism_theta_lower",
-        )
-        led = led.with_upper("clb_modG_f", Q(bounds_mod.upper_clb_modG(th)),
-                             "quotient_norm_theta_upper")
+        led = bounds_mod.diameter_ledger(ctx, lattice_mod.quotient_info(A))
+        led = led.with_lower("cl_f", lower, "quasimorphism_theta_lower")
+        led = led.with_upper("clb_modG_f", Q(upper), "quotient_norm_theta_upper")
         led = bounds_mod.relation_close(led)
         out["ledger"] = led.to_json()
     _emit(out, fmt)

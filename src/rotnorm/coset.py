@@ -13,16 +13,14 @@ rational.  A search past ``MAX_CVP_NODES`` nodes is a ValidationError.
 ``theta_sup`` is exact and needs no CVP.  The maximum of theta over the
 torus R^m/A lies on (1/2)Z^m, and there 2*theta is the king-move distance
 to 2A; so 2*theta_sup is the eccentricity of 0 in the king-move Cayley
-graph of the finite group Z^m/2A, which one breadth-first search over its
-2^m*det(A) nodes finds (the proof is in ``theta_sup``).
+graph of the finite group Z^m/2A (the proof is in ``theta_sup``), which one
+breadth-first search finds in at most 6*m*2^m*det(A) one-axis steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
-from operator import add
 
 from rotnorm import _kernels
 from rotnorm._rat import INF, Q, common
@@ -30,11 +28,11 @@ from rotnorm.errors import DimensionMismatch, RankDeficient, ValidationError
 from rotnorm.lattice import IntLattice, quotient_info
 
 
-#: Most king moves one theta_sup search makes, 2^m*det(A)*(3^m - 1).  A
-#: search at the cap takes 8 to 10 s for m = 2 to 5 on a 2-vCPU host with
-#: Python 3.11, and the largest m = 8 search under it (det 4) 13 s; larger
-#: lattices would run for hours.
-MAX_SUP_MOVES = 8 * 10 ** 6
+#: Most axis steps one theta_sup search may need, 6*m*2^m*det(A) (proven
+#: in ``_sup_bfs``).  It admits every lattice the earlier king-move cap,
+#: 2^m*det(A)*(3^m - 1) <= 8*10^6, admitted (m = 2 binds: det <= 250,000).
+#: A search at the cap takes 7 to 15 s for m = 2 to 8 (2-vCPU, Python 3.11).
+MAX_SUP_MOVES = 12 * 10 ** 6
 
 #: Most nodes one theta search enters in ``_kernels.cvp_enumerate``, each a
 #: partial choice of coefficients.  The benchmark panel's searches enter at
@@ -142,39 +140,38 @@ def theta(z: AffineCoset) -> NearestData:
 def _sup_bfs(A: IntLattice):
     """(2*theta_sup, witness) for a full-rank A, by one breadth-first search.
 
-    The nodes are the integer points y with 0 <= y_i < 2*d_i, d_i the HNF
-    diagonal: one per element of Z^m/2A.  A move adds a vector of
-    {-1, 0, 1}^m other than 0 and reduces the sum by the rows of the HNF of
-    2A, 2*``hnf_basis``; row i is zero before column i, so reducing
-    coordinate i leaves the coordinates before it alone.  The moves are
-    closed under negation, so the graph is undirected and the neighbours of
-    a layer lie in the layers before, at and after it: those three sets are
-    all the search keeps.  Returns the depth of the last layer and its least
-    node w; theta(w/2 + A) is that depth over 2.
+    The nodes are the N = 2^m*det(A) elements of Z^m/2A, each kept as its
+    ``_reduce`` representative against 2*``hnf_basis``, the HNF of 2A.  The
+    king ball K = {-1, 0, 1}^m is the sum of the segments {0, +-e_i}, and
+    sums commute in Z^m/2A, so F + K is m one-axis dilations of the last
+    layer F.  A step y +- e_i changes coordinate i alone, so ``_reduce``
+    wraps it with the rows from i on.  K = -K, so F + K lies in F and the
+    layers just before and after it; the next layer is F + K minus the
+    other two.  Once the layers hold all N nodes the search returns the
+    last depth and the least node w of that layer; theta(w/2 + A) is the
+    depth over 2.  Each set dilated while expanding layer L_d lies in
+    L_{d-1} | L_d | L_{d+1}, so over the whole search each axis dilates at
+    most 3N nodes, at 2 steps a node: at most 6*m*N steps.
     """
-    m = A.m
     basis = [[2 * e for e in row] for row in A.hnf_basis]
-    rows = [(i, row, row[i], range(i, m)) for i, row in enumerate(basis)]
-    moves = [d for d in product((-1, 0, 1), repeat=m) if any(d)]
-    prev, cur = set(), {(0,) * m}
-    depth = 0
-    while True:
-        nxt = set()
-        for y in cur:
-            for d in moves:
-                z = list(map(add, y, d))
-                for i, row, p, tail in rows:
-                    n = z[i] // p
-                    if n:
-                        for j in tail:
-                            z[j] -= n * row[j]
-                nxt.add(tuple(z))
-        nxt -= cur
-        nxt -= prev
-        if not nxt:
-            return depth, min(cur)
-        prev, cur = cur, nxt
+    size = prod(row[i] for i, row in enumerate(basis))
+    axes = [(i, basis[i:], A.pivots[i:]) for i in range(A.m)]
+    prev, cur = set(), {(0,) * A.m}
+    depth, seen = 0, 1
+    while seen < size:
+        ball = cur
+        for i, rows, pivots in axes:
+            grown = set(ball)
+            for y in ball:
+                for step in (-1, 1):
+                    z = list(y)
+                    z[i] += step
+                    grown.add(tuple(_reduce(rows, pivots, z)))
+            ball = grown
+        prev, cur = cur, ball - cur - prev
+        seen += len(cur)
         depth += 1
+    return depth, min(cur)
 
 
 def theta_sup(A: IntLattice, epsilon):
@@ -199,9 +196,9 @@ def theta_sup(A: IntLattice, epsilon):
     distance from the integer point 2x to 2A, and on Z^m the l-infinity
     distance is the king-move distance, a move changing each coordinate by
     -1, 0 or 1.  So 2*theta_sup is the eccentricity of 0 in the Cayley
-    graph of Z^m/2A with the 3^m - 1 moves {-1, 0, 1}^m minus 0, which
-    ``_sup_bfs`` finds by one breadth-first search over 2^m*det(A) nodes.
-    That is 2^m*det(A)*(3^m - 1) moves; a lattice that needs more than
+    graph of Z^m/2A with the moves {-1, 0, 1}^m minus 0, which
+    ``_sup_bfs`` finds by one breadth-first search over 2^m*det(A) nodes in
+    at most 6*m*2^m*det(A) axis steps; a lattice whose bound exceeds
     ``MAX_SUP_MOVES`` is rejected with a ValidationError before the search
     starts.
     """
@@ -213,14 +210,11 @@ def theta_sup(A: IntLattice, epsilon):
         return (INF, INF)
     if A.m == 1:
         v = Q(info.k, 2)
-        return (v, v)
-    m = A.m
-    det = prod(row[i] for i, row in enumerate(A.hnf_basis))
-    moves = 2 ** m * det * (3 ** m - 1)
-    if moves > MAX_SUP_MOVES:
-        raise ValidationError(
-            f"theta_sup needs {moves} moves, which exceeds the cap "
-            f"MAX_SUP_MOVES = {MAX_SUP_MOVES}")
-    depth, _ = _sup_bfs(A)
-    v = Q(depth, 2)
+    else:
+        steps = 6 * A.m * 2 ** A.m * prod(info.invariant_factors)
+        if steps > MAX_SUP_MOVES:
+            raise ValidationError(
+                f"theta_sup may need {steps} axis steps, which exceeds the "
+                f"cap MAX_SUP_MOVES = {MAX_SUP_MOVES}")
+        v = Q(_sup_bfs(A)[0], 2)
     return (v, v)

@@ -6,7 +6,10 @@ encodings, so that agreement is a meaningful cross-check.
 ``oracle_theta_sup`` is the exception: it is a list-based branch-and-bound
 over dyadic boxes through the library's ``theta``, kept as the interval
 oracle that must contain the exact value ``coset.theta_sup`` finds by
-breadth-first search.  So are the circle composition oracles
+breadth-first search.  ``oracle_sup_bfs`` is the earlier king-move
+search itself, walking all 3^m - 1 moves per node with its own HNF wrap,
+kept as the reference depth for the one-axis dilations of
+``coset._sup_bfs``.  So are the circle composition oracles
 (``oracle_diffeo_compose``, ``oracle_frame_at``, ``oracle_isotopy_compose``,
 ``oracle_refine``): they are the earlier lookup-per-point and Fraction-time
 paths over the library's own map lookups, kept as the reference for the
@@ -23,6 +26,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 from math import ceil, gcd, lcm
+from operator import add
 
 from rotnorm._rat import INF, Q, common
 from rotnorm.coset import AffineCoset, theta
@@ -244,6 +248,44 @@ def oracle_theta_sup(A, epsilon):
             if t > lo_best:
                 lo_best = t
             boxes.append((min(t + max(half), cap), child_corner, half))
+
+
+def oracle_sup_bfs(A: IntLattice):
+    """(2*theta_sup, witness) for a full-rank A, by one breadth-first search.
+
+    The nodes are the integer points y with 0 <= y_i < 2*d_i, d_i the HNF
+    diagonal: one per element of Z^m/2A.  A move adds a vector of
+    {-1, 0, 1}^m other than 0 and reduces the sum by the rows of the HNF of
+    2A, 2*``hnf_basis``; row i is zero before column i, so reducing
+    coordinate i leaves the coordinates before it alone.  The moves are
+    closed under negation, so the graph is undirected and the neighbours of
+    a layer lie in the layers before, at and after it: those three sets are
+    all the search keeps.  Returns the depth of the last layer and its least
+    node w; theta(w/2 + A) is that depth over 2.
+    """
+    m = A.m
+    basis = [[2 * e for e in row] for row in A.hnf_basis]
+    rows = [(i, row, row[i], range(i, m)) for i, row in enumerate(basis)]
+    moves = [d for d in product((-1, 0, 1), repeat=m) if any(d)]
+    prev, cur = set(), {(0,) * m}
+    depth = 0
+    while True:
+        nxt = set()
+        for y in cur:
+            for d in moves:
+                z = list(map(add, y, d))
+                for i, row, p, tail in rows:
+                    n = z[i] // p
+                    if n:
+                        for j in tail:
+                            z[j] -= n * row[j]
+                nxt.add(tuple(z))
+        nxt -= cur
+        nxt -= prev
+        if not nxt:
+            return depth, min(cur)
+        prev, cur = cur, nxt
+        depth += 1
 
 
 def s4_mod_v4_to_s3(g):

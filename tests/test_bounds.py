@@ -179,6 +179,18 @@ class TestDiameterLedger:
             for name in ("cld", "clbd", "cld_G", "clbd_G"):
                 assert led.get(name).upper == INF
 
+    def test_open_manifold_gives_no_uppers(self):
+        # The closed-pair rules would give cld <= 9 and clbd <= 15 here.
+        ctx = ManifoldContext(n=3, m=1, closed_or_open="open")
+        led = diameter_ledger(ctx, quotient_info(normalize([(2,)])))
+        assert all(e.upper == INF for e in led.entries.values())
+        assert led.get("cld").lower == Q(1, 2)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            diameter_ledger(ManifoldContext(n=3, m=1),
+                            quotient_info(normalize([(1, 0), (0, 1)])))
+
     def test_rank_deficient_emits_nothing(self):
         ctx = ManifoldContext(n=3, m=2)
         led = diameter_ledger(ctx, quotient_info(normalize([(1, 1)])))
@@ -275,6 +287,12 @@ class TestVerdict:
         v = verdict(ctx, normalize([(2,)]))
         assert v.status == Status.UNKNOWN
         assert "perfectness_assumption_missing" in v.justification
+
+    def test_unknown_open_manifold(self):
+        ctx = ManifoldContext(n=3, m=1, closed_or_open="open")
+        v = verdict(ctx, normalize([(2,)]))
+        assert v.status == Status.UNKNOWN
+        assert v.justification == ("rank_eq_m", "open_manifold_excluded")
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -225,6 +225,37 @@ class TestBoundsVerdictCommands:
         r = run_cli(["verdict", "--context", cp, "--lattice", ap])
         assert r.returncode == 1
 
+    def test_bounds_context_mismatch(self, tmp_path):
+        cp = write_json(tmp_path, "ctx.json", {"n": 3, "m": 1})
+        ap = write_json(tmp_path, "A.json",
+                        {"m": 2, "generators": [[1, 0], [0, 1]]})
+        assert_validation_error(run_cli(
+            ["bounds", "--theta", "1/2", "--context", cp, "--lattice", ap]))
+
+    @pytest.mark.parametrize("given, missing", [
+        ("--lattice", "--context"), ("--context", "--lattice")])
+    def test_bounds_lone_flag(self, tmp_path, given, missing):
+        cp = write_json(tmp_path, "ctx.json", {"n": 3, "m": 1})
+        ap = write_json(tmp_path, "A.json", {"m": 1, "generators": [[2]]})
+        path = ap if given == "--lattice" else cp
+        r = run_cli(["bounds", "--theta", "1/2", given, path])
+        assert_validation_error(r)
+        assert missing in json.loads(r.stderr)["error"]["message"]
+
+    def test_open_manifold(self, tmp_path):
+        cp = write_json(tmp_path, "ctx.json",
+                        {"n": 3, "m": 1, "closed_or_open": "open"})
+        ap = write_json(tmp_path, "A.json", {"m": 1, "generators": [[2]]})
+        r = run_cli(["verdict", "--context", cp, "--lattice", ap])
+        assert json.loads(r.stdout) == {
+            "status": "Unknown",
+            "justification": ["rank_eq_m", "open_manifold_excluded"]}
+        r = run_cli(["bounds", "--theta", "1/2", "--context", cp,
+                     "--lattice", ap])
+        led = json.loads(r.stdout)["ledger"]
+        for name in ("cld", "clbd", "cld_G", "clbd_G"):
+            assert led.get(name, {"upper": "inf"})["upper"] == "inf"
+
 
 class TestCatalogCommand:
     def test_list(self):

@@ -16,6 +16,7 @@ from rotnorm.lattice import member, normalize, quotient_info
 
 from oracles import (
     oracle_canonical_rep,
+    oracle_sup_bfs,
     oracle_theta,
     oracle_theta_cost,
     oracle_theta_sup,
@@ -366,6 +367,41 @@ class TestThetaSupExact:
             assert theta_sup(normalize([(k,)]), 1) == (Q(k, 2), Q(k, 2))
 
 
+def _seeded_hnfs(count, seed, max_moves=40_000):
+    """count upper-triangular HNFs with m = 2..5 and small pivots, each small
+    enough for the king-move oracle: 2^m*det*(3^m - 1) <= max_moves."""
+    rng = random.Random(seed)
+    top = {2: 9, 3: 6, 4: 4, 5: 3}
+    out = []
+    while len(out) < count:
+        m = rng.randint(2, 5)
+        pivots = [rng.randint(1, top[m]) for _ in range(m)]
+        if 2 ** m * prod(pivots) * (3 ** m - 1) > max_moves:
+            continue
+        rows = [[0] * m for _ in range(m)]
+        for i in range(m):
+            rows[i][i] = pivots[i]
+            for j in range(i + 1, m):
+                rows[i][j] = rng.randrange(pivots[j])
+        out.append(rows)
+    return out
+
+
+class TestSupBfsOracle:
+    def test_depth_matches_king_move_search(self):
+        hnfs = _seeded_hnfs(240, 20261018)
+        assert {len(rows) for rows in hnfs} == {2, 3, 4, 5}
+        for rows in hnfs:
+            A = normalize(rows)
+            depth, witness = _sup_bfs(A)
+            assert depth == oracle_sup_bfs(A)[0], rows
+            # The witness is centred: coordinate i in (-d_i, d_i].
+            assert all(-row[i] < c <= row[i]
+                       for i, (row, c) in enumerate(zip(rows, witness)))
+            z = AffineCoset.build(A, [Q(c, 2) for c in witness])
+            assert theta(z).theta == Q(depth, 2), rows
+
+
 class TestThetaSupCost:
     def test_skewed_m3_lattice_within_a_minute(self):
         A = normalize([(1, 0, 5), (0, 1, 46), (0, 0, 61)])
@@ -384,17 +420,36 @@ class TestThetaSupCost:
         assert time.perf_counter() - start < 60
 
     def test_work_cap_fails_fast(self):
-        # 2^2 * 10^9 * 8 moves: the search would not end in hours.
+        # 6 * 2 * 2^2 * 10^9 steps: the search would not end in hours.
         start = time.perf_counter()
         with pytest.raises(ValidationError, match="MAX_SUP_MOVES"):
             theta_sup(normalize([(1, 0), (0, 10**9)]), Q(1, 2))
         assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_work_cap_fails_fast_in_every_dimension(self, m):
+        rows = [[int(i == j) for j in range(m)] for i in range(m)]
+        rows[-1][-1] = 10 ** 9
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="MAX_SUP_MOVES"):
+            theta_sup(normalize(rows), Q(1, 2))
+        assert time.perf_counter() - start < 1
+
     def test_cap_is_inclusive(self, monkeypatch):
-        # ((1, 0), (0, 3)) needs 2^2 * 3 * (3^2 - 1) = 96 moves.
+        # ((1, 0), (0, 3)) may need 6 * 2 * 2^2 * 3 = 144 axis steps.
         A = normalize([(1, 0), (0, 3)])
-        monkeypatch.setattr(coset, "MAX_SUP_MOVES", 96)
+        monkeypatch.setattr(coset, "MAX_SUP_MOVES", 144)
         assert theta_sup(A, 1) == (Q(3, 2), Q(3, 2))
-        monkeypatch.setattr(coset, "MAX_SUP_MOVES", 95)
-        with pytest.raises(ValidationError, match="MAX_SUP_MOVES = 95"):
+        monkeypatch.setattr(coset, "MAX_SUP_MOVES", 143)
+        with pytest.raises(ValidationError, match="MAX_SUP_MOVES = 143"):
             theta_sup(A, 1)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_cap_admits_every_king_move_lattice(self, monkeypatch, m):
+        # The earlier search refused 2^m * det * (3^m - 1) > 8 * 10^6 king
+        # moves; the largest det it took must still pass the check.
+        det = 8 * 10 ** 6 // (2 ** m * (3 ** m - 1))
+        rows = [[int(i == j) for j in range(m)] for i in range(m)]
+        rows[-1][-1] = det
+        monkeypatch.setattr(coset, "_sup_bfs", lambda A: (0, None))
+        assert theta_sup(normalize(rows), 1) == (0, 0)
