@@ -32,8 +32,9 @@ def rat(value) -> Q:
         except (ValueError, ZeroDivisionError):
             raise ValidationError(
                 f"not a rational 'p/q' with q != 0: {value!r}") from None
-    if isinstance(value, float):
-        raise TypeError("floats are not accepted; pass 'p/q' strings or ints")
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"{type(value).__name__} values are not accepted; "
+                        "pass 'p/q' strings or ints")
     return Q(value)
 
 

@@ -177,14 +177,29 @@ NU_DEFECT = Q(1)
 NU_COMMUTATOR_BOUND = Q(3)
 
 
+def _gaps(ctx: ManifoldContext) -> tuple:
+    """Tags of the boundedness theorem hypotheses that ctx does not assert."""
+    return tuple(tag for tag, missing in (
+        ("dimension_2_or_4_excluded", ctx.n in (2, 4)),
+        ("disconnected_base", not ctx.connected),
+        ("perfectness_assumption_missing", not ctx.assumption_P),
+        ("open_manifold_excluded", ctx.closed_or_open == "open"),
+    ) if missing)
+
+
 def diameter_ledger(ctx: ManifoldContext, q: QuotientInfo) -> BoundLedger:
     """Diameter bounds implied by the quotient invariants and the context.
 
-    Emits nothing when rank < m (no finite bounds exist on that path), and
-    no upper bound for an open manifold: the theorems behind them are for
-    closed pairs.  The clb_modG_f entry is bounded by k_hat: the quotient
-    norm diameter bounds the per-element value.  A lattice whose dimension
-    is not the context's m is a DimensionMismatch.
+    Emits nothing when rank < m (no finite bounds exist on that path).
+    The constants come from the per-element rules taken at the ends of an
+    interval [theta_lo, k/2] holding theta_sup, the largest theta of an
+    element: every coset's canonical representative lies in the box
+    prod (-k_i/2, k_i/2], so theta_sup <= k/2, and theta_sup >= theta_lo
+    with theta_lo = k/2 for m = 1 and 0 otherwise.  Hence on a closed pair
+    clb_modG_f <= upper_clb_modG(k/2) = k_hat, and cld >= lower_cl(theta_lo).
+    The G and whole-group diameter uppers need every hypothesis of the
+    boundedness theorem (see `verdict`).  A lattice whose dimension is not
+    the context's m is a DimensionMismatch.
     """
     if len(q.orders) != ctx.m:
         raise DimensionMismatch(
@@ -192,29 +207,25 @@ def diameter_ledger(ctx: ManifoldContext, q: QuotientInfo) -> BoundLedger:
     led = BoundLedger()
     if q.rank < ctx.m:
         return led
-    k_hat, n = q.k_hat, ctx.n
-    closed = ctx.closed_or_open == "closed"
-    if closed:
-        led = led.with_upper("clb_modG_f", Q(k_hat), "quotient_diameter_k_hat")
-    if closed and n % 2 == 1 and n >= 3:
+    n, theta_hi, proven = ctx.n, Q(q.k, 2), not _gaps(ctx)
+    theta_lo = theta_hi if ctx.m == 1 else Q(0)
+    clb_modG = Q(upper_clb_modG(theta_hi))
+    if ctx.closed_or_open == "closed":
+        led = led.with_upper("clb_modG_f", clb_modG, "quotient_diameter_k_hat")
+    if proven and n % 2:
         led = led.with_upper("cld_G", Q(4), "odd_dim_complement_cl_diameter")
         led = led.with_upper(
             "clbd_G", Q(2 * n + 4), "odd_dim_complement_clb_diameter")
-        led = led.with_upper("cld", Q(k_hat + 4), "cl_diameter_k_hat_plus_4")
+        led = led.with_upper("cld", clb_modG + 4, "cl_diameter_k_hat_plus_4")
         led = led.with_upper(
-            "clbd", Q(k_hat + 2 * n + 4), "clb_diameter_k_hat_plus_2n_plus_4")
-    elif closed and n % 2 == 0 and n >= 6:
+            "clbd", clb_modG + 2 * n + 4, "clb_diameter_k_hat_plus_2n_plus_4")
+    elif proven:
         for name in ("cld_G", "clbd_G", "cld", "clbd"):
             led = led.with_upper(name, FINITE, "even_dim_finiteness")
-    # n in {2, 4} or an open manifold: no upper bounds available.
-    if ctx.m == 1 and q.k != INF:
-        led = led.with_lower(
-            "cld", Q(q.k + 2, 8), "half_order_quasimorphism_lower")
-    else:
-        # theta_sup >= 0 always, so the generic quasimorphism lower bound
-        # (theta_sup + 1) / 4 degrades to 1/4.
-        led = led.with_lower("cld", Q(1, 4), "generic_quasimorphism_lower")
-    return led
+    rule = ("half_order_quasimorphism_lower" if ctx.m == 1
+            else "generic_quasimorphism_lower")
+    return led.with_lower(
+        "cld", lower_cl(theta_lo, NU_DEFECT, NU_COMMUTATOR_BOUND), rule)
 
 
 # Relation rules: (smaller, larger-side description).
@@ -294,17 +305,9 @@ def verdict(ctx: ManifoldContext, A: IntLattice) -> Verdict:
             "surjective_quasimorphism",
             "not_uniformly_perfect_unbounded",
         ))
-    gaps = []
-    if ctx.n in (2, 4):
-        gaps.append("dimension_2_or_4_excluded")
-    if not ctx.connected:
-        gaps.append("disconnected_base")
-    if not ctx.assumption_P:
-        gaps.append("perfectness_assumption_missing")
-    if ctx.closed_or_open == "open":
-        gaps.append("open_manifold_excluded")
+    gaps = _gaps(ctx)
     if gaps:
-        return Verdict(Status.UNKNOWN, ("rank_eq_m",) + tuple(gaps))
+        return Verdict(Status.UNKNOWN, ("rank_eq_m",) + gaps)
     return Verdict(Status.BOUNDED, (
         "rank_eq_m",
         "finite_quotient_diameter_k_hat",

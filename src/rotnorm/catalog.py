@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from rotnorm._rat import INF
 from rotnorm.bounds import ManifoldContext, verdict
 from rotnorm.errors import ValidationError
 from rotnorm.lattice import IntLattice, lattice_from_json, member, quotient_info
@@ -90,11 +89,9 @@ def list_fixtures() -> list[str]:
 
 
 def load_fixture(name: str) -> Fixture:
-    path = _fixture_files().joinpath(f"{name}.json")
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ValidationError(f"unknown fixture: {name}") from None
+    if name not in list_fixtures():
+        raise ValidationError(f"unknown fixture: {name}")
+    data = json.loads(_fixture_files().joinpath(f"{name}.json").read_text())
     lattice = None
     rank_at_most = None
     if "lattice" in data:
@@ -112,38 +109,34 @@ def load_fixture(name: str) -> Fixture:
 
 
 def check_fixture(name: str) -> dict:
-    """Recompute a fixture's invariants and compare against expectations."""
+    """Recompute a fixture's invariants and compare against expectations.
+
+    Each `expected` key is read from the engines' JSON: the `lattice`
+    command's keys (QuotientInfo.to_json), `hnf_basis` and `verdict`.
+    `degrees_in_lattice` is a membership check.  A key that no engine
+    produces is a ValidationError.
+    """
     fx = load_fixture(name)
-    report = {"name": fx.name, "checks": {}, "ok": True}
-
-    def record(key: str, expected, actual) -> None:
-        ok = expected == actual
-        report["checks"][key] = {"expected": expected, "actual": actual, "ok": ok}
-        if not ok:
-            report["ok"] = False
-
-    if fx.lattice is not None:
-        info = quotient_info(fx.lattice)
-        v = verdict(fx.ctx, fx.lattice)
-        exp = fx.expected
-        if "rank" in exp:
-            record("rank", exp["rank"], info.rank)
-        if "k_max" in exp:
-            actual = "inf" if info.k == INF else info.k
-            record("k_max", exp["k_max"], actual)
-        if "k_hat" in exp:
-            record("k_hat", exp["k_hat"], info.k_hat)
-        if "k_scalar" in exp:
-            record("k_scalar", exp["k_scalar"], info.k_scalar)
-        if "hnf_basis" in exp:
-            record("hnf_basis", exp["hnf_basis"],
-                   [list(r) for r in fx.lattice.hnf_basis])
-        record("verdict", exp["verdict"], v.status.value)
-        if "degrees_in_lattice" in exp:
-            assertion = s1_action_vector(exp["degrees_in_lattice"])
-            record("degrees_in_lattice", True, assertion.holds_in(fx.lattice))
-    else:
+    expected = dict(fx.expected)
+    if fx.lattice is None:
         # Rank-only fixture: a rank bound below m forces Unbounded.
-        record("rank_below_m", True, fx.rank_at_most < fx.ctx.m)
-        record("verdict", fx.expected["verdict"], "Unbounded")
-    return report
+        expected["rank_below_m"] = True
+        actual = {"rank_below_m": fx.rank_at_most < fx.ctx.m,
+                  "verdict": "Unbounded"}
+    else:
+        actual = {**quotient_info(fx.lattice).to_json(),
+                  "hnf_basis": [list(r) for r in fx.lattice.hnf_basis],
+                  "verdict": verdict(fx.ctx, fx.lattice).status.value}
+        if "degrees_in_lattice" in expected:
+            degrees = s1_action_vector(expected["degrees_in_lattice"])
+            expected["degrees_in_lattice"] = True
+            actual["degrees_in_lattice"] = degrees.holds_in(fx.lattice)
+    unknown = sorted(set(expected) - set(actual))
+    if unknown:
+        raise ValidationError(
+            f"fixture {fx.name} expects keys no engine produces: {unknown}")
+    checks = {key: {"expected": want, "actual": actual[key],
+                    "ok": want == actual[key]}
+              for key, want in expected.items()}
+    return {"name": fx.name, "checks": checks,
+            "ok": all(c["ok"] for c in checks.values())}

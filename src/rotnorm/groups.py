@@ -295,18 +295,23 @@ class NormTable:
         return self.values[g]
 
     def check_axioms(self) -> None:
-        """Exhaustive check of the four norm axioms; raises on violation."""
+        """Exhaustive check of the four norm axioms; raises AssertionError
+        on a violation, also under ``python -O``."""
         G = self.group
         v = self.values
-        assert v[G.identity] == 0
+        if v[G.identity] != 0:
+            raise AssertionError("norm is nonzero at the identity")
         for g in G.elements:
-            if g != G.identity:
-                assert v[g] > 0, f"norm vanishes off identity at {g}"
-            assert v[g] == v[inverse(g)], f"asymmetric at {g}"
+            if g != G.identity and v[g] <= 0:
+                raise AssertionError(f"norm vanishes off identity at {g}")
+            if v[g] != v[inverse(g)]:
+                raise AssertionError(f"asymmetric at {g}")
         for g in G.elements:
             for h in G.elements:
-                assert v[compose(g, h)] <= v[g] + v[h], f"triangle fails at {g},{h}"
-                assert v[conjugate(h, g)] == v[g], f"not conjugation-invariant at {g}"
+                if v[compose(g, h)] > v[g] + v[h]:
+                    raise AssertionError(f"triangle fails at {g},{h}")
+                if v[conjugate(h, g)] != v[g]:
+                    raise AssertionError(f"not conjugation-invariant at {g}")
 
     def to_json(self) -> dict:
         out = {}

@@ -1,7 +1,11 @@
+import itertools
+from pathlib import Path
+
 import pytest
 
 from rotnorm._rat import INF, Q
 from rotnorm.bounds import (
+    _RELATIONS,
     FINITE,
     NU_COMMUTATOR_BOUND,
     NU_DEFECT,
@@ -21,6 +25,27 @@ from rotnorm.errors import (
     ZeroDenominator,
 )
 from rotnorm.lattice import normalize, quotient_info
+
+# Every combination of context flags for n = 2..8, and lattices of rank m
+# and rank < m for m = 1..3.
+BATTERY_FLAGS = list(itertools.product(
+    range(2, 9), (True, False), ("smooth", "finite_r"), (True, False),
+    ("closed", "open")))
+FULL_RANK = ([(2,)], [(3,)], [(2, 0), (4, 3)], [(1, 0), (0, 1)],
+             [(1, 0, 5), (0, 1, 46), (0, 0, 61)],
+             [(2, 0, 0), (0, 2, 0), (0, 0, 3)])
+DEFICIENT = ([], [(1, 1)], [(1, 1, 1)])
+
+
+def battery_contexts(m):
+    for n, connected, regularity, P, closed_or_open in BATTERY_FLAGS:
+        yield ManifoldContext(n=n, m=m, connected=connected,
+                              regularity=regularity, assumption_P=P,
+                              closed_or_open=closed_or_open)
+
+
+def lattice(gens):
+    return normalize(gens, ambient_dim=len(gens[0]) if gens else 1)
 
 
 class TestContext:
@@ -196,6 +221,31 @@ class TestDiameterLedger:
         led = diameter_ledger(ctx, quotient_info(normalize([(1, 1)])))
         assert led.entries == {}
 
+    @pytest.mark.parametrize("flags", [
+        {"connected": False},
+        {"regularity": "finite_r"},
+    ], ids=["disconnected", "finite_r_without_P"])
+    def test_missing_hypothesis_gives_no_diameter_uppers(self, flags):
+        # Both used to certify cld <= 9 and clbd <= 15 while the verdict
+        # was Unknown.
+        ctx = ManifoldContext(n=3, m=1, **flags)
+        A = normalize([(2,)])
+        assert verdict(ctx, A).status == Status.UNKNOWN
+        led = relation_close(diameter_ledger(ctx, quotient_info(A)))
+        for name in ("cld", "clbd", "cld_G", "clbd_G"):
+            assert led.get(name).upper == INF
+        assert led.get("clb_modG_f").upper == 5
+        assert led.get("cld").lower == Q(1, 2)
+
+    def test_constants_are_the_per_element_rules_at_k_over_2(self):
+        for k in range(1, 51):
+            q = quotient_info(normalize([(k,)]))
+            assert upper_clb_modG(Q(k, 2)) == q.k_hat
+            assert lower_cl(Q(k, 2), 1, 3) == Q(k + 2, 8)
+            led = diameter_ledger(ManifoldContext(n=3, m=1), q)
+            assert led.get("clb_modG_f").upper == q.k_hat
+            assert led.get("cld").lower == Q(k + 2, 8)
+
     def test_generic_lower_quarter(self):
         ctx = ManifoldContext(n=3, m=2)
         q = quotient_info(normalize([(1, 0), (0, 1)]))
@@ -307,6 +357,15 @@ class TestVerdict:
         for name in ("cld", "clbd", "cld_G", "clbd_G", "clb_modG_f"):
             assert led.get(name).upper != INF
 
+    @pytest.mark.parametrize("gens", FULL_RANK)
+    def test_finite_cld_iff_bounded(self, gens):
+        A = lattice(gens)
+        q = quotient_info(A)
+        for ctx in battery_contexts(A.m):
+            bounded = verdict(ctx, A).status == Status.BOUNDED
+            led = relation_close(diameter_ledger(ctx, q))
+            assert (led.get("cld").upper != INF) == bounded, ctx
+
     def test_unbounded_implies_functional(self):
         from rotnorm.lattice import kernel_functional
 
@@ -321,3 +380,19 @@ class TestVerdict:
         data = v.to_json()
         assert data["status"] == "Bounded"
         assert isinstance(data["justification"], list)
+
+
+def test_every_emitted_tag_is_documented():
+    """Each verdict tag and ledger rule bounds.py can emit is named in the
+    output schema, so the documented rule list cannot drift."""
+    names = {rel[-1] for rel in _RELATIONS}
+    for gens in FULL_RANK + DEFICIENT:
+        A = lattice(gens)
+        q = quotient_info(A)
+        for ctx in battery_contexts(A.m):
+            names.update(verdict(ctx, A).justification)
+            for entry in diameter_ledger(ctx, q).entries.values():
+                names.update(entry.rules)
+    doc = (Path(__file__).resolve().parents[1]
+           / "docs" / "schemas" / "outputs.md").read_text()
+    assert sorted(n for n in names if f"`{n}`" not in doc) == []

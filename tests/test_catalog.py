@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from rotnorm import catalog
 from rotnorm.catalog import (
     check_fixture,
     hopf_lattice,
@@ -63,6 +66,32 @@ class TestCatalog:
     def test_unknown_fixture(self):
         with pytest.raises(ValidationError):
             load_fixture("no-such-fixture")
+
+    @pytest.mark.parametrize("name", ["../fixtures/hopf-1",
+                                      "../../../BENCHMARK", "hopf-1.json"])
+    def test_path_like_name_is_unknown(self, name):
+        with pytest.raises(ValidationError, match="unknown fixture"):
+            load_fixture(name)
+
+    def test_unknown_expected_key_is_rejected(self, monkeypatch):
+        # A misspelt key used to be skipped, and the fixture reported ok.
+        fx = load_fixture("hopf-1")
+        bad = dataclasses.replace(fx, expected={**fx.expected, "k_mx": 7})
+        monkeypatch.setattr(catalog, "load_fixture", lambda name: bad)
+        with pytest.raises(ValidationError, match="k_mx"):
+            check_fixture("hopf-1")
+
+    def test_expected_keys_checked_against_lattice_json(self, monkeypatch):
+        fx = load_fixture("seifert-multiple-fiber")
+        wrong = dataclasses.replace(
+            fx, expected={"invariant_factors": [3], "k": [4],
+                          "verdict": "Bounded"})
+        monkeypatch.setattr(catalog, "load_fixture", lambda name: wrong)
+        report = check_fixture(fx.name)
+        assert not report["ok"]
+        assert report["checks"]["invariant_factors"]["ok"]
+        assert report["checks"]["k"] == {
+            "expected": [4], "actual": [3], "ok": False}
 
     @pytest.mark.parametrize("name", list_fixtures())
     def test_every_fixture_self_checks(self, name):

@@ -242,6 +242,21 @@ class TestBoundsVerdictCommands:
         assert_validation_error(r)
         assert missing in json.loads(r.stderr)["error"]["message"]
 
+    @pytest.mark.parametrize("ctx", [
+        {"n": 3, "m": 1, "connected": False},
+        {"n": 3, "m": 1, "regularity": "finite_r"},
+    ], ids=["disconnected", "finite_r_without_P"])
+    def test_unknown_verdict_certifies_no_diameter(self, tmp_path, ctx):
+        cp = write_json(tmp_path, "ctx.json", ctx)
+        ap = write_json(tmp_path, "A.json", {"m": 1, "generators": [[2]]})
+        r = run_cli(["verdict", "--context", cp, "--lattice", ap])
+        assert json.loads(r.stdout)["status"] == "Unknown"
+        r = run_cli(["bounds", "--theta", "1/2", "--context", cp,
+                     "--lattice", ap])
+        led = json.loads(r.stdout)["ledger"]
+        for name in ("cld", "clbd", "cld_G", "clbd_G"):
+            assert led.get(name, {"upper": "inf"})["upper"] == "inf"
+
     def test_open_manifold(self, tmp_path):
         cp = write_json(tmp_path, "ctx.json",
                         {"n": 3, "m": 1, "closed_or_open": "open"})
@@ -271,6 +286,16 @@ class TestCatalogCommand:
     def test_check_unknown(self):
         r = run_cli(["catalog", "check", "nope"])
         assert r.returncode == 1
+
+    @pytest.mark.parametrize("name", ["../fixtures/hopf-1",
+                                      "../../../BENCHMARK"],
+                             ids=["fixture_path", "outside_file"])
+    def test_check_path_is_unknown(self, name):
+        # Names were joined onto the fixture directory: the first was
+        # accepted, the second died with a KeyError traceback.
+        r = run_cli(["catalog", "check", name])
+        assert_validation_error(r)
+        assert "unknown fixture" in r.stderr
 
 
 class TestDeterminism:
@@ -330,6 +355,20 @@ class TestMalformedInput:
     def test_nu_bad_basepoint(self, tmp_path):
         multi = {"components": [rotation_isotopy_json(1, 2, 3)],
                  "basepoints": ["abc"]}
+        path = write_json(tmp_path, "multi.json", multi)
+        assert_validation_error(run_cli(["nu", "--in", path]))
+
+    def test_mu_boolean_times(self, tmp_path):
+        # false and true used to parse as 0 and 1, printing {"mu":"1/4"}.
+        iso = {"times": [False, True],
+               "frames": [{"x": [False], "y": [False]},
+                          {"x": [0], "y": ["1/4"]}]}
+        path = write_json(tmp_path, "iso.json", iso)
+        assert_validation_error(run_cli(["mu", "--in", path]))
+
+    def test_nu_boolean_basepoint(self, tmp_path):
+        multi = {"components": [rotation_isotopy_json(1, 2, 3)],
+                 "basepoints": [True]}
         path = write_json(tmp_path, "multi.json", multi)
         assert_validation_error(run_cli(["nu", "--in", path]))
 

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -244,6 +247,37 @@ class TestNormAxioms:
     def test_zeta_axioms(self, make):
         G = make()
         g.zeta_norm(G, G.elements[1]).check_axioms()
+
+    # Values on S3's elements in sorted order: (), (1 2), (0 1), (0 1 2),
+    # (0 2 1), (0 2).  Each table breaks one axiom, and the axioms that
+    # check_axioms tests before it hold.
+    @pytest.mark.parametrize("values, message", [
+        ((1, 1, 1, 1, 1, 1), "nonzero at the identity"),
+        ((0, 1, 0, 1, 1, 1), "vanishes off identity"),
+        ((0, 1, 1, 1, 2, 1), "asymmetric"),
+        ((0, 1, 1, 5, 5, 1), "triangle fails"),
+        ((0, 2, 1, 2, 2, 1), "not conjugation-invariant"),
+    ], ids=["identity", "positivity", "symmetry", "triangle", "conjugation"])
+    def test_corrupted_table_fails(self, values, message):
+        G = S3()
+        assert G.elements == tuple(sorted(G.elements))
+        table = g.NormTable(group=G, values=dict(zip(G.elements, values)))
+        with pytest.raises(AssertionError, match=message):
+            table.check_axioms()
+
+    def test_checks_under_python_O(self):
+        # assert statements vanish under -O, and an all-zero table passed.
+        script = (
+            "from rotnorm import groups as g\n"
+            "G = g.generate_group([(1, 0, 2), (1, 2, 0)])\n"
+            "g.NormTable(group=G, values=dict.fromkeys(G.elements, 0))"
+            ".check_axioms()\n"
+        )
+        env = {**os.environ, "PYTHONOPTIMIZE": "1"}
+        r = subprocess.run([sys.executable, "-c", script], env=env,
+                           capture_output=True, text=True)
+        assert r.returncode == 1
+        assert "AssertionError: norm vanishes off identity" in r.stderr
 
 
 def _random_invariant_subsets(G, rng, count):
