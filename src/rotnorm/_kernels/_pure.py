@@ -8,8 +8,6 @@ exact Python integers of any size.
 
 from __future__ import annotations
 
-from rotnorm._rat import INF
-
 BACKEND = "pure"
 
 
@@ -97,85 +95,53 @@ def cvp_enumerate(
     `bound` is a certified initial search radius: some optimal point has all
     pivot coordinates within it.  Branch-and-bound: the basis rows are upper
     triangular with increasing pivots, so once row j's coefficient is chosen
-    the coordinate pivots[j] is final and can be capped by the best norm seen
-    so far.  Coefficients are explored center-out so the radius shrinks fast.
+    every coordinate from pivots[j] up to the next pivot is final, and
+    ``rec(j, y, settled)`` carries the largest final |coordinate| so far as
+    `settled`.  Columns before the first pivot are never touched, so they
+    seed it.  A node whose `settled` exceeds the best norm is cut.
+
+    Row j's coefficients c are visited center-out (`center`, then down, then
+    up), so the radius min(bound, best) shrinks fast.  |y[p] + c*piv| is
+    convex in c and least at `center`, so it only grows along each side: the
+    first c past the radius ends that side, just as an interval of admissible
+    c would, and as the radius only shrinks no later c comes back within it.
+    If `center` misses, every c does.
 
     Returns (best_norm, points) where points is the sorted list of all
     attaining integer vectors, or None once the search has entered more than
     ``max_nodes`` nodes (one per partial choice of coefficients).
     """
     ell = len(basis)
-    m = len(target)
-    # Columns before the first pivot are never touched: a hard norm floor.
-    first_piv = pivots[0] if ell else m
-    floor_norm = max((abs(target[i]) for i in range(first_piv)), default=0)
-    # After choosing row j's coefficient, every column up to (but excluding)
-    # the next pivot is final: later rows vanish there.
-    final_cols = [
-        range(pivots[j], pivots[j + 1] if j + 1 < ell else m)
-        for j in range(ell)
-    ]
-    y = list(target)  # current candidate: target + partial lattice sum
-    best: list[int | None] = [None]
-    points: list[tuple[int, ...]] = []
-    budget = [INF if max_nodes is None else max_nodes]
+    ends = [*pivots[1:], len(target)]
+    best, points, budget = None, [], max_nodes
 
-    def rec(j: int, settled: int) -> None:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise _OverBudget
-        if best[0] is not None and max(settled, floor_norm) > best[0]:
+    def rec(j: int, y: list[int], settled: int) -> None:
+        nonlocal best, points, budget
+        if budget is not None:
+            budget -= 1
+            if budget < 0:
+                raise _OverBudget
+        if best is not None and settled > best:
             return
         if j == ell:
-            norm = max(settled, floor_norm)
-            if best[0] is None or norm < best[0]:
-                best[0] = norm
-                points.clear()
-                points.append(tuple(y))
-            elif norm == best[0]:
+            if best is None or settled < best:
+                best, points = settled, [tuple(y)]
+            else:
                 points.append(tuple(y))
             return
-        p = pivots[j]
-        piv = basis[j][p]
-        row = basis[j]
+        row, p = basis[j], pivots[j]
+        piv = row[p]
+        center = -((2 * y[p] + piv) // (2 * piv))
+        for c, step in ((center, -1), (center + 1, 1)):
+            while abs(y[p] + c * piv) <= (
+                    bound if best is None else min(bound, best)):
+                z = [a + c * b for a, b in zip(y, row)]
+                rec(j + 1, z, max(settled, *map(abs, z[p:ends[j]])))
+                c += step
 
-        def radius() -> int:
-            return bound if best[0] is None else min(bound, best[0])
-
-        r0 = radius()
-        # c-interval with |y[p] + c*piv| <= r0 (may shrink as best improves)
-        lo = -((r0 + y[p]) // piv)  # ceil((-r0 - y[p]) / piv)
-        hi = (r0 - y[p]) // piv
-        if lo > hi:
-            return
-        center = min(max(-((2 * y[p] + piv) // (2 * piv)), lo), hi)
-
-        def visit(c: int) -> bool:
-            val = y[p] + c * piv
-            if abs(val) > radius():
-                return False  # |val| is monotone away from center: stop side
-            if c:
-                for i in range(m):
-                    y[i] += c * row[i]
-            done = max(abs(y[i]) for i in final_cols[j])
-            rec(j + 1, max(settled, done))
-            if c:
-                for i in range(m):
-                    y[i] -= c * row[i]
-            return True
-
-        visit(center)
-        c = center - 1
-        while c >= lo and visit(c):
-            c -= 1
-        c = center + 1
-        while c <= hi and visit(c):
-            c += 1
-
+    first = pivots[0] if ell else len(target)
     try:
-        rec(0, 0)
+        rec(0, target, max(map(abs, target[:first]), default=0))
     except _OverBudget:
         return None
-    points.sort()
-    return best[0], points
-
+    return best, sorted(points)

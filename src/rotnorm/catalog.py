@@ -14,7 +14,9 @@ from importlib import resources
 
 from rotnorm.bounds import ManifoldContext, verdict
 from rotnorm.errors import ValidationError
-from rotnorm.lattice import IntLattice, lattice_from_json, member, quotient_info
+from rotnorm.lattice import (
+    IntLattice, lattice_from_json, member, normalize, quotient_info,
+)
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,15 @@ def check_fixture(name: str) -> dict:
     fx = load_fixture(name)
     expected = dict(fx.expected)
     if fx.lattice is None:
-        # Rank-only fixture: a rank bound below m forces Unbounded.
+        # Rank-only fixture: the verdict reads the lattice only through its
+        # rank, so it is judged on W, the span of the first rank_at_most
+        # unit vectors.
+        m, r = fx.ctx.m, fx.rank_at_most
+        W = normalize([[int(i == j) for j in range(m)] for i in range(r)],
+                      ambient_dim=m)
         expected["rank_below_m"] = True
-        actual = {"rank_below_m": fx.rank_at_most < fx.ctx.m,
-                  "verdict": "Unbounded"}
+        actual = {"rank_below_m": r < m,
+                  "verdict": verdict(fx.ctx, W).status.value}
     else:
         actual = {**quotient_info(fx.lattice).to_json(),
                   "hnf_basis": [list(r) for r in fx.lattice.hnf_basis],

@@ -78,6 +78,8 @@ def cli() -> None:
 @_format_option
 def group_cmd(path, norm_kind, element, fmt):
     """Generate a permutation group; optionally emit a norm table."""
+    if element is not None and norm_kind != "zeta":
+        raise ValidationError("--element is read only with --norm zeta")
     data = _read_json(path)
     if not isinstance(data, list) or not data:
         raise ValidationError("expected a non-empty JSON list of image arrays")
@@ -247,6 +249,9 @@ def verdict_cmd(context_path, lattice_path, fmt):
 def catalog_cmd(action, name, fmt):
     """List fixtures or re-verify one against its stored expectations."""
     if action == "list":
+        if name is not None:
+            raise ValidationError(
+                f"catalog list takes no fixture name, got {name!r}")
         _emit({"fixtures": catalog_mod.list_fixtures()}, fmt)
         return
     if name is None:

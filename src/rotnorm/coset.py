@@ -5,9 +5,10 @@ denominator D, the HNF rows scaled by D.  One reduction, ``_reduce``, takes
 each pivot coordinate into (-P/2, P/2], P the scaled pivot.  That
 representative has some norm r >= theta, and every point that attains theta
 has all of its coordinates within theta <= r, so r is a certified search
-radius.  ``theta`` passes the representative and r to
+radius.  Every ``theta`` passes the representative and r to
 ``_kernels.cvp_enumerate``, which returns the minimum with every attaining
-point; theta is the exact minimum, so any common denominator gives the same
+point; an offset in the lattice reduces to 0 and costs rank + 1 nodes.
+theta is the exact minimum, so any common denominator gives the same
 rational.  A search past ``MAX_CVP_NODES`` nodes is a ValidationError.
 
 ``theta_sup`` is exact and needs no CVP.  The maximum of theta over the
@@ -36,7 +37,7 @@ MAX_SUP_MOVES = 12 * 10 ** 6
 
 #: Most nodes one theta search enters in ``_kernels.cvp_enumerate``, each a
 #: partial choice of coefficients.  The benchmark panel's searches enter at
-#: most 513 (seeds 0 to 3 and 20251); a search at the cap takes 1.5 to 2 s
+#: most 513 (seeds 0 to 3 and 20251); a search at the cap takes 0.6 to 1.3 s
 #: for m = 2 to 8 on a 2-vCPU host with Python 3.11.  Every attaining point
 #: is a node, so the cap also bounds the size of the output.
 MAX_CVP_NODES = 3 * 10 ** 5
@@ -122,17 +123,13 @@ def theta(z: AffineCoset) -> NearestData:
 
     A search past ``MAX_CVP_NODES`` nodes raises ValidationError."""
     d, basis, y = _reduced(z)
-    r = max(map(abs, y), default=0)
-    if r:
-        found = _kernels.cvp_enumerate(basis, z.lattice.pivots, y, r,
-                                       MAX_CVP_NODES)
-        if found is None:
-            raise ValidationError(
-                f"theta needs more CVP nodes than the cap "
-                f"coset.MAX_CVP_NODES = {MAX_CVP_NODES}")
-        best, pts = found
-    else:
-        best, pts = 0, [tuple(y)]
+    found = _kernels.cvp_enumerate(basis, z.lattice.pivots, y,
+                                   max(map(abs, y)), MAX_CVP_NODES)
+    if found is None:
+        raise ValidationError(
+            f"theta needs more CVP nodes than the cap "
+            f"coset.MAX_CVP_NODES = {MAX_CVP_NODES}")
+    best, pts = found
     points = tuple(tuple(Q(v, d) for v in p) for p in pts)
     return NearestData(theta=Q(best, d), theta_points=points)
 

@@ -18,6 +18,8 @@ produce.  The lattice oracles (``oracle_smith_invariant_factors``,
 ``oracle_order``, ``oracle_kernel_functional``) are the earlier elimination
 and Fraction back-substitution paths, kept as the reference for the integer
 routines of ``lattice`` that all run on its one HNF.
+``oracle_cvp_enumerate`` is the earlier interval-and-undo CVP kernel,
+kept as the reference result and node count for ``_kernels.cvp_enumerate``.
 """
 
 from __future__ import annotations
@@ -153,6 +155,111 @@ def oracle_theta(hnf_basis, pivots, offset):
         Fraction(best, d),
         sorted(tuple(Fraction(v, d) for v in p) for p in points),
     )
+
+
+class _OverBudget(Exception):
+    """Unwinds ``oracle_cvp_enumerate``'s recursion past its node cap."""
+
+
+def oracle_cvp_enumerate(
+    basis: list[list[int]],
+    pivots: list[int],
+    target: list[int],
+    bound: int,
+    max_nodes=None,
+):
+    """The earlier ``_kernels.cvp_enumerate``, kept verbatim as the
+    reference for the plain recursion that replaced it: the same result and
+    the same node count, so the same least ``max_nodes`` that succeeds.
+
+    Exact integer l-infinity closest-point enumeration on a coset.
+
+    Minimizes max|target + sum_j c_j * basis[j]| over integer coefficients.
+    `bound` is a certified initial search radius: some optimal point has all
+    pivot coordinates within it.  Branch-and-bound: the basis rows are upper
+    triangular with increasing pivots, so once row j's coefficient is chosen
+    the coordinate pivots[j] is final and can be capped by the best norm seen
+    so far.  Coefficients are explored center-out so the radius shrinks fast.
+
+    Returns (best_norm, points) where points is the sorted list of all
+    attaining integer vectors, or None once the search has entered more than
+    ``max_nodes`` nodes (one per partial choice of coefficients).
+    """
+    ell = len(basis)
+    m = len(target)
+    # Columns before the first pivot are never touched: a hard norm floor.
+    first_piv = pivots[0] if ell else m
+    floor_norm = max((abs(target[i]) for i in range(first_piv)), default=0)
+    # After choosing row j's coefficient, every column up to (but excluding)
+    # the next pivot is final: later rows vanish there.
+    final_cols = [
+        range(pivots[j], pivots[j + 1] if j + 1 < ell else m)
+        for j in range(ell)
+    ]
+    y = list(target)  # current candidate: target + partial lattice sum
+    best: list[int | None] = [None]
+    points: list[tuple[int, ...]] = []
+    budget = [INF if max_nodes is None else max_nodes]
+
+    def rec(j: int, settled: int) -> None:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise _OverBudget
+        if best[0] is not None and max(settled, floor_norm) > best[0]:
+            return
+        if j == ell:
+            norm = max(settled, floor_norm)
+            if best[0] is None or norm < best[0]:
+                best[0] = norm
+                points.clear()
+                points.append(tuple(y))
+            elif norm == best[0]:
+                points.append(tuple(y))
+            return
+        p = pivots[j]
+        piv = basis[j][p]
+        row = basis[j]
+
+        def radius() -> int:
+            return bound if best[0] is None else min(bound, best[0])
+
+        r0 = radius()
+        # c-interval with |y[p] + c*piv| <= r0 (may shrink as best improves)
+        lo = -((r0 + y[p]) // piv)  # ceil((-r0 - y[p]) / piv)
+        hi = (r0 - y[p]) // piv
+        if lo > hi:
+            return
+        center = min(max(-((2 * y[p] + piv) // (2 * piv)), lo), hi)
+
+        def visit(c: int) -> bool:
+            val = y[p] + c * piv
+            if abs(val) > radius():
+                return False  # |val| is monotone away from center: stop side
+            if c:
+                for i in range(m):
+                    y[i] += c * row[i]
+            done = max(abs(y[i]) for i in final_cols[j])
+            rec(j + 1, max(settled, done))
+            if c:
+                for i in range(m):
+                    y[i] -= c * row[i]
+            return True
+
+        visit(center)
+        c = center - 1
+        while c >= lo and visit(c):
+            c -= 1
+        c = center + 1
+        while c <= hi and visit(c):
+            c += 1
+
+    try:
+        rec(0, 0)
+    except _OverBudget:
+        return None
+    points.sort()
+    return best[0], points
+
 
 
 def oracle_canonical_rep(z):

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from rotnorm import catalog
+from rotnorm.bounds import Status, Verdict
 from rotnorm.catalog import (
     check_fixture,
     hopf_lattice,
@@ -92,6 +93,20 @@ class TestCatalog:
         assert report["checks"]["invariant_factors"]["ok"]
         assert report["checks"]["k"] == {
             "expected": [4], "actual": [3], "ok": False}
+
+    def test_rank_only_verdict_comes_from_the_engine(self, monkeypatch):
+        # The rank-only verdict was the literal "Unbounded", never computed.
+        calls = []
+
+        def bounded(ctx, A):
+            calls.append(A.rank)
+            return Verdict(Status.BOUNDED, ())
+
+        monkeypatch.setattr(catalog, "verdict", bounded)
+        report = check_fixture("circle-bundle")
+        assert calls == [1]
+        assert not report["ok"]
+        assert report["checks"]["verdict"]["actual"] == "Bounded"
 
     @pytest.mark.parametrize("name", list_fixtures())
     def test_every_fixture_self_checks(self, name):

@@ -62,6 +62,17 @@ class TestGroupCommand:
         err = json.loads(r.stderr)
         assert err["error"]["kind"] == "validation"
 
+    @pytest.mark.parametrize("norm", [["--norm", "cl"], []],
+                             ids=["cl", "summary"])
+    def test_element_without_zeta_rejected(self, tmp_path, norm):
+        # The cl table and the summary never read --element: a bad one
+        # (or any one) used to pass silently with exit 0.
+        path = write_json(tmp_path, "g.json", [[1, 0, 2], [1, 2, 0]])
+        element = "not json" if norm else "[1,0,2]"
+        r = run_cli(["group", "--in", path, *norm, "--element", element])
+        assert_validation_error(r)
+        assert "--element" in json.loads(r.stderr)["error"]["message"]
+
     def test_s8_summary_and_cl(self, tmp_path):
         # S8 has 40320 elements; cl is 1 on A8 minus the identity (every
         # element of A_n, n >= 5, is a commutator) and inf off A8.
@@ -277,6 +288,11 @@ class TestCatalogCommand:
         r = run_cli(["catalog", "list"])
         data = json.loads(r.stdout)
         assert "hopf-1" in data["fixtures"]
+
+    def test_list_takes_no_name(self):
+        r = run_cli(["catalog", "list", "hopf-1"])
+        assert_validation_error(r)
+        assert "hopf-1" in json.loads(r.stderr)["error"]["message"]
 
     def test_check_ok(self):
         r = run_cli(["catalog", "check", "hopf-1"])

@@ -8,14 +8,17 @@ import pytest
 from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
-from rotnorm import coset
+from rotnorm import _kernels, coset
 from rotnorm._rat import INF, Q
-from rotnorm.coset import AffineCoset, _sup_bfs, canonical_rep, theta, theta_sup
+from rotnorm.coset import (
+    AffineCoset, _reduced, _sup_bfs, canonical_rep, theta, theta_sup,
+)
 from rotnorm.errors import DimensionMismatch, RankDeficient, ValidationError
 from rotnorm.lattice import member, normalize, quotient_info
 
 from oracles import (
     oracle_canonical_rep,
+    oracle_cvp_enumerate,
     oracle_sup_bfs,
     oracle_theta,
     oracle_theta_cost,
@@ -230,6 +233,17 @@ class TestThetaCost:
         with pytest.raises(ValidationError, match="MAX_CVP_NODES = 7"):
             theta(z)
 
+    def test_side_stops_at_first_miss(self):
+        # The reduced representative (0, N) has norm N, while theta is 1:
+        # a side scanned out to the initial radius would take N steps.
+        N = 10**8
+        z = AffineCoset.build(normalize([(1, N), (0, 2 * N + 1)]), (0, N))
+        start = time.perf_counter()
+        nd = theta(z)
+        assert time.perf_counter() - start < 1
+        assert nd.theta == 1
+        assert nd.theta_points == ((-1, 0), (1, -1))
+
     @pytest.mark.parametrize("gens, offset", [
         ([(1, 0), (0, 2 * 10**6)], (0, 10**6)),
         ([(1, 0)], (0, 300000)),
@@ -274,6 +288,71 @@ class TestThetaOracle:
             )
             assert got_pts == want_pts
             checked += 1
+
+
+def _least_cap(inst, hi):
+    """The least max_nodes at which the kernel succeeds, or None past hi."""
+    if _kernels.cvp_enumerate(*inst, hi) is None:
+        return None
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _kernels.cvp_enumerate(*inst, mid) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+class TestCvpKernel:
+    """``_kernels.cvp_enumerate`` against the earlier kernel it replaced."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_earlier_kernel_and_node_threshold(self, m):
+        # Every third lattice is scaled by a number near 2**40; odd trials
+        # are full rank, even ones have rank 0..m-1.
+        rng = random.Random(1500 + m)
+        e = 6 if m <= 4 else 2
+        thresholds = 0
+        for trial in range(24):
+            scale = 2**40 + rng.randint(-9, 9) if trial % 3 == 0 else 1
+            rank = m if trial % 2 else rng.randint(0, m - 1)
+            gens = [[scale * rng.randint(-e, e) for _ in range(m)]
+                    for _ in range(rank)]
+            A = normalize(gens, ambient_dim=m)
+            top = 3 * scale * e
+            off = [Q(rng.randint(-top, top), rng.randint(1, 7))
+                   for _ in range(m)]
+            d, basis, y = _reduced(AffineCoset.build(A, off))
+            inst = (basis, list(A.pivots), y, max(map(abs, y)))
+            for cap in (5, 17, 60, 2000):
+                assert (_kernels.cvp_enumerate(*inst, cap)
+                        == oracle_cvp_enumerate(*inst, cap))
+            t = _least_cap(inst, 2000)
+            if t is not None:
+                assert oracle_cvp_enumerate(*inst, t - 1) is None
+                assert (oracle_cvp_enumerate(*inst, t)
+                        == _kernels.cvp_enumerate(*inst, t)
+                        == _kernels.cvp_enumerate(*inst))
+                thresholds += 1
+        assert thresholds >= 16
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_offset_in_lattice_has_theta_zero(self, m):
+        # Every rank 0..m: the zero vector is the one point, as theta gave
+        # before it sent zero offsets through the kernel too.
+        rng = random.Random(40 + m)
+        for rank in range(m + 1):
+            for _ in range(5):
+                gens = [[rng.randint(-9, 9) for _ in range(m)]
+                        for _ in range(rank)]
+                A = normalize(gens, ambient_dim=m)
+                coeffs = [rng.randint(-4, 4) for _ in gens]
+                off = [sum(c * g[i] for c, g in zip(coeffs, gens))
+                       for i in range(m)]
+                nd = theta(AffineCoset.build(A, off))
+                assert nd.theta == 0
+                assert nd.theta_points == ((Q(0),) * m,)
 
 
 class TestThetaSup:
