@@ -32,7 +32,7 @@ from rotnorm.lattice import IntLattice, quotient_info
 #: Most axis steps one theta_sup search may need, 6*m*2^m*det(A) (proven
 #: in ``_sup_bfs``).  It admits every lattice the earlier king-move cap,
 #: 2^m*det(A)*(3^m - 1) <= 8*10^6, admitted (m = 2 binds: det <= 250,000).
-#: A search at the cap takes 7 to 15 s for m = 2 to 8 (2-vCPU, Python 3.11).
+#: A search at the cap takes 3 to 7.5 s for m = 2 to 8 (2-vCPU, Python 3.11).
 MAX_SUP_MOVES = 12 * 10 ** 6
 
 #: Most nodes one theta search enters in ``_kernels.cvp_enumerate``, each a
@@ -141,8 +141,10 @@ def _sup_bfs(A: IntLattice):
     ``_reduce`` representative against 2*``hnf_basis``, the HNF of 2A.  The
     king ball K = {-1, 0, 1}^m is the sum of the segments {0, +-e_i}, and
     sums commute in Z^m/2A, so F + K is m one-axis dilations of the last
-    layer F.  A step y +- e_i changes coordinate i alone, so ``_reduce``
-    wraps it with the rows from i on.  K = -K, so F + K lies in F and the
+    layer F.  A step y +- e_i changes coordinate i alone, so it is still
+    reduced while that coordinate stays in (-d_i, d_i], d_i the HNF pivot
+    (half the pivot of 2A); a step that leaves that range ``_reduce`` wraps
+    with the rows from i on.  K = -K, so F + K lies in F and the
     layers just before and after it; the next layer is F + K minus the
     other two.  Once the layers hold all N nodes the search returns the
     last depth and the least node w of that layer; theta(w/2 + A) is the
@@ -152,18 +154,22 @@ def _sup_bfs(A: IntLattice):
     """
     basis = [[2 * e for e in row] for row in A.hnf_basis]
     size = prod(row[i] for i, row in enumerate(basis))
-    axes = [(i, basis[i:], A.pivots[i:]) for i in range(A.m)]
+    axes = [(i, A.hnf_basis[i][i], basis[i:], A.pivots[i:])
+            for i in range(A.m)]
     prev, cur = set(), {(0,) * A.m}
     depth, seen = 0, 1
     while seen < size:
         ball = cur
-        for i, rows, pivots in axes:
+        for i, d, rows, pivots in axes:
             grown = set(ball)
             for y in ball:
                 for step in (-1, 1):
                     z = list(y)
                     z[i] += step
-                    grown.add(tuple(_reduce(rows, pivots, z)))
+                    if -d < z[i] <= d:
+                        grown.add(tuple(z))
+                    else:
+                        grown.add(tuple(_reduce(rows, pivots, z)))
             ball = grown
         prev, cur = cur, ball - cur - prev
         seen += len(cur)

@@ -472,3 +472,87 @@ class TestExitCodes:
         )
         r = subprocess.run([sys.executable, "-c", script])
         assert r.returncode == 2
+
+
+def assert_usage_error(r):
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert json.loads(r.stderr)["error"]["kind"] == "usage"
+
+
+class TestOptionParsing:
+    """Each option takes the next token as its value, verbatim, even one
+    that starts with '-'; option names match only in full; a command line
+    that does not parse is a usage error with exit code 1."""
+
+    @pytest.mark.parametrize("offset, stdout", [
+        ("-1/2,1/3", '{"points":[["-1/2","1/3"]],"theta":"1/2"}\n'),
+        ("-1,1", '{"points":[["-1","1"],["1","1"]],"theta":"1"}\n'),
+    ], ids=["fraction", "integer"])
+    def test_offset_starting_with_minus(self, tmp_path, offset, stdout):
+        path = write_json(tmp_path, "A.json",
+                          {"m": 2, "generators": [[2, 0], [4, 3]]})
+        r = run_cli(["coset", "--lattice", path, "--offset", offset])
+        assert r.returncode == 0
+        assert r.stdout == stdout
+
+    def test_basepoint_starting_with_minus(self, tmp_path):
+        path = write_json(tmp_path, "iso.json", rotation_isotopy_json(1, 2, 3))
+        r = run_cli(["mu", "--in", path, "--basepoint", "-1/4"])
+        assert r.returncode == 0
+        assert r.stdout == '{"mu":"1/2"}\n'
+
+    def test_negative_theta_is_a_validation_error(self):
+        r = run_cli(["bounds", "--theta", "-5/2"])
+        assert_validation_error(r)
+        assert "non-negative" in json.loads(r.stderr)["error"]["message"]
+
+    def test_option_name_taken_as_a_value(self, tmp_path):
+        path = write_json(tmp_path, "A.json", {"m": 1, "generators": [[2]]})
+        r = run_cli(["coset", "--lattice", path, "--offset", "--format"])
+        assert_validation_error(r)
+        assert "--format" in json.loads(r.stderr)["error"]["message"]
+
+    @pytest.mark.parametrize("args", [
+        ["defect", "--tri", "5"],
+        [],
+        ["defect", "--format", "xml"],
+        ["defect", "--trials", "x"],
+    ], ids=["abbreviation", "no_arguments", "bad_choice", "bad_int"])
+    def test_usage_error(self, args):
+        assert_usage_error(run_cli(args))
+
+    def test_help_exits_0(self):
+        r = run_cli(["catalog", "--help"])
+        assert r.returncode == 0
+        assert r.stderr == ""
+        assert "list" in r.stdout and "check" in r.stdout
+
+
+class TestColdStart:
+    """``import rotnorm.cli`` loads no engine; each command loads the
+    engines it runs."""
+
+    def _modules(self, script, *args):
+        r = subprocess.run(
+            [sys.executable, "-c",
+             script + "\nprint(' '.join(sorted(sys.modules)))", *args],
+            capture_output=True, text=True, check=True)
+        *output, modules = r.stdout.splitlines()
+        return output, set(modules.split())
+
+    def test_import_loads_no_engine(self):
+        _, loaded = self._modules("import sys\nimport rotnorm.cli")
+        engines = {"click", "rotnorm.groups", "rotnorm.circle",
+                   "rotnorm.coset", "rotnorm.lattice", "rotnorm.bounds",
+                   "rotnorm.catalog"}
+        assert not loaded & engines
+
+    def test_group_loads_no_circle(self, tmp_path):
+        path = write_json(tmp_path, "g.json", [[1, 0, 2], [1, 2, 0]])
+        output, loaded = self._modules(
+            "import sys\nfrom rotnorm.cli import main\nmain(sys.argv[1:])",
+            "group", "--in", path)
+        assert json.loads(output[0])["order"] == 6
+        assert "rotnorm.groups" in loaded
+        assert "rotnorm.circle" not in loaded
