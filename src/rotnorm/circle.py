@@ -14,6 +14,23 @@ step; this pins down the continuous lift of any basepoint trace, so mu is
 simply the difference of the end frames' lifts at the basepoint.
 Composition looks up each factor's frame at every time of the merged
 grid, and composing two maps costs one lookup per breakpoint.
+
+Each isotopy records the exact displacement of the steps it measured, and
+``compose`` proves most steps of F_t o G_t below 1/2 from those records,
+without walking the composite frames.  The certificate: a step [a, b] of
+the merged grid lies within one step i of F and one step j of G, and
+frames move linearly (in lift space) inside a step, so |F_b - F_a| =
+(b - a) * sigmaF_i and |G_b - G_a| = (b - a) * sigmaG_j, where sigma is the
+step's recorded displacement divided by its duration.  Then
+
+    |F_b o G_b - F_a o G_a| <= |F_b o G_b - F_b o G_a| + |F_b o G_a - F_a o G_a|
+                            <= Lip(F_b) * |G_b - G_a| + |F_b - F_a|,
+
+and Lip(F_b) is at most the largest segment slope over F's sample frames:
+on each segment where both neighbouring frames are linear, the slope of an
+interpolant is a convex combination of theirs.  When this bound, computed
+in integers, is below 1/2 the step is proven; otherwise it is measured
+exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +38,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from operator import lt, sub
 
 from rotnorm._rat import Q, common, floor_q
@@ -221,16 +238,30 @@ class PLCircleDiffeo:
         return Q(*self._displacement(other))
 
     def interpolate(self, other: "PLCircleDiffeo", s) -> "PLCircleDiffeo":
-        """Convex combination (1-s)*self + s*other of the lifts."""
-        s = Q(s)
-        if s == 0:
+        """Convex combination (1-s)*self + s*other of the lifts.
+
+        ``s`` is a rational, or an integer pair (num, den) with den > 0.
+        When both maps share one grid, every value is a numerator over
+        den * L, and one gcd gives their least common denominator.
+        """
+        if type(s) is tuple:
+            sn, sd = s
+        else:
+            s = Q(s)
+            sn, sd = s.numerator, s.denominator
+        if sn == 0:
             return self
-        if s == 1:
+        if sn == sd:
             return other
-        sn, sd = s.numerator, s.denominator
         L, xs, mine, theirs = self._merged(other)
-        D, ys = common([((sd - sn) * pa * rb + sn * pb * ra, sd * ra * rb * L)
-                        for (pa, ra), (pb, rb) in zip(mine, theirs)])
+        if len(xs) == len(self.xn) == len(other.xn):  # one grid: every r is 1
+            M = sd * L
+            ys = [(sd - sn) * pa + sn * pb for (pa, _), (pb, _) in zip(mine, theirs)]
+            g = gcd(M, *ys)
+            D, ys = M // g, [y // g for y in ys]
+        else:
+            D, ys = common([((sd - sn) * pa * rb + sn * pb * ra, sd * ra * rb * L)
+                            for (pa, ra), (pb, rb) in zip(mine, theirs)])
         m = lcm(L, D)
         return PLCircleDiffeo([x * (m // L) for x in xs],
                               [y * (m // D) for y in ys], m)
@@ -278,6 +309,12 @@ def _lookup(D, us, vs, du, dv, a, q):
 MAX_STEP_DISPLACEMENT = HALF
 
 
+def _small(step) -> bool:
+    """True when the pair (num, den) is below MAX_STEP_DISPLACEMENT."""
+    lim = MAX_STEP_DISPLACEMENT
+    return step[0] * lim.denominator < lim.numerator * step[1]
+
+
 class PLIsotopy:
     """Time-sampled isotopy of PL circle diffeos with interpolated lifts.
 
@@ -291,11 +328,19 @@ class PLIsotopy:
     Construction refuses inputs whose frames move by >= 1/2 between adjacent
     samples: below that threshold the continuous lift of every point trace
     is unambiguous, so rotation angles are exact endpoint differences.
+
+    The isotopy records the exact displacement of every step it measured,
+    as an unreduced pair (num, den); ``_step(i)`` reads it.  The public
+    constructor measures every step.  The module's own builders pass the
+    record in through the private ``_disp``: ``refine`` gives each of its
+    pieces the exact ``d / pieces`` it moves, and ``compose`` leaves a step
+    it proved below 1/2 by the slope bound (see the module docstring) as
+    None, which ``_step`` measures when it is first needed.
     """
 
-    __slots__ = ("tn", "tden", "frames")
+    __slots__ = ("tn", "tden", "frames", "_disp")
 
-    def __init__(self, times, frames, tden=None):
+    def __init__(self, times, frames, tden=None, *, _disp=None):
         if tden is None:
             tden, times = common(Q(t).as_integer_ratio() for t in times)
         tn = tuple(times)
@@ -308,17 +353,27 @@ class PLIsotopy:
             raise ValidationError("isotopy must be parametrized over [0, 1]")
         if not all(map(lt, tn, tn[1:])):
             raise ValidationError("time samples must strictly increase")
-        lim = MAX_STEP_DISPLACEMENT
-        for fa, fb in zip(frames, frames[1:]):
-            n, d = fa._displacement(fb)
-            if n * lim.denominator >= lim.numerator * d:
+        if _disp is None:
+            _disp = (fa._displacement(fb) for fa, fb in zip(frames, frames[1:]))
+        record = []
+        for step in _disp:
+            if step is not None and not _small(step):
                 raise AmbiguousLift(
                     "frames move by >= 1/2 within one time step; "
                     "resample the isotopy more finely"
                 )
+            record.append(step)
         self.tn = tn
         self.tden = tden
         self.frames = frames
+        self._disp = record
+
+    def _step(self, i):
+        """Exact displacement of step i as an unreduced pair (num, den)."""
+        step = self._disp[i]
+        if step is None:
+            step = self._disp[i] = self.frames[i]._displacement(self.frames[i + 1])
+        return step
 
     @property
     def times(self) -> tuple:
@@ -357,8 +412,8 @@ class PLIsotopy:
         r = a - tn[i] * q
         if r == 0:
             return self.frames[i]
-        s = Q(r, (tn[i + 1] - tn[i]) * q)
-        return self.frames[i].interpolate(self.frames[i + 1], s)
+        return self.frames[i].interpolate(self.frames[i + 1],
+                                          (r, (tn[i + 1] - tn[i]) * q))
 
     def trace(self, p) -> PLPath:
         """The PL path t -> F_t(p), with continuously selected lift."""
@@ -385,40 +440,82 @@ def mu(F: PLIsotopy, p):
     return Q(n1 * d0 - n0 * d1, d0 * d1)
 
 
+def _top_slope(frames):
+    """The largest segment slope over the frames, as a pair (rise, run)."""
+    p, q = 0, 1
+    for f in frames:
+        for run, rise in zip(f.dx, f.dy):
+            if rise * q > p * run:
+                p, q = rise, run
+    return p, q
+
+
 def compose(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
     """Pointwise-in-t composition (F_t o G_t) on the merged time grid.
 
     The grid is the union of both sample times over the least common
-    multiple of their denominators, and each factor's frame is looked up at
-    every time of it.  A step of F_t o G_t can move by 1/2 or more even
-    when no step of F or G does.  Only then are such steps bisected,
-    sampling F_t o G_t at their midpoints until every step moves less than
-    1/2.
+    multiple T of their denominators, and each factor's frame is looked up
+    at every time of it.  Each step [a, b] of the grid is proven to move
+    less than 1/2 by the slope bound of the module docstring, read off the
+    factors' records, or else measured exactly.  A step of F_t o G_t can
+    move by 1/2 or more even when no step of F or G does.  Only then is
+    such a step bisected, sampling F_t o G_t at midpoints until every piece
+    moves less than 1/2.  The result records each measured step and leaves
+    each certified one unknown.
     """
     T = lcm(F.tden, G.tden)
-    grid = sorted({t * (T // F.tden) for t in F.tn}.union(
-        t * (T // G.tden) for t in G.tn))
+    tf = [t * (T // F.tden) for t in F.tn]
+    tg = [t * (T // G.tden) for t in G.tn]
+    grid = sorted(set(tf).union(tg))
     frames = [F._frame(t, T).compose(G._frame(t, T)) for t in grid]
-    try:
-        return PLIsotopy(grid, frames, T)
-    except AmbiguousLift:
-        pass
     lim = MAX_STEP_DISPLACEMENT
+    ln, ld = lim.numerator, lim.denominator
+    rise, run = _top_slope(F.frames)  # Lip(F_t) <= rise / run for every t
+    disp = []
+    i = j = 0  # [a, b] lies in step i of F and step j of G
+    for k, (a, b) in enumerate(zip(grid, grid[1:])):
+        while tf[i + 1] <= a:
+            i += 1
+        while tg[j + 1] <= a:
+            j += 1
+        # F moves nf / uf and G moves ng / ug per tick of 1/T in these steps
+        nf, df = F._step(i)
+        ng, dg = G._step(j)
+        uf, ug = df * (tf[i + 1] - tf[i]), dg * (tg[j + 1] - tg[j])
+        # (b - a) * (nf / uf + (rise / run) * ng / ug) < ln / ld
+        if (b - a) * (nf * run * ug + rise * ng * uf) * ld < ln * uf * run * ug:
+            disp.append(None)
+        else:
+            disp.append(frames[k]._displacement(frames[k + 1]))
+    if all(step is None or _small(step) for step in disp):
+        return PLIsotopy(grid, frames, T, _disp=disp)
+
+    def at(t):
+        a, q = t.numerator, t.denominator
+        return F._frame(a, q).compose(G._frame(a, q))
+
     ts = [Q(t, T) for t in grid]
-    out_t, out_f = [ts[0]], [frames[0]]
-    pending = list(zip(ts[1:], frames[1:]))[::-1]  # a stack, earliest on top
-    while pending:
-        t1, f1 = pending[-1]
-        n, d = out_f[-1]._displacement(f1)
-        if n * lim.denominator < lim.numerator * d:
+    out_t, out_f, out_d = [ts[0]], [frames[0]], []
+    for t1, f1, step in zip(ts[1:], frames[1:], disp):
+        if step is None or _small(step):
             out_t.append(t1)
             out_f.append(f1)
-            pending.pop()
-        else:
-            tm = (out_t[-1] + t1) / 2
-            a, q = tm.numerator, tm.denominator
-            pending.append((tm, F._frame(a, q).compose(G._frame(a, q))))
-    return PLIsotopy(out_t, out_f)
+            out_d.append(step)
+            continue
+        tm = (out_t[-1] + t1) / 2
+        pending = [(t1, f1), (tm, at(tm))]  # a stack, earliest on top
+        while pending:
+            t1, f1 = pending[-1]
+            step = out_f[-1]._displacement(f1)
+            if _small(step):
+                out_t.append(t1)
+                out_f.append(f1)
+                out_d.append(step)
+                pending.pop()
+            else:
+                tm = (out_t[-1] + t1) / 2
+                pending.append((tm, at(tm)))
+    return PLIsotopy(out_t, out_f, _disp=out_d)
 
 
 def invert(F: PLIsotopy) -> PLIsotopy:
@@ -467,33 +564,37 @@ def commutator(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
 def refine(F: PLIsotopy, max_disp) -> PLIsotopy:
     """Insert interpolated frames until each step moves less than max_disp.
 
-    Each step is cut into equal pieces, so the new times are integers over
-    ``tden`` times the least common multiple of the piece counts.
+    Each step is cut into the fewest equal pieces that move less than
+    max_disp, counted from F's record of the step's displacement d.
+    Adjacent interpolants of the step differ pointwise by (F_b - F_a) /
+    pieces, so each piece moves exactly d / pieces, and that is what the
+    result records.  The new times are integers over ``tden`` times the
+    least common multiple of the piece counts.
     """
     max_disp = Q(max_disp)
     if max_disp <= 0:
         raise ValidationError("max_disp must be positive")
     mn, md = max_disp.numerator, max_disp.denominator
-    counts = []
-    for fa, fb in zip(F.frames, F.frames[1:]):
-        n, d = fa._displacement(fb)
-        counts.append(n * md // (d * mn) + 1)  # fewest pieces below max_disp
+    steps = [F._step(i) for i in range(len(F.tn) - 1)]
+    counts = [n * md // (d * mn) + 1 for n, d in steps]  # fewest pieces below max_disp
     P = lcm(*counts)
     tn: list = []
     frames: list = []
-    for t0, t1, fa, fb, pieces in zip(F.tn, F.tn[1:], F.frames, F.frames[1:],
-                                      counts):
+    disp: list = []
+    for t0, t1, fa, fb, (n, d), pieces in zip(F.tn, F.tn[1:], F.frames,
+                                               F.frames[1:], steps, counts):
         step = (t1 - t0) * (P // pieces)
         t0 *= P
         tn.append(t0)
         frames.append(fa)
         for j in range(1, pieces):
             tn.append(t0 + j * step)
-            frames.append(fa.interpolate(fb, Q(j, pieces)))
+            frames.append(fa.interpolate(fb, (j, pieces)))
+        disp += [(n, d * pieces)] * pieces
     T = F.tden * P
     tn.append(T)
     frames.append(F.frames[-1])
-    return PLIsotopy(tn, frames, T)
+    return PLIsotopy(tn, frames, T, _disp=disp)
 
 
 @dataclass(frozen=True)

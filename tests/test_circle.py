@@ -476,6 +476,26 @@ def _same_isotopy(H, R):
     assert [_key(f) for f in H.frames] == [_key(f) for f in R.frames]
 
 
+def _steep_isotopy(rng):
+    """t -> R(c*t) o h, sampled at S + 1 times, for a map h with segment
+    slopes in [1/8, 8]: h rises by parts of 72, each at least 8, over runs
+    of the same kind.  Each step moves |c| / S <= 1/16, but a composite step
+    F_t o G_t moves up to 8 times as far as G_t does."""
+    b, S = rng.randint(2, 4), rng.randint(2, 4)
+
+    def parts():  # b parts of 72, each at least 8
+        cuts = sorted(rng.randint(0, 72 - 8 * b) for _ in range(b - 1))
+        ends = [0, *cuts, 72 - 8 * b]
+        return [8 + hi - lo for lo, hi in zip(ends, ends[1:])]
+
+    runs, rises, y0 = parts(), parts(), rng.randint(-8, 8)
+    h = PLCircleDiffeo([sum(runs[:k]) for k in range(b)],
+                       [y0 + sum(rises[:k]) for k in range(b)], 72)
+    c = Q(rng.randint(-9, 9), 72)
+    return PLIsotopy(range(S + 1), [PLCircleDiffeo.rotation(c * Q(k, S)).compose(h)
+                                    for k in range(S + 1)], S)
+
+
 def _isotopy_pair(seed, kind):
     rng = random.Random(seed)
     if kind == 0:
@@ -485,7 +505,16 @@ def _isotopy_pair(seed, kind):
                 refine(random_based_loop(rng), Q(1, 8)))
     if kind == 2:
         return refine(random_isotopy(rng), Q(1, rng.randint(2, 9))), random_isotopy(rng)
-    return PLIsotopy.rotation(Q(rng.randint(-9, 9), 4)), random_based_loop(rng)
+    if kind == 3:
+        return PLIsotopy.rotation(Q(rng.randint(-9, 9), 4)), random_based_loop(rng)
+    # steep outer frames: the slope bound rarely proves a composite step
+    return _steep_isotopy(rng), random_based_loop(rng)
+
+
+#: (seed, kind) of every _isotopy_pair the oracle tests compose
+PAIR_CASES = ([(seed, seed % 4) for seed in range(40)]
+              + [(seed, 4) for seed in range(12)]
+              + [(seed, 0) for seed in TestComposeResampling.SEEDS])
 
 
 class TestCompositionOracles:
@@ -506,8 +535,7 @@ class TestCompositionOracles:
 
     def test_isotopy_operations_match_oracles(self):
         bisected = 0
-        cases = [(seed, seed % 4) for seed in range(40)]
-        for seed, kind in cases + [(s, 0) for s in TestComposeResampling.SEEDS]:
+        for seed, kind in PAIR_CASES:
             F, G = _isotopy_pair(seed, kind)
             H = compose(F, G)
             _same_isotopy(H, oracle_isotopy_compose(F, G))
@@ -579,7 +607,71 @@ class TestCompositionOracles:
             monkeypatch.undo()
             assert set(H.times) == grid  # no step was bisected
             assert len(calls) == len(grid - set(F.times)) + len(grid - set(G.times))
-            assert all(0 < s < 1 for s in calls)
+            assert all(0 < Q(*s) < 1 for s in calls)  # s is a pair (num, den)
+
+
+def _step_kinds(F, G):
+    """compose(F, G), and how it proved the steps of the merged grid:
+    [certified by the slope bound, measured and accepted, measured and
+    bisected].  Read before anything fills the result's record."""
+    H = compose(F, G)
+    at = {t: k for k, t in enumerate(H.times)}
+    grid = sorted(set(F.times) | set(G.times))
+    kinds = [0, 0, 0]
+    for a, b in zip(grid, grid[1:]):
+        k = at[a]
+        kinds[2 if H.times[k + 1] != b else H._disp[k] is not None] += 1
+    return H, kinds
+
+
+def _assert_record(X):
+    """Each recorded step equals its measured displacement, and each step
+    moves less than 1/2."""
+    for i, (fa, fb) in enumerate(zip(X.frames, X.frames[1:])):
+        want = Q(*fa._displacement(fb))
+        assert want < Q(1, 2)
+        if X._disp[i] is not None:
+            assert Q(*X._disp[i]) == want, i
+        assert Q(*X._step(i)) == want
+
+
+class TestStepRecord:
+    """The record of step displacements that refine and compose read."""
+
+    def test_every_builder_records_exact_steps(self):
+        F = PLIsotopy((0, Q(1, 7), Q(1, 2), Q(2, 3), 1),
+                      _rotations(0, Q(3, 20), Q(2, 5), Q(3, 4), Q(6, 5)))
+        R = refine(F, Q(1, 10))
+        assert len(R.times) == 2 + 3 + 4 + 5 + 1  # unequal piece counts
+        for X in (F, R, invert(R), PLIsotopy.rotation(Q(-7, 3))):
+            _assert_record(X)
+        split = whole = 0
+        for seed, kind in PAIR_CASES:
+            F, G = _isotopy_pair(seed, kind)
+            H, kinds = _step_kinds(F, G)
+            split += kinds[2] > 0
+            whole += kinds[2] == 0
+            loop = random_based_loop(random.Random(seed))
+            # refine(H) reads H's record before anything measures its steps
+            for X in (refine(H, Q(1, 6)), F, G, H, invert(F),
+                      concat(loop, G), commutator(F, G)):
+                _assert_record(X)
+        assert split and whole
+
+    def test_composite_steps_take_each_branch(self):
+        # over the composes that commutator(F, G) makes
+        total = [0, 0, 0]
+        for seed, kind in PAIR_CASES:
+            F, G = _isotopy_pair(seed, kind)
+            H, a = _step_kinds(F, G)
+            K, b = _step_kinds(invert(F), invert(G))
+            _, c = _step_kinds(H, K)
+            total = [x + y + z + w for x, y, z, w in zip(total, a, b, c)]
+            if kind == 1:
+                # based loops refined to 1/8 have slopes in [3/4, 5/4] and
+                # steps below 1/8: every bound is below 1/8 + (5/4)(1/8)
+                assert a[1:] == [0, 0], (seed, a)
+        assert all(total), total
 
 
 class TestBasedLoopHomomorphism:
