@@ -31,13 +31,20 @@ on each segment where both neighbouring frames are linear, the slope of an
 interpolant is a convex combination of theirs.  When this bound, computed
 in integers, is below 1/2 the step is proven; otherwise it is measured
 exactly.
+
+Frames are built when they are first read.  An isotopy made by the public
+constructor holds all its frames.  ``refine`` and ``compose`` return
+isotopies with holes, each filled on first read from its factors: ``mu``
+and ``is_based_loop`` read only the end frames, which ``compose`` builds,
+so a loop refined, composed and measured builds no interpolated or
+composite frame in between.  ``compose`` also builds the frames of every
+step it measures, and ``frames`` fills every hole.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import lt, sub
 
@@ -52,24 +59,33 @@ from rotnorm.errors import (
 HALF = Q(1, 2)
 
 
-@dataclass(frozen=True)
 class PLPath:
     """A PL path on the circle given by its lift at time breakpoints."""
 
-    times: tuple
-    values: tuple
+    __slots__ = ("times", "values")
 
-    def __post_init__(self):
-        ts = tuple(Q(t) for t in self.times)
-        vs = tuple(Q(v) for v in self.values)
+    def __init__(self, times, values):
+        ts = tuple(Q(t) for t in times)
+        vs = tuple(Q(v) for v in values)
         if len(ts) < 2 or len(ts) != len(vs):
             raise ValidationError("path needs at least 2 matching breakpoints")
         if ts[0] != 0 or ts[-1] != 1:
             raise ValidationError("path must be parametrized over [0, 1]")
         if any(a >= b for a, b in zip(ts, ts[1:])):
             raise ValidationError("time breakpoints must strictly increase")
-        object.__setattr__(self, "times", ts)
-        object.__setattr__(self, "values", vs)
+        self.times = ts
+        self.values = vs
+
+    def __eq__(self, other):
+        if type(other) is not PLPath:
+            return NotImplemented
+        return (self.times, self.values) == (other.times, other.values)
+
+    def __hash__(self):
+        return hash((self.times, self.values))
+
+    def __repr__(self):
+        return f"PLPath(times={self.times!r}, values={self.values!r})"
 
 
 def rotation_angle(path: PLPath):
@@ -336,15 +352,26 @@ class PLIsotopy:
     pieces the exact ``d / pieces`` it moves, and ``compose`` leaves a step
     it proved below 1/2 by the slope bound (see the module docstring) as
     None, which ``_step`` measures when it is first needed.
+
+    Frames are built on first read.  The public constructor takes whole
+    frames.  ``refine`` and ``compose`` pass frames with holes (None) and
+    the private ``_recipe``, which builds frame i from their factors; the
+    first ``_at(i)`` fills hole i.  ``frames`` fills every hole, and once
+    none is left the recipe is dropped, so the isotopy no longer holds its
+    factors.  ``_slope()`` is the largest segment slope over the frames,
+    which ``compose`` reads as the Lipschitz bound of its outer factor;
+    ``refine`` passes its parent's value in through ``_lip``.
     """
 
-    __slots__ = ("tn", "tden", "frames", "_disp")
+    __slots__ = ("tn", "tden", "_frames", "_recipe", "_holes", "_disp", "_lip",
+                 "__weakref__")
 
-    def __init__(self, times, frames, tden=None, *, _disp=None):
+    def __init__(self, times, frames, tden=None, *, _disp=None, _recipe=None,
+                 _lip=None):
         if tden is None:
             tden, times = common(Q(t).as_integer_ratio() for t in times)
         tn = tuple(times)
-        frames = tuple(frames)
+        frames = list(frames)
         if len(tn) < 2 or len(tn) != len(frames):
             raise ValidationError("need at least 2 matching time samples")
         if tden <= 0:
@@ -365,15 +392,42 @@ class PLIsotopy:
             record.append(step)
         self.tn = tn
         self.tden = tden
-        self.frames = frames
+        self._holes = frames.count(None) if _recipe is not None else 0
+        self._frames = frames if self._holes else tuple(frames)
+        self._recipe = _recipe if self._holes else None
         self._disp = record
+        self._lip = _lip
+
+    def _at(self, i) -> PLCircleDiffeo:
+        """Frame i, built by the recipe on its first read."""
+        f = self._frames[i]
+        if f is None:
+            f = self._frames[i] = self._recipe(i)
+            self._holes -= 1
+            if not self._holes:
+                self._frames = tuple(self._frames)
+                self._recipe = None
+        return f
+
+    @property
+    def frames(self) -> tuple:
+        if self._holes:
+            for i in range(len(self.tn)):
+                self._at(i)
+        return self._frames
 
     def _step(self, i):
         """Exact displacement of step i as an unreduced pair (num, den)."""
         step = self._disp[i]
         if step is None:
-            step = self._disp[i] = self.frames[i]._displacement(self.frames[i + 1])
+            step = self._disp[i] = self._at(i)._displacement(self._at(i + 1))
         return step
+
+    def _slope(self):
+        """The largest segment slope over the frames, as a pair (rise, run)."""
+        if self._lip is None:
+            self._lip = _top_slope(self.frames)
+        return self._lip
 
     @property
     def times(self) -> tuple:
@@ -408,22 +462,22 @@ class PLIsotopy:
         a *= self.tden  # the time is a / (q * tden)
         i = bisect_right(tn, a // q) - 1
         if i >= len(tn) - 1:
-            return self.frames[-1]
+            return self._at(-1)
         r = a - tn[i] * q
         if r == 0:
-            return self.frames[i]
-        return self.frames[i].interpolate(self.frames[i + 1],
-                                          (r, (tn[i + 1] - tn[i]) * q))
+            return self._at(i)
+        return self._at(i).interpolate(self._at(i + 1),
+                                       (r, (tn[i + 1] - tn[i]) * q))
 
     def trace(self, p) -> PLPath:
         """The PL path t -> F_t(p), with continuously selected lift."""
         p = Q(p)
-        start = self.frames[0].eval(p)
-        shift = floor_q(start)  # pin the t=0 lift value into [0, 1)
-        return PLPath(self.times, tuple(f.eval(p) - shift for f in self.frames))
+        frames = self.frames
+        shift = floor_q(frames[0].eval(p))  # pin the t=0 lift value into [0, 1)
+        return PLPath(self.times, tuple(f.eval(p) - shift for f in frames))
 
     def is_based_loop(self) -> bool:
-        return self.frames[0].is_identity() and self.frames[-1].is_identity()
+        return self._at(0).is_identity() and self._at(-1).is_identity()
 
 
 def mu(F: PLIsotopy, p):
@@ -435,8 +489,8 @@ def mu(F: PLIsotopy, p):
     """
     p = Q(p)
     a, q = p.numerator, p.denominator
-    n1, d1 = F.frames[-1]._eval(a, q)
-    n0, d0 = F.frames[0]._eval(a, q)
+    n1, d1 = F._at(-1)._eval(a, q)
+    n0, d0 = F._at(0)._eval(a, q)
     return Q(n1 * d0 - n0 * d1, d0 * d1)
 
 
@@ -462,15 +516,31 @@ def compose(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
     such a step bisected, sampling F_t o G_t at midpoints until every piece
     moves less than 1/2.  The result records each measured step and leaves
     each certified one unknown.
+
+    Only the end frames, which ``mu`` reads, and the frames of measured
+    steps are built here; the result builds every other composite frame on
+    its first read.  A bisected result has all its frames built.
     """
     T = lcm(F.tden, G.tden)
     tf = [t * (T // F.tden) for t in F.tn]
     tg = [t * (T // G.tden) for t in G.tn]
     grid = sorted(set(tf).union(tg))
-    frames = [F._frame(t, T).compose(G._frame(t, T)) for t in grid]
+
+    def build(k):
+        t = grid[k]
+        return F._frame(t, T).compose(G._frame(t, T))
+
+    frames = [None] * len(grid)
+    frames[0], frames[-1] = build(0), build(-1)
+
+    def frame(k):
+        if frames[k] is None:
+            frames[k] = build(k)
+        return frames[k]
+
     lim = MAX_STEP_DISPLACEMENT
     ln, ld = lim.numerator, lim.denominator
-    rise, run = _top_slope(F.frames)  # Lip(F_t) <= rise / run for every t
+    rise, run = F._slope()  # Lip(F_t) <= rise / run for every t
     disp = []
     i = j = 0  # [a, b] lies in step i of F and step j of G
     for k, (a, b) in enumerate(zip(grid, grid[1:])):
@@ -486,15 +556,27 @@ def compose(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
         if (b - a) * (nf * run * ug + rise * ng * uf) * ld < ln * uf * run * ug:
             disp.append(None)
         else:
-            disp.append(frames[k]._displacement(frames[k + 1]))
+            disp.append(frame(k)._displacement(frame(k + 1)))
     if all(step is None or _small(step) for step in disp):
-        return PLIsotopy(grid, frames, T, _disp=disp)
+        return PLIsotopy(grid, frames, T, _disp=disp, _recipe=build)
 
     def at(t):
         a, q = t.numerator, t.denominator
         return F._frame(a, q).compose(G._frame(a, q))
 
-    ts = [Q(t, T) for t in grid]
+    return _bisect([Q(t, T) for t in grid], list(map(frame, range(len(grid)))),
+                   disp, at)
+
+
+def _bisect(ts, frames, disp, at) -> PLIsotopy:
+    """The isotopy through ``frames`` at the rational times ``ts``, each
+    step that moves by 1/2 or more cut at its midpoint until every piece
+    moves less than 1/2.
+
+    ``disp`` holds each step's record: its exact displacement, or None for
+    a step already proven below 1/2.  ``at(t)`` builds the frame at a
+    rational time t.
+    """
     out_t, out_f, out_d = [ts[0]], [frames[0]], []
     for t1, f1, step in zip(ts[1:], frames[1:], disp):
         if step is None or _small(step):
@@ -519,7 +601,18 @@ def compose(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
 
 
 def invert(F: PLIsotopy) -> PLIsotopy:
-    return PLIsotopy(F.tn, [f.inverse() for f in F.frames], F.tden)
+    """The isotopy t -> (F_t)^-1, sampled at F's times.
+
+    Inverse frames can move by 1/2 or more in a step where F's frames move
+    less (a steep frame has a flat inverse).  Such a step is bisected, as
+    in ``compose``, with (F_t)^-1 sampled at midpoints.
+    """
+    frames = [f.inverse() for f in F.frames]
+    disp = [fa._displacement(fb) for fa, fb in zip(frames, frames[1:])]
+    if all(map(_small, disp)):
+        return PLIsotopy(F.tn, frames, F.tden, _disp=disp)
+    return _bisect(F.times, frames, disp,
+                   lambda t: F._frame(t.numerator, t.denominator).inverse())
 
 
 def _lift_gap(f: PLCircleDiffeo, g: PLCircleDiffeo):
@@ -570,47 +663,74 @@ def refine(F: PLIsotopy, max_disp) -> PLIsotopy:
     pieces, so each piece moves exactly d / pieces, and that is what the
     result records.  The new times are integers over ``tden`` times the
     least common multiple of the piece counts.
+
+    The interpolants are built on first read, as
+    ``F._at(i).interpolate(F._at(i + 1), (j, pieces))``; F's own frames are
+    shared.  The result's slope bound is F's, exactly: F's frames are among
+    the refined ones, and on each segment where both neighbours are linear
+    an interpolant's slope is a convex combination of theirs, so no
+    interpolant is steeper than its steeper neighbour.
     """
     max_disp = Q(max_disp)
     if max_disp <= 0:
         raise ValidationError("max_disp must be positive")
     mn, md = max_disp.numerator, max_disp.denominator
+    lip = F._slope()
     steps = [F._step(i) for i in range(len(F.tn) - 1)]
     counts = [n * md // (d * mn) + 1 for n, d in steps]  # fewest pieces below max_disp
     P = lcm(*counts)
     tn: list = []
     frames: list = []
+    source: list = []  # (i, j, pieces): frame j / pieces of the way along step i
     disp: list = []
-    for t0, t1, fa, fb, (n, d), pieces in zip(F.tn, F.tn[1:], F.frames,
-                                               F.frames[1:], steps, counts):
+    for i, (t0, t1, (n, d), pieces) in enumerate(zip(F.tn, F.tn[1:], steps, counts)):
         step = (t1 - t0) * (P // pieces)
         t0 *= P
-        tn.append(t0)
-        frames.append(fa)
-        for j in range(1, pieces):
+        for j in range(pieces):
             tn.append(t0 + j * step)
-            frames.append(fa.interpolate(fb, (j, pieces)))
+            source.append((i, j, pieces))
+        frames.append(F._frames[i])
+        frames += [None] * (pieces - 1)
         disp += [(n, d * pieces)] * pieces
     T = F.tden * P
     tn.append(T)
-    frames.append(F.frames[-1])
-    return PLIsotopy(tn, frames, T, _disp=disp)
+    source.append((len(F.tn) - 1, 0, 1))
+    frames.append(F._frames[-1])
+
+    def build(k):
+        i, j, pieces = source[k]
+        if j == 0:
+            return F._at(i)
+        return F._at(i).interpolate(F._at(i + 1), (j, pieces))
+
+    return PLIsotopy(tn, frames, T, _disp=disp, _recipe=build, _lip=lip)
 
 
-@dataclass(frozen=True)
 class MultiIsotopy:
     """m independent circle isotopies with one basepoint per circle."""
 
-    components: tuple
-    basepoints: tuple
+    __slots__ = ("components", "basepoints")
 
-    def __post_init__(self):
-        comps = tuple(self.components)
-        pts = tuple(Q(p) for p in self.basepoints)
+    def __init__(self, components, basepoints):
+        comps = tuple(components)
+        pts = tuple(Q(p) for p in basepoints)
         if not comps or len(comps) != len(pts):
             raise ValidationError("components and basepoints must match")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "basepoints", pts)
+        self.components = comps
+        self.basepoints = pts
+
+    def __eq__(self, other):
+        if type(other) is not MultiIsotopy:
+            return NotImplemented
+        return ((self.components, self.basepoints)
+                == (other.components, other.basepoints))
+
+    def __hash__(self):
+        return hash((self.components, self.basepoints))
+
+    def __repr__(self):
+        return (f"MultiIsotopy(components={self.components!r}, "
+                f"basepoints={self.basepoints!r})")
 
     @property
     def m(self) -> int:

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -541,8 +543,11 @@ class TestCompositionOracles:
             _same_isotopy(H, oracle_isotopy_compose(F, G))
             bisected += len(H.times) > len(set(F.times) | set(G.times))
             Fi, Gi = invert(F), invert(G)
-            assert Fi.times == F.times
-            assert [_key(f) for f in Fi.frames] == [_key(f.inverse()) for f in F.frames]
+            for X, Xi in ((F, Fi), (G, Gi)):  # no step of these is bisected
+                assert Xi.times == X.times
+                assert [_key(f) for f in Xi.frames] == [_key(f.inverse()) for f in X.frames]
+                assert mu(Xi, Q(1, 3)) == (X.frames[-1].eval_inv(Q(1, 3))
+                                           - X.frames[0].eval_inv(Q(1, 3)))
             K = commutator(F, G)
             _same_isotopy(K, oracle_isotopy_compose(H, compose(Fi, Gi)))
             loop = random_based_loop(random.Random(seed))
@@ -600,14 +605,97 @@ class TestCompositionOracles:
         for _ in range(10):
             F = refine(random_based_loop(rng), Q(1, 8))
             G = refine(random_isotopy(rng), Q(1, 5))
+            F.frames, G.frames  # read both in full first
             grid = set(F.times) | set(G.times)
             calls.clear()
             monkeypatch.setattr(PLCircleDiffeo, "interpolate", counting)
             H = compose(F, G)
+            assert calls == []  # every step certified: only the end frames built
+            H.frames
             monkeypatch.undo()
             assert set(H.times) == grid  # no step was bisected
             assert len(calls) == len(grid - set(F.times)) + len(grid - set(G.times))
             assert all(0 < Q(*s) < 1 for s in calls)  # s is a pair (num, den)
+
+
+def _counting_builds(monkeypatch):
+    """Count the maps PLCircleDiffeo.interpolate and .compose build."""
+    calls = []
+    for name in ("interpolate", "compose"):
+        method = getattr(PLCircleDiffeo, name)
+
+        def counting(f, g, s=None, *, _method=method, _name=name):
+            calls.append(_name)
+            return _method(f, g) if s is None else _method(f, g, s)
+
+        monkeypatch.setattr(PLCircleDiffeo, name, counting)
+    return calls
+
+
+class TestLazyFrames:
+    """refine and compose build frames on first read."""
+
+    def test_refine_and_compose_build_no_frame_before_a_read(self, monkeypatch):
+        rng = random.Random(61)
+        for _ in range(10):
+            F = refine(random_based_loop(rng), Q(1, 8))
+            G = refine(random_based_loop(rng), Q(1, 8))
+            F.frames, G.frames
+            calls = _counting_builds(monkeypatch)
+            R = refine(F, Q(1, 64))
+            H = compose(F, G)
+            assert calls == ["compose", "compose"]  # H's two end frames
+            # holes at every interpolant, and at every composite but the ends
+            assert R._frames.count(None) == len(R.tn) - len(F.tn)
+            assert H._frames.count(None) == len(H.tn) - 2
+            mu(R, Q(1, 3)), mu(H, Q(1, 3)), H.is_based_loop()
+            assert calls == ["compose", "compose"]
+            monkeypatch.undo()
+            _same_isotopy(R, oracle_refine(F, Q(1, 64)))
+            _same_isotopy(H, oracle_isotopy_compose(F, G))
+            assert R._recipe is H._recipe is None  # dropped once every hole is filled
+
+    def test_refined_slope_bound_is_exact(self):
+        for seed, kind in PAIR_CASES:
+            F, G = _isotopy_pair(seed, kind)
+            for X, max_disp in ((F, Q(1, 7)), (G, Q(1, 3)), (compose(F, G), Q(1, 9))):
+                R = refine(X, max_disp)
+                assert Q(*R._slope()) == Q(*c._top_slope(R.frames)), (seed, kind)
+
+    def test_a_read_isotopy_lets_its_factors_go(self):
+        for seed, kind in PAIR_CASES[::7]:
+            F, G = _isotopy_pair(seed, kind)
+            R = refine(F, Q(1, 10))
+            H = compose(R, G)
+            refs = [weakref.ref(X) for X in (F, G, R)]
+            R.frames, H.frames
+            del F, G, R
+            gc.collect()
+            assert [ref() for ref in refs] == [None, None, None], (seed, kind)
+            assert H.frames and mu(H, Q(1, 3)) == rotation_angle(H.trace(Q(1, 3)))
+
+
+def _steep_for_invert():
+    """F_t = R(t/8) o h for h with slopes 8 and 1/8, sampled at 0, 1/2, 1:
+    F moves 1/16 per step, but its inverse moves 8/16 = 1/2."""
+    h = PLCircleDiffeo([0, 8], [0, 64], 72)
+    return PLIsotopy((0, Q(1, 2), 1),
+                     [PLCircleDiffeo.rotation(Q(k, 16)).compose(h) for k in range(3)])
+
+
+class TestInvert:
+    def test_steep_steps_are_bisected(self):
+        F = _steep_for_invert()
+        with pytest.raises(AmbiguousLift):
+            PLIsotopy(F.tn, [f.inverse() for f in F.frames], F.tden)
+        Fi = invert(F)
+        for X in (Fi, commutator(F, random_isotopy(random.Random(0)))):
+            _assert_record(X)  # every step moves less than 1/2
+        assert Fi.times == (0, Q(1, 4), Q(1, 2), Q(3, 4), 1)
+        for t, f in zip(Fi.times, Fi.frames):
+            assert _key(f) == _key(F.frame_at(t).inverse())
+        for p in (Q(0), Q(1, 3), Q(5, 7), Q(63, 64)):
+            assert mu(Fi, p) == F.frames[-1].eval_inv(p) - F.frames[0].eval_inv(p)
 
 
 def _step_kinds(F, G):
