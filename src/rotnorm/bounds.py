@@ -45,18 +45,10 @@ def _upper_rank(u):
     return (0, u)
 
 
-def _upper_add(a, b):
-    if a == INF or b == INF:
-        return INF
-    if a == FINITE or b == FINITE:
-        return FINITE
-    return a + b
-
-
-def _upper_mul(c, a):
-    if a == INF or a == FINITE:
-        return a
-    return c * a
+def _upper_sum(c, uppers):
+    """c * sum(uppers) on the tower, where "finite" absorbs numbers."""
+    top = max(uppers, key=_upper_rank)
+    return top if _upper_rank(top)[0] else c * sum(uppers)
 
 
 @dataclass(frozen=True)
@@ -228,47 +220,50 @@ def diameter_ledger(ctx: ManifoldContext, q: QuotientInfo) -> BoundLedger:
         "cld", lower_cl(theta_lo, NU_DEFECT, NU_COMMUTATOR_BOUND), rule)
 
 
-# Relation rules: (smaller, larger-side description).
-# q1 <= q2                 : ("le", q1, q2)
-# q1 <= c * q2             : ("le_scaled", q1, c, q2)
-# q1 <= q2 + q3            : ("le_sum", q1, q2, q3)
+# Norm relations, each row (target, c, terms, rule) read as
+# target <= c * sum(terms).  Every rule that writes a quantity's upper bound
+# comes before every rule that reads it (see `relation_close`).
 _RELATIONS = (
-    ("le", "cl_f", "clb_f", "cl_le_clb"),
-    ("le_scaled", "clb_f", Q(2), "eta", "clb_le_2eta"),
-    ("le_scaled", "zeta", Q(4), "clb_f", "zeta_le_4clb"),
-    ("le_sum", "cl_f", "cl_modG_f", "cld_G", "cl_le_quotient_plus_diameter"),
-    ("le_sum", "clb_f", "clb_modG_f", "clbd_G", "clb_le_quotient_plus_diameter"),
-    ("le", "cl_modG_f", "clb_modG_f", "cl_modG_le_clb_modG"),
+    ("clb_f", Q(2), ("eta",), "clb_le_2eta"),
+    ("clb_f", Q(1), ("clb_modG_f", "clbd_G"), "clb_le_quotient_plus_diameter"),
+    ("cl_modG_f", Q(1), ("clb_modG_f",), "cl_modG_le_clb_modG"),
+    ("cl_f", Q(1), ("clb_f",), "cl_le_clb"),
+    ("cl_f", Q(1), ("cl_modG_f", "cld_G"), "cl_le_quotient_plus_diameter"),
+    ("zeta", Q(4), ("clb_f",), "zeta_le_4clb"),
 )
 
 
 def relation_close(ledger: BoundLedger) -> BoundLedger:
-    """Fixed point of the norm-relation rules; tightens uppers, lifts lowers."""
-    led = ledger
-    for _ in range(64):
-        before = led
-        for rel in _RELATIONS:
-            kind, rule = rel[0], rel[-1]
-            if kind == "le":
-                _, a, b, _ = rel
-                led = led.with_upper(a, led.get(b).upper, rule)
-                led = led.with_lower(b, led.get(a).lower, rule)
-            elif kind == "le_scaled":
-                _, a, c, b, _ = rel
-                led = led.with_upper(a, _upper_mul(c, led.get(b).upper), rule)
-                led = led.with_lower(b, led.get(a).lower / c, rule)
-            else:  # le_sum: a <= b + c
-                _, a, b, c, _ = rel
-                led = led.with_upper(
-                    a, _upper_add(led.get(b).upper, led.get(c).upper), rule)
-                for x, other in ((b, c), (c, b)):
-                    u = led.get(other).upper
-                    if u != INF and u != FINITE:
-                        led = led.with_lower(x, led.get(a).lower - u, rule)
-        if led.entries == before.entries:
-            break
-    else:  # pragma: no cover - the rules are monotone over a finite value set
-        raise InconsistentLedger("relation closure did not stabilize")
+    """Close the ledger under `_RELATIONS`: tighten uppers, lift lowers.
+
+    A row target <= c * sum(terms) bounds target above by c times the sum
+    of the terms' uppers, and each term b below by target.lower / c minus
+    the other terms' uppers, when those are all numbers.  Uppers read only
+    uppers, along the edges term -> target; that graph is acyclic and the
+    table lists it in topological order, so one forward walk leaves every
+    upper final.  A lower reads the target's lower along the same edges
+    reversed, plus final uppers, so one backward walk leaves every lower
+    final: the fixed point of the rules.  An entry's `rules` lists its
+    upper rules in table order, then its lower rules in reverse order.
+    """
+    entries = dict(ledger.entries)
+
+    def get(name):
+        return entries.get(name, BoundEntry())
+
+    for target, c, terms, rule in _RELATIONS:
+        upper, e = _upper_sum(c, [get(t).upper for t in terms]), get(target)
+        if _upper_rank(upper) < _upper_rank(e.upper):
+            entries[target] = BoundEntry(e.lower, upper, e.rules + (rule,))
+    for target, c, terms, rule in reversed(_RELATIONS):
+        for i, term in enumerate(terms):
+            others = [get(t).upper for t in terms[:i] + terms[i + 1:]]
+            if INF in others or FINITE in others:
+                continue
+            lower, e = get(target).lower / c - sum(others), get(term)
+            if lower > e.lower:
+                entries[term] = BoundEntry(lower, e.upper, e.rules + (rule,))
+    led = BoundLedger(entries)
     led.check()
     return led
 

@@ -238,7 +238,12 @@ def bounds_cmd(theta_str, context_path, lattice_path, fmt):
 
         ctx = bounds.ManifoldContext.from_json(_read_json(context_path))
         A = lattice.lattice_from_json(_read_json(lattice_path))
-        led = bounds.diameter_ledger(ctx, lattice.quotient_info(A))
+        q = lattice.quotient_info(A)
+        led = bounds.diameter_ledger(ctx, q)
+        if q.rank == A.m and th > Q(q.k, 2):
+            raise ValidationError(
+                f"theta {rat_str(th)} exceeds k/2 = {rat_str(Q(q.k, 2))}: no "
+                "coset of this lattice has theta above theta_sup <= k/2")
         led = led.with_lower("cl_f", lower, "quasimorphism_theta_lower")
         led = led.with_upper("clb_modG_f", Q(upper), "quotient_norm_theta_upper")
         led = bounds.relation_close(led)

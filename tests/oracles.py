@@ -20,6 +20,9 @@ and Fraction back-substitution paths, kept as the reference for the integer
 routines of ``lattice`` that all run on its one HNF.
 ``oracle_cvp_enumerate`` is the earlier interval-and-undo CVP kernel,
 kept as the reference result and node count for ``_kernels.cvp_enumerate``.
+``oracle_relation_close`` is the earlier fixed point that re-swept every
+norm relation until nothing changed, kept as the reference bounds for the
+two ordered walks of ``bounds.relation_close``.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from math import ceil, gcd, lcm
 from operator import add
 
 from rotnorm._rat import INF, Q, common
+from rotnorm.bounds import FINITE, BoundLedger
 from rotnorm.coset import AffineCoset, theta
-from rotnorm.errors import FullRank, ValidationError
+from rotnorm.errors import FullRank, InconsistentLedger, ValidationError
 from rotnorm.lattice import IntLattice, quotient_info
 
 
@@ -672,3 +676,61 @@ def oracle_kernel_functional(A: IntLattice):
     ), "functional does not vanish on the generators"
     return result
 
+
+def _upper_add(a, b):
+    if a == INF or b == INF:
+        return INF
+    if a == FINITE or b == FINITE:
+        return FINITE
+    return a + b
+
+
+def _upper_mul(c, a):
+    if a == INF or a == FINITE:
+        return a
+    return c * a
+
+
+# Relation rules: (smaller, larger-side description).
+# q1 <= q2                 : ("le", q1, q2)
+# q1 <= c * q2             : ("le_scaled", q1, c, q2)
+# q1 <= q2 + q3            : ("le_sum", q1, q2, q3)
+_RELATIONS = (
+    ("le", "cl_f", "clb_f", "cl_le_clb"),
+    ("le_scaled", "clb_f", Q(2), "eta", "clb_le_2eta"),
+    ("le_scaled", "zeta", Q(4), "clb_f", "zeta_le_4clb"),
+    ("le_sum", "cl_f", "cl_modG_f", "cld_G", "cl_le_quotient_plus_diameter"),
+    ("le_sum", "clb_f", "clb_modG_f", "clbd_G", "clb_le_quotient_plus_diameter"),
+    ("le", "cl_modG_f", "clb_modG_f", "cl_modG_le_clb_modG"),
+)
+
+
+def oracle_relation_close(ledger: BoundLedger) -> BoundLedger:
+    """Fixed point of the norm-relation rules; tightens uppers, lifts lowers."""
+    led = ledger
+    for _ in range(64):
+        before = led
+        for rel in _RELATIONS:
+            kind, rule = rel[0], rel[-1]
+            if kind == "le":
+                _, a, b, _ = rel
+                led = led.with_upper(a, led.get(b).upper, rule)
+                led = led.with_lower(b, led.get(a).lower, rule)
+            elif kind == "le_scaled":
+                _, a, c, b, _ = rel
+                led = led.with_upper(a, _upper_mul(c, led.get(b).upper), rule)
+                led = led.with_lower(b, led.get(a).lower / c, rule)
+            else:  # le_sum: a <= b + c
+                _, a, b, c, _ = rel
+                led = led.with_upper(
+                    a, _upper_add(led.get(b).upper, led.get(c).upper), rule)
+                for x, other in ((b, c), (c, b)):
+                    u = led.get(other).upper
+                    if u != INF and u != FINITE:
+                        led = led.with_lower(x, led.get(a).lower - u, rule)
+        if led.entries == before.entries:
+            break
+    else:  # pragma: no cover - the rules are monotone over a finite value set
+        raise InconsistentLedger("relation closure did not stabilize")
+    led.check()
+    return led

@@ -183,7 +183,7 @@ def test_criterion_7_cli_determinism(tmp_path):
         ["lattice", "--in", str(lat)],
         ["coset", "--lattice", str(lat), "--offset", "6/5,1/2"],
         ["defect", "--trials", "200", "--seed", "11"],
-        ["bounds", "--theta", "5/2", "--context", str(ctx),
+        ["bounds", "--theta", "3/2", "--context", str(ctx),
          "--lattice", str(lat)],
         ["verdict", "--context", str(ctx), "--lattice", str(lat)],
         ["catalog", "list"],

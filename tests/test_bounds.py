@@ -1,4 +1,6 @@
 import itertools
+import json
+import random
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,8 @@ from rotnorm.bounds import (
     FINITE,
     NU_COMMUTATOR_BOUND,
     NU_DEFECT,
+    QUANTITIES,
+    BoundEntry,
     BoundLedger,
     ManifoldContext,
     Status,
@@ -25,6 +29,8 @@ from rotnorm.errors import (
     ZeroDenominator,
 )
 from rotnorm.lattice import normalize, quotient_info
+
+from oracles import oracle_relation_close
 
 # Every combination of context flags for n = 2..8, and lattices of rank m
 # and rank < m for m = 1..3.
@@ -308,6 +314,55 @@ class TestRelationClose:
         led = led.with_upper("clbd_G", FINITE, "given")
         closed = relation_close(led)
         assert closed.get("clb_f").upper == FINITE
+
+    def test_table_is_in_topological_order(self):
+        # A rule that reads a quantity's upper bound comes after every rule
+        # that writes it; otherwise one forward walk leaves uppers stale.
+        for i, (_, _, terms, rule) in enumerate(_RELATIONS):
+            later = {target for target, _, _, _ in _RELATIONS[i:]}
+            assert not later & set(terms), rule
+
+    def test_agrees_with_fixed_point_on_random_ledgers(self):
+        rng = random.Random(20260823)
+
+        def draw():
+            entries = {}
+            for name in QUANTITIES:
+                if rng.random() < 0.4:
+                    continue
+                lower = (Q(rng.randint(0, 24), rng.randint(1, 4))
+                         if rng.random() < 0.4 else Q(0))
+                r = rng.random()
+                upper = (INF if r < 0.15 else FINITE if r < 0.3
+                         else Q(rng.randint(0, 60), rng.randint(1, 3)))
+                entries[name] = BoundEntry(lower, upper, ("given",))
+            return BoundLedger(entries)
+
+        def bounds_of(close, led):
+            try:
+                out = close(led)
+            except InconsistentLedger:
+                return "inconsistent"
+            return [(out.get(n).lower, out.get(n).upper) for n in QUANTITIES]
+
+        outcomes = []
+        for _ in range(10_000):
+            led = draw()
+            got = bounds_of(relation_close, led)
+            assert got == bounds_of(oracle_relation_close, led), led
+            outcomes.append(got == "inconsistent")
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    def test_battery_json_matches_fixed_point(self):
+        for gens in FULL_RANK + DEFICIENT:
+            A = lattice(gens)
+            q = quotient_info(A)
+            for ctx in battery_contexts(A.m):
+                led = diameter_ledger(ctx, q)
+                got, want = (json.dumps(close(led).to_json(), sort_keys=True)
+                             for close in (relation_close,
+                                           oracle_relation_close))
+                assert got == want, ctx
 
 
 class TestVerdict:

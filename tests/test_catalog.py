@@ -4,58 +4,8 @@ import pytest
 
 from rotnorm import catalog
 from rotnorm.bounds import Status, Verdict
-from rotnorm.catalog import (
-    check_fixture,
-    hopf_lattice,
-    list_fixtures,
-    load_fixture,
-    s1_action_vector,
-    vanishing_condition,
-)
+from rotnorm.catalog import check_fixture, list_fixtures, load_fixture
 from rotnorm.errors import ValidationError
-from rotnorm.lattice import normalize, quotient_info
-
-
-class TestHopfLattice:
-    def test_m1_is_all_of_z(self):
-        A = hopf_lattice(1)
-        assert A.hnf_basis == ((1,),)
-        assert quotient_info(A).k == 1
-
-    def test_m2_is_full_z2(self):
-        A = hopf_lattice(2)
-        assert A.rank == 2
-        assert quotient_info(A).k == 1
-
-    def test_m3_is_diagonal_line(self):
-        A = hopf_lattice(3)
-        assert A.rank == 1
-        assert A.hnf_basis == ((1, 1, 1),)
-
-    def test_bad_m(self):
-        with pytest.raises(ValidationError):
-            hopf_lattice(0)
-
-
-class TestAssertions:
-    def test_s1_action_membership(self):
-        a = s1_action_vector([3, 3, 3])
-        assert a.holds_in(hopf_lattice(3))
-        assert not s1_action_vector([1, 2, 3]).holds_in(hopf_lattice(3))
-
-    def test_divides_form(self):
-        a = s1_action_vector([6])
-        assert a.divides(3)
-        assert not a.divides(4)
-        with pytest.raises(ValidationError):
-            s1_action_vector([1, 2]).divides(2)
-
-    def test_vanishing(self):
-        cond = vanishing_condition(center_trivial=True, pi1_injective=True)
-        assert cond.check(normalize([], ambient_dim=2))
-        assert not cond.check(normalize([(1, 0)]))
-        weak = vanishing_condition(center_trivial=True, pi1_injective=False)
-        assert weak.check(normalize([(1, 0)]))
 
 
 class TestCatalog:
@@ -93,6 +43,17 @@ class TestCatalog:
         assert report["checks"]["invariant_factors"]["ok"]
         assert report["checks"]["k"] == {
             "expected": [4], "actual": [3], "ok": False}
+
+    def test_degrees_outside_the_lattice_fail_the_check(self, monkeypatch):
+        # hopf-3's lattice is the diagonal line spanned by (1, 1, 1).
+        fx = load_fixture("hopf-3")
+        off = dataclasses.replace(
+            fx, expected={**fx.expected, "degrees_in_lattice": [1, 2, 3]})
+        monkeypatch.setattr(catalog, "load_fixture", lambda name: off)
+        report = check_fixture(fx.name)
+        assert not report["ok"]
+        assert report["checks"]["degrees_in_lattice"] == {
+            "expected": True, "actual": False, "ok": False}
 
     def test_rank_only_verdict_comes_from_the_engine(self, monkeypatch):
         # The rank-only verdict was the literal "Unbounded", never computed.

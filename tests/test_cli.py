@@ -223,6 +223,22 @@ class TestBoundsVerdictCommands:
         assert led["cld"]["upper"] == "9"
         assert led["cl_f"]["lower"] == "3/8"
 
+    @pytest.mark.parametrize("n", [3, 2])
+    def test_bounds_theta_above_half_k(self, tmp_path, n):
+        # k = 2, so no coset has theta above 1.  At theta = 40 the ledger
+        # was inconsistent for n = 3 (exit 2) and claimed cld_G >= 21/4
+        # for n = 2 (exit 0).
+        cp = write_json(tmp_path, "ctx.json", {"n": n, "m": 1})
+        ap = write_json(tmp_path, "A.json", {"m": 1, "generators": [[2]]})
+        r = run_cli(["bounds", "--theta", "40", "--context", cp,
+                     "--lattice", ap])
+        assert_validation_error(r)
+        assert "k/2 = 1" in json.loads(r.stderr)["error"]["message"]
+        r = run_cli(["bounds", "--theta", "1", "--context", cp,
+                     "--lattice", ap])
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["ledger"]["cl_f"]["lower"] == "1/2"
+
     def test_verdict(self, tmp_path):
         cp = write_json(tmp_path, "ctx.json", {"n": 3, "m": 2})
         ap = write_json(tmp_path, "A.json", {"m": 2, "generators": [[1, 1]]})
@@ -453,25 +469,22 @@ class TestExitCodes:
         r = run_cli(["frobnicate"])
         assert r.returncode == 1
 
-    def test_inconsistency_is_2(self, tmp_path):
-        # a fixture that fails its self-check must exit 2: fabricate one by
-        # pointing the catalog at a bad expectations file via monkeypatched
-        # package data is heavy; instead drive the ledger path.
-        script = (
-            "from rotnorm.bounds import BoundLedger, relation_close\n"
-            "from rotnorm._rat import Q\n"
-            "from rotnorm.errors import InconsistentLedger\n"
-            "led = BoundLedger().with_lower('cl_f', Q(100), 'a')\n"
-            "led = led.with_upper('clb_modG_f', Q(3), 'b')\n"
-            "led = led.with_upper('clbd_G', Q(4), 'b')\n"
-            "import sys\n"
-            "try:\n"
-            "    relation_close(led)\n"
-            "except InconsistentLedger:\n"
-            "    sys.exit(2)\n"
-        )
-        r = subprocess.run([sys.executable, "-c", script])
-        assert r.returncode == 2
+    def test_inconsistency_is_2(self, tmp_path, monkeypatch, capsys):
+        from rotnorm import bounds, cli
+        from rotnorm.errors import InconsistentLedger
+
+        def inconsistent(ledger):
+            raise InconsistentLedger("cl_f: lower 100 exceeds upper 7")
+
+        monkeypatch.setattr(bounds, "relation_close", inconsistent)
+        cp = write_json(tmp_path, "ctx.json", {"n": 3, "m": 1})
+        ap = write_json(tmp_path, "A.json", {"m": 1, "generators": [[3]]})
+        code = cli.main(["bounds", "--theta", "1/2", "--context", cp,
+                         "--lattice", ap])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "inconsistency"
 
 
 def assert_usage_error(r):
