@@ -37,12 +37,23 @@ QUANTITIES = (
 
 
 def _upper_rank(u):
-    """Sort key on the upper-bound tower: numeric < finite < infinite."""
-    if u == INF:
+    """Sort key on the upper-bound tower: numeric < finite < infinite.
+
+    The rank is read off the type: INF is a float and FINITE the one str,
+    while numeric uppers are ints and rationals, so no rational is compared
+    with a float or a str on the way.
+    """
+    t = type(u)
+    if t is float and u == INF:
         return (2, 0)
-    if u == FINITE:
+    if t is str:
         return (1, 0)
     return (0, u)
+
+
+def _is_number(u) -> bool:
+    """Whether an upper is a number, below "finite" on the tower."""
+    return _upper_rank(u)[0] == 0
 
 
 def _upper_sum(c, uppers):
@@ -125,7 +136,7 @@ class BoundLedger:
 
     def check(self) -> None:
         for name, e in self.entries.items():
-            if e.upper != INF and e.upper != FINITE and e.lower > e.upper:
+            if _is_number(e.upper) and e.lower > e.upper:
                 raise InconsistentLedger(
                     f"{name}: lower {e.lower} exceeds upper {e.upper}"
                 )
@@ -136,8 +147,9 @@ class BoundLedger:
             if name not in self.entries:
                 continue
             e = self.entries[name]
-            upper = "inf" if e.upper == INF else (
-                FINITE if e.upper == FINITE else rat_str(e.upper))
+            rank = _upper_rank(e.upper)[0]
+            upper = (rat_str(e.upper) if rank == 0
+                     else FINITE if rank == 1 else "inf")
             out[name] = {
                 "lower": rat_str(e.lower),
                 "upper": upper,
@@ -258,7 +270,7 @@ def relation_close(ledger: BoundLedger) -> BoundLedger:
     for target, c, terms, rule in reversed(_RELATIONS):
         for i, term in enumerate(terms):
             others = [get(t).upper for t in terms[:i] + terms[i + 1:]]
-            if INF in others or FINITE in others:
+            if not all(map(_is_number, others)):
                 continue
             lower, e = get(target).lower / c - sum(others), get(term)
             if lower > e.lower:

@@ -5,22 +5,25 @@ Groups are fully enumerated (cap 10^6 elements), which keeps every norm
 exact and every axiom checkable exhaustively.
 
 Every norm here is conjugation invariant, so on a finite group it is a class
-function.  A group labels its conjugacy classes once, on first use, as
-orbits under conjugation by its generators; the commutator set, word norms
-and normal closures are then computed over classes rather than over
-elements or pairs of elements.
+function, and every engine runs over the conjugacy-class table: the
+commutator set, word norms, the zeta norm and normal closures are computed
+over classes rather than over elements or pairs of elements.
 
-The two steps that touch every element, closing the generators under
-products and labelling the classes, work on bytes: a permutation padded to
-256 bytes is a ``bytes.translate`` table, so each product is one C-level
-lookup, and the elements become tuples once, after the closure.
+``generate_group`` enumerates a group one conjugacy class at a time, so
+closing the generators and labelling the classes are one pass: each class
+is an orbit under conjugation by the generators, and the products of each
+class with the generators' classes name the classes still to walk.  That
+pass works on bytes: a permutation padded to 256 bytes is a
+``bytes.translate`` table, so each product or conjugation step is one or two
+C-level lookups.  The elements are sorted and become tuples once, at the
+end, and the group keeps one bytes-keyed index of them.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
-from rotnorm import _kernels
 from rotnorm._rat import INF
 from rotnorm.errors import (
     ClosureTooLarge,
@@ -99,6 +102,8 @@ class FiniteGroup:
 
     ``generators`` must generate ``elements``: the conjugacy classes and the
     invariance checks are taken under conjugation by the generators alone.
+    ``_index`` maps the bytes of each element to its position in
+    ``elements``.
     """
 
     degree: int
@@ -108,17 +113,31 @@ class FiniteGroup:
     _classes: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {g: i for i, g in enumerate(self.elements)})
+        if self._index is None:
+            object.__setattr__(self, "_index", dict(
+                zip(map(bytes, self.elements), range(len(self.elements)))))
 
     def _class_table(self):
-        """(class label of each element index, sorted members of each class).
+        """(class label of each element index, sorted members of each class,
+        the same members as bytes).
 
-        Computed once, as orbits under conjugation by the generators, which
-        costs |G| * |generators| conjugations.  Labels follow the order of
-        each class's least element, so the identity's class is label 0.
+        ``generate_group`` hands the table over as it enumerates the group;
+        a group built directly (as ``normal_closure`` builds them) labels its
+        classes on first use, as orbits under conjugation by the generators
+        through the same ``_orbit`` walk, which costs |G| * |generators|
+        conjugations.  Labels follow the order of each class's least element,
+        so the identity's class is label 0.
         """
         if self._classes is None:
-            object.__setattr__(self, "_classes", _label_classes(self))
+            keys = list(self._index)
+            conjugators = _conjugators(self.generators)
+            class_of, orbits = {}, []
+            for x in keys:
+                if x not in class_of:
+                    orbits.append(_orbit(x, conjugators, class_of, len(orbits),
+                                         len(keys)))
+            object.__setattr__(self, "_classes", _relabel(
+                orbits, class_of, keys, self.elements))
         return self._classes
 
     @property
@@ -129,64 +148,166 @@ class FiniteGroup:
     def identity(self) -> Perm:
         return identity_perm(self.degree)
 
+    def _find(self, g):
+        """The index of g in ``elements``, or None.
+
+        Answers as a dict keyed by the element tuples would: an unhashable
+        g raises TypeError, and images equal to ints (True, 1.0) count as
+        those ints.
+        """
+        hash(g)
+        if not isinstance(g, tuple) or len(g) != self.degree:
+            return None
+        try:
+            return self._index.get(bytes(g))
+        except ValueError:  # an image outside 0..255
+            return None
+        except TypeError:  # an image that is not an int
+            try:
+                ints = tuple(map(int, g))
+            except (TypeError, ValueError, OverflowError):
+                return None
+            return self._find(ints) if ints == g else None
+
+    def _label(self, g) -> int:
+        """The class label of the element g."""
+        i = self._find(g)
+        if i is None:
+            raise NotAMember(f"{g} is not an element of the group")
+        return self._class_table()[0][i]
+
     def __contains__(self, g) -> bool:
-        return g in self._index
+        return self._find(g) is not None
 
     def require_member(self, g: Perm) -> Perm:
-        if g not in self._index:
+        if self._find(g) is None:
             raise NotAMember(f"{g} is not an element of the group")
         return g
 
 
+def _conjugators(generators):
+    """(s padded to a 256-byte translate table, s^-1) for each generator s."""
+    return [(bytes(s) + bytes(256 - len(s)), bytes(inverse(s)))
+            for s in generators]
+
+
+def _orbit(x: bytes, conjugators, class_of: dict, k: int, cap: int) -> list:
+    """The orbit of x under conjugation by the generators, entered in
+    class_of as class k.
+
+    (s y s^-1)[i] = s[y[s^-1[i]]]: translate s^-1 through y, then through s,
+    with y padded to 256 bytes as a translate table.  Raises ClosureTooLarge
+    as soon as class_of would hold more than cap elements, so an oversized
+    group stops inside the walk that passes the cap.
+    """
+    pad = bytes(256 - len(x))
+    if len(class_of) >= cap:
+        raise ClosureTooLarge(f"closure exceeds {cap} elements")
+    class_of[x] = k
+    orbit = [x]
+    for y in orbit:  # the list grows as it is walked: a BFS queue
+        table = y + pad
+        for s_table, s_inv in conjugators:
+            z = s_inv.translate(table).translate(s_table)
+            if z not in class_of:
+                if len(class_of) >= cap:
+                    raise ClosureTooLarge(f"closure exceeds {cap} elements")
+                class_of[z] = k
+                orbit.append(z)
+    return orbit
+
+
+def _class_products(K, C) -> list[bytes]:
+    """Products whose classes are the classes of k*c, k in K and c in C
+    (two conjugacy classes, as bytes).
+
+    Conjugating k*c by h gives (h k h^-1)(h c h^-1), so these classes are
+    those of r*c over c in C, r the first member of K, and also those of
+    k*c0 over k in K, c0 the first member of C: the shorter loop suffices.
+    (r*c)[i] = r[c[i]] is c translated through r; c0*k is conjugate to
+    k*c0 and is k translated through c0.
+    """
+    if len(C) <= len(K):
+        table = K[0] + bytes(256 - len(K[0]))
+        return [c.translate(table) for c in C]
+    table = C[0] + bytes(256 - len(C[0]))
+    return [k.translate(table) for k in K]
+
+
+def _relabel(orbits, class_of, keys, elements):
+    """The class table from orbits found in any order: classes ordered by
+    least member, each class sorted, labels aligned with the sorted keys."""
+    order = sorted(range(len(orbits)), key=lambda c: min(orbits[c]))
+    new = [0] * len(orbits)
+    for label, c in enumerate(order):
+        new[c] = label
+    labels = list(map(new.__getitem__, map(class_of.__getitem__, keys)))
+    members = [[] for _ in orbits]
+    for i, label in enumerate(labels):  # in key order: each class sorted
+        members[label].append(i)
+    classes = tuple(tuple(map(elements.__getitem__, m)) for m in members)
+    byte_classes = tuple(tuple(map(keys.__getitem__, m)) for m in members)
+    return labels, classes, byte_classes
+
+
 def generate_group(generators) -> FiniteGroup:
-    """Close a generator set under products (BFS, cap 10^6 elements)."""
+    """The group generated by a set of permutations, enumerated one
+    conjugacy class at a time (cap 10^6 elements).
+
+    The classes of the identity and of each generator come first, each an
+    orbit under conjugation by the generators (``_orbit``).  Then the
+    classes are walked in the order found: for each class K and each class
+    C of a generator, ``_class_products`` gives elements whose classes are
+    those of k*c over k in K, c in C, and each product not seen yet starts
+    a new orbit.
+
+    This reaches all of G.  Let U be the union of the classes found.  It
+    contains the identity.  Take x in U and a generator g, and write x =
+    h r h^-1 with r the first member of x's class K.  Then x*g = h (r *
+    h^-1 g h) h^-1, and h^-1 g h lies in C, the class of g, so the class of
+    x*g is that of r*c for some c in C, which the walk reached.  So U is
+    closed under right multiplication by every generator; G is finite, so
+    every element is a word in the generators (inverses are positive
+    powers), and U = G.  Every member of U is a conjugate of a product of
+    generators, so U lies in G.
+
+    Elements stay bytes throughout; they are sorted once (bytes of one
+    length sort exactly as the tuples of their values), turned into tuples
+    once, and the classes are relabelled by their least element.  The group
+    gets that one bytes-keyed index and the finished class table.
+    """
     gens = tuple(validate_perm(g) for g in generators)
     if not gens:
         raise ValidationError("at least one generator required")
     degree = len(gens[0])
     if any(len(g) != degree for g in gens):
         raise ValidationError("generators have mixed degrees")
-    raw = _kernels.closure_bytes(list(map(bytes, gens)), CLOSURE_CAP)
-    if raw is None:
-        raise ClosureTooLarge(f"closure exceeds {CLOSURE_CAP} elements")
-    # Bytes of one length sort exactly as the tuples of their values.
-    elements = tuple(map(tuple, sorted(raw)))
-    return FiniteGroup(degree=degree, elements=elements, generators=gens)
-
-
-def _label_classes(G: FiniteGroup):
-    elements = G.elements
-    pad = bytes(256 - G.degree)
-    index = {bytes(g): i for i, g in enumerate(elements)}
-    # (s x s^-1)[i] = s[x[s^-1[i]]]: translate s^-1 through x, then through
-    # s; x and s are kept padded to 256 bytes, as translate tables.
-    conjugators = [(bytes(s) + pad, bytes(inverse(s))) for s in G.generators]
-    labels = [-1] * len(elements)
-    classes = []
-    for i, g in enumerate(elements):
-        if labels[i] >= 0:
-            continue
-        k = len(classes)
-        labels[i] = k
-        orbit = [i]
-        stack = [bytes(g) + pad]
-        while stack:
-            x = stack.pop()
-            for s_table, s_inv in conjugators:
-                y = s_inv.translate(x).translate(s_table)
-                j = index[y]
-                if labels[j] < 0:
-                    labels[j] = k
-                    orbit.append(j)
-                    stack.append(y + pad)
-        orbit.sort()
-        classes.append(tuple(elements[j] for j in orbit))
-    return labels, tuple(classes)
+    conjugators = _conjugators(gens)
+    class_of: dict[bytes, int] = {}
+    orbits: list[list[bytes]] = []
+    for x in (bytes(range(degree)), *map(bytes, gens)):
+        if x not in class_of:
+            orbits.append(_orbit(x, conjugators, class_of, len(orbits),
+                                 CLOSURE_CAP))
+    gen_classes = [orbits[c]
+                   for c in sorted({class_of[bytes(g)] for g in gens})]
+    for K in orbits:  # the list grows as it is walked
+        for C in gen_classes:
+            for x in _class_products(K, C):
+                if x not in class_of:
+                    orbits.append(_orbit(x, conjugators, class_of,
+                                         len(orbits), CLOSURE_CAP))
+    keys = sorted(class_of)
+    elements = (tuple(struct.iter_unpack(f"{degree}B", b"".join(keys)))
+                if degree else ((),))
+    index = dict(zip(keys, range(len(keys))))
+    table = _relabel(orbits, class_of, keys, elements)
+    return FiniteGroup(degree, elements, gens, index, table)
 
 
 def _union_of_classes(G: FiniteGroup, keep) -> tuple[Perm, ...]:
     """The sorted members of the classes whose labels satisfy keep."""
-    labels, _ = G._class_table()
+    labels = G._class_table()[0]
     return tuple(g for g, k in zip(G.elements, labels) if keep(k))
 
 
@@ -195,18 +316,15 @@ def _class_distances(G: FiniteGroup, s_labels) -> list[int]:
     -1 where unreachable.
 
     A class enters layer d+1 as the class of f*s, f in a class K of layer d
-    and s in a class C of S.  Conjugating f*s by h gives (h f h^-1)(h s
-    h^-1), so the classes of f*s over f in K, s in C are those of r*s over
-    s in C, r the representative of K, and also those of f*c over f in K,
-    c the representative of C: the shorter of the two loops suffices.
+    and s in a class C of S; ``_class_products`` gives those classes from
+    min(|K|, |C|) products.
     """
-    labels, classes = G._class_table()
+    labels, _, classes = G._class_table()
     index = G._index
     dist = [-1] * len(classes)
-    start = labels[index[G.identity]]
-    dist[start] = 0
+    dist[0] = 0  # the identity's class
     unseen = len(classes) - 1
-    frontier = [start]
+    frontier = [0]
     d = 0
     while frontier and unseen:
         d += 1
@@ -214,15 +332,9 @@ def _class_distances(G: FiniteGroup, s_labels) -> list[int]:
         for k in frontier:
             K = classes[k]
             for c in s_labels:
-                C = classes[c]
-                if len(C) <= len(K):
-                    r_at = K[0].__getitem__
-                    hit = {labels[index[tuple(map(r_at, s))]] for s in C}
-                else:
-                    c_rep = C[0]
-                    hit = {labels[index[tuple(map(f.__getitem__, c_rep))]]
-                           for f in K}
-                for j in hit:
+                products = _class_products(K, classes[c])
+                for j in set(map(labels.__getitem__,
+                                 map(index.__getitem__, products))):
                     if dist[j] < 0:
                         dist[j] = d
                         nxt.append(j)
@@ -232,9 +344,7 @@ def _class_distances(G: FiniteGroup, s_labels) -> list[int]:
 
 
 def conjugacy_class(G: FiniteGroup, g: Perm) -> tuple[Perm, ...]:
-    G.require_member(g)
-    labels, classes = G._class_table()
-    return classes[labels[G._index[g]]]
+    return G._class_table()[1][G._label(g)]
 
 
 def normal_closure(G: FiniteGroup, g: Perm) -> FiniteGroup:
@@ -246,8 +356,8 @@ def normal_closure(G: FiniteGroup, g: Perm) -> FiniteGroup:
     G.require_member(g)
     if g == G.identity:
         return FiniteGroup(G.degree, (G.identity,), (G.identity,))
-    labels, classes = G._class_table()
-    s_labels = {labels[G._index[g]], labels[G._index[inverse(g)]]}
+    classes = G._class_table()[1]
+    s_labels = {G._label(g), G._label(inverse(g))}
     dist = _class_distances(G, s_labels)
     gens = tuple(sorted(s for c in s_labels for s in classes[c]))
     return FiniteGroup(G.degree, _union_of_classes(G, lambda k: dist[k] >= 0),
@@ -331,14 +441,17 @@ def word_norm(G: FiniteGroup, S: SymmetricSet | tuple | list | set) -> NormTable
     """
     if not isinstance(S, SymmetricSet):
         S = SymmetricSet.checked(G, S)
-    labels, _ = G._class_table()
-    identity = labels[G._index[G.identity]]
-    s_labels = {labels[G._index[s]] for s in S.members} - {identity}
-    dist = _class_distances(G, s_labels)
-    values = {
-        g: (INF if dist[k] < 0 else dist[k]) for g, k in zip(G.elements, labels)
-    }
-    return NormTable(group=G, values=values)
+    s_labels = {G._label(s) for s in S.members} - {0}  # 0: the identity
+    return _class_norm(G, s_labels)
+
+
+def _class_norm(G: FiniteGroup, s_labels) -> NormTable:
+    """The word norm over the union of the classes s_labels (the
+    identity's class not among them)."""
+    per_class = [INF if d < 0 else d for d in _class_distances(G, s_labels)]
+    labels = G._class_table()[0]
+    return NormTable(group=G, values=dict(
+        zip(G.elements, map(per_class.__getitem__, labels))))
 
 
 def commutator_set(G: FiniteGroup) -> tuple[Perm, ...]:
@@ -348,13 +461,13 @@ def commutator_set(G: FiniteGroup) -> tuple[Perm, ...]:
     [h a h^-1, h b h^-1], so the set is the union of the classes of r*c for
     r a class representative and c in class(r^-1): |G| products in all.
     """
-    labels, classes = G._class_table()
+    labels, classes, byte_classes = G._class_table()
     index = G._index
     hit = set()
-    for cls in classes:
-        r_at = cls[0].__getitem__
-        for c in classes[labels[index[inverse(cls[0])]]]:
-            hit.add(labels[index[tuple(map(r_at, c))]])
+    for cls, K in zip(classes, byte_classes):
+        inv = byte_classes[G._label(inverse(cls[0]))]
+        hit.update(map(labels.__getitem__,
+                       map(index.__getitem__, _class_products(K, inv))))
     return _union_of_classes(G, hit.__contains__)
 
 
@@ -368,8 +481,7 @@ def zeta_norm(G: FiniteGroup, g: Perm) -> NormTable:
     G.require_member(g)
     if g == G.identity:
         raise IdentityGenerator("zeta norm requires a non-identity element")
-    s = set(conjugacy_class(G, g)) | set(conjugacy_class(G, inverse(g)))
-    return word_norm(G, SymmetricSet(tuple(sorted(s))))
+    return _class_norm(G, {G._label(g), G._label(inverse(g))})
 
 
 def quotient_norm(q: NormTable, S, f: Perm):
@@ -395,13 +507,12 @@ def weakly_simple_set(G: FiniteGroup):
     # A class lies in S_G when the normal closure of its elements is proper;
     # that closure is the union of the classes the class BFS reaches over
     # class(g) and class(g^-1), so its order is a sum of class sizes.
-    labels, classes = G._class_table()
-    index = G._index
-    keep = {labels[index[G.identity]]}
+    classes = G._class_table()[1]
+    keep = {0}  # the identity's class
     for k, cls in enumerate(classes):
         if k in keep:
             continue
-        dist = _class_distances(G, {k, labels[index[inverse(cls[0])]]})
+        dist = _class_distances(G, {k, G._label(inverse(cls[0]))})
         if sum(len(classes[j]) for j, d in enumerate(dist) if d >= 0) < G.order:
             keep.add(k)
     s_g = tuple(sorted(_union_of_classes(G, keep.__contains__)))

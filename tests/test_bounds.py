@@ -8,6 +8,7 @@ import pytest
 from rotnorm._rat import INF, Q
 from rotnorm.bounds import (
     _RELATIONS,
+    _upper_rank,
     FINITE,
     NU_COMMUTATOR_BOUND,
     NU_DEFECT,
@@ -154,6 +155,19 @@ class TestLedger:
         assert led.get("cld").upper == 7
         # going back up the tower is a no-op
         assert led.with_upper("cld", FINITE, "y") is led
+
+    def test_upper_rank_orders_the_tower(self):
+        # rationals and ints < "finite" < infinity, whatever their size
+        tower = [INF, FINITE, Q(10**30), 10**30 + 1, Q(7, 2), 3, Q(0), 0]
+        ranked = sorted(tower, key=_upper_rank)
+        assert ranked == [Q(0), 0, 3, Q(7, 2), Q(10**30), 10**30 + 1,
+                          FINITE, INF]
+        assert _upper_rank(Q(10**30)) < _upper_rank(FINITE) < _upper_rank(INF)
+        assert _upper_rank(2) < _upper_rank(Q(5, 2)) < _upper_rank(3)
+        led = BoundLedger().with_upper("cld", 10**30, "int")
+        assert led.with_upper("cld", FINITE, "fin") is led
+        assert led.with_upper("cld", INF, "inf") is led
+        assert led.with_upper("cld", Q(7, 2), "q").get("cld").upper == Q(7, 2)
 
     def test_check_raises_on_crossing(self):
         led = BoundLedger().with_lower("cld", Q(9), "a").with_upper("cld", Q(4), "b")

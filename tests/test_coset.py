@@ -290,6 +290,33 @@ class TestThetaOracle:
             checked += 1
 
 
+class TestThetaPointsOracle:
+    """The attaining points of theta against the brute-force oracle, on
+    criterion 2's instance draw (criterion 2 compares theta alone)."""
+
+    def test_points_match_on_full_rank_and_deficient(self):
+        rng = random.Random(20260823)
+        checked = {True: 0, False: 0}  # keyed by full rank
+        while min(checked.values()) < 150:
+            m = rng.randint(1, 4)
+            gens = [[rng.randint(-6, 6) for _ in range(m)]
+                    for _ in range(rng.randint(0, m + 1))]
+            A = normalize(gens, ambient_dim=m)
+            off = [Q(rng.randint(-20, 20), rng.randint(1, 10))
+                   for _ in range(m)]
+            basis = [list(r) for r in A.hnf_basis]
+            if oracle_theta_cost(basis, list(A.pivots), off) > 60_000:
+                continue
+            full = len(basis) == m
+            if checked[full] >= 150:
+                continue
+            nd = theta(AffineCoset.build(A, off))
+            want, want_pts = oracle_theta(basis, list(A.pivots), off)
+            assert nd.theta == want, (gens, off)
+            assert nd.theta_points == tuple(want_pts), (gens, off)
+            checked[full] += 1
+
+
 def _least_cap(inst, hi):
     """The least max_nodes at which the kernel succeeds, or None past hi."""
     if _kernels.cvp_enumerate(*inst, hi) is None:

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -518,6 +519,8 @@ def _seeded_gen_sets(seed, per_degree=5, max_order=5000):
 
 
 GEN_SETS = _seeded_gen_sets(20261)
+ALL_GEN_SETS = GEN_SETS + [
+    list(map(bytes, gens)) for gens in LARGE_GENS.values()]
 
 
 class TestClosureKernel:
@@ -527,9 +530,8 @@ class TestClosureKernel:
         assert {len(gens[0]) for gens in GEN_SETS} == set(
             range(1, g.MAX_DEGREE + 1))
 
-    @pytest.mark.parametrize("gens", GEN_SETS + [
-        list(map(bytes, gens)) for gens in LARGE_GENS.values()],
-        ids=lambda gens: f"deg{len(gens[0])}")
+    @pytest.mark.parametrize("gens", ALL_GEN_SETS,
+                             ids=lambda gens: f"deg{len(gens[0])}")
     def test_same_elements_in_discovery_order(self, gens):
         expect = oracle_closure_bytes(gens, 10_000)
         assert _kernels.closure_bytes(gens, 10_000) == expect
@@ -540,6 +542,106 @@ class TestClosureKernel:
 
     def test_no_generators(self):
         assert _kernels.closure_bytes([], 10) == oracle_closure_bytes([], 10) == []
+
+
+class TestClassEnumeration:
+    """``generate_group`` enumerates G class by class: its elements and
+    class table against the closure oracle and the oracle classes."""
+
+    @pytest.mark.parametrize("gens", ALL_GEN_SETS,
+                             ids=lambda gens: f"deg{len(gens[0])}")
+    def test_elements_and_class_table(self, gens):
+        G = g.generate_group([tuple(x) for x in gens])
+        want = sorted(oracle_closure_bytes(gens, 10_000))
+        assert G.elements == tuple(map(tuple, want))
+        labels, classes, byte_classes = G._class_table()
+        oracle = _oracle_classes(G)
+        assert [classes[k] for k in labels] == [oracle[x] for x in G.elements]
+        firsts = [cls[0] for cls in classes]
+        assert firsts == sorted(set(firsts)) and firsts[0] == G.identity
+        assert byte_classes == tuple(tuple(map(bytes, cls)) for cls in classes)
+        # a group built directly labels its classes on first use, alike
+        direct = g.FiniteGroup(G.degree, G.elements, G.generators)
+        assert direct._class_table() == (labels, classes, byte_classes)
+
+    @pytest.mark.parametrize("gens", [
+        gens for gens in ALL_GEN_SETS
+        if len(oracle_closure_bytes(gens, 10_000)) > 1],
+        ids=lambda gens: f"deg{len(gens[0])}")
+    def test_cap_counts_every_element(self, gens, monkeypatch):
+        order = len(oracle_closure_bytes(gens, 10_000))
+        perms = [tuple(x) for x in gens]
+        monkeypatch.setattr(g, "CLOSURE_CAP", order)
+        assert g.generate_group(perms).order == order
+        monkeypatch.setattr(g, "CLOSURE_CAP", order - 1)
+        with pytest.raises(ClosureTooLarge):
+            g.generate_group(perms)
+
+    def test_s12_fails_fast_within_memory(self):
+        # S12 has 479001600 elements: the cap stops the orbit walk that
+        # passes it, long before the class of 12-cycles is complete.
+        code = (
+            "import resource, time\n"
+            "from rotnorm import groups as g\n"
+            "from rotnorm.errors import ClosureTooLarge\n"
+            "gens = [(1, 0, *range(2, 12)), (*range(1, 12), 0)]\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    g.generate_group(gens)\n"
+            "except ClosureTooLarge:\n"
+            "    print(time.perf_counter() - start,\n"
+            "          resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], text=True,
+                             capture_output=True, check=True).stdout
+        seconds, peak_kb = out.split()
+        assert float(seconds) < 10
+        assert int(peak_kb) <= 200 * 1024
+
+
+# The answers of a tuple-keyed dict lookup: images equal to ints count as
+# those ints, anything else is not a member, and an unhashable input raises.
+MEMBERSHIP = [
+    ((1, 0, 2), True),
+    ((1, 0), False),
+    ((1, 0, 2, 3), False),
+    ((0, 1, 3), False),
+    ((0, 1, 256), False),
+    ((0, 1, 10**30), False),
+    ((-1, 0, 1), False),
+    ((True, False, 2), True),
+    ((1.0, 0.0, 2.0), True),
+    ((Fraction(1), 0, 2), True),
+    ((1.5, 0, 2), False),
+    ((float("nan"), 0, 1), False),
+    ((float("inf"), 0, 1), False),
+    (("1", "0", "2"), False),
+    ((None, 0, 1), False),
+    ((), False),
+    ("102", False),
+    (3, False),
+    (None, False),
+    ([1, 0, 2], TypeError),
+    (([1], 0, 2), TypeError),
+]
+
+
+class TestMembership:
+    @pytest.mark.parametrize("probe,answer", MEMBERSHIP, ids=repr)
+    def test_in_and_require_member(self, probe, answer):
+        G = S3()
+        if answer is TypeError:
+            with pytest.raises(TypeError):
+                probe in G
+            with pytest.raises(TypeError):
+                G.require_member(probe)
+        elif answer:
+            assert probe in G
+            assert G.require_member(probe) is probe
+        else:
+            assert probe not in G
+            with pytest.raises(NotAMember):
+                G.require_member(probe)
 
 
 def _oracle_norm(G, s):
