@@ -33,19 +33,20 @@ in integers, is below 1/2 the step is proven; otherwise it is measured
 exactly.
 
 Frames are built when they are first read.  An isotopy made by the public
-constructor holds all its frames.  ``refine`` and ``compose`` return
-isotopies with holes, each filled on first read from its factors: ``mu``
-and ``is_based_loop`` read only the end frames, which ``compose`` builds,
-so a loop refined, composed and measured builds no interpolated or
-composite frame in between.  ``compose`` also builds the frames of every
-step it measures, and ``frames`` fills every hole.
+constructor holds all its frames.  ``refine``, ``compose`` and ``invert``
+give their result one private ``_source(a, q)``, the frame at the time a/q
+built from the factors, and the result fills a hole from it on the hole's
+first read.  ``mu`` and ``is_based_loop`` read only the end frames, so a
+loop refined, composed and measured builds no interpolated or composite
+frame in between.  Measuring a step builds its two frames, and ``frames``
+fills every hole.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from math import gcd, lcm
+from math import lcm
 from operator import lt, sub
 
 from rotnorm._rat import Q, common, floor_q
@@ -257,8 +258,6 @@ class PLCircleDiffeo:
         """Convex combination (1-s)*self + s*other of the lifts.
 
         ``s`` is a rational, or an integer pair (num, den) with den > 0.
-        When both maps share one grid, every value is a numerator over
-        den * L, and one gcd gives their least common denominator.
         """
         if type(s) is tuple:
             sn, sd = s
@@ -270,14 +269,8 @@ class PLCircleDiffeo:
         if sn == sd:
             return other
         L, xs, mine, theirs = self._merged(other)
-        if len(xs) == len(self.xn) == len(other.xn):  # one grid: every r is 1
-            M = sd * L
-            ys = [(sd - sn) * pa + sn * pb for (pa, _), (pb, _) in zip(mine, theirs)]
-            g = gcd(M, *ys)
-            D, ys = M // g, [y // g for y in ys]
-        else:
-            D, ys = common([((sd - sn) * pa * rb + sn * pb * ra, sd * ra * rb * L)
-                            for (pa, ra), (pb, rb) in zip(mine, theirs)])
+        D, ys = common([((sd - sn) * pa * rb + sn * pb * ra, sd * ra * rb * L)
+                        for (pa, ra), (pb, rb) in zip(mine, theirs)])
         m = lcm(L, D)
         return PLCircleDiffeo([x * (m // L) for x in xs],
                               [y * (m // D) for y in ys], m)
@@ -354,19 +347,20 @@ class PLIsotopy:
     None, which ``_step`` measures when it is first needed.
 
     Frames are built on first read.  The public constructor takes whole
-    frames.  ``refine`` and ``compose`` pass frames with holes (None) and
-    the private ``_recipe``, which builds frame i from their factors; the
-    first ``_at(i)`` fills hole i.  ``frames`` fills every hole, and once
-    none is left the recipe is dropped, so the isotopy no longer holds its
-    factors.  ``_slope()`` is the largest segment slope over the frames,
-    which ``compose`` reads as the Lipschitz bound of its outer factor;
-    ``refine`` passes its parent's value in through ``_lip``.
+    frames.  ``refine``, ``compose`` and ``invert`` pass frames with holes
+    (None) and the private ``_source(a, q)``, which builds the frame at the
+    time a/q from their factors; the first ``_at(i)`` fills hole i with
+    ``_source(tn[i], tden)``.  ``frames`` fills every hole, and once none is
+    left the source is dropped, so the isotopy no longer holds its factors.
+    ``_slope()`` is the largest segment slope over the frames, which
+    ``compose`` reads as the Lipschitz bound of its outer factor; ``refine``
+    passes its parent's value in through ``_lip``.
     """
 
-    __slots__ = ("tn", "tden", "_frames", "_recipe", "_holes", "_disp", "_lip",
+    __slots__ = ("tn", "tden", "_frames", "_source", "_holes", "_disp", "_lip",
                  "__weakref__")
 
-    def __init__(self, times, frames, tden=None, *, _disp=None, _recipe=None,
+    def __init__(self, times, frames, tden=None, *, _disp=None, _source=None,
                  _lip=None):
         if tden is None:
             tden, times = common(Q(t).as_integer_ratio() for t in times)
@@ -392,21 +386,21 @@ class PLIsotopy:
             record.append(step)
         self.tn = tn
         self.tden = tden
-        self._holes = frames.count(None) if _recipe is not None else 0
+        self._holes = frames.count(None) if _source is not None else 0
         self._frames = frames if self._holes else tuple(frames)
-        self._recipe = _recipe if self._holes else None
+        self._source = _source if self._holes else None
         self._disp = record
         self._lip = _lip
 
     def _at(self, i) -> PLCircleDiffeo:
-        """Frame i, built by the recipe on its first read."""
+        """Frame i, built by the source on its first read."""
         f = self._frames[i]
         if f is None:
-            f = self._frames[i] = self._recipe(i)
+            f = self._frames[i] = self._source(self.tn[i], self.tden)
             self._holes -= 1
             if not self._holes:
                 self._frames = tuple(self._frames)
-                self._recipe = None
+                self._source = None
         return f
 
     @property
@@ -432,11 +426,6 @@ class PLIsotopy:
     @property
     def times(self) -> tuple:
         return tuple(Q(t, self.tden) for t in self.tn)
-
-    @staticmethod
-    def identity() -> "PLIsotopy":
-        ident = PLCircleDiffeo.identity()
-        return PLIsotopy((0, 1), (ident, ident), 1)
 
     @staticmethod
     def rotation(angle, samples: int | None = None) -> "PLIsotopy":
@@ -517,33 +506,19 @@ def compose(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
     moves less than 1/2.  The result records each measured step and leaves
     each certified one unknown.
 
-    Only the end frames, which ``mu`` reads, and the frames of measured
-    steps are built here; the result builds every other composite frame on
-    its first read.  A bisected result has all its frames built.
+    Only the frames of measured steps are built here; the result builds
+    every other composite frame on its first read.
     """
     T = lcm(F.tden, G.tden)
     tf = [t * (T // F.tden) for t in F.tn]
     tg = [t * (T // G.tden) for t in G.tn]
     grid = sorted(set(tf).union(tg))
-
-    def build(k):
-        t = grid[k]
-        return F._frame(t, T).compose(G._frame(t, T))
-
-    frames = [None] * len(grid)
-    frames[0], frames[-1] = build(0), build(-1)
-
-    def frame(k):
-        if frames[k] is None:
-            frames[k] = build(k)
-        return frames[k]
-
     lim = MAX_STEP_DISPLACEMENT
     ln, ld = lim.numerator, lim.denominator
     rise, run = F._slope()  # Lip(F_t) <= rise / run for every t
-    disp = []
+    certified = []
     i = j = 0  # [a, b] lies in step i of F and step j of G
-    for k, (a, b) in enumerate(zip(grid, grid[1:])):
+    for a, b in zip(grid, grid[1:]):
         while tf[i + 1] <= a:
             i += 1
         while tg[j + 1] <= a:
@@ -553,66 +528,56 @@ def compose(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
         ng, dg = G._step(j)
         uf, ug = df * (tf[i + 1] - tf[i]), dg * (tg[j + 1] - tg[j])
         # (b - a) * (nf / uf + (rise / run) * ng / ug) < ln / ld
-        if (b - a) * (nf * run * ug + rise * ng * uf) * ld < ln * uf * run * ug:
-            disp.append(None)
-        else:
-            disp.append(frame(k)._displacement(frame(k + 1)))
-    if all(step is None or _small(step) for step in disp):
-        return PLIsotopy(grid, frames, T, _disp=disp, _recipe=build)
-
-    def at(t):
-        a, q = t.numerator, t.denominator
-        return F._frame(a, q).compose(G._frame(a, q))
-
-    return _bisect([Q(t, T) for t in grid], list(map(frame, range(len(grid)))),
-                   disp, at)
-
-
-def _bisect(ts, frames, disp, at) -> PLIsotopy:
-    """The isotopy through ``frames`` at the rational times ``ts``, each
-    step that moves by 1/2 or more cut at its midpoint until every piece
-    moves less than 1/2.
-
-    ``disp`` holds each step's record: its exact displacement, or None for
-    a step already proven below 1/2.  ``at(t)`` builds the frame at a
-    rational time t.
-    """
-    out_t, out_f, out_d = [ts[0]], [frames[0]], []
-    for t1, f1, step in zip(ts[1:], frames[1:], disp):
-        if step is None or _small(step):
-            out_t.append(t1)
-            out_f.append(f1)
-            out_d.append(step)
-            continue
-        tm = (out_t[-1] + t1) / 2
-        pending = [(t1, f1), (tm, at(tm))]  # a stack, earliest on top
-        while pending:
-            t1, f1 = pending[-1]
-            step = out_f[-1]._displacement(f1)
-            if _small(step):
-                out_t.append(t1)
-                out_f.append(f1)
-                out_d.append(step)
-                pending.pop()
-            else:
-                tm = (out_t[-1] + t1) / 2
-                pending.append((tm, at(tm)))
-    return PLIsotopy(out_t, out_f, _disp=out_d)
+        certified.append(
+            (b - a) * (nf * run * ug + rise * ng * uf) * ld < ln * uf * run * ug)
+    return _sampled(grid, T, lambda a, q: F._frame(a, q).compose(G._frame(a, q)),
+                    certified)
 
 
 def invert(F: PLIsotopy) -> PLIsotopy:
     """The isotopy t -> (F_t)^-1, sampled at F's times.
 
     Inverse frames can move by 1/2 or more in a step where F's frames move
-    less (a steep frame has a flat inverse).  Such a step is bisected, as
-    in ``compose``, with (F_t)^-1 sampled at midpoints.
+    less (a steep frame has a flat inverse), so every step is measured, and
+    such a step is bisected, as in ``compose``.
     """
-    frames = [f.inverse() for f in F.frames]
-    disp = [fa._displacement(fb) for fa, fb in zip(frames, frames[1:])]
-    if all(map(_small, disp)):
-        return PLIsotopy(F.tn, frames, F.tden, _disp=disp)
-    return _bisect(F.times, frames, disp,
-                   lambda t: F._frame(t.numerator, t.denominator).inverse())
+    return _sampled(F.tn, F.tden, lambda a, q: F._frame(a, q).inverse(),
+                    [False] * (len(F.tn) - 1))
+
+
+def _sampled(tn, tden, source, certified) -> PLIsotopy:
+    """The isotopy whose frame at the time a/q is ``source(a, q)``, sampled
+    at the times tn / tden.
+
+    ``certified[k]`` says step k is proven below 1/2; every other step is
+    measured, and when each moves less than 1/2 the result keeps these
+    samples and builds its other frames on first read.  Otherwise every
+    frame is built and each step that moves by 1/2 or more is cut at its
+    midpoint, sampled from ``source``, until every piece moves less than
+    1/2.  A certified step is recorded as unknown, a measured one exactly.
+    """
+    H = PLIsotopy(tn, [None] * len(tn), tden, _disp=[None] * len(certified),
+                  _source=source)
+    if all(ok or _small(H._step(k)) for k, ok in enumerate(certified)):
+        return H
+    ts, frames, disp = [Q(0)], [H._at(0)], []
+
+    def cut(t1, f1, step):
+        """Append the step from the last kept frame to (t1, f1), whose
+        displacement is ``step``, halved until every piece is below 1/2."""
+        if step is None or _small(step):
+            ts.append(t1)
+            frames.append(f1)
+            disp.append(step)
+            return
+        tm = (ts[-1] + t1) / 2
+        fm = source(tm.numerator, tm.denominator)
+        cut(tm, fm, frames[-1]._displacement(fm))
+        cut(t1, f1, frames[-1]._displacement(f1))
+
+    for k, ok in enumerate(certified):
+        cut(Q(tn[k + 1], tden), H._at(k + 1), None if ok else H._step(k))
+    return PLIsotopy(ts, frames, _disp=disp)
 
 
 def _lift_gap(f: PLCircleDiffeo, g: PLCircleDiffeo):
@@ -664,12 +629,13 @@ def refine(F: PLIsotopy, max_disp) -> PLIsotopy:
     result records.  The new times are integers over ``tden`` times the
     least common multiple of the piece counts.
 
-    The interpolants are built on first read, as
-    ``F._at(i).interpolate(F._at(i + 1), (j, pieces))``; F's own frames are
-    shared.  The result's slope bound is F's, exactly: F's frames are among
-    the refined ones, and on each segment where both neighbours are linear
-    an interpolant's slope is a convex combination of theirs, so no
-    interpolant is steeper than its steeper neighbour.
+    The result's frame at each time is ``F._frame`` there, built on its
+    first read: F's own frame at F's times, and at the time j / pieces of
+    the way along a step the interpolant with that ratio.  The result's
+    slope bound is F's, exactly: F's frames are among the refined ones, and
+    on each segment where both neighbours are linear an interpolant's slope
+    is a convex combination of theirs, so no interpolant is steeper than its
+    steeper neighbour.
     """
     max_disp = Q(max_disp)
     if max_disp <= 0:
@@ -680,30 +646,14 @@ def refine(F: PLIsotopy, max_disp) -> PLIsotopy:
     counts = [n * md // (d * mn) + 1 for n, d in steps]  # fewest pieces below max_disp
     P = lcm(*counts)
     tn: list = []
-    frames: list = []
-    source: list = []  # (i, j, pieces): frame j / pieces of the way along step i
     disp: list = []
-    for i, (t0, t1, (n, d), pieces) in enumerate(zip(F.tn, F.tn[1:], steps, counts)):
-        step = (t1 - t0) * (P // pieces)
-        t0 *= P
-        for j in range(pieces):
-            tn.append(t0 + j * step)
-            source.append((i, j, pieces))
-        frames.append(F._frames[i])
-        frames += [None] * (pieces - 1)
+    for t0, t1, (n, d), pieces in zip(F.tn, F.tn[1:], steps, counts):
+        tn += range(t0 * P, t1 * P, (t1 - t0) * (P // pieces))
         disp += [(n, d * pieces)] * pieces
     T = F.tden * P
     tn.append(T)
-    source.append((len(F.tn) - 1, 0, 1))
-    frames.append(F._frames[-1])
-
-    def build(k):
-        i, j, pieces = source[k]
-        if j == 0:
-            return F._at(i)
-        return F._at(i).interpolate(F._at(i + 1), (j, pieces))
-
-    return PLIsotopy(tn, frames, T, _disp=disp, _recipe=build, _lip=lip)
+    return PLIsotopy(tn, [None] * len(tn), T, _disp=disp, _source=F._frame,
+                     _lip=lip)
 
 
 class MultiIsotopy:
@@ -749,15 +699,6 @@ def nu_hat(F: MultiIsotopy, A):
     if A.m != F.m:
         raise DimensionMismatch(f"lattice dimension {A.m} != components {F.m}")
     return AffineCoset.build(A, nu(F))
-
-
-def compose_multi(F: MultiIsotopy, G: MultiIsotopy) -> MultiIsotopy:
-    if F.m != G.m or F.basepoints != G.basepoints:
-        raise DimensionMismatch("component counts / basepoints disagree")
-    return MultiIsotopy(
-        tuple(compose(a, b) for a, b in zip(F.components, G.components)),
-        F.basepoints,
-    )
 
 
 # ---------------------------------------------------------------------------

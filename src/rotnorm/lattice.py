@@ -191,8 +191,8 @@ def quotient_info(A: IntLattice) -> QuotientInfo:
         e = [0] * A.m
         e[i] = 1
         t = _order(A, e)
-        if t != INF:
-            assert member(A, [t * x for x in e]), "order certificate failed"
+        if t != INF and not member(A, [t * x for x in e]):
+            raise AssertionError("order certificate failed")
         orders.append(t)
     rank = A.rank
     k = max(orders) if orders else 1
@@ -239,9 +239,8 @@ def kernel_functional(A: IntLattice):
     if next(x for x in c if x) < 0:
         c = [-x for x in c]
     result = tuple(c)
-    assert all(
-        sum(ci * gi for ci, gi in zip(result, gen)) == 0 for gen in A.generators
-    ), "functional does not vanish on the generators"
+    if any(sum(ci * gi for ci, gi in zip(result, gen)) for gen in A.generators):
+        raise AssertionError("functional does not vanish on the generators")
     return result
 
 

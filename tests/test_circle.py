@@ -15,7 +15,6 @@ from rotnorm.circle import (
     PLPath,
     commutator,
     compose,
-    compose_multi,
     concat,
     defect_experiment,
     invert,
@@ -220,6 +219,20 @@ class TestFractionOracle:
                 mid = a.interpolate(b, Q(1, 3))
                 assert _same_map(mid, ra.interpolate(rb, Q(1, 3)))
         assert differing > 0
+
+    def test_interpolate_on_one_grid(self):
+        # adjacent frames of a based loop share one grid of breakpoints
+        rng = random.Random(47)
+        for _ in range(10):
+            F = random_based_loop(rng)
+            for a, b in zip(F.frames, F.frames[1:]):
+                assert (a.den, a.xn) == (b.den, b.xn)
+                ra, rb = FractionCircleDiffeo.of(a), FractionCircleDiffeo.of(b)
+                for s in (Q(1, 3), Q(1, 2), Q(5, 7)):
+                    mid = a.interpolate(b, s)
+                    assert _same_map(mid, ra.interpolate(rb, s))
+                    pair = a.interpolate(b, (2 * s.numerator, 2 * s.denominator))
+                    assert (pair.den, pair.xn, pair.yn) == (mid.den, mid.xn, mid.yn)
 
     def test_loop_frames_compose_like_oracle(self):
         rng = random.Random(43)
@@ -610,7 +623,7 @@ class TestCompositionOracles:
             calls.clear()
             monkeypatch.setattr(PLCircleDiffeo, "interpolate", counting)
             H = compose(F, G)
-            assert calls == []  # every step certified: only the end frames built
+            assert calls == []  # every step certified: no frame built
             H.frames
             monkeypatch.undo()
             assert set(H.times) == grid  # no step was bisected
@@ -644,16 +657,15 @@ class TestLazyFrames:
             calls = _counting_builds(monkeypatch)
             R = refine(F, Q(1, 64))
             H = compose(F, G)
-            assert calls == ["compose", "compose"]  # H's two end frames
-            # holes at every interpolant, and at every composite but the ends
-            assert R._frames.count(None) == len(R.tn) - len(F.tn)
-            assert H._frames.count(None) == len(H.tn) - 2
+            assert calls == []  # every step certified: nothing measured or built
+            assert R._frames.count(None) == len(R.tn)
+            assert H._frames.count(None) == len(H.tn)
             mu(R, Q(1, 3)), mu(H, Q(1, 3)), H.is_based_loop()
-            assert calls == ["compose", "compose"]
+            assert calls == ["compose", "compose"]  # H's two end frames
             monkeypatch.undo()
             _same_isotopy(R, oracle_refine(F, Q(1, 64)))
             _same_isotopy(H, oracle_isotopy_compose(F, G))
-            assert R._recipe is H._recipe is None  # dropped once every hole is filled
+            assert R._source is H._source is None  # dropped once every hole is filled
 
     def test_refined_slope_bound_is_exact(self):
         for seed, kind in PAIR_CASES:
@@ -804,14 +816,6 @@ class TestMultiIsotopy:
         M = self._multi(3)
         with pytest.raises(DimensionMismatch):
             nu_hat(M, normalize([(1, 0, 0)], ambient_dim=3))
-
-    def test_compose_multi(self):
-        F, G = self._multi(4), self._multi(4)
-        H = compose_multi(F, G)
-        for h, f, g, p in zip(
-            H.components, F.components, G.components, F.basepoints
-        ):
-            assert mu(h, p) == mu(compose(f, g), p)
 
 
 class TestSeededStreams:

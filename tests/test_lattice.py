@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -321,6 +323,28 @@ class TestKernelFunctional:
             g = gcd(g, abs(x))
         assert g == 1
         assert next(x for x in c if x) > 0
+
+
+class TestSelfChecksUnderO:
+    """The self-checks raise explicitly, so ``python -O`` keeps them."""
+
+    @pytest.mark.parametrize("fault, call, message", [
+        # every order certificate fails
+        ("L.member = lambda A, v: False",
+         "L.quotient_info(L.normalize([(2, 0), (0, 3)]))",
+         "order certificate failed"),
+        # generators that disagree with the HNF basis they are stored with
+        ("A = L.IntLattice(m=2, generators=((1, 1),), hnf_basis=((1, 0),),"
+         " pivots=(0,))",
+         "L.kernel_functional(A)",
+         "functional does not vanish"),
+    ], ids=["quotient_info", "kernel_functional"])
+    def test_planted_fault_raises(self, fault, call, message):
+        script = f"from rotnorm import lattice as L\n{fault}\n{call}\n"
+        r = subprocess.run([sys.executable, "-O", "-c", script],
+                           capture_output=True, text=True)
+        assert r.returncode == 1, r.stdout
+        assert f"AssertionError: {message}" in r.stderr
 
 
 class TestJsonRoundtrip:
