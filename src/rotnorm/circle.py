@@ -102,8 +102,11 @@ class PLCircleDiffeo:
     with the integer run ``dx`` and rise ``dy`` of every segment (the last
     segment wraps to the first breakpoint one period on).  Every operation
     works on these integers and builds a rational only for the values it
-    returns.  Maps built by ``compose`` and ``interpolate`` use the least
-    common denominator of their breakpoints and values.
+    returns.  Maps built by ``compose`` use the least common denominator of
+    their breakpoints and values.  Maps built by ``interpolate`` use lcm(L,
+    D), where L is the lcm of the two maps' denominators and D the least
+    common denominator of the interpolated values; that need not be least,
+    as the breakpoints are not reduced.
 
     ``PLCircleDiffeo(xs, ys)`` takes rationals; ``PLCircleDiffeo(xn, yn,
     den)`` takes integer numerators over the positive integer ``den``.  Both

@@ -16,13 +16,14 @@ class with the generators' classes name the classes still to walk.  That
 pass works on bytes: a permutation padded to 256 bytes is a
 ``bytes.translate`` table, so each product or conjugation step is one or two
 C-level lookups.  The elements are sorted and become tuples once, at the
-end, and the group keeps one bytes-keyed index of them.
+end.  The group keeps the walk's own table: its one index maps the bytes of
+each element to its class label, so a lookup answers membership and class
+at once, and the walk's orbits are the classes.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 
 from rotnorm._rat import INF
 from rotnorm.errors import (
@@ -77,68 +78,94 @@ def validate_perm(images) -> Perm:
     return p
 
 
+_OPEN = tuple(f"({i}" for i in range(MAX_DEGREE))
+_NEXT = tuple(f" {i}" for i in range(MAX_DEGREE))
+
+
 def cycle_str(p: Perm) -> str:
-    """Cycle notation, fixed points omitted; identity is '()'."""
-    seen = [False] * len(p)
-    cycles = []
-    for start in range(len(p)):
-        if seen[start] or p[start] == start:
-            seen[start] = True
+    """Cycle notation, fixed points omitted; identity is '()'.
+
+    One pass over the points of p (at most MAX_DEGREE of them): a cycle is
+    written from its least point, the first of its points the pass meets,
+    and its other points are marked as written.
+    """
+    out = ""
+    q = list(p)
+    for start in range(len(q)):
+        j = q[start]
+        if j <= start:  # a fixed point, or a point of a cycle written already
             continue
-        cyc = [start]
-        seen[start] = True
-        j = p[start]
+        out += _OPEN[start]
         while j != start:
-            cyc.append(j)
-            seen[j] = True
-            j = p[j]
-        cycles.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(cycles) if cycles else "()"
+            out += _NEXT[j]
+            q[j], j = -1, q[j]
+        out += ")"
+    return out or "()"
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
     """A fully enumerated permutation group with canonically ordered elements.
 
     ``generators`` must generate ``elements``: the conjugacy classes and the
     invariance checks are taken under conjugation by the generators alone.
-    ``_index`` maps the bytes of each element to its position in
-    ``elements``.
+
+    The group keeps one index, ``_class_of``, which maps the bytes of each
+    element to its class label, the identity's class being label 0.
+    ``_classes`` holds the members of each class as bytes, in label order,
+    and ``_labels`` the label of each element in ``elements`` order.
+    ``generate_group`` hands over all three from its class walk.  A group
+    built directly (as ``normal_closure`` builds them) starts with an index
+    that answers membership only, and labels its classes on first use
+    (``_table``).
     """
 
-    degree: int
-    elements: tuple[Perm, ...]
-    generators: tuple[Perm, ...]
-    _index: dict = field(default=None, repr=False, compare=False)
-    _classes: tuple = field(default=None, repr=False, compare=False)
+    __slots__ = ("degree", "elements", "generators", "_class_of", "_classes",
+                 "_labels")
 
-    def __post_init__(self):
-        if self._index is None:
-            object.__setattr__(self, "_index", dict(
-                zip(map(bytes, self.elements), range(len(self.elements)))))
+    def __init__(self, degree, elements, generators, _class_of=None,
+                 _classes=None, _labels=None):
+        self.degree = degree
+        self.elements = elements
+        self.generators = generators
+        self._class_of = (dict.fromkeys(map(bytes, elements))
+                          if _class_of is None else _class_of)
+        self._classes = _classes
+        self._labels = _labels
 
-    def _class_table(self):
-        """(class label of each element index, sorted members of each class,
-        the same members as bytes).
+    def __eq__(self, other):
+        if type(other) is not FiniteGroup:
+            return NotImplemented
+        return ((self.degree, self.elements, self.generators)
+                == (other.degree, other.elements, other.generators))
 
-        ``generate_group`` hands the table over as it enumerates the group;
-        a group built directly (as ``normal_closure`` builds them) labels its
-        classes on first use, as orbits under conjugation by the generators
-        through the same ``_orbit`` walk, which costs |G| * |generators|
-        conjugations.  Labels follow the order of each class's least element,
-        so the identity's class is label 0.
+    def __hash__(self):
+        return hash((self.degree, self.elements, self.generators))
+
+    def __repr__(self):
+        return (f"FiniteGroup(degree={self.degree!r}, "
+                f"elements={self.elements!r}, generators={self.generators!r})")
+
+    def _table(self):
+        """(``_class_of``, ``_classes``, ``_labels``), labelling the classes
+        of a directly built group first.
+
+        Its classes are the orbits under conjugation by the generators,
+        walked by ``_orbit`` in element order, which costs |G| *
+        |generators| conjugations.  The identity is the least element, so
+        its class is walked first and gets label 0.
         """
         if self._classes is None:
-            keys = list(self._index)
+            keys = list(self._class_of)
             conjugators = _conjugators(self.generators)
             class_of, orbits = {}, []
             for x in keys:
                 if x not in class_of:
                     orbits.append(_orbit(x, conjugators, class_of, len(orbits),
                                          len(keys)))
-            object.__setattr__(self, "_classes", _relabel(
-                orbits, class_of, keys, self.elements))
-        return self._classes
+            self._class_of = class_of
+            self._classes = orbits
+            self._labels = list(map(class_of.__getitem__, keys))
+        return self._class_of, self._classes, self._labels
 
     @property
     def order(self) -> int:
@@ -148,8 +175,8 @@ class FiniteGroup:
     def identity(self) -> Perm:
         return identity_perm(self.degree)
 
-    def _find(self, g):
-        """The index of g in ``elements``, or None.
+    def _key(self, g):
+        """The bytes of g if g is an element, else None.
 
         Answers as a dict keyed by the element tuples would: an unhashable
         g raises TypeError, and images equal to ints (True, 1.0) count as
@@ -159,7 +186,7 @@ class FiniteGroup:
         if not isinstance(g, tuple) or len(g) != self.degree:
             return None
         try:
-            return self._index.get(bytes(g))
+            key = bytes(g)
         except ValueError:  # an image outside 0..255
             return None
         except TypeError:  # an image that is not an int
@@ -167,20 +194,21 @@ class FiniteGroup:
                 ints = tuple(map(int, g))
             except (TypeError, ValueError, OverflowError):
                 return None
-            return self._find(ints) if ints == g else None
+            return self._key(ints) if ints == g else None
+        return key if key in self._class_of else None
 
     def _label(self, g) -> int:
         """The class label of the element g."""
-        i = self._find(g)
-        if i is None:
+        key = self._key(g)
+        if key is None:
             raise NotAMember(f"{g} is not an element of the group")
-        return self._class_table()[0][i]
+        return self._table()[0][key]
 
     def __contains__(self, g) -> bool:
-        return self._find(g) is not None
+        return self._key(g) is not None
 
     def require_member(self, g: Perm) -> Perm:
-        if self._find(g) is None:
+        if self._key(g) is None:
             raise NotAMember(f"{g} is not an element of the group")
         return g
 
@@ -234,22 +262,6 @@ def _class_products(K, C) -> list[bytes]:
     return [k.translate(table) for k in K]
 
 
-def _relabel(orbits, class_of, keys, elements):
-    """The class table from orbits found in any order: classes ordered by
-    least member, each class sorted, labels aligned with the sorted keys."""
-    order = sorted(range(len(orbits)), key=lambda c: min(orbits[c]))
-    new = [0] * len(orbits)
-    for label, c in enumerate(order):
-        new[c] = label
-    labels = list(map(new.__getitem__, map(class_of.__getitem__, keys)))
-    members = [[] for _ in orbits]
-    for i, label in enumerate(labels):  # in key order: each class sorted
-        members[label].append(i)
-    classes = tuple(tuple(map(elements.__getitem__, m)) for m in members)
-    byte_classes = tuple(tuple(map(keys.__getitem__, m)) for m in members)
-    return labels, classes, byte_classes
-
-
 def generate_group(generators) -> FiniteGroup:
     """The group generated by a set of permutations, enumerated one
     conjugacy class at a time (cap 10^6 elements).
@@ -272,9 +284,10 @@ def generate_group(generators) -> FiniteGroup:
     generators, so U lies in G.
 
     Elements stay bytes throughout; they are sorted once (bytes of one
-    length sort exactly as the tuples of their values), turned into tuples
-    once, and the classes are relabelled by their least element.  The group
-    gets that one bytes-keyed index and the finished class table.
+    length sort exactly as the tuples of their values) and turned into
+    tuples once.  The group keeps the walk's table as it stands: ``class_of``
+    as its index, the orbits as its classes (the identity's first), and the
+    labels of the sorted elements.
     """
     gens = tuple(validate_perm(g) for g in generators)
     if not gens:
@@ -300,15 +313,13 @@ def generate_group(generators) -> FiniteGroup:
     keys = sorted(class_of)
     elements = (tuple(struct.iter_unpack(f"{degree}B", b"".join(keys)))
                 if degree else ((),))
-    index = dict(zip(keys, range(len(keys))))
-    table = _relabel(orbits, class_of, keys, elements)
-    return FiniteGroup(degree, elements, gens, index, table)
+    return FiniteGroup(degree, elements, gens, class_of, orbits,
+                       list(map(class_of.__getitem__, keys)))
 
 
 def _union_of_classes(G: FiniteGroup, keep) -> tuple[Perm, ...]:
     """The sorted members of the classes whose labels satisfy keep."""
-    labels = G._class_table()[0]
-    return tuple(g for g, k in zip(G.elements, labels) if keep(k))
+    return tuple(g for g, k in zip(G.elements, G._table()[2]) if keep(k))
 
 
 def _class_distances(G: FiniteGroup, s_labels) -> list[int]:
@@ -319,8 +330,7 @@ def _class_distances(G: FiniteGroup, s_labels) -> list[int]:
     and s in a class C of S; ``_class_products`` gives those classes from
     min(|K|, |C|) products.
     """
-    labels, _, classes = G._class_table()
-    index = G._index
+    class_of, classes, _ = G._table()
     dist = [-1] * len(classes)
     dist[0] = 0  # the identity's class
     unseen = len(classes) - 1
@@ -333,8 +343,7 @@ def _class_distances(G: FiniteGroup, s_labels) -> list[int]:
             K = classes[k]
             for c in s_labels:
                 products = _class_products(K, classes[c])
-                for j in set(map(labels.__getitem__,
-                                 map(index.__getitem__, products))):
+                for j in set(map(class_of.__getitem__, products)):
                     if dist[j] < 0:
                         dist[j] = d
                         nxt.append(j)
@@ -344,7 +353,9 @@ def _class_distances(G: FiniteGroup, s_labels) -> list[int]:
 
 
 def conjugacy_class(G: FiniteGroup, g: Perm) -> tuple[Perm, ...]:
-    return G._class_table()[1][G._label(g)]
+    """The members of g's class, sorted."""
+    label = G._label(g)
+    return tuple(map(tuple, sorted(G._table()[1][label])))
 
 
 def normal_closure(G: FiniteGroup, g: Perm) -> FiniteGroup:
@@ -356,15 +367,14 @@ def normal_closure(G: FiniteGroup, g: Perm) -> FiniteGroup:
     G.require_member(g)
     if g == G.identity:
         return FiniteGroup(G.degree, (G.identity,), (G.identity,))
-    classes = G._class_table()[1]
     s_labels = {G._label(g), G._label(inverse(g))}
     dist = _class_distances(G, s_labels)
-    gens = tuple(sorted(s for c in s_labels for s in classes[c]))
+    classes = G._table()[1]
+    gens = tuple(map(tuple, sorted(s for c in s_labels for s in classes[c])))
     return FiniteGroup(G.degree, _union_of_classes(G, lambda k: dist[k] >= 0),
                        gens)
 
 
-@dataclass(frozen=True)
 class SymmetricSet:
     """A generating set closed under inversion and ambient conjugation.
 
@@ -373,7 +383,21 @@ class SymmetricSet:
     conjugacy classes of the group it is used in.
     """
 
-    members: tuple[Perm, ...]
+    __slots__ = ("members",)
+
+    def __init__(self, members: tuple[Perm, ...]):
+        self.members = members
+
+    def __eq__(self, other):
+        if type(other) is not SymmetricSet:
+            return NotImplemented
+        return self.members == other.members
+
+    def __hash__(self):
+        return hash((self.members,))
+
+    def __repr__(self):
+        return f"SymmetricSet(members={self.members!r})"
 
     @staticmethod
     def checked(G: FiniteGroup, members) -> "SymmetricSet":
@@ -393,12 +417,25 @@ class SymmetricSet:
         return SymmetricSet(mems)
 
 
-@dataclass(frozen=True)
 class NormTable:
     """Map element -> word-norm value (non-negative int, or inf)."""
 
-    group: FiniteGroup
-    values: dict
+    __slots__ = ("group", "values")
+
+    def __init__(self, group: FiniteGroup, values: dict):
+        self.group = group
+        self.values = values
+
+    def __eq__(self, other):
+        if type(other) is not NormTable:
+            return NotImplemented
+        return (self.group, self.values) == (other.group, other.values)
+
+    def __hash__(self):  # unhashable, as the values dict is
+        return hash((self.group, self.values))
+
+    def __repr__(self):
+        return f"NormTable(group={self.group!r}, values={self.values!r})"
 
     def __getitem__(self, g: Perm):
         self.group.require_member(g)
@@ -449,31 +486,37 @@ def _class_norm(G: FiniteGroup, s_labels) -> NormTable:
     """The word norm over the union of the classes s_labels (the
     identity's class not among them)."""
     per_class = [INF if d < 0 else d for d in _class_distances(G, s_labels)]
-    labels = G._class_table()[0]
     return NormTable(group=G, values=dict(
-        zip(G.elements, map(per_class.__getitem__, labels))))
+        zip(G.elements, map(per_class.__getitem__, G._table()[2]))))
 
 
-def commutator_set(G: FiniteGroup) -> tuple[Perm, ...]:
-    """All commutators [a, b] = a b a^-1 b^-1, sorted.
+def _commutator_labels(G: FiniteGroup) -> set[int]:
+    """The labels of the classes whose union is the set of commutators.
 
     For fixed a, {[a, b] : b in G} = a * class(a^-1), and h [a, b] h^-1 =
     [h a h^-1, h b h^-1], so the set is the union of the classes of r*c for
     r a class representative and c in class(r^-1): |G| products in all.
     """
-    labels, classes, byte_classes = G._class_table()
-    index = G._index
+    class_of, classes, _ = G._table()
     hit = set()
-    for cls, K in zip(classes, byte_classes):
-        inv = byte_classes[G._label(inverse(cls[0]))]
-        hit.update(map(labels.__getitem__,
-                       map(index.__getitem__, _class_products(K, inv))))
-    return _union_of_classes(G, hit.__contains__)
+    for K in classes:
+        inv = classes[class_of[bytes(inverse(K[0]))]]
+        hit.update(map(class_of.__getitem__, _class_products(K, inv)))
+    return hit
+
+
+def commutator_set(G: FiniteGroup) -> tuple[Perm, ...]:
+    """All commutators [a, b] = a b a^-1 b^-1, sorted."""
+    return _union_of_classes(G, _commutator_labels(G).__contains__)
 
 
 def commutator_length(G: FiniteGroup) -> NormTable:
-    """Word norm over the set of all commutators; inf outside [G, G]."""
-    return word_norm(G, SymmetricSet(commutator_set(G)))
+    """Word norm over the set of all commutators; inf outside [G, G].
+
+    The BFS runs over the commutator classes' labels; the identity's class
+    ([a, a]) is left out, as ``word_norm`` leaves it out.
+    """
+    return _class_norm(G, _commutator_labels(G) - {0})
 
 
 def zeta_norm(G: FiniteGroup, g: Perm) -> NormTable:
@@ -506,16 +549,19 @@ def weakly_simple_set(G: FiniteGroup):
         raise TrivialGroup("classification undefined for the trivial group")
     # A class lies in S_G when the normal closure of its elements is proper;
     # that closure is the union of the classes the class BFS reaches over
-    # class(g) and class(g^-1), so its order is a sum of class sizes.
-    classes = G._class_table()[1]
+    # class(g) and class(g^-1), so its order is a sum of class sizes.  A
+    # proper closure holds the closures of all the classes it reaches, so
+    # they lie in S_G with no BFS of their own.
+    class_of, classes, _ = G._table()
     keep = {0}  # the identity's class
-    for k, cls in enumerate(classes):
+    for k, K in enumerate(classes):
         if k in keep:
             continue
-        dist = _class_distances(G, {k, G._label(inverse(cls[0]))})
-        if sum(len(classes[j]) for j, d in enumerate(dist) if d >= 0) < G.order:
-            keep.add(k)
-    s_g = tuple(sorted(_union_of_classes(G, keep.__contains__)))
+        dist = _class_distances(G, {k, class_of[bytes(inverse(K[0]))]})
+        reached = [j for j, d in enumerate(dist) if d >= 0]
+        if sum(len(classes[j]) for j in reached) < G.order:
+            keep.update(reached)
+    s_g = _union_of_classes(G, keep.__contains__)
     if len(s_g) == 1:  # the identity alone
         classification = "simple"
     elif len(s_g) < G.order:

@@ -100,6 +100,27 @@ def oracle_conjugacy_class(elements, g):
     return tuple(sorted({_mul(_mul(h, g), _inv(h)) for h in elements}))
 
 
+def oracle_cycle_str(p):
+    """Cycle notation, fixed points omitted, identity '()': each cycle is
+    collected as a list from its least point and joined; the reference for
+    ``groups.cycle_str``."""
+    seen = [False] * len(p)
+    cycles = []
+    for start in range(len(p)):
+        if seen[start] or p[start] == start:
+            seen[start] = True
+            continue
+        cyc = [start]
+        seen[start] = True
+        j = p[start]
+        while j != start:
+            cyc.append(j)
+            seen[j] = True
+            j = p[j]
+        cycles.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(cycles) if cycles else "()"
+
+
 def oracle_commutator_set(elements):
     """Sorted {a b a^-1 b^-1}, looping over all |G|^2 pairs."""
     out = set()

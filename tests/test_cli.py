@@ -569,3 +569,14 @@ class TestColdStart:
         assert json.loads(output[0])["order"] == 6
         assert "rotnorm.groups" in loaded
         assert "rotnorm.circle" not in loaded
+
+    def test_group_loads_no_dataclasses(self, tmp_path):
+        # dataclasses pulls in inspect; the group engine's classes are
+        # plain slotted classes.
+        path = write_json(tmp_path, "g.json", [[1, 0, 2], [1, 2, 0]])
+        output, loaded = self._modules(
+            "import sys\nfrom rotnorm.cli import main\nmain(sys.argv[1:])",
+            "group", "--in", path, "--norm", "cl")
+        assert json.loads(output[0])["()"] == 0
+        assert "rotnorm.groups" in loaded
+        assert not loaded & {"dataclasses", "inspect"}

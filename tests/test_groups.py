@@ -25,6 +25,7 @@ from oracles import (
     oracle_closure_bytes,
     oracle_commutator_set,
     oracle_conjugacy_class,
+    oracle_cycle_str,
     oracle_word_lengths,
     s4_mod_v4_to_s3,
 )
@@ -81,6 +82,24 @@ class TestGenerateGroup:
 
     def test_kernel_backend(self):
         assert rotnorm.BACKEND == "pure"
+
+
+class TestCycleStr:
+    def test_every_element_of_s7(self):
+        G = g.generate_group([(1, 0, *range(2, 7)), (*range(1, 7), 0)])
+        assert G.order == 5040
+        for x in G.elements:
+            assert g.cycle_str(x) == oracle_cycle_str(x)
+
+    def test_every_degree(self):
+        rng = random.Random(23)
+        for n in range(g.MAX_DEGREE + 1):
+            for _ in range(50):
+                x = list(range(n))
+                rng.shuffle(x)
+                assert g.cycle_str(tuple(x)) == oracle_cycle_str(tuple(x))
+        assert g.cycle_str(()) == g.cycle_str((0, 1)) == "()"
+        assert g.cycle_str((1, 0, 3, 4, 2)) == "(0 1)(2 3 4)"
 
 
 class TestConjugacyClass:
@@ -554,15 +573,21 @@ class TestClassEnumeration:
         G = g.generate_group([tuple(x) for x in gens])
         want = sorted(oracle_closure_bytes(gens, 10_000))
         assert G.elements == tuple(map(tuple, want))
-        labels, classes, byte_classes = G._class_table()
         oracle = _oracle_classes(G)
-        assert [classes[k] for k in labels] == [oracle[x] for x in G.elements]
-        firsts = [cls[0] for cls in classes]
-        assert firsts == sorted(set(firsts)) and firsts[0] == G.identity
-        assert byte_classes == tuple(tuple(map(bytes, cls)) for cls in classes)
         # a group built directly labels its classes on first use, alike
         direct = g.FiniteGroup(G.degree, G.elements, G.generators)
-        assert direct._class_table() == (labels, classes, byte_classes)
+        partitions = []
+        for H in (G, direct):
+            class_of, classes, labels = H._table()
+            assert sorted(class_of) == want
+            assert labels == [class_of[bytes(x)] for x in H.elements]
+            assert [class_of[x] for cls in classes for x in cls] == [
+                k for k, cls in enumerate(classes) for _ in cls]
+            members = [tuple(map(tuple, sorted(cls))) for cls in classes]
+            assert [members[k] for k in labels] == [oracle[x] for x in H.elements]
+            assert class_of[bytes(H.identity)] == 0
+            partitions.append({frozenset(cls) for cls in classes})
+        assert partitions[0] == partitions[1]
 
     @pytest.mark.parametrize("gens", [
         gens for gens in ALL_GEN_SETS
@@ -642,6 +667,28 @@ class TestMembership:
             assert probe not in G
             with pytest.raises(NotAMember):
                 G.require_member(probe)
+
+    def test_direct_group_answers_without_class_walk(self, monkeypatch):
+        G = S4()
+        groups = [g.FiniteGroup(G.degree, G.elements, G.generators),
+                  g.normal_closure(G, (1, 2, 0, 3))]
+
+        def walk(*args):
+            raise AssertionError("the class walk ran")
+
+        monkeypatch.setattr(g, "_orbit", walk)
+        for H in groups:
+            for x in H.elements:
+                assert x in H
+                assert H.require_member(x) is x
+            members = set(H.elements)
+            outside = [x for x in G.elements if x not in members]
+            for x in outside + [(0, 1, 2), (1.5, 0, 2, 3)]:
+                assert x not in H
+                with pytest.raises(NotAMember):
+                    H.require_member(x)
+            with pytest.raises(AssertionError, match="class walk"):
+                H._label(H.identity)
 
 
 def _oracle_norm(G, s):
