@@ -1,7 +1,8 @@
 """rotnorm: exact conjugation-invariant norms, lattice coset geometry, and
 circle-rotation quasimorphism bounds."""
 
-from rotnorm._kernels import BACKEND
+#: There is one kernel backend; kept because benchmark reports read it.
+BACKEND = "pure"
 
 __version__ = "0.1.0"
 

@@ -2,10 +2,9 @@
 coset CVP (``cvp_enumerate``, for ``coset.theta``), in pure Python."""
 
 from rotnorm._kernels._pure import (
-    BACKEND,
     closure_bytes,
     cvp_enumerate,
     word_lengths_bytes,
 )
 
-__all__ = ["BACKEND", "closure_bytes", "cvp_enumerate", "word_lengths_bytes"]
+__all__ = ["closure_bytes", "cvp_enumerate", "word_lengths_bytes"]

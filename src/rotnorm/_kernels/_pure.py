@@ -8,8 +8,6 @@ exact Python integers of any size.
 
 from __future__ import annotations
 
-BACKEND = "pure"
-
 
 class _OverBudget(Exception):
     """Unwinds ``cvp_enumerate``'s recursion once it passes its node cap."""

@@ -258,24 +258,16 @@ def relation_close(ledger: BoundLedger) -> BoundLedger:
     final: the fixed point of the rules.  An entry's `rules` lists its
     upper rules in table order, then its lower rules in reverse order.
     """
-    entries = dict(ledger.entries)
-
-    def get(name):
-        return entries.get(name, BoundEntry())
-
+    led = ledger
     for target, c, terms, rule in _RELATIONS:
-        upper, e = _upper_sum(c, [get(t).upper for t in terms]), get(target)
-        if _upper_rank(upper) < _upper_rank(e.upper):
-            entries[target] = BoundEntry(e.lower, upper, e.rules + (rule,))
+        led = led.with_upper(
+            target, _upper_sum(c, [led.get(t).upper for t in terms]), rule)
     for target, c, terms, rule in reversed(_RELATIONS):
         for i, term in enumerate(terms):
-            others = [get(t).upper for t in terms[:i] + terms[i + 1:]]
-            if not all(map(_is_number, others)):
-                continue
-            lower, e = get(target).lower / c - sum(others), get(term)
-            if lower > e.lower:
-                entries[term] = BoundEntry(lower, e.upper, e.rules + (rule,))
-    led = BoundLedger(entries)
+            others = [led.get(t).upper for t in terms[:i] + terms[i + 1:]]
+            if all(map(_is_number, others)):
+                led = led.with_lower(
+                    term, led.get(target).lower / c - sum(others), rule)
     led.check()
     return led
 

@@ -1,4 +1,4 @@
-"""Piecewise-linear circle paths, diffeomorphisms, and isotopies.
+"""Piecewise-linear circle diffeomorphisms and isotopies.
 
 Circle maps are stored as lifts: strictly increasing PL functions on one
 period satisfying f(x+1) = f(x) + 1.  All breakpoints and values are exact
@@ -58,40 +58,6 @@ from rotnorm.errors import (
 )
 
 HALF = Q(1, 2)
-
-
-class PLPath:
-    """A PL path on the circle given by its lift at time breakpoints."""
-
-    __slots__ = ("times", "values")
-
-    def __init__(self, times, values):
-        ts = tuple(Q(t) for t in times)
-        vs = tuple(Q(v) for v in values)
-        if len(ts) < 2 or len(ts) != len(vs):
-            raise ValidationError("path needs at least 2 matching breakpoints")
-        if ts[0] != 0 or ts[-1] != 1:
-            raise ValidationError("path must be parametrized over [0, 1]")
-        if any(a >= b for a, b in zip(ts, ts[1:])):
-            raise ValidationError("time breakpoints must strictly increase")
-        self.times = ts
-        self.values = vs
-
-    def __eq__(self, other):
-        if type(other) is not PLPath:
-            return NotImplemented
-        return (self.times, self.values) == (other.times, other.values)
-
-    def __hash__(self):
-        return hash((self.times, self.values))
-
-    def __repr__(self):
-        return f"PLPath(times={self.times!r}, values={self.values!r})"
-
-
-def rotation_angle(path: PLPath):
-    """Lift-endpoint difference; equals the degree on closed loops."""
-    return path.values[-1] - path.values[0]
 
 
 class PLCircleDiffeo:
@@ -460,13 +426,6 @@ class PLIsotopy:
             return self._at(i)
         return self._at(i).interpolate(self._at(i + 1),
                                        (r, (tn[i + 1] - tn[i]) * q))
-
-    def trace(self, p) -> PLPath:
-        """The PL path t -> F_t(p), with continuously selected lift."""
-        p = Q(p)
-        frames = self.frames
-        shift = floor_q(frames[0].eval(p))  # pin the t=0 lift value into [0, 1)
-        return PLPath(self.times, tuple(f.eval(p) - shift for f in frames))
 
     def is_based_loop(self) -> bool:
         return self._at(0).is_identity() and self._at(-1).is_identity()

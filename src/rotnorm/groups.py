@@ -375,48 +375,6 @@ def normal_closure(G: FiniteGroup, g: Perm) -> FiniteGroup:
                        gens)
 
 
-class SymmetricSet:
-    """A generating set closed under inversion and ambient conjugation.
-
-    Conjugation invariance is what the class-level engines rely on: a
-    SymmetricSet built directly, not through ``checked``, must be a union of
-    conjugacy classes of the group it is used in.
-    """
-
-    __slots__ = ("members",)
-
-    def __init__(self, members: tuple[Perm, ...]):
-        self.members = members
-
-    def __eq__(self, other):
-        if type(other) is not SymmetricSet:
-            return NotImplemented
-        return self.members == other.members
-
-    def __hash__(self):
-        return hash((self.members,))
-
-    def __repr__(self):
-        return f"SymmetricSet(members={self.members!r})"
-
-    @staticmethod
-    def checked(G: FiniteGroup, members) -> "SymmetricSet":
-        """Validate members; invariance under conjugation by the generators
-        of G is invariance under all of G."""
-        mems = tuple(sorted({tuple(m) for m in members}))
-        for s in mems:
-            G.require_member(s)
-        mset = set(mems)
-        for s in mems:
-            if inverse(s) not in mset:
-                raise NotSymmetric(f"inverse of {s} missing from the set")
-        for h in G.generators:
-            for s in mems:
-                if conjugate(h, s) not in mset:
-                    raise NotConjInvariant(f"{h} conjugates {s} out of the set")
-        return SymmetricSet(mems)
-
-
 class NormTable:
     """Map element -> word-norm value (non-negative int, or inf)."""
 
@@ -468,18 +426,36 @@ class NormTable:
         return out
 
 
-def word_norm(G: FiniteGroup, S: SymmetricSet | tuple | list | set) -> NormTable:
+def word_norm(G: FiniteGroup, S) -> NormTable:
     """BFS word length over S; inf outside the subgroup generated by S.
 
-    S is conjugation invariant (see SymmetricSet), so the norm is a class
-    function and the BFS runs over conjugacy classes: a class K gets
-    distance d+1 when it is unvisited and k*s has distance d for some k in
-    K and s in S.
+    S is any iterable of permutations, and must be a union of conjugacy
+    classes closed under inversion.  This is checked on the class table, in
+    this order: every member lies in G (``NotAMember``, members taken in
+    sorted order); the inverse of every member lies in S (``NotSymmetric``);
+    every class S meets lies in S, that is S holds as many of its members
+    as it has (``NotConjInvariant``, naming the least member whose class
+    leaves S).  The classes are the orbits under conjugation by G's
+    generators, so this is invariance under conjugation by all of G.
+
+    The norm is then a class function and the BFS runs over conjugacy
+    classes: a class K gets distance d+1 when it is unvisited and k*s has
+    distance d for some k in K and s in S.
     """
-    if not isinstance(S, SymmetricSet):
-        S = SymmetricSet.checked(G, S)
-    s_labels = {G._label(s) for s in S.members} - {0}  # 0: the identity
-    return _class_norm(G, s_labels)
+    mset = {tuple(s) for s in S}
+    members = sorted(mset)
+    labels = [G._label(s) for s in members]
+    for s in members:
+        if inverse(s) not in mset:
+            raise NotSymmetric(f"inverse of {s} missing from the set")
+    met = dict.fromkeys(labels, 0)  # class label -> members of S in it
+    for k in labels:
+        met[k] += 1
+    classes = G._table()[1]
+    for s, k in zip(members, labels):
+        if met[k] != len(classes[k]):
+            raise NotConjInvariant(f"the class of {s} leaves the set")
+    return _class_norm(G, set(met) - {0})  # 0: the identity
 
 
 def _class_norm(G: FiniteGroup, s_labels) -> NormTable:
@@ -529,7 +505,7 @@ def zeta_norm(G: FiniteGroup, g: Perm) -> NormTable:
 
 def quotient_norm(q: NormTable, S, f: Perm):
     """min over a in S of q(f a^-1)."""
-    members = tuple(S.members) if isinstance(S, SymmetricSet) else tuple(S)
+    members = tuple(S)
     if not members:
         raise EmptySubset("quotient norm needs a non-empty subset")
     G = q.group
@@ -569,34 +545,3 @@ def weakly_simple_set(G: FiniteGroup):
     else:
         classification = "not weakly simple"
     return s_g, classification
-
-
-def quotient_group(G: FiniteGroup, N: FiniteGroup):
-    """Quotient G/N realized by the left-multiplication action on cosets.
-
-    N must be normal in G, which is checked under conjugation by G's
-    generators.  Returns (Q, proj) where Q is a permutation group on the
-    coset indices and proj maps each element of G to its image in Q.
-    """
-    for n in N.elements:
-        G.require_member(n)
-        for g in G.generators:
-            if conjugate(g, n) not in N:
-                raise ValidationError("subgroup is not normal")
-    # Enumerate cosets deterministically, keyed by their minimal element.
-    coset_of: dict[Perm, int] = {}
-    reps: list[Perm] = []
-    for g in G.elements:  # already sorted: reps are coset minima
-        if g in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for n in N.elements:
-            coset_of[compose(g, n)] = idx
-    d = len(reps)
-    proj = {
-        g: tuple(coset_of[compose(g, reps[i])] for i in range(d))
-        for g in G.elements
-    }
-    Q = generate_group(sorted(set(proj.values())))
-    return Q, proj

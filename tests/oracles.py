@@ -22,7 +22,13 @@ routines of ``lattice`` that all run on its one HNF.
 kept as the reference result and node count for ``_kernels.cvp_enumerate``.
 ``oracle_relation_close`` is the earlier fixed point that re-swept every
 norm relation until nothing changed, kept as the reference bounds for the
-two ordered walks of ``bounds.relation_close``.
+two ordered walks of ``bounds.relation_close``.  ``oracle_invariant_set``
+is the earlier element-level check of a conjugation-invariant set, kept as
+the reference for the class-table check of ``groups.word_norm``, and
+``quotient_group`` builds G/N through the library's ``generate_group``, so
+that the word norm of G/N checks ``groups.quotient_norm``.
+``oracle_mu`` reads a trace's rotation angle from its points mod 1, where
+``circle.mu`` reads the end frames' lifts.
 """
 
 from __future__ import annotations
@@ -36,7 +42,15 @@ from operator import add
 from rotnorm._rat import INF, Q, common
 from rotnorm.bounds import FINITE, BoundLedger
 from rotnorm.coset import AffineCoset, theta
-from rotnorm.errors import FullRank, InconsistentLedger, ValidationError
+from rotnorm.errors import (
+    FullRank,
+    InconsistentLedger,
+    NotAMember,
+    NotConjInvariant,
+    NotSymmetric,
+    ValidationError,
+)
+from rotnorm.groups import generate_group
 from rotnorm.lattice import IntLattice, quotient_info
 
 
@@ -128,6 +142,28 @@ def oracle_commutator_set(elements):
         for b in elements:
             out.add(_mul(_mul(a, b), _mul(_inv(a), _inv(b))))
     return tuple(sorted(out))
+
+
+def oracle_invariant_set(G, members):
+    """The sorted set of members, checked element by element: each member
+    lies in G (``NotAMember``, in sorted order), then each member's inverse
+    lies in the set (``NotSymmetric``), then each conjugate of a member by
+    a generator of G does (``NotConjInvariant``).  The reference for the
+    class-table check of ``groups.word_norm``."""
+    mems = tuple(sorted({tuple(m) for m in members}))
+    elements = set(G.elements)
+    for s in mems:
+        if s not in elements:
+            raise NotAMember(f"{s} is not an element of the group")
+    mset = set(mems)
+    for s in mems:
+        if _inv(s) not in mset:
+            raise NotSymmetric(f"inverse of {s} missing from the set")
+    for h in G.generators:
+        for s in mems:
+            if _mul(_mul(h, s), _inv(h)) not in mset:
+                raise NotConjInvariant(f"{h} conjugates {s} out of the set")
+    return mems
 
 
 def oracle_theta(hnf_basis, pivots, offset):
@@ -437,6 +473,33 @@ def s4_mod_v4_to_s3(g):
     return tuple(image)
 
 
+def quotient_group(G, N):
+    """Quotient G/N realized by the left-multiplication action on cosets.
+
+    N must be normal in G, which is checked under conjugation by G's
+    generators.  Returns (Q, proj) where Q is a permutation group on the
+    coset indices and proj maps each element of G to its image in Q.
+    """
+    members = set(N.elements)
+    for n in N.elements:
+        G.require_member(n)
+        for g in G.generators:
+            if _mul(_mul(g, n), _inv(g)) not in members:
+                raise ValidationError("subgroup is not normal")
+    # Enumerate cosets deterministically, keyed by their minimal element.
+    coset_of = {}
+    reps = []
+    for g in G.elements:  # already sorted: reps are coset minima
+        if g in coset_of:
+            continue
+        idx = len(reps)
+        reps.append(g)
+        for n in N.elements:
+            coset_of[_mul(g, n)] = idx
+    proj = {g: tuple(coset_of[_mul(g, r)] for r in reps) for g in G.elements}
+    return generate_group(sorted(set(proj.values()))), proj
+
+
 class FractionCircleDiffeo:
     """Reference PL circle diffeo: one period of its lift as Fraction lists.
 
@@ -579,6 +642,19 @@ def oracle_refine(F, max_disp):
     ts.append(F.times[-1])
     frames.append(F.frames[-1])
     return type(F)(ts, frames)
+
+
+def oracle_mu(F, p):
+    """Rotation angle of the trace t -> F_t(p), read without lifts: each
+    frame's value at p mod 1, by ``FractionCircleDiffeo``, and each step's
+    move taken in [-1/2, 1/2).  Frames move by less than 1/2 per step, so
+    that is the move of the trace's continuous lift.  The reference for
+    ``circle.mu``, which reads the end frames' lifts."""
+    p = Fraction(p)
+    points = [FractionCircleDiffeo.of(f).eval(p) % 1 for f in F.frames]
+    half = Fraction(1, 2)
+    return sum(((b - a + half) % 1 - half for a, b in zip(points, points[1:])),
+               Fraction(0))
 
 
 def oracle_smith_invariant_factors(mat: list[list[int]]) -> list[int]:

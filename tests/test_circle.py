@@ -12,7 +12,6 @@ from rotnorm.circle import (
     MultiIsotopy,
     PLCircleDiffeo,
     PLIsotopy,
-    PLPath,
     commutator,
     compose,
     concat,
@@ -25,7 +24,6 @@ from rotnorm.circle import (
     random_diffeo,
     random_isotopy,
     refine,
-    rotation_angle,
 )
 from rotnorm.errors import (
     AmbiguousLift,
@@ -40,32 +38,9 @@ from oracles import (
     oracle_diffeo_compose,
     oracle_frame_at,
     oracle_isotopy_compose,
+    oracle_mu,
     oracle_refine,
 )
-
-
-class TestPLPath:
-    def test_rotation_angle_example(self):
-        p = PLPath((0, Q(1, 2), 1), (Q(1, 3), Q(3, 2), Q(8, 3)))
-        assert rotation_angle(p) == Q(7, 3)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            PLPath((0, 1), (0,))
-        with pytest.raises(ValidationError):
-            PLPath((0, Q(1, 2)), (0, 1))
-        with pytest.raises(ValidationError):
-            PLPath((0, Q(1, 2), Q(1, 2), 1), (0, 1, 2, 3))
-
-    def test_lift_shift_invariance(self):
-        p = PLPath((0, 1), (Q(1, 4), Q(5, 4)))
-        q = PLPath((0, 1), (Q(1, 4) + 3, Q(5, 4) + 3))
-        assert rotation_angle(p) == rotation_angle(q)
-
-    def test_reparametrization_invariance(self):
-        p = PLPath((0, Q(1, 2), 1), (0, Q(1, 3), Q(1, 2)))
-        q = PLPath((0, Q(1, 9), 1), (0, Q(1, 3), Q(1, 2)))
-        assert rotation_angle(p) == rotation_angle(q)
 
 
 rationals = st.fractions(
@@ -300,11 +275,9 @@ class TestPLIsotopy:
         mid = F.frame_at(Q(1, 4))
         assert mid.eval(Q(0)) == Q(1, 8)
 
-    def test_trace_starts_in_unit_interval(self):
+    def test_rotation_mu_matches_oracle(self):
         F = PLIsotopy.rotation(Q(5, 4), samples=6)
-        tr = F.trace(Q(7, 3))
-        assert 0 <= tr.values[0] < 1
-        assert rotation_angle(tr) == Q(5, 4)
+        assert mu(F, Q(7, 3)) == oracle_mu(F, Q(7, 3)) == Q(5, 4)
 
     def test_full_turn_mu_is_one(self):
         F = random_based_loop(random.Random(2), winding=1)
@@ -576,7 +549,7 @@ class TestCompositionOracles:
             for X in made:
                 for p in (Q(0), Q(1, 3), Q(5, 7), Q(63, 64)):
                     got = mu(X, p)
-                    assert got == rotation_angle(X.trace(p)) and type(got) is Q
+                    assert got == oracle_mu(X, p) and type(got) is Q
         assert bisected >= len(TestComposeResampling.SEEDS)
 
     def test_frame_at_matches_oracle(self):
@@ -684,7 +657,7 @@ class TestLazyFrames:
             del F, G, R
             gc.collect()
             assert [ref() for ref in refs] == [None, None, None], (seed, kind)
-            assert H.frames and mu(H, Q(1, 3)) == rotation_angle(H.trace(Q(1, 3)))
+            assert H.frames and mu(H, Q(1, 3)) == oracle_mu(H, Q(1, 3))
 
 
 def _steep_for_invert():

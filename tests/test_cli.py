@@ -558,7 +558,7 @@ class TestColdStart:
         _, loaded = self._modules("import sys\nimport rotnorm.cli")
         engines = {"click", "rotnorm.groups", "rotnorm.circle",
                    "rotnorm.coset", "rotnorm.lattice", "rotnorm.bounds",
-                   "rotnorm.catalog"}
+                   "rotnorm.catalog", "rotnorm._kernels"}
         assert not loaded & engines
 
     def test_group_loads_no_circle(self, tmp_path):

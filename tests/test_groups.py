@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,9 @@ from oracles import (
     oracle_commutator_set,
     oracle_conjugacy_class,
     oracle_cycle_str,
+    oracle_invariant_set,
     oracle_word_lengths,
+    quotient_group,
     s4_mod_v4_to_s3,
 )
 
@@ -169,7 +172,7 @@ class TestWordNorm:
         # {(0 1)} is fixed by conjugation with (0 1), moved by the 3-cycle.
         G = g.generate_group(gens)
         with pytest.raises(NotConjInvariant):
-            g.SymmetricSet.checked(G, [(1, 0, 2)])
+            g.word_norm(G, [(1, 0, 2)])
 
     def test_matches_bfs_oracle(self):
         G = S4()
@@ -381,10 +384,10 @@ class TestQuotientGroup:
         G = g.generate_group(gens)
         N = g.generate_group([(1, 0, 2)])
         with pytest.raises(ValidationError, match="subgroup is not normal"):
-            g.quotient_group(G, N)
+            quotient_group(G, N)
 
     def test_normal(self):
-        Q, proj = g.quotient_group(S3(), g.normal_closure(S3(), (1, 2, 0)))
+        Q, proj = quotient_group(S3(), g.normal_closure(S3(), (1, 2, 0)))
         assert Q.order == 2
         assert proj[(1, 0, 2)] != proj[(1, 2, 0)]
 
@@ -394,7 +397,7 @@ class TestFactorizationLaw:
     def test_cl_mod_n_equals_cl_of_quotient(self, ambient):
         G = ambient()
         N = V4()
-        Q, proj = g.quotient_group(G, N)
+        Q, proj = quotient_group(G, N)
         cl_G = g.commutator_length(G)
         cl_Q = g.commutator_length(Q)
         for x in G.elements:
@@ -604,18 +607,28 @@ class TestClassEnumeration:
 
     def test_s12_fails_fast_within_memory(self):
         # S12 has 479001600 elements: the cap stops the orbit walk that
-        # passes it, long before the class of 12-cycles is complete.
+        # passes it, long before the class of 12-cycles is complete.  The
+        # child reports its own peak (VmHWM): on Linux its ru_maxrss starts
+        # from the peak of the process that spawned it, here the test run.
         code = (
             "import resource, time\n"
             "from rotnorm import groups as g\n"
             "from rotnorm.errors import ClosureTooLarge\n"
+            "def peak_kb():\n"
+            "    try:\n"
+            "        with open('/proc/self/status') as f:\n"
+            "            for line in f:\n"
+            "                if line.startswith('VmHWM:'):\n"
+            "                    return int(line.split()[1])\n"
+            "    except OSError:\n"
+            "        pass\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "gens = [(1, 0, *range(2, 12)), (*range(1, 12), 0)]\n"
             "start = time.perf_counter()\n"
             "try:\n"
             "    g.generate_group(gens)\n"
             "except ClosureTooLarge:\n"
-            "    print(time.perf_counter() - start,\n"
-            "          resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "    print(time.perf_counter() - start, peak_kb())\n"
         )
         out = subprocess.run([sys.executable, "-c", code], text=True,
                              capture_output=True, check=True).stdout
@@ -764,3 +777,66 @@ class TestClassEngineOracle:
         label = ("simple" if len(s_g) == 1 else
                  "weakly simple" if len(s_g) < G.order else "not weakly simple")
         assert g.weakly_simple_set(G) == (tuple(s_g), label)
+
+    @pytest.mark.parametrize("kind,G", GROUPS + [
+        ("S4", S4()), ("A4", A4()), ("A5", A5())])
+    def test_quotient_norm_is_word_norm_of_quotient(self, kind, G):
+        # Modulo a normal N, the word norm over S is the word norm of G/N
+        # over the image of S.
+        rng = random.Random(G.order)
+        closures = {}  # G/N acts on at most MAX_DEGREE cosets
+        for x in G.elements:
+            N = g.normal_closure(G, x)
+            if G.order <= g.MAX_DEGREE * N.order:
+                closures.setdefault(N.elements, N)
+        for N in rng.sample(sorted(closures.values(), key=lambda N: N.elements),
+                            min(3, len(closures))):
+            Q, proj = quotient_group(G, N)
+            for s in _random_invariant_subsets(G, rng, 2):
+                q_G = g.word_norm(G, s)
+                q_Q = g.word_norm(Q, {proj[x] for x in s})
+                for f in G.elements:
+                    assert g.quotient_norm(q_G, N.elements, f) == q_Q[proj[f]]
+
+
+def _seeded_subsets(G, rng):
+    """Seeded subsets of G that word_norm must accept or refuse: a union of
+    classes and their inverses' classes, that union less one member or plus
+    one element, an element and its inverse, one element, and the union
+    plus a permutation outside G."""
+    classes = _oracle_classes(G)
+    picks = rng.sample(G.elements, min(G.order, rng.randint(1, 3)))
+    valid = set()
+    for x in picks:
+        valid |= set(classes[x]) | set(classes[g.inverse(x)])
+    x, y = rng.choice(G.elements), rng.choice(sorted(valid))
+    members = set(G.elements)
+    shuffles = (tuple(_shuffled(rng, range(G.degree))) for _ in range(20))
+    outside = next((p for p in shuffles if p not in members),
+                   tuple(range(G.degree + 1)))  # one point too many
+    return [sorted(valid), sorted(valid - {y}), sorted(valid | {x}),
+            [x, g.inverse(x)], [x], sorted(valid | {outside})]
+
+
+class TestInvariantSetCheck:
+    def test_same_verdict_as_element_rule(self):
+        # word_norm's class-table check against the element-level rule, on
+        # every group of ALL_GEN_SETS; each verdict occurs.
+        verdicts = Counter()
+        for i, gens in enumerate(ALL_GEN_SETS):
+            G = g.generate_group([tuple(x) for x in gens])
+            rng = random.Random(i)
+            for s in _seeded_subsets(G, rng):
+                try:
+                    want = oracle_invariant_set(G, s)
+                except ValidationError as e:
+                    verdicts[type(e)] += 1
+                    with pytest.raises(type(e)):
+                        g.word_norm(G, iter(s))
+                    continue
+                verdicts[None] += 1
+                q = g.word_norm(G, iter(s))
+                if G.order <= 120:
+                    assert q.values == _oracle_norm(G, want), (i, s)
+        assert set(verdicts) == {None, NotAMember, NotSymmetric,
+                                 NotConjInvariant}, verdicts
