@@ -9,37 +9,29 @@ without floating-point noise.
 
 An isotopy is a finite list of time-sampled frames with lift-space convex
 interpolation in between; its times are integer numerators over one
-denominator too.  Frames must move by less than 1/2 (in sup norm) per time
-step; this pins down the continuous lift of any basepoint trace, so mu is
-simply the difference of the end frames' lifts at the basepoint.
-Composition looks up each factor's frame at every time of the merged
-grid, and composing two maps costs one lookup per breakpoint.
+denominator too.  The rotation angle mu of a basepoint trace depends only
+on the isotopy's class up to homotopy rel endpoints.  Lifts of circle
+homeomorphisms form a convex set, so that class is fixed by the start and
+end lifts, and mu is the difference of the end frames' lifts at the
+basepoint, whatever the isotopy does in between.
 
-Each isotopy records the exact displacement of the steps it measured, and
-``compose`` proves most steps of F_t o G_t below 1/2 from those records,
-without walking the composite frames.  The certificate: a step [a, b] of
-the merged grid lies within one step i of F and one step j of G, and
-frames move linearly (in lift space) inside a step, so |F_b - F_a| =
-(b - a) * sigmaF_i and |G_b - G_a| = (b - a) * sigmaG_j, where sigma is the
-step's recorded displacement divided by its duration.  Then
-
-    |F_b o G_b - F_a o G_a| <= |F_b o G_b - F_b o G_a| + |F_b o G_a - F_a o G_a|
-                            <= Lip(F_b) * |G_b - G_a| + |F_b - F_a|,
-
-and Lip(F_b) is at most the largest segment slope over F's sample frames:
-on each segment where both neighbouring frames are linear, the slope of an
-interpolant is a convex combination of theirs.  When this bound, computed
-in integers, is below 1/2 the step is proven; otherwise it is measured
-exactly.
+What must be right is the lift path itself.  Frames read from input are
+circle maps with a chosen lift, so the public constructor requires them to
+move by less than 1/2 (in sup norm) per time step: the chosen lifts are
+then the continuous ones.  ``compose``, ``invert``, ``refine`` and
+``concat`` build their lift path out of their factors' lift paths, frame by
+frame, so it is right by construction, and no step of theirs is checked; a
+step of F_t o G_t, or of an inverse, may move by 1/2 or more.  Composition
+looks up each factor's frame at every time of the merged grid, and
+composing two maps costs one lookup per breakpoint.
 
 Frames are built when they are first read.  An isotopy made by the public
-constructor holds all its frames.  ``refine``, ``compose`` and ``invert``
-give their result one private ``_source(a, q)``, the frame at the time a/q
-built from the factors, and the result fills a hole from it on the hole's
-first read.  ``mu`` and ``is_based_loop`` read only the end frames, so a
-loop refined, composed and measured builds no interpolated or composite
-frame in between.  Measuring a step builds its two frames, and ``frames``
-fills every hole.
+constructor holds all its frames.  A derived isotopy has one private
+``_source(a, q)``, the frame at the time a/q built from its factors, and
+fills a hole from it on the hole's first read.  ``mu`` and
+``is_based_loop`` read only the end frames, so a loop refined, composed and
+measured builds no interpolated or composite frame in between, and
+``frames`` fills every hole.
 """
 
 from __future__ import annotations
@@ -56,9 +48,6 @@ from rotnorm.errors import (
     FrameMismatch,
     ValidationError,
 )
-
-HALF = Q(1, 2)
-
 
 class PLCircleDiffeo:
     """Orientation-preserving circle diffeo, stored as one period of its lift.
@@ -284,15 +273,6 @@ def _lookup(D, us, vs, du, dv, a, q):
     return (vs[i] + n) * q * run + (aD - (us[i] + n) * q) * dv[i], D * q * run
 
 
-MAX_STEP_DISPLACEMENT = HALF
-
-
-def _small(step) -> bool:
-    """True when the pair (num, den) is below MAX_STEP_DISPLACEMENT."""
-    lim = MAX_STEP_DISPLACEMENT
-    return step[0] * lim.denominator < lim.numerator * step[1]
-
-
 class PLIsotopy:
     """Time-sampled isotopy of PL circle diffeos with interpolated lifts.
 
@@ -303,34 +283,21 @@ class PLIsotopy:
     ``PLIsotopy(tn, frames, tden)`` takes integer numerators.  Both are
     validated the same way.
 
-    Construction refuses inputs whose frames move by >= 1/2 between adjacent
-    samples: below that threshold the continuous lift of every point trace
-    is unambiguous, so rotation angles are exact endpoint differences.
-
-    The isotopy records the exact displacement of every step it measured,
-    as an unreduced pair (num, den); ``_step(i)`` reads it.  The public
-    constructor measures every step.  The module's own builders pass the
-    record in through the private ``_disp``: ``refine`` gives each of its
-    pieces the exact ``d / pieces`` it moves, and ``compose`` leaves a step
-    it proved below 1/2 by the slope bound (see the module docstring) as
-    None, which ``_step`` measures when it is first needed.
-
-    Frames are built on first read.  The public constructor takes whole
-    frames.  ``refine``, ``compose`` and ``invert`` pass frames with holes
-    (None) and the private ``_source(a, q)``, which builds the frame at the
-    time a/q from their factors; the first ``_at(i)`` fills hole i with
-    ``_source(tn[i], tden)``.  ``frames`` fills every hole, and once none is
-    left the source is dropped, so the isotopy no longer holds its factors.
-    ``_slope()`` is the largest segment slope over the frames, which
-    ``compose`` reads as the Lipschitz bound of its outer factor; ``refine``
-    passes its parent's value in through ``_lip``.
+    The public constructor takes whole frames and refuses frames that move
+    by >= 1/2 between adjacent samples: below that threshold the frames'
+    lifts are the continuous ones, so they fix the isotopy's lift path.
+    ``refine``, ``compose``, ``invert`` and ``concat`` build their result
+    through ``_derived``, which passes frames that are all holes (None) and
+    the private ``_source(a, q)``, the frame at the time a/q built from
+    their factors.  Those lift paths come from the factors', so no step is
+    checked.  The first ``_at(i)`` fills hole i with ``_source(tn[i],
+    tden)``.  ``frames`` fills every hole, and once none is left the source
+    is dropped, so the isotopy no longer holds its factors.
     """
 
-    __slots__ = ("tn", "tden", "_frames", "_source", "_holes", "_disp", "_lip",
-                 "__weakref__")
+    __slots__ = ("tn", "tden", "_frames", "_source", "_holes", "__weakref__")
 
-    def __init__(self, times, frames, tden=None, *, _disp=None, _source=None,
-                 _lip=None):
+    def __init__(self, times, frames, tden=None, *, _source=None):
         if tden is None:
             tden, times = common(Q(t).as_integer_ratio() for t in times)
         tn = tuple(times)
@@ -343,23 +310,19 @@ class PLIsotopy:
             raise ValidationError("isotopy must be parametrized over [0, 1]")
         if not all(map(lt, tn, tn[1:])):
             raise ValidationError("time samples must strictly increase")
-        if _disp is None:
-            _disp = (fa._displacement(fb) for fa, fb in zip(frames, frames[1:]))
-        record = []
-        for step in _disp:
-            if step is not None and not _small(step):
-                raise AmbiguousLift(
-                    "frames move by >= 1/2 within one time step; "
-                    "resample the isotopy more finely"
-                )
-            record.append(step)
+        if _source is None:
+            for fa, fb in zip(frames, frames[1:]):
+                num, den = fa._displacement(fb)
+                if 2 * num >= den:
+                    raise AmbiguousLift(
+                        "frames move by >= 1/2 within one time step; "
+                        "resample the isotopy more finely"
+                    )
         self.tn = tn
         self.tden = tden
         self._holes = frames.count(None) if _source is not None else 0
         self._frames = frames if self._holes else tuple(frames)
         self._source = _source if self._holes else None
-        self._disp = record
-        self._lip = _lip
 
     def _at(self, i) -> PLCircleDiffeo:
         """Frame i, built by the source on its first read."""
@@ -378,19 +341,6 @@ class PLIsotopy:
             for i in range(len(self.tn)):
                 self._at(i)
         return self._frames
-
-    def _step(self, i):
-        """Exact displacement of step i as an unreduced pair (num, den)."""
-        step = self._disp[i]
-        if step is None:
-            step = self._disp[i] = self._at(i)._displacement(self._at(i + 1))
-        return step
-
-    def _slope(self):
-        """The largest segment slope over the frames, as a pair (rise, run)."""
-        if self._lip is None:
-            self._lip = _top_slope(self.frames)
-        return self._lip
 
     @property
     def times(self) -> tuple:
@@ -434,9 +384,9 @@ class PLIsotopy:
 def mu(F: PLIsotopy, p):
     """Rotation angle of the basepoint trace t -> F_t(p).
 
-    The trace has a continuous lift through the frame lifts (adjacent frames
-    move by less than 1/2), so its rotation angle is the difference of the
-    end frames' lifts at p, evaluated on integers.
+    The trace has a continuous lift through the frame lifts (see the module
+    docstring), so its rotation angle is the difference of the end frames'
+    lifts at p, evaluated on integers.
     """
     p = Q(p)
     a, q = p.numerator, p.denominator
@@ -445,101 +395,35 @@ def mu(F: PLIsotopy, p):
     return Q(n1 * d0 - n0 * d1, d0 * d1)
 
 
-def _top_slope(frames):
-    """The largest segment slope over the frames, as a pair (rise, run)."""
-    p, q = 0, 1
-    for f in frames:
-        for run, rise in zip(f.dx, f.dy):
-            if rise * q > p * run:
-                p, q = rise, run
-    return p, q
+def _derived(tn, tden, source) -> PLIsotopy:
+    """The isotopy sampled at the times tn / tden whose frame at the time
+    a/q is ``source(a, q)``, built on its first read."""
+    return PLIsotopy(tn, [None] * len(tn), tden, _source=source)
 
 
 def compose(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
     """Pointwise-in-t composition (F_t o G_t) on the merged time grid.
 
     The grid is the union of both sample times over the least common
-    multiple T of their denominators, and each factor's frame is looked up
-    at every time of it.  Each step [a, b] of the grid is proven to move
-    less than 1/2 by the slope bound of the module docstring, read off the
-    factors' records, or else measured exactly.  A step of F_t o G_t can
-    move by 1/2 or more even when no step of F or G does.  Only then is
-    such a step bisected, sampling F_t o G_t at midpoints until every piece
-    moves less than 1/2.  The result records each measured step and leaves
-    each certified one unknown.
-
-    Only the frames of measured steps are built here; the result builds
-    every other composite frame on its first read.
+    multiple T of their denominators, and the frame at each of its times
+    is F's frame there after G's, built on its first read.  A step of
+    F_t o G_t can move by 1/2 or more even when no step of F or G does; its
+    lift path is still the factors' composed one, so ``mu`` is exact.
     """
     T = lcm(F.tden, G.tden)
-    tf = [t * (T // F.tden) for t in F.tn]
-    tg = [t * (T // G.tden) for t in G.tn]
-    grid = sorted(set(tf).union(tg))
-    lim = MAX_STEP_DISPLACEMENT
-    ln, ld = lim.numerator, lim.denominator
-    rise, run = F._slope()  # Lip(F_t) <= rise / run for every t
-    certified = []
-    i = j = 0  # [a, b] lies in step i of F and step j of G
-    for a, b in zip(grid, grid[1:]):
-        while tf[i + 1] <= a:
-            i += 1
-        while tg[j + 1] <= a:
-            j += 1
-        # F moves nf / uf and G moves ng / ug per tick of 1/T in these steps
-        nf, df = F._step(i)
-        ng, dg = G._step(j)
-        uf, ug = df * (tf[i + 1] - tf[i]), dg * (tg[j + 1] - tg[j])
-        # (b - a) * (nf / uf + (rise / run) * ng / ug) < ln / ld
-        certified.append(
-            (b - a) * (nf * run * ug + rise * ng * uf) * ld < ln * uf * run * ug)
-    return _sampled(grid, T, lambda a, q: F._frame(a, q).compose(G._frame(a, q)),
-                    certified)
+    grid = sorted({t * (T // F.tden) for t in F.tn}
+                  .union(t * (T // G.tden) for t in G.tn))
+    return _derived(grid, T, lambda a, q: F._frame(a, q).compose(G._frame(a, q)))
 
 
 def invert(F: PLIsotopy) -> PLIsotopy:
     """The isotopy t -> (F_t)^-1, sampled at F's times.
 
-    Inverse frames can move by 1/2 or more in a step where F's frames move
-    less (a steep frame has a flat inverse), so every step is measured, and
-    such a step is bisected, as in ``compose``.
+    Each inverse frame is built on its first read.  Inverse frames can move
+    by 1/2 or more in a step where F's frames move less (a steep frame has a
+    flat inverse); as for ``compose``, that leaves ``mu`` exact.
     """
-    return _sampled(F.tn, F.tden, lambda a, q: F._frame(a, q).inverse(),
-                    [False] * (len(F.tn) - 1))
-
-
-def _sampled(tn, tden, source, certified) -> PLIsotopy:
-    """The isotopy whose frame at the time a/q is ``source(a, q)``, sampled
-    at the times tn / tden.
-
-    ``certified[k]`` says step k is proven below 1/2; every other step is
-    measured, and when each moves less than 1/2 the result keeps these
-    samples and builds its other frames on first read.  Otherwise every
-    frame is built and each step that moves by 1/2 or more is cut at its
-    midpoint, sampled from ``source``, until every piece moves less than
-    1/2.  A certified step is recorded as unknown, a measured one exactly.
-    """
-    H = PLIsotopy(tn, [None] * len(tn), tden, _disp=[None] * len(certified),
-                  _source=source)
-    if all(ok or _small(H._step(k)) for k, ok in enumerate(certified)):
-        return H
-    ts, frames, disp = [Q(0)], [H._at(0)], []
-
-    def cut(t1, f1, step):
-        """Append the step from the last kept frame to (t1, f1), whose
-        displacement is ``step``, halved until every piece is below 1/2."""
-        if step is None or _small(step):
-            ts.append(t1)
-            frames.append(f1)
-            disp.append(step)
-            return
-        tm = (ts[-1] + t1) / 2
-        fm = source(tm.numerator, tm.denominator)
-        cut(tm, fm, frames[-1]._displacement(fm))
-        cut(t1, f1, frames[-1]._displacement(f1))
-
-    for k, ok in enumerate(certified):
-        cut(Q(tn[k + 1], tden), H._at(k + 1), None if ok else H._step(k))
-    return PLIsotopy(ts, frames, _disp=disp)
+    return _derived(F.tn, F.tden, lambda a, q: F._frame(a, q).inverse())
 
 
 def _lift_gap(f: PLCircleDiffeo, g: PLCircleDiffeo):
@@ -562,19 +446,22 @@ def concat(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
     turn); the second half is shifted so the concatenated traces stay
     continuous in lift space.
     """
-    d = _lift_gap(F.frames[-1], G.frames[0])
+    d = _lift_gap(F._at(-1), G._at(0))
     if d is None:
         raise FrameMismatch("end frame of the first isotopy must equal the "
                             "start frame of the second")
-    tail = [
-        g if d == 0
-        else PLCircleDiffeo(g.xn, [y + d * g.den for y in g.yn], g.den)
-        for g in G.frames[1:]
-    ]
     T = lcm(F.tden, G.tden)  # over 2T: F on [0, T], G on [T, 2T]
     tn = [t * (T // F.tden) for t in F.tn]
     tn += [T + t * (T // G.tden) for t in G.tn[1:]]
-    return PLIsotopy(tn, list(F.frames) + tail, 2 * T)
+
+    def source(a, q):
+        if 2 * a <= q:
+            return F._frame(2 * a, q)
+        g = G._frame(2 * a - q, q)
+        return g if d == 0 else PLCircleDiffeo(g.xn, [y + d * g.den for y in g.yn],
+                                               g.den)
+
+    return _derived(tn, 2 * T, source)
 
 
 def commutator(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
@@ -585,37 +472,30 @@ def refine(F: PLIsotopy, max_disp) -> PLIsotopy:
     """Insert interpolated frames until each step moves less than max_disp.
 
     Each step is cut into the fewest equal pieces that move less than
-    max_disp, counted from F's record of the step's displacement d.
+    max_disp, counted from the step's displacement d on F's frames.
     Adjacent interpolants of the step differ pointwise by (F_b - F_a) /
-    pieces, so each piece moves exactly d / pieces, and that is what the
-    result records.  The new times are integers over ``tden`` times the
-    least common multiple of the piece counts.
+    pieces, so each piece moves exactly d / pieces.  The new times are
+    integers over ``tden`` times the least common multiple of the piece
+    counts.
 
     The result's frame at each time is ``F._frame`` there, built on its
     first read: F's own frame at F's times, and at the time j / pieces of
-    the way along a step the interpolant with that ratio.  The result's
-    slope bound is F's, exactly: F's frames are among the refined ones, and
-    on each segment where both neighbours are linear an interpolant's slope
-    is a convex combination of theirs, so no interpolant is steeper than its
-    steeper neighbour.
+    the way along a step the interpolant with that ratio.
     """
     max_disp = Q(max_disp)
     if max_disp <= 0:
         raise ValidationError("max_disp must be positive")
     mn, md = max_disp.numerator, max_disp.denominator
-    lip = F._slope()
-    steps = [F._step(i) for i in range(len(F.tn) - 1)]
-    counts = [n * md // (d * mn) + 1 for n, d in steps]  # fewest pieces below max_disp
+    frames = F.frames
+    counts = [n * md // (d * mn) + 1  # fewest pieces below max_disp
+              for n, d in map(PLCircleDiffeo._displacement, frames, frames[1:])]
     P = lcm(*counts)
     tn: list = []
-    disp: list = []
-    for t0, t1, (n, d), pieces in zip(F.tn, F.tn[1:], steps, counts):
+    for t0, t1, pieces in zip(F.tn, F.tn[1:], counts):
         tn += range(t0 * P, t1 * P, (t1 - t0) * (P // pieces))
-        disp += [(n, d * pieces)] * pieces
     T = F.tden * P
     tn.append(T)
-    return PLIsotopy(tn, [None] * len(tn), T, _disp=disp, _source=F._frame,
-                     _lip=lip)
+    return _derived(tn, T, F._frame)
 
 
 class MultiIsotopy:

@@ -67,7 +67,7 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, or an int past the digit cap
         raise ValidationError(f"cannot read JSON from {path}: {exc}") from None
 
 
@@ -124,8 +124,8 @@ def group_cmd(path, norm_kind, element, fmt):
             raise ValidationError("--norm zeta requires --element")
         try:
             images = json.loads(element)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad --element {element!r}: {exc}") from None
+        except ValueError as exc:  # not echoed: it may hold thousands of digits
+            raise ValidationError(f"bad --element: {exc}") from None
         g = groups.validate_perm(images)
         table = groups.zeta_norm(G, g)
     _emit(table.to_json(), fmt)

@@ -208,9 +208,12 @@ class FiniteGroup:
         return self._key(g) is not None
 
     def require_member(self, g: Perm) -> Perm:
-        if self._key(g) is None:
+        """g as a tuple of ints (g itself when its images are ints), or
+        NotAMember when g is not an element."""
+        key = self._key(g)
+        if key is None:
             raise NotAMember(f"{g} is not an element of the group")
-        return g
+        return g if all(type(i) is int for i in g) else tuple(key)
 
 
 def _conjugators(generators):
@@ -364,7 +367,7 @@ def normal_closure(G: FiniteGroup, g: Perm) -> FiniteGroup:
     It is the set of finite products of conjugates of g and g^-1: the
     classes reachable by the class BFS over class(g) and class(g^-1).
     """
-    G.require_member(g)
+    g = G.require_member(g)
     if g == G.identity:
         return FiniteGroup(G.degree, (G.identity,), (G.identity,))
     s_labels = {G._label(g), G._label(inverse(g))}
@@ -442,16 +445,16 @@ def word_norm(G: FiniteGroup, S) -> NormTable:
     classes: a class K gets distance d+1 when it is unvisited and k*s has
     distance d for some k in K and s in S.
     """
-    mset = {tuple(s) for s in S}
-    members = sorted(mset)
-    labels = [G._label(s) for s in members]
+    members = [G.require_member(s) for s in sorted({tuple(s) for s in S})]
+    mset = set(members)
+    class_of, classes, _ = G._table()
+    labels = [class_of[bytes(s)] for s in members]
     for s in members:
         if inverse(s) not in mset:
             raise NotSymmetric(f"inverse of {s} missing from the set")
     met = dict.fromkeys(labels, 0)  # class label -> members of S in it
     for k in labels:
         met[k] += 1
-    classes = G._table()[1]
     for s, k in zip(members, labels):
         if met[k] != len(classes[k]):
             raise NotConjInvariant(f"the class of {s} leaves the set")
@@ -497,7 +500,7 @@ def commutator_length(G: FiniteGroup) -> NormTable:
 
 def zeta_norm(G: FiniteGroup, g: Perm) -> NormTable:
     """Word norm over the conjugacy classes of g and g^-1."""
-    G.require_member(g)
+    g = G.require_member(g)
     if g == G.identity:
         raise IdentityGenerator("zeta norm requires a non-identity element")
     return _class_norm(G, {G._label(g), G._label(inverse(g))})
@@ -509,10 +512,9 @@ def quotient_norm(q: NormTable, S, f: Perm):
     if not members:
         raise EmptySubset("quotient norm needs a non-empty subset")
     G = q.group
-    G.require_member(f)
-    for a in members:
-        G.require_member(tuple(a))
-    return min(q.values[compose(f, inverse(tuple(a)))] for a in members)
+    f = G.require_member(f)
+    members = [G.require_member(tuple(a)) for a in members]
+    return min(q.values[compose(f, inverse(a))] for a in members)
 
 
 def weakly_simple_set(G: FiniteGroup):

@@ -602,16 +602,10 @@ def oracle_frame_at(F, t):
     return F.frames[i].interpolate(F.frames[i + 1], s)
 
 
-def oracle_isotopy_compose(F, G):
-    """F_t o G_t on the merged Fraction time grid, each frame found by
-    ``oracle_frame_at``; steps that move by 1/2 or more are bisected at
-    their midpoints.  The reference for ``circle.compose``."""
-    iso = type(F)
-    ts = sorted(set(F.times) | set(G.times))
-
-    def at(t):
-        return oracle_diffeo_compose(oracle_frame_at(F, t), oracle_frame_at(G, t))
-
+def _bisected(iso, ts, at):
+    """The isotopy through the frames ``at(t)`` at the Fraction times ts,
+    each step that moves by 1/2 or more bisected at its midpoint until every
+    piece moves less, so the public constructor accepts it."""
     out_t, out_f = [ts[0]], [at(ts[0])]
     pending = [(t, at(t)) for t in reversed(ts[1:])]  # earliest on top
     while pending:
@@ -624,6 +618,31 @@ def oracle_isotopy_compose(F, G):
             tm = (out_t[-1] + t1) / 2
             pending.append((tm, at(tm)))
     return iso(out_t, out_f)
+
+
+def oracle_isotopy_compose(F, G):
+    """F_t o G_t on the merged Fraction time grid, each frame found by
+    ``oracle_frame_at``, with every step of 1/2 or more bisected.  The
+    reference for ``circle.compose``: its frames at the merged times, and
+    its mu, which this reads step by step (``oracle_mu``)."""
+    def at(t):
+        return oracle_diffeo_compose(oracle_frame_at(F, t), oracle_frame_at(G, t))
+
+    return _bisected(type(F), sorted(set(F.times) | set(G.times)), at)
+
+
+def oracle_invert(F):
+    """t -> (F_t)^-1 at F's times, each frame inverted by
+    ``FractionCircleDiffeo``, with every step of 1/2 or more bisected.  The
+    reference for ``circle.invert``, as ``oracle_isotopy_compose`` is for
+    ``circle.compose``."""
+    diffeo = type(F.frames[0])
+
+    def at(t):
+        inv = FractionCircleDiffeo.of(oracle_frame_at(F, t)).inverse()
+        return diffeo(inv.xs, inv.ys)
+
+    return _bisected(type(F), list(F.times), at)
 
 
 def oracle_refine(F, max_disp):

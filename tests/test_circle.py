@@ -37,6 +37,7 @@ from oracles import (
     FractionCircleDiffeo,
     oracle_diffeo_compose,
     oracle_frame_at,
+    oracle_invert,
     oracle_isotopy_compose,
     oracle_mu,
     oracle_refine,
@@ -398,6 +399,22 @@ class TestMuAlgebra:
             assert abs(mu(K, Q(0))) < 3
 
 
+def _assert_like_bisecting_oracle(H, ref, times):
+    """H keeps the sample times ``times``, and agrees with ``ref``, an
+    oracle that bisects every step of 1/2 or more: H's frame at each of its
+    times is ref's frame there, and mu(H) is ref's mu read step by step.
+    H refined below 1/2 passes the public constructor's step check, and its
+    mu read step by step is mu(H) too."""
+    assert list(H.times) == sorted(times)
+    at = dict(zip(ref.times, ref.frames))
+    for t, h in zip(H.times, H.frames):
+        assert _same_map(h, at[t]), t
+    R = refine(H, Q(1, 4))
+    PLIsotopy(R.tn, R.frames, R.tden)
+    for p in (Q(0), Q(1, 3), Q(5, 7), Q(63, 64)):
+        assert mu(H, p) == oracle_mu(ref, p) == oracle_mu(R, p), p
+
+
 class TestComposeResampling:
     # Seeds whose two random_isotopy draws compose to a step of 1/2 or more
     # on the merged time grid, though no step of either factor moves that far.
@@ -405,6 +422,7 @@ class TestComposeResampling:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_bisected_steps_match_oracle(self, seed):
+        # compose keeps the merged grid; the oracle bisects the long step
         rng = random.Random(seed)
         F, G = random_isotopy(rng), random_isotopy(rng)
         merged = set(F.times) | set(G.times)
@@ -412,14 +430,26 @@ class TestComposeResampling:
         with pytest.raises(AmbiguousLift):
             PLIsotopy(sorted(merged), steps)
         H = compose(F, G)
-        assert merged < set(H.times)
-        for t, h in zip(H.times, H.frames):
-            want = FractionCircleDiffeo.of(F.frame_at(t)).compose(
-                FractionCircleDiffeo.of(G.frame_at(t)))
-            assert want.displacement(FractionCircleDiffeo.of(h)) == 0
+        ref = oracle_isotopy_compose(F, G)
+        assert merged < set(ref.times)
+        _assert_like_bisecting_oracle(H, ref, merged)
         for p in (Q(0), Q(1, 3), Q(5, 7)):
             assert abs(mu(H, p) - mu(F, p) - mu(G, p)) < 1
-        commutator(F, G)  # composes the inverses too
+        Fi, Gi = invert(F), invert(G)
+        _assert_like_bisecting_oracle(
+            commutator(F, G), oracle_isotopy_compose(H, compose(Fi, Gi)), merged)
+
+    def test_concat_takes_a_composite_with_a_long_step(self):
+        rng = random.Random(184)
+        H = compose(random_isotopy(rng), random_isotopy(rng))
+        assert any(a.displacement(b) >= Q(1, 2)
+                   for a, b in zip(H.frames, H.frames[1:]))
+        loop = random_based_loop(random.Random(0), winding=1)
+        C = concat(loop, H)  # H starts at the identity
+        for f, h in zip(C.frames[len(loop.tn):], H.frames[1:], strict=True):
+            assert f.xs == h.xs and f.ys == tuple(y + 1 for y in h.ys)  # one turn on
+        for p in (Q(0), Q(1, 3), Q(5, 7)):
+            assert mu(C, p) == mu(loop, p) + mu(H, p) == oracle_mu(refine(C, Q(1, 4)), p)
 
     def test_accepted_pairs_keep_the_merged_grid(self):
         rng = random.Random(17)
@@ -525,17 +555,20 @@ class TestCompositionOracles:
         bisected = 0
         for seed, kind in PAIR_CASES:
             F, G = _isotopy_pair(seed, kind)
+            merged = set(F.times) | set(G.times)
             H = compose(F, G)
-            _same_isotopy(H, oracle_isotopy_compose(F, G))
-            bisected += len(H.times) > len(set(F.times) | set(G.times))
+            ref = oracle_isotopy_compose(F, G)
+            _assert_like_bisecting_oracle(H, ref, merged)
+            bisected += len(ref.times) > len(merged)
             Fi, Gi = invert(F), invert(G)
-            for X, Xi in ((F, Fi), (G, Gi)):  # no step of these is bisected
-                assert Xi.times == X.times
+            for X, Xi in ((F, Fi), (G, Gi)):
+                _assert_like_bisecting_oracle(Xi, oracle_invert(X), X.times)
                 assert [_key(f) for f in Xi.frames] == [_key(f.inverse()) for f in X.frames]
                 assert mu(Xi, Q(1, 3)) == (X.frames[-1].eval_inv(Q(1, 3))
                                            - X.frames[0].eval_inv(Q(1, 3)))
             K = commutator(F, G)
-            _same_isotopy(K, oracle_isotopy_compose(H, compose(Fi, Gi)))
+            _assert_like_bisecting_oracle(
+                K, oracle_isotopy_compose(H, compose(Fi, Gi)), merged)
             loop = random_based_loop(random.Random(seed))
             C = concat(loop, G)  # G starts at the identity
             assert C.times == (tuple(t / 2 for t in loop.times)
@@ -545,11 +578,13 @@ class TestCompositionOracles:
                 R = refine(X, max_disp)
                 _same_isotopy(R, oracle_refine(X, max_disp))
                 made.append(R)
-            _same_isotopy(compose(C, Fi), oracle_isotopy_compose(C, Fi))
+            _assert_like_bisecting_oracle(compose(C, Fi), oracle_isotopy_compose(C, Fi),
+                                          set(C.times) | set(Fi.times))
             for X in made:
                 for p in (Q(0), Q(1, 3), Q(5, 7), Q(63, 64)):
                     got = mu(X, p)
-                    assert got == oracle_mu(X, p) and type(got) is Q
+                    assert got == oracle_mu(oracle_refine(X, Q(1, 4)), p)
+                    assert type(got) is Q
         assert bisected >= len(TestComposeResampling.SEEDS)
 
     def test_frame_at_matches_oracle(self):
@@ -596,10 +631,10 @@ class TestCompositionOracles:
             calls.clear()
             monkeypatch.setattr(PLCircleDiffeo, "interpolate", counting)
             H = compose(F, G)
-            assert calls == []  # every step certified: no frame built
+            assert calls == []  # no frame built before a read
             H.frames
             monkeypatch.undo()
-            assert set(H.times) == grid  # no step was bisected
+            assert set(H.times) == grid
             assert len(calls) == len(grid - set(F.times)) + len(grid - set(G.times))
             assert all(0 < Q(*s) < 1 for s in calls)  # s is a pair (num, den)
 
@@ -630,7 +665,7 @@ class TestLazyFrames:
             calls = _counting_builds(monkeypatch)
             R = refine(F, Q(1, 64))
             H = compose(F, G)
-            assert calls == []  # every step certified: nothing measured or built
+            assert calls == []  # nothing built before a read
             assert R._frames.count(None) == len(R.tn)
             assert H._frames.count(None) == len(H.tn)
             mu(R, Q(1, 3)), mu(H, Q(1, 3)), H.is_based_loop()
@@ -639,13 +674,6 @@ class TestLazyFrames:
             _same_isotopy(R, oracle_refine(F, Q(1, 64)))
             _same_isotopy(H, oracle_isotopy_compose(F, G))
             assert R._source is H._source is None  # dropped once every hole is filled
-
-    def test_refined_slope_bound_is_exact(self):
-        for seed, kind in PAIR_CASES:
-            F, G = _isotopy_pair(seed, kind)
-            for X, max_disp in ((F, Q(1, 7)), (G, Q(1, 3)), (compose(F, G), Q(1, 9))):
-                R = refine(X, max_disp)
-                assert Q(*R._slope()) == Q(*c._top_slope(R.frames)), (seed, kind)
 
     def test_a_read_isotopy_lets_its_factors_go(self):
         for seed, kind in PAIR_CASES[::7]:
@@ -670,81 +698,23 @@ def _steep_for_invert():
 
 class TestInvert:
     def test_steep_steps_are_bisected(self):
+        # invert keeps F's times; the oracle bisects the long steps
         F = _steep_for_invert()
         with pytest.raises(AmbiguousLift):
             PLIsotopy(F.tn, [f.inverse() for f in F.frames], F.tden)
         Fi = invert(F)
-        for X in (Fi, commutator(F, random_isotopy(random.Random(0)))):
-            _assert_record(X)  # every step moves less than 1/2
-        assert Fi.times == (0, Q(1, 4), Q(1, 2), Q(3, 4), 1)
+        ref = oracle_invert(F)
+        assert ref.times == (0, Q(1, 4), Q(1, 2), Q(3, 4), 1)
+        _assert_like_bisecting_oracle(Fi, ref, F.times)
         for t, f in zip(Fi.times, Fi.frames):
             assert _key(f) == _key(F.frame_at(t).inverse())
         for p in (Q(0), Q(1, 3), Q(5, 7), Q(63, 64)):
             assert mu(Fi, p) == F.frames[-1].eval_inv(p) - F.frames[0].eval_inv(p)
-
-
-def _step_kinds(F, G):
-    """compose(F, G), and how it proved the steps of the merged grid:
-    [certified by the slope bound, measured and accepted, measured and
-    bisected].  Read before anything fills the result's record."""
-    H = compose(F, G)
-    at = {t: k for k, t in enumerate(H.times)}
-    grid = sorted(set(F.times) | set(G.times))
-    kinds = [0, 0, 0]
-    for a, b in zip(grid, grid[1:]):
-        k = at[a]
-        kinds[2 if H.times[k + 1] != b else H._disp[k] is not None] += 1
-    return H, kinds
-
-
-def _assert_record(X):
-    """Each recorded step equals its measured displacement, and each step
-    moves less than 1/2."""
-    for i, (fa, fb) in enumerate(zip(X.frames, X.frames[1:])):
-        want = Q(*fa._displacement(fb))
-        assert want < Q(1, 2)
-        if X._disp[i] is not None:
-            assert Q(*X._disp[i]) == want, i
-        assert Q(*X._step(i)) == want
-
-
-class TestStepRecord:
-    """The record of step displacements that refine and compose read."""
-
-    def test_every_builder_records_exact_steps(self):
-        F = PLIsotopy((0, Q(1, 7), Q(1, 2), Q(2, 3), 1),
-                      _rotations(0, Q(3, 20), Q(2, 5), Q(3, 4), Q(6, 5)))
-        R = refine(F, Q(1, 10))
-        assert len(R.times) == 2 + 3 + 4 + 5 + 1  # unequal piece counts
-        for X in (F, R, invert(R), PLIsotopy.rotation(Q(-7, 3))):
-            _assert_record(X)
-        split = whole = 0
-        for seed, kind in PAIR_CASES:
-            F, G = _isotopy_pair(seed, kind)
-            H, kinds = _step_kinds(F, G)
-            split += kinds[2] > 0
-            whole += kinds[2] == 0
-            loop = random_based_loop(random.Random(seed))
-            # refine(H) reads H's record before anything measures its steps
-            for X in (refine(H, Q(1, 6)), F, G, H, invert(F),
-                      concat(loop, G), commutator(F, G)):
-                _assert_record(X)
-        assert split and whole
-
-    def test_composite_steps_take_each_branch(self):
-        # over the composes that commutator(F, G) makes
-        total = [0, 0, 0]
-        for seed, kind in PAIR_CASES:
-            F, G = _isotopy_pair(seed, kind)
-            H, a = _step_kinds(F, G)
-            K, b = _step_kinds(invert(F), invert(G))
-            _, c = _step_kinds(H, K)
-            total = [x + y + z + w for x, y, z, w in zip(total, a, b, c)]
-            if kind == 1:
-                # based loops refined to 1/8 have slopes in [3/4, 5/4] and
-                # steps below 1/8: every bound is below 1/8 + (5/4)(1/8)
-                assert a[1:] == [0, 0], (seed, a)
-        assert all(total), total
+        G = random_isotopy(random.Random(0))
+        _assert_like_bisecting_oracle(
+            commutator(F, G),
+            oracle_isotopy_compose(compose(F, G), compose(Fi, invert(G))),
+            set(F.times) | set(G.times))
 
 
 class TestBasedLoopHomomorphism:

@@ -432,6 +432,12 @@ class TestMalformedInput:
         path = write_json(tmp_path, "g.json", [[1.7, 0, 2], [1, 2, 0]])
         assert_validation_error(run_cli(["group", "--in", path]))
 
+    def test_input_not_utf8(self, tmp_path):
+        # json raises UnicodeDecodeError, a ValueError, not a JSONDecodeError
+        path = tmp_path / "A.json"
+        path.write_bytes(b"\xff\xfe[1]")
+        assert_validation_error(run_cli(["lattice", "--in", str(path)]))
+
     def test_group_string_image(self, tmp_path):
         path = write_json(tmp_path, "g.json", [[1, 0, "x"]])
         assert_validation_error(run_cli(["group", "--in", path]))
@@ -442,6 +448,35 @@ class TestMalformedInput:
         path = write_json(tmp_path, "g.json", [[1, 0, 2], [1, 2, 0]])
         assert_validation_error(run_cli(
             ["group", "--in", path, "--norm", "zeta", "--element", element]))
+
+
+#: An integer of 5,000 digits: past the interpreter's default cap of 4,300
+#: digits for converting a decimal string to an int, so ``json`` refuses it.
+HUGE = "7" * 5000
+
+
+def assert_one_error_line(r):
+    """A validation error on one stderr line that does not echo HUGE."""
+    assert_validation_error(r)
+    assert r.stderr.count("\n") == 1
+    assert "7" * 100 not in r.stderr
+
+
+class TestOversizedIntegers:
+    def test_lattice_entry(self, tmp_path):
+        path = tmp_path / "A.json"
+        path.write_text(f'{{"m": 2, "generators": [[1, {HUGE}]]}}')
+        assert_one_error_line(run_cli(["lattice", "--in", str(path)]))
+
+    def test_group_image(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(f"[[1, 0, {HUGE}]]")
+        assert_one_error_line(run_cli(["group", "--in", str(path)]))
+
+    def test_zeta_element(self, tmp_path):
+        path = write_json(tmp_path, "g.json", [[1, 0, 2], [1, 2, 0]])
+        assert_one_error_line(run_cli(["group", "--in", path, "--norm", "zeta",
+                                       "--element", f"[1, 0, {HUGE}]"]))
 
 
 class TestThetaCap:

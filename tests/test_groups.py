@@ -675,11 +675,29 @@ class TestMembership:
                 G.require_member(probe)
         elif answer:
             assert probe in G
-            assert G.require_member(probe) is probe
+            got = G.require_member(probe)
+            assert got == probe and all(type(i) is int for i in got)
+            if all(type(i) is int for i in probe):
+                assert got is probe
         else:
             assert probe not in G
             with pytest.raises(NotAMember):
                 G.require_member(probe)
+
+    def test_float_images_read_as_their_ints(self):
+        # members whose images equal ints give what the int members give
+        G = S4()
+        floats = [tuple(map(float, x)) for x in G.elements]
+        with_ints = g.word_norm(G, G.elements)
+        with_floats = g.word_norm(G, floats)
+        assert with_floats.values == with_ints.values
+        for x, fx in zip(G.elements, floats):
+            if x != G.identity:
+                assert g.zeta_norm(G, fx).values == g.zeta_norm(G, x).values
+            assert (g.quotient_norm(with_ints, floats[:5], fx)
+                    == g.quotient_norm(with_ints, G.elements[:5], x))
+            assert (g.normal_closure(G, fx).elements
+                    == g.normal_closure(G, x).elements)
 
     def test_direct_group_answers_without_class_walk(self, monkeypatch):
         G = S4()
