@@ -7,31 +7,26 @@ rotation angles, the basepoint quasimorphism mu, and its vector version nu
 are computed exactly, and the strict defect inequalities can be tested
 without floating-point noise.
 
-An isotopy is a finite list of time-sampled frames with lift-space convex
-interpolation in between; its times are integer numerators over one
-denominator too.  The rotation angle mu of a basepoint trace depends only
+An isotopy is a list of sample times, integer numerators over one
+denominator, and its knots: its frames at some of those times, always
+including 0 and 1.  Its lift path runs straight, in lift space, from each
+knot to the next.  The rotation angle mu of a basepoint trace depends only
 on the isotopy's class up to homotopy rel endpoints.  Lifts of circle
 homeomorphisms form a convex set, so that class is fixed by the start and
-end lifts, and mu is the difference of the end frames' lifts at the
+end lifts, and mu is the difference of the end knots' lifts at the
 basepoint, whatever the isotopy does in between.
 
-What must be right is the lift path itself.  Frames read from input are
-circle maps with a chosen lift, so the public constructor requires them to
-move by less than 1/2 (in sup norm) per time step: the chosen lifts are
-then the continuous ones.  ``compose``, ``invert``, ``refine`` and
-``concat`` build their lift path out of their factors' lift paths, frame by
-frame, so it is right by construction, and no step of theirs is checked; a
-step of F_t o G_t, or of an inverse, may move by 1/2 or more.  Composition
-looks up each factor's frame at every time of the merged grid, and
-composing two maps costs one lookup per breakpoint.
-
-Frames are built when they are first read.  An isotopy made by the public
-constructor holds all its frames.  A derived isotopy has one private
-``_source(a, q)``, the frame at the time a/q built from its factors, and
-fills a hole from it on the hole's first read.  ``mu`` and
-``is_based_loop`` read only the end frames, so a loop refined, composed and
-measured builds no interpolated or composite frame in between, and
-``frames`` fills every hole.
+So what must be right is the end lifts.  Frames read from input are circle
+maps with a chosen lift, so the public constructor makes every sample a
+knot and requires frames to move by less than 1/2 (in sup norm) per time
+step: the chosen lifts are then the continuous ones.  ``compose`` and
+``invert`` keep the factors' sample grid but hold only two knots, the end
+composites or the end inverses.  So a composite's frames in between lie on
+the straight lift path between its end composites, not at F_t o G_t; both
+paths join the same end lifts.  ``refine`` keeps its factor's knots on a
+finer grid, and ``concat`` joins both knot lists.  No step of a derived
+isotopy is checked, and no isotopy holds another.  ``frames`` builds each
+sample's frame from the knots when it is read.
 """
 
 from __future__ import annotations
@@ -283,25 +278,23 @@ class PLIsotopy:
     ``PLIsotopy(tn, frames, tden)`` takes integer numerators.  Both are
     validated the same way.
 
-    The public constructor takes whole frames and refuses frames that move
-    by >= 1/2 between adjacent samples: below that threshold the frames'
-    lifts are the continuous ones, so they fix the isotopy's lift path.
+    The isotopy holds its knots: frames at some of its sample times, always
+    0 and 1, and its lift path runs straight between adjacent knots.  The
+    public constructor makes every sample a knot and refuses frames that
+    move by >= 1/2 between adjacent samples: below that threshold the
+    frames' lifts are the continuous ones, so they fix the lift path.
     ``refine``, ``compose``, ``invert`` and ``concat`` build their result
-    through ``_derived``, which passes frames that are all holes (None) and
-    the private ``_source(a, q)``, the frame at the time a/q built from
-    their factors.  Those lift paths come from the factors', so no step is
-    checked.  The first ``_at(i)`` fills hole i with ``_source(tn[i],
-    tden)``.  ``frames`` fills every hole, and once none is left the source
-    is dropped, so the isotopy no longer holds its factors.
+    through ``_knotted`` and check no step.  ``frames`` builds each
+    sample's frame from the knots on every read.
     """
 
-    __slots__ = ("tn", "tden", "_frames", "_source", "_holes", "__weakref__")
+    __slots__ = ("tn", "tden", "_kn", "_knots", "__weakref__")
 
-    def __init__(self, times, frames, tden=None, *, _source=None):
+    def __init__(self, times, frames, tden=None):
         if tden is None:
             tden, times = common(Q(t).as_integer_ratio() for t in times)
         tn = tuple(times)
-        frames = list(frames)
+        frames = tuple(frames)
         if len(tn) < 2 or len(tn) != len(frames):
             raise ValidationError("need at least 2 matching time samples")
         if tden <= 0:
@@ -310,37 +303,22 @@ class PLIsotopy:
             raise ValidationError("isotopy must be parametrized over [0, 1]")
         if not all(map(lt, tn, tn[1:])):
             raise ValidationError("time samples must strictly increase")
-        if _source is None:
-            for fa, fb in zip(frames, frames[1:]):
-                num, den = fa._displacement(fb)
-                if 2 * num >= den:
-                    raise AmbiguousLift(
-                        "frames move by >= 1/2 within one time step; "
-                        "resample the isotopy more finely"
-                    )
-        self.tn = tn
+        for fa, fb in zip(frames, frames[1:]):
+            num, den = fa._displacement(fb)
+            if 2 * num >= den:
+                raise AmbiguousLift(
+                    "frames move by >= 1/2 within one time step; "
+                    "resample the isotopy more finely"
+                )
+        self.tn = self._kn = tn
         self.tden = tden
-        self._holes = frames.count(None) if _source is not None else 0
-        self._frames = frames if self._holes else tuple(frames)
-        self._source = _source if self._holes else None
-
-    def _at(self, i) -> PLCircleDiffeo:
-        """Frame i, built by the source on its first read."""
-        f = self._frames[i]
-        if f is None:
-            f = self._frames[i] = self._source(self.tn[i], self.tden)
-            self._holes -= 1
-            if not self._holes:
-                self._frames = tuple(self._frames)
-                self._source = None
-        return f
+        self._knots = frames
 
     @property
     def frames(self) -> tuple:
-        if self._holes:
-            for i in range(len(self.tn)):
-                self._at(i)
-        return self._frames
+        if len(self._kn) == len(self.tn):
+            return self._knots
+        return tuple(self._frame(t, self.tden) for t in self.tn)
 
     @property
     def times(self) -> tuple:
@@ -366,19 +344,18 @@ class PLIsotopy:
 
     def _frame(self, a, q) -> PLCircleDiffeo:
         """The frame at the time a/q, integers with q > 0 and 0 <= a <= q."""
-        tn = self.tn
+        kn, knots = self._kn, self._knots
         a *= self.tden  # the time is a / (q * tden)
-        i = bisect_right(tn, a // q) - 1
-        if i >= len(tn) - 1:
-            return self._at(-1)
-        r = a - tn[i] * q
+        i = bisect_right(kn, a // q) - 1
+        if i >= len(kn) - 1:
+            return knots[-1]
+        r = a - kn[i] * q
         if r == 0:
-            return self._at(i)
-        return self._at(i).interpolate(self._at(i + 1),
-                                       (r, (tn[i + 1] - tn[i]) * q))
+            return knots[i]
+        return knots[i].interpolate(knots[i + 1], (r, (kn[i + 1] - kn[i]) * q))
 
     def is_based_loop(self) -> bool:
-        return self._at(0).is_identity() and self._at(-1).is_identity()
+        return self._knots[0].is_identity() and self._knots[-1].is_identity()
 
 
 def mu(F: PLIsotopy, p):
@@ -390,40 +367,46 @@ def mu(F: PLIsotopy, p):
     """
     p = Q(p)
     a, q = p.numerator, p.denominator
-    n1, d1 = F._at(-1)._eval(a, q)
-    n0, d0 = F._at(0)._eval(a, q)
+    n1, d1 = F._knots[-1]._eval(a, q)
+    n0, d0 = F._knots[0]._eval(a, q)
     return Q(n1 * d0 - n0 * d1, d0 * d1)
 
 
-def _derived(tn, tden, source) -> PLIsotopy:
-    """The isotopy sampled at the times tn / tden whose frame at the time
-    a/q is ``source(a, q)``, built on its first read."""
-    return PLIsotopy(tn, [None] * len(tn), tden, _source=source)
+def _knotted(tn, tden, kn, knots) -> PLIsotopy:
+    """The isotopy sampled at the times tn / tden whose lift path runs
+    straight between the frames ``knots`` at the times kn / tden."""
+    H = object.__new__(PLIsotopy)
+    H.tn, H.tden, H._kn, H._knots = tuple(tn), tden, tuple(kn), tuple(knots)
+    return H
 
 
 def compose(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
-    """Pointwise-in-t composition (F_t o G_t) on the merged time grid.
+    """The isotopy from F_0 o G_0 to F_1 o G_1 on the merged time grid.
 
     The grid is the union of both sample times over the least common
-    multiple T of their denominators, and the frame at each of its times
-    is F's frame there after G's, built on its first read.  A step of
-    F_t o G_t can move by 1/2 or more even when no step of F or G does; its
-    lift path is still the factors' composed one, so ``mu`` is exact.
+    multiple T of their denominators.  The knots are the two end
+    composites, so the frames in between lie on the straight lift path
+    from one to the other, not at F_t o G_t; ``F.frame_at(t).compose(
+    G.frame_at(t))`` gives the pointwise frame.  Both paths join the same
+    end lifts, so they have the same class rel endpoints and the same
+    ``mu``.
     """
     T = lcm(F.tden, G.tden)
     grid = sorted({t * (T // F.tden) for t in F.tn}
                   .union(t * (T // G.tden) for t in G.tn))
-    return _derived(grid, T, lambda a, q: F._frame(a, q).compose(G._frame(a, q)))
+    return _knotted(grid, T, (0, T), (F._knots[0].compose(G._knots[0]),
+                                      F._knots[-1].compose(G._knots[-1])))
 
 
 def invert(F: PLIsotopy) -> PLIsotopy:
-    """The isotopy t -> (F_t)^-1, sampled at F's times.
+    """The isotopy from (F_0)^-1 to (F_1)^-1, sampled at F's times.
 
-    Each inverse frame is built on its first read.  Inverse frames can move
-    by 1/2 or more in a step where F's frames move less (a steep frame has a
-    flat inverse); as for ``compose``, that leaves ``mu`` exact.
+    As for ``compose``, the knots are the two end inverses, and the frames
+    in between lie on the straight lift path between them;
+    ``F.frame_at(t).inverse()`` gives the pointwise frame.
     """
-    return _derived(F.tn, F.tden, lambda a, q: F._frame(a, q).inverse())
+    return _knotted(F.tn, F.tden, (0, F.tden),
+                    (F._knots[0].inverse(), F._knots[-1].inverse()))
 
 
 def _lift_gap(f: PLCircleDiffeo, g: PLCircleDiffeo):
@@ -443,25 +426,20 @@ def concat(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
     """Run F on [0, 1/2], then G on [1/2, 1]; needs F_1 = G_0 on the circle.
 
     The two halves may carry lifts differing by an integer (e.g. after a full
-    turn); the second half is shifted so the concatenated traces stay
-    continuous in lift space.
+    turn); G's knots are shifted by that integer so the concatenated lift
+    path stays continuous, and joined to F's.
     """
-    d = _lift_gap(F._at(-1), G._at(0))
+    d = _lift_gap(F._knots[-1], G._knots[0])
     if d is None:
         raise FrameMismatch("end frame of the first isotopy must equal the "
                             "start frame of the second")
     T = lcm(F.tden, G.tden)  # over 2T: F on [0, T], G on [T, 2T]
-    tn = [t * (T // F.tden) for t in F.tn]
-    tn += [T + t * (T // G.tden) for t in G.tn[1:]]
-
-    def source(a, q):
-        if 2 * a <= q:
-            return F._frame(2 * a, q)
-        g = G._frame(2 * a - q, q)
-        return g if d == 0 else PLCircleDiffeo(g.xn, [y + d * g.den for y in g.yn],
-                                               g.den)
-
-    return _derived(tn, 2 * T, source)
+    f, g = T // F.tden, T // G.tden
+    knots = F._knots + tuple(
+        k if d == 0 else PLCircleDiffeo(k.xn, [y + d * k.den for y in k.yn], k.den)
+        for k in G._knots[1:])
+    return _knotted([t * f for t in F.tn] + [T + t * g for t in G.tn[1:]], 2 * T,
+                    [t * f for t in F._kn] + [T + t * g for t in G._kn[1:]], knots)
 
 
 def commutator(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
@@ -469,33 +447,37 @@ def commutator(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
 
 
 def refine(F: PLIsotopy, max_disp) -> PLIsotopy:
-    """Insert interpolated frames until each step moves less than max_disp.
+    """Insert samples until each step moves less than max_disp.
 
     Each step is cut into the fewest equal pieces that move less than
-    max_disp, counted from the step's displacement d on F's frames.
-    Adjacent interpolants of the step differ pointwise by (F_b - F_a) /
-    pieces, so each piece moves exactly d / pieces.  The new times are
-    integers over ``tden`` times the least common multiple of the piece
-    counts.
+    max_disp.  F's lift path is straight between its knots, so a step of
+    length l within the knot step from K_a to K_b, of length L, moves
+    exactly (l / L) * sup|K_b - K_a|, and each of its pieces moves that
+    over the piece count.  The new times are integers over ``tden`` times
+    the least common multiple of the piece counts.
 
-    The result's frame at each time is ``F._frame`` there, built on its
-    first read: F's own frame at F's times, and at the time j / pieces of
-    the way along a step the interpolant with that ratio.
+    The result keeps F's knots, so it has F's lift path and builds no frame.
     """
     max_disp = Q(max_disp)
     if max_disp <= 0:
         raise ValidationError("max_disp must be positive")
     mn, md = max_disp.numerator, max_disp.denominator
-    frames = F.frames
-    counts = [n * md // (d * mn) + 1  # fewest pieces below max_disp
-              for n, d in map(PLCircleDiffeo._displacement, frames, frames[1:])]
+    kn, knots = F._kn, F._knots
+    moves = [(n * md, d * mn * (k1 - k0))  # per unit of time, over max_disp
+             for (n, d), k0, k1 in zip(map(PLCircleDiffeo._displacement,
+                                           knots, knots[1:]), kn, kn[1:])]
+    counts, j = [], 0
+    for t0, t1 in zip(F.tn, F.tn[1:]):
+        j += t0 == kn[j + 1]
+        num, den = moves[j]
+        counts.append((t1 - t0) * num // den + 1)  # fewest pieces below max_disp
     P = lcm(*counts)
     tn: list = []
     for t0, t1, pieces in zip(F.tn, F.tn[1:], counts):
         tn += range(t0 * P, t1 * P, (t1 - t0) * (P // pieces))
     T = F.tden * P
     tn.append(T)
-    return _derived(tn, T, F._frame)
+    return _knotted(tn, T, [k * P for k in kn], knots)
 
 
 class MultiIsotopy:

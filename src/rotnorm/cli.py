@@ -61,12 +61,46 @@ def _join_values(args, valued) -> list:
     return out
 
 
+#: Most digits in one input integer: a JSON integer, an integer option, or
+#: the numerator or denominator of a "p/q" rational.
+MAX_INT_DIGITS = 1000
+
+#: Python's cap on int <-> str conversion while a command runs; every
+#: integer a command writes has fewer digits for inputs within
+#: MAX_INT_DIGITS = C.  Lattice invariants divide or bound a minor of an at
+#: most 8 x 8 integer matrix: under 8C + 4 digits.  mu, and each nu value,
+#: is the difference of two lift values y_a + (p - x_a)(y_b - y_a)/(x_b -
+#: x_a) of input rationals: a denominator under 14C digits and a size under
+#: 10^(C + 1).  theta of nu + A is one coordinate of a point of that coset,
+#: over the same denominator and no larger than nu.
+_OUTPUT_DIGITS = 16 * MAX_INT_DIGITS
+
+
+def _capped(text: str) -> str:
+    """``text``, an integer or a "p/q" rational, once each of its integers
+    is found to have at most MAX_INT_DIGITS digits."""
+    for part in text.split("/"):
+        if sum(map(str.isdigit, part)) > MAX_INT_DIGITS:
+            raise ValidationError("an input integer has more digits than the "
+                                  f"cap MAX_INT_DIGITS = {MAX_INT_DIGITS}")
+    return text
+
+
+def _json_int(text: str) -> int:
+    return int(_capped(text))
+
+
+def _rat(value):
+    """``rat`` of an input value, a string checked against MAX_INT_DIGITS."""
+    return rat(_capped(value) if isinstance(value, str) else value)
+
+
 def _read_json(path: str):
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, parse_int=_json_int)
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except (OSError, ValueError) as exc:  # bad JSON, or an int past the digit cap
         raise ValidationError(f"cannot read JSON from {path}: {exc}") from None
 
@@ -123,7 +157,7 @@ def group_cmd(path, norm_kind, element, fmt):
         if element is None:
             raise ValidationError("--norm zeta requires --element")
         try:
-            images = json.loads(element)
+            images = json.loads(element, parse_int=_json_int)
         except ValueError as exc:  # not echoed: it may hold thousands of digits
             raise ValidationError(f"bad --element: {exc}") from None
         g = groups.validate_perm(images)
@@ -145,7 +179,7 @@ def coset_cmd(lattice_path, offset, fmt):
 
     A = lattice.lattice_from_json(_read_json(lattice_path))
     try:
-        x = [rat(part) for part in offset.split(",")]
+        x = [_rat(part) for part in offset.split(",")]
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"bad offset {offset!r}: {exc}") from None
     z = coset.AffineCoset.build(A, x)
@@ -161,10 +195,10 @@ def _isotopy_from_json(data):
     from rotnorm import circle
 
     try:
-        times = [rat(t) for t in data["times"]]
+        times = [_rat(t) for t in data["times"]]
         frames = [
             circle.PLCircleDiffeo(
-                [rat(x) for x in fr["x"]], [rat(y) for y in fr["y"]]
+                [_rat(x) for x in fr["x"]], [_rat(y) for y in fr["y"]]
             )
             for fr in data["frames"]
         ]
@@ -178,7 +212,7 @@ def mu_cmd(path, basepoint, fmt):
     from rotnorm import circle
 
     F = _isotopy_from_json(_read_json(path))
-    _emit({"mu": rat_str(circle.mu(F, rat(basepoint)))}, fmt)
+    _emit({"mu": rat_str(circle.mu(F, _rat(basepoint)))}, fmt)
 
 
 def nu_cmd(path, lattice_path, fmt):
@@ -188,7 +222,7 @@ def nu_cmd(path, lattice_path, fmt):
     data = _read_json(path)
     try:
         comps = [_isotopy_from_json(c) for c in data["components"]]
-        pts = [rat(p) for p in data["basepoints"]]
+        pts = [_rat(p) for p in data["basepoints"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad multi-isotopy JSON: {exc}") from None
     F = circle.MultiIsotopy(tuple(comps), tuple(pts))
@@ -209,10 +243,12 @@ def defect_cmd(trials, seed, fmt):
 
     env_seed = os.environ.get("ROTNORM_SEED")
     if env_seed is not None:
+        _capped(env_seed)
         try:
             seed = int(env_seed)
         except ValueError:
             raise ValidationError(f"ROTNORM_SEED must be an integer, got {env_seed!r}")
+    _capped(str(seed))
     report = circle.defect_experiment(seed, trials)
     report["max_observed"] = {
         k: rat_str(v) for k, v in report["max_observed"].items()
@@ -228,7 +264,7 @@ def bounds_cmd(theta_str, context_path, lattice_path, fmt):
         missing = "--lattice" if lattice_path is None else "--context"
         raise ValidationError(
             f"bounds needs {missing} too: --context and --lattice go together")
-    th = rat(theta_str)
+    th = _rat(theta_str)
     lower = bounds.lower_cl(th, bounds.NU_DEFECT, bounds.NU_COMMUTATOR_BOUND)
     upper = bounds.upper_clb_modG(th)
     out = {"theta": rat_str(th), "lower_cl": rat_str(lower),
@@ -356,11 +392,14 @@ def _commands() -> tuple[_Parser, dict]:
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap
     try:
         parser, commands = _commands()
         if args and args[0] in commands:
             args[1:] = _join_values(args[1:], commands[args[0]].valued)
         opts = vars(parser.parse_args(args))
+        if limit:
+            sys.set_int_max_str_digits(max(limit, _OUTPUT_DIGITS))
         opts.pop("handler")(**opts)
         return 0
     except InconsistentLedger as exc:
@@ -374,6 +413,9 @@ def main(argv=None) -> int:
         return 1
     except KeyboardInterrupt:
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _report_error(exc, kind: str) -> None:

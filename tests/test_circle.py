@@ -400,24 +400,35 @@ class TestMuAlgebra:
 
 
 def _assert_like_bisecting_oracle(H, ref, times):
-    """H keeps the sample times ``times``, and agrees with ``ref``, an
-    oracle that bisects every step of 1/2 or more: H's frame at each of its
-    times is ref's frame there, and mu(H) is ref's mu read step by step.
-    H refined below 1/2 passes the public constructor's step check, and its
-    mu read step by step is mu(H) too."""
+    """H, a composite or an inverse, keeps the sample times ``times``, and
+    agrees with ``ref``, an oracle that bisects every step of 1/2 or more:
+    H's end frames are ref's, and mu(H) is ref's mu read step by step.  H's
+    frames in between lie on the straight lift path between its end frames,
+    by the Fraction oracle.  H refined below 1/2 passes the public
+    constructor's step check, and its mu read step by step is mu(H) too."""
     assert list(H.times) == sorted(times)
-    at = dict(zip(ref.times, ref.frames))
-    for t, h in zip(H.times, H.frames):
-        assert _same_map(h, at[t]), t
+    frames = H.frames
+    assert _same_map(frames[0], ref.frames[0])
+    assert _same_map(frames[-1], ref.frames[-1])
+    start, end = FractionCircleDiffeo.of(frames[0]), FractionCircleDiffeo.of(frames[-1])
+    for t, h in zip(H.times, frames):
+        assert _same_map(h, start.interpolate(end, t)), t
     R = refine(H, Q(1, 4))
     PLIsotopy(R.tn, R.frames, R.tden)
     for p in (Q(0), Q(1, 3), Q(5, 7), Q(63, 64)):
         assert mu(H, p) == oracle_mu(ref, p) == oracle_mu(R, p), p
 
 
+def _oracle_commutator(F, G):
+    """[F, G] built by the bisecting oracles alone."""
+    return oracle_isotopy_compose(oracle_isotopy_compose(F, G),
+                                  oracle_isotopy_compose(oracle_invert(F), oracle_invert(G)))
+
+
 class TestComposeResampling:
-    # Seeds whose two random_isotopy draws compose to a step of 1/2 or more
-    # on the merged time grid, though no step of either factor moves that far.
+    # Seeds whose two random_isotopy draws compose pointwise to a step of
+    # 1/2 or more on the merged time grid, though no step of either factor
+    # moves that far.
     SEEDS = (184, 212, 313, 330)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -435,21 +446,29 @@ class TestComposeResampling:
         _assert_like_bisecting_oracle(H, ref, merged)
         for p in (Q(0), Q(1, 3), Q(5, 7)):
             assert abs(mu(H, p) - mu(F, p) - mu(G, p)) < 1
-        Fi, Gi = invert(F), invert(G)
-        _assert_like_bisecting_oracle(
-            commutator(F, G), oracle_isotopy_compose(H, compose(Fi, Gi)), merged)
+        _assert_like_bisecting_oracle(commutator(F, G), _oracle_commutator(F, G), merged)
 
     def test_concat_takes_a_composite_with_a_long_step(self):
         rng = random.Random(184)
-        H = compose(random_isotopy(rng), random_isotopy(rng))
-        assert any(a.displacement(b) >= Q(1, 2)
-                   for a, b in zip(H.frames, H.frames[1:]))
+        F, G = random_isotopy(rng), random_isotopy(rng)
+        H = compose(F, G)
+        ref = oracle_isotopy_compose(F, G)
+        assert len(ref.times) > len(H.times)  # F_t o G_t has a long step
         loop = random_based_loop(random.Random(0), winding=1)
         C = concat(loop, H)  # H starts at the identity
+        assert C.times == (tuple(t / 2 for t in loop.times)
+                           + tuple(Q(1, 2) + t / 2 for t in H.times[1:]))
+        assert _same_map(C.frames[0], loop.frames[0])
+        end = C.frames[-1]  # one turn on from H's end frame
+        assert end.xs == ref.frames[-1].xs
+        assert end.ys == tuple(y + 1 for y in ref.frames[-1].ys)
         for f, h in zip(C.frames[len(loop.tn):], H.frames[1:], strict=True):
-            assert f.xs == h.xs and f.ys == tuple(y + 1 for y in h.ys)  # one turn on
+            # the same maps, one turn on; C's path starts from the loop's
+            # end knot, so its breakpoints may differ from H's
+            assert all(f.eval(x) == h.eval(x) + 1 for x in {*f.xs, *h.xs})
         for p in (Q(0), Q(1, 3), Q(5, 7)):
-            assert mu(C, p) == mu(loop, p) + mu(H, p) == oracle_mu(refine(C, Q(1, 4)), p)
+            assert (mu(C, p) == oracle_mu(loop, p) + oracle_mu(ref, p)
+                    == oracle_mu(refine(C, Q(1, 4)), p))
 
     def test_accepted_pairs_keep_the_merged_grid(self):
         rng = random.Random(17)
@@ -458,9 +477,13 @@ class TestComposeResampling:
             ts = sorted(set(F.times) | set(G.times))
             H = compose(F, G)
             assert list(H.times) == ts
-            for t, h in zip(ts, H.frames):
+            for t, h in ((0, H.frames[0]), (1, H.frames[-1])):
                 want = F.frame_at(t).compose(G.frame_at(t))
-                assert (h.den, h.xn, h.yn) == (want.den, want.xn, want.yn)
+                assert _key(h) == _key(want)
+            ref = oracle_isotopy_compose(F, G)
+            R = refine(H, Q(1, 4))
+            for p in (Q(0), Q(1, 3), Q(5, 7)):
+                assert mu(H, p) == oracle_mu(ref, p) == oracle_mu(R, p)
 
 
 def _key(f):
@@ -563,12 +586,12 @@ class TestCompositionOracles:
             Fi, Gi = invert(F), invert(G)
             for X, Xi in ((F, Fi), (G, Gi)):
                 _assert_like_bisecting_oracle(Xi, oracle_invert(X), X.times)
-                assert [_key(f) for f in Xi.frames] == [_key(f.inverse()) for f in X.frames]
+                for i in (0, -1):
+                    assert _key(Xi.frames[i]) == _key(X.frames[i].inverse())
                 assert mu(Xi, Q(1, 3)) == (X.frames[-1].eval_inv(Q(1, 3))
                                            - X.frames[0].eval_inv(Q(1, 3)))
             K = commutator(F, G)
-            _assert_like_bisecting_oracle(
-                K, oracle_isotopy_compose(H, compose(Fi, Gi)), merged)
+            _assert_like_bisecting_oracle(K, _oracle_commutator(F, G), merged)
             loop = random_based_loop(random.Random(seed))
             C = concat(loop, G)  # G starts at the identity
             assert C.times == (tuple(t / 2 for t in loop.times)
@@ -576,7 +599,9 @@ class TestCompositionOracles:
             made = [F, G, H, Fi, K, C]
             for X, max_disp in ((F, Q(1, 3)), (K, Q(1, 8)), (C, Q(1, 5))):
                 R = refine(X, max_disp)
-                _same_isotopy(R, oracle_refine(X, max_disp))
+                ref = oracle_refine(X, max_disp)
+                assert R.times == ref.times
+                assert all(map(_same_map, R.frames, ref.frames))
                 made.append(R)
             _assert_like_bisecting_oracle(compose(C, Fi), oracle_isotopy_compose(C, Fi),
                                           set(C.times) | set(Fi.times))
@@ -588,18 +613,25 @@ class TestCompositionOracles:
         assert bisected >= len(TestComposeResampling.SEEDS)
 
     def test_frame_at_matches_oracle(self):
-        # at seeded times off the samples, and at t = 0 and t = 1
+        # at seeded times off the samples, and at t = 0 and t = 1; a
+        # composite's frames lie on the straight lift path between its ends
         for seed in range(40):
             F, G = _isotopy_pair(seed, seed % 4)
-            for X in (F, G, compose(F, G)):
-                rng = random.Random(seed)
-                times = [Q(0), Q(1)]
-                while len(times) < 8:
-                    t = Q(rng.randint(1, 999), rng.randint(1000, 5000))
-                    if t not in X.times:
-                        times.append(t)
-                for t in times:
-                    assert _key(X.frame_at(t)) == _key(oracle_frame_at(X, t))
+            H = compose(F, G)
+            start, end = (FractionCircleDiffeo.of(f.compose(g))
+                          for f, g in ((F.frames[0], G.frames[0]),
+                                       (F.frames[-1], G.frames[-1])))
+            rng = random.Random(seed)
+            times = [Q(0), Q(1)]
+            while len(times) < 8:
+                t = Q(rng.randint(1, 999), rng.randint(1000, 5000))
+                if t not in F.times and t not in G.times:
+                    times.append(t)
+            for t in times:
+                for X in (F, G):
+                    assert _same_map(X.frame_at(t), oracle_frame_at(X, t))
+                assert _same_map(H.frame_at(t), start.interpolate(end, t))
+            for X in (F, G, H):
                 assert X.frame_at(0) is X.frames[0]
                 assert X.frame_at(1) is X.frames[-1]
 
@@ -626,17 +658,21 @@ class TestCompositionOracles:
         for _ in range(10):
             F = refine(random_based_loop(rng), Q(1, 8))
             G = refine(random_isotopy(rng), Q(1, 5))
-            F.frames, G.frames  # read both in full first
             grid = set(F.times) | set(G.times)
             calls.clear()
             monkeypatch.setattr(PLCircleDiffeo, "interpolate", counting)
             H = compose(F, G)
-            assert calls == []  # no frame built before a read
-            H.frames
+            assert calls == []  # the end composites need no interpolated frame
+            frames = H.frames
             monkeypatch.undo()
             assert set(H.times) == grid
-            assert len(calls) == len(grid - set(F.times)) + len(grid - set(G.times))
+            assert len(calls) == len(grid) - 2  # one per interior sample
             assert all(0 < Q(*s) < 1 for s in calls)  # s is a pair (num, den)
+            assert _key(frames[0]) == _key(F.frames[0].compose(G.frames[0]))
+            assert _key(frames[-1]) == _key(F.frames[-1].compose(G.frames[-1]))
+            for p in (Q(0), Q(1, 3), Q(5, 7)):
+                assert (mu(H, p) == oracle_mu(oracle_isotopy_compose(F, G), p)
+                        == oracle_mu(refine(H, Q(1, 4)), p))
 
 
 def _counting_builds(monkeypatch):
@@ -653,39 +689,49 @@ def _counting_builds(monkeypatch):
     return calls
 
 
-class TestLazyFrames:
-    """refine and compose build frames on first read."""
+class TestKnotFrames:
+    """Derived isotopies hold knot frames only: refine keeps its factor's,
+    compose builds two, and neither keeps its factors."""
 
-    def test_refine_and_compose_build_no_frame_before_a_read(self, monkeypatch):
+    def test_refine_builds_no_map_and_compose_two_end_composites(self, monkeypatch):
         rng = random.Random(61)
         for _ in range(10):
             F = refine(random_based_loop(rng), Q(1, 8))
             G = refine(random_based_loop(rng), Q(1, 8))
-            F.frames, G.frames
             calls = _counting_builds(monkeypatch)
             R = refine(F, Q(1, 64))
+            assert calls == []
             H = compose(F, G)
-            assert calls == []  # nothing built before a read
-            assert R._frames.count(None) == len(R.tn)
-            assert H._frames.count(None) == len(H.tn)
-            mu(R, Q(1, 3)), mu(H, Q(1, 3)), H.is_based_loop()
             assert calls == ["compose", "compose"]  # H's two end frames
+            mu(R, Q(1, 3)), mu(H, Q(1, 3)), H.is_based_loop()
+            assert calls == ["compose", "compose"]
             monkeypatch.undo()
-            _same_isotopy(R, oracle_refine(F, Q(1, 64)))
-            _same_isotopy(H, oracle_isotopy_compose(F, G))
-            assert R._source is H._source is None  # dropped once every hole is filled
+            fine = oracle_refine(F, Q(1, 64))
+            assert R.times == fine.times
+            assert all(map(_same_map, R.frames, fine.frames))
+            ref = oracle_isotopy_compose(F, G)
+            assert H.times == ref.times  # loops: no pointwise step is long
+            for i in (0, -1):
+                assert _same_map(H.frames[i], ref.frames[i])
+            for p in (Q(0), Q(1, 3), Q(5, 7)):
+                assert mu(R, p) == oracle_mu(fine, p)
+                assert mu(H, p) == oracle_mu(ref, p) == oracle_mu(refine(H, Q(1, 4)), p)
 
-    def test_a_read_isotopy_lets_its_factors_go(self):
+    def test_a_derived_isotopy_keeps_no_factor_alive(self):
         for seed, kind in PAIR_CASES[::7]:
             F, G = _isotopy_pair(seed, kind)
             R = refine(F, Q(1, 10))
             H = compose(R, G)
-            refs = [weakref.ref(X) for X in (F, G, R)]
-            R.frames, H.frames
-            del F, G, R
+            K = commutator(H, invert(G))
+            C = concat(random_based_loop(random.Random(seed)), G)
+            refs = [weakref.ref(X) for X in (F, G, R, H)]
+            want = [mu(X, Q(1, 3)) for X in (K, C)]
+            del F, G, R, H
             gc.collect()
-            assert [ref() for ref in refs] == [None, None, None], (seed, kind)
-            assert H.frames and mu(H, Q(1, 3)) == oracle_mu(H, Q(1, 3))
+            assert [ref() for ref in refs] == [None] * 4, (seed, kind)
+            assert [mu(X, Q(1, 3)) for X in (K, C)] == want
+            for X in (K, C):
+                assert oracle_mu(refine(X, Q(1, 4)), Q(1, 3)) == mu(X, Q(1, 3))
 
 
 def _steep_for_invert():
@@ -706,15 +752,13 @@ class TestInvert:
         ref = oracle_invert(F)
         assert ref.times == (0, Q(1, 4), Q(1, 2), Q(3, 4), 1)
         _assert_like_bisecting_oracle(Fi, ref, F.times)
-        for t, f in zip(Fi.times, Fi.frames):
-            assert _key(f) == _key(F.frame_at(t).inverse())
+        for i in (0, -1):
+            assert _key(Fi.frames[i]) == _key(F.frames[i].inverse())
         for p in (Q(0), Q(1, 3), Q(5, 7), Q(63, 64)):
             assert mu(Fi, p) == F.frames[-1].eval_inv(p) - F.frames[0].eval_inv(p)
         G = random_isotopy(random.Random(0))
-        _assert_like_bisecting_oracle(
-            commutator(F, G),
-            oracle_isotopy_compose(compose(F, G), compose(Fi, invert(G))),
-            set(F.times) | set(G.times))
+        _assert_like_bisecting_oracle(commutator(F, G), _oracle_commutator(F, G),
+                                      set(F.times) | set(G.times))
 
 
 class TestBasedLoopHomomorphism:
@@ -884,15 +928,16 @@ class TestDefectExperiment:
         with pytest.raises(ValidationError):
             defect_experiment(seed=1, trials=0)
 
-    def test_lazy_mu_matches_composed_isotopy_mu(self):
-        # the experiment's endpoint-frame evaluations equal mu of the actual
-        # composed isotopies for the same random stream
+    def test_end_frame_mu_matches_oracle_isotopy_mu(self):
+        # the experiment's end-frame evaluations equal mu, read step by step
+        # without lifts, of the isotopies the bisecting oracles build for the
+        # same random stream
         rng = random.Random(55)
         for _ in range(8):
             F, G = random_isotopy(rng), random_isotopy(rng)
             p = Q(rng.randint(0, 63), 64)
             f, g = F.frames[-1], G.frames[-1]
-            assert mu(F, p) == f.eval(p) - p
-            assert mu(compose(F, G), p) == f.eval(g.eval(p)) - p
-            K = commutator(F, G)
-            assert mu(K, p) == f.eval(g.eval(f.eval_inv(g.eval_inv(p)))) - p
+            assert oracle_mu(F, p) == f.eval(p) - p
+            assert oracle_mu(oracle_isotopy_compose(F, G), p) == f.eval(g.eval(p)) - p
+            K = _oracle_commutator(F, G)
+            assert oracle_mu(K, p) == f.eval(g.eval(f.eval_inv(g.eval_inv(p)))) - p

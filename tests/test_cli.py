@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
@@ -167,6 +169,19 @@ class TestMuNuCommands:
         data = json.loads(r.stdout)
         assert data["nu"] == ["3/2", "1/2"]
         assert "theta" in data
+
+    def test_nu_lattice_of_another_dimension(self, tmp_path):
+        multi = {"components": [rotation_isotopy_json(3, 2, 7),
+                                rotation_isotopy_json(1, 2, 3)],
+                 "basepoints": ["0", "1/4"]}
+        mp = write_json(tmp_path, "multi.json", multi)
+        ap = write_json(tmp_path, "A.json",
+                        {"m": 3, "generators": [[2, 0, 0], [0, 3, 0]]})
+        r = run_cli(["nu", "--in", mp, "--lattice", ap])
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr.count("\n") == 1
+        err = json.loads(r.stderr)["error"]
+        assert (err["kind"], err["type"]) == ("validation", "DimensionMismatch")
 
     def test_ambiguous_isotopy_rejected(self, tmp_path):
         iso = rotation_isotopy_json(3, 2, 4)  # exactly 1/2 per step
@@ -450,8 +465,9 @@ class TestMalformedInput:
             ["group", "--in", path, "--norm", "zeta", "--element", element]))
 
 
-#: An integer of 5,000 digits: past the interpreter's default cap of 4,300
-#: digits for converting a decimal string to an int, so ``json`` refuses it.
+#: An integer of 5,000 digits: past the CLI's cap ``MAX_INT_DIGITS`` and
+#: the interpreter's default cap of 4,300 digits for converting a decimal
+#: string to an int.
 HUGE = "7" * 5000
 
 
@@ -477,6 +493,97 @@ class TestOversizedIntegers:
         path = write_json(tmp_path, "g.json", [[1, 0, 2], [1, 2, 0]])
         assert_one_error_line(run_cli(["group", "--in", path, "--norm", "zeta",
                                        "--element", f"[1, 0, {HUGE}]"]))
+
+
+def assert_digit_cap(r):
+    """A validation error on one stderr line naming MAX_INT_DIGITS."""
+    assert_validation_error(r)
+    assert r.stderr.count("\n") == 1
+    assert "MAX_INT_DIGITS = 1000" in r.stderr
+
+
+@contextmanager
+def _no_digit_cap():
+    """Lift the interpreter's int <-> str digit cap in this process."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _two_frame_isotopy(x, start, end):
+    """From the frame through (0, start[0]) and (x, start[1]) to the one
+    through (0, end[0]) and (x, end[1])."""
+    return {"times": ["0", "1"],
+            "frames": [{"x": ["0", x], "y": list(start)},
+                       {"x": ["0", x], "y": list(end)}]}
+
+
+class TestDigitCap:
+    """Each input integer has at most MAX_INT_DIGITS digits, checked at
+    parse; within that cap, outputs past the interpreter's 4,300-digit
+    conversion cap are written."""
+
+    def test_lattice_with_a_determinant_past_the_conversion_cap(self, tmp_path):
+        # 10^2500 - 1 and 10^2500 + 1: valid JSON integers, but the
+        # determinant would have 5,000 digits
+        path = tmp_path / "A.json"
+        path.write_text('{"m": 2, "generators": [[%s, 0], [0, %s]]}'
+                        % ("9" * 2500, "1" + "0" * 2499 + "1"))
+        assert_digit_cap(run_cli(["lattice", "--in", str(path)]))
+
+    def test_mu_past_the_conversion_cap(self, tmp_path):
+        # a two-breakpoint frame with a 3,000-digit value, and a basepoint
+        # with a 3,000-digit denominator
+        value = "5" + "0" * 2998 + "1"  # over 10^3000: just over 1/2
+        path = write_json(tmp_path, "iso.json", _two_frame_isotopy(
+            "1/2", ("0", "1/2"), ("0", f"{value}/1{'0' * 3000}")))
+        assert_digit_cap(run_cli(["mu", "--in", path, "--basepoint",
+                                  "1/" + "9" * 3000]))
+
+    def test_each_integer_input_is_capped(self, tmp_path):
+        over = "1" + "0" * 1000  # 1,001 digits
+        assert_digit_cap(run_cli(["bounds", "--theta", f"1/{over}"]))
+        assert_digit_cap(run_cli(["defect", "--trials", "1", "--seed", over]))
+        assert_digit_cap(run_cli(["defect", "--trials", "1"],
+                                 env_extra={"ROTNORM_SEED": over}))
+        path = write_json(tmp_path, "A.json", {"m": 1, "generators": [[2]]})
+        assert_digit_cap(run_cli(["coset", "--lattice", path, "--offset", over]))
+
+    def test_outputs_within_the_cap_are_written(self, tmp_path):
+        # 1,000-digit diagonal entries: an 8,000-digit determinant
+        d = [10 ** 1000 - 1 - i for i in range(8)]
+        path = write_json(tmp_path, "A.json", {"m": 8, "generators": [
+            [v if i == j else 0 for j in range(8)] for i, v in enumerate(d)]})
+        r = run_cli(["lattice", "--in", path])
+        assert r.returncode == 0, r.stderr
+        with _no_digit_cap():
+            data = json.loads(r.stdout)
+        assert data["k"] == d and data["k_max"] == d[0] and data["rank"] == 8
+        det = prod = 1
+        for v, f in zip(d, data["invariant_factors"]):
+            det, prod = det * v, prod * f
+        assert det == prod > 10 ** 7990
+        # mu at a basepoint on the wrapped segment, from (x, y1) to
+        # (1, y0 + 1) in each frame: 4,999 and 5,998 digits
+        u = 10 ** 999
+        p, x = Fraction(5 * u + 3, 9 * u + 1), Fraction(3 * u + 7, 6 * u + 15)
+        start = Fraction(1, 8 * u + 3), Fraction(3 * u + 7, 6 * u + 11)
+        end = Fraction(1, 7 * u + 9), Fraction(3 * u + 7, 6 * u + 13)
+
+        def lift(y0, y1):
+            return y1 + (p - x) * (y0 + 1 - y1) / (1 - x)
+
+        path = write_json(tmp_path, "iso.json", _two_frame_isotopy(
+            str(x), map(str, start), map(str, end)))
+        with _no_digit_cap():
+            want = str(lift(*end) - lift(*start))
+        r = run_cli(["mu", "--in", path, "--basepoint", str(p)])
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout) == {"mu": want}
+        assert max(map(len, want.split("/"))) > 4300
 
 
 class TestThetaCap:

@@ -8,6 +8,7 @@ INPUTS = Path(__file__).resolve().parents[1] / "docs" / "schemas" / "inputs.md"
 
 CAPS = [
     "circle.MAX_DEFECT_TRIALS",
+    "cli.MAX_INT_DIGITS",
     "coset.MAX_CVP_NODES",
     "coset.MAX_SUP_MOVES",
     "groups.CLOSURE_CAP",
