@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from rotnorm.errors import ValidationError
+from rotnorm.errors import ValidationError, quoted
 
 Q = Fraction
 
@@ -31,7 +31,7 @@ def rat(value) -> Q:
             return Q(int(num), int(den)) if slash else Q(int(num))
         except (ValueError, ZeroDivisionError):
             raise ValidationError(
-                f"not a rational 'p/q' with q != 0: {value!r}") from None
+                f"not a rational 'p/q' with q != 0: {quoted(value)}") from None
     if isinstance(value, (bool, float)):
         raise TypeError(f"{type(value).__name__} values are not accepted; "
                         "pass 'p/q' strings or ints")

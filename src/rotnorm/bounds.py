@@ -25,6 +25,7 @@ from rotnorm.errors import (
     InconsistentLedger,
     ValidationError,
     ZeroDenominator,
+    quoted,
 )
 from rotnorm.lattice import IntLattice, QuotientInfo, kernel_functional
 
@@ -94,7 +95,7 @@ class ManifoldContext:
                    "assumption_P"}
         unknown = set(data) - allowed
         if unknown:
-            raise ValidationError(f"unknown context keys: {sorted(unknown)}")
+            raise ValidationError(f"unknown context keys: {quoted(sorted(unknown))}")
         if type(data["n"]) is not int or type(data["m"]) is not int:
             raise ValidationError('context "n" and "m" must be integers')
         if any(type(data.get(k, False)) is not bool

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from rotnorm.bounds import ManifoldContext, verdict
-from rotnorm.errors import ValidationError
+from rotnorm.errors import ValidationError, quoted
 from rotnorm.lattice import (
     IntLattice, lattice_from_json, member, normalize, quotient_info,
 )
@@ -44,7 +44,7 @@ def list_fixtures() -> list[str]:
 
 def load_fixture(name: str) -> Fixture:
     if name not in list_fixtures():
-        raise ValidationError(f"unknown fixture: {name}")
+        raise ValidationError(f"unknown fixture: {quoted(name)}")
     data = json.loads(_fixture_files().joinpath(f"{name}.json").read_text())
     lattice = None
     rank_at_most = None

@@ -52,11 +52,15 @@ class PLCircleDiffeo:
     with the integer run ``dx`` and rise ``dy`` of every segment (the last
     segment wraps to the first breakpoint one period on).  Every operation
     works on these integers and builds a rational only for the values it
-    returns.  Maps built by ``compose`` use the least common denominator of
-    their breakpoints and values.  Maps built by ``interpolate`` use lcm(L,
-    D), where L is the lcm of the two maps' denominators and D the least
-    common denominator of the interpolated values; that need not be least,
-    as the breakpoints are not reduced.
+    returns.  Every lift value is an ``_eval`` pair (num, den): ``eval``,
+    ``compose``, ``_displacement``, ``interpolate`` and ``mu`` all read the
+    lift through it (``_eval_inv`` reads the inverse the same way).
+
+    Maps built by ``compose`` use the least common denominator of their
+    breakpoints and values.  Maps built by ``interpolate`` use lcm(L, D),
+    where L is the lcm of the two maps' denominators and D the least common
+    denominator of the interpolated values; that need not be least, as the
+    breakpoints are not reduced.
 
     ``PLCircleDiffeo(xs, ys)`` takes rationals; ``PLCircleDiffeo(xn, yn,
     den)`` takes integer numerators over the positive integer ``den``.  Both
@@ -158,50 +162,33 @@ class PLCircleDiffeo:
         pairs.sort()
         return PLCircleDiffeo([p[0] for p in pairs], [p[1] for p in pairs], D)
 
-    def _sample(self, L, points):
-        """Lift values at the sorted integer points in [0, L) over L, a
-        multiple of ``den``: pairs (P, r) with value P / (r * L)."""
-        m = L // self.den
-        xn = [x * m for x in self.xn]
-        yn = [y * m for y in self.yn]
-        last = len(xn) - 1
-        i = -1  # points below xn[0] lie on the wrapped last segment
-        bx, by = xn[-1] - L, yn[-1] - L
-        out = []
-        for X in points:
-            while i < last and xn[i + 1] <= X:
-                i += 1
-                bx, by = xn[i], yn[i]
-            dx = self.dx[i]
-            out.append((by * dx + (X - bx) * self.dy[i], dx))
-        return out
-
     def _merged(self, other):
-        """Both lifts on the union of their breakpoints, walked once.
+        """Both lifts at the union of their breakpoints, through ``_eval``.
 
         Returns (L, points, mine, theirs): the sorted integer points over
-        the common denominator L, and ``_sample`` pairs for each map.
+        the common denominator L, and each map's ``_eval`` pair at them.
         """
         L = lcm(self.den, other.den)
         ms, mo = L // self.den, L // other.den
-        xa = [x * ms for x in self.xn]
-        if xa == [x * mo for x in other.xn]:
-            return (L, xa, [(y * ms, 1) for y in self.yn],
-                    [(y * mo, 1) for y in other.yn])
-        points = sorted(set(xa).union(x * mo for x in other.xn))
-        return L, points, self._sample(L, points), other._sample(L, points)
+        points = sorted({x * ms for x in self.xn}.union(x * mo for x in other.xn))
+        return (L, points, [self._eval(X, L) for X in points],
+                [other._eval(X, L) for X in points])
 
     def _displacement(self, other):
-        """sup |self - other| as an unreduced pair (num, den)."""
+        """sup |self - other| as an unreduced pair (num, den).
+
+        Maps on one grid compare their values directly; others compare
+        their ``_merged`` pairs.
+        """
         if self.den == other.den and self.xn == other.xn:
             return max(map(abs, map(sub, self.yn, other.yn))), self.den
-        L, _, mine, theirs = self._merged(other)
+        _, _, mine, theirs = self._merged(other)
         num, den = 0, 1
-        for (pa, ra), (pb, rb) in zip(mine, theirs):
-            n, d = abs(pa * rb - pb * ra), ra * rb
+        for (na, da), (nb, db) in zip(mine, theirs):
+            n, d = abs(na * db - nb * da), da * db
             if n * den > num * d:
                 num, den = n, d
-        return num, den * L
+        return num, den
 
     def displacement(self, other: "PLCircleDiffeo"):
         """sup |self - other| over the circle (attained at a breakpoint)."""
@@ -222,8 +209,8 @@ class PLCircleDiffeo:
         if sn == sd:
             return other
         L, xs, mine, theirs = self._merged(other)
-        D, ys = common([((sd - sn) * pa * rb + sn * pb * ra, sd * ra * rb * L)
-                        for (pa, ra), (pb, rb) in zip(mine, theirs)])
+        D, ys = common([((sd - sn) * na * db + sn * nb * da, sd * da * db)
+                        for (na, da), (nb, db) in zip(mine, theirs)])
         m = lcm(L, D)
         return PLCircleDiffeo([x * (m // L) for x in xs],
                               [y * (m // D) for y in ys], m)
@@ -409,37 +396,27 @@ def invert(F: PLIsotopy) -> PLIsotopy:
                     (F._knots[0].inverse(), F._knots[-1].inverse()))
 
 
-def _lift_gap(f: PLCircleDiffeo, g: PLCircleDiffeo):
-    """Constant integer d with f = g + d as lifts, or None."""
-    L, _, mine, theirs = f._merged(g)
-    (pa, ra), (pb, rb) = mine[0], theirs[0]
-    d, r = divmod(pa * rb - pb * ra, ra * rb * L)
-    if r:
-        return None
-    if all((pa - d * ra * L) * rb == pb * ra
-           for (pa, ra), (pb, rb) in zip(mine, theirs)):
-        return d
-    return None
-
-
 def concat(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
     """Run F on [0, 1/2], then G on [1/2, 1]; needs F_1 = G_0 on the circle.
 
-    The two halves may carry lifts differing by an integer (e.g. after a full
-    turn); G's knots are shifted by that integer so the concatenated lift
-    path stays continuous, and joined to F's.
+    The two halves may carry lifts differing by an integer d (e.g. after a
+    full turn), read at 0 from the end lifts' ``_eval`` pairs by floor
+    division.  G's knots are shifted by d, so the concatenated lift path
+    stays continuous, and joined to F's; the shifted start knot must equal
+    F's end knot, or the frames do not meet.
     """
-    d = _lift_gap(F._knots[-1], G._knots[0])
-    if d is None:
+    (n1, d1), (n0, d0) = F._knots[-1]._eval(0, 1), G._knots[0]._eval(0, 1)
+    d = (n1 * d0 - n0 * d1) // (d0 * d1)
+    shifted = [k if d == 0 else PLCircleDiffeo(k.xn, [y + d * k.den for y in k.yn], k.den)
+               for k in G._knots]
+    if shifted[0] != F._knots[-1]:
         raise FrameMismatch("end frame of the first isotopy must equal the "
                             "start frame of the second")
     T = lcm(F.tden, G.tden)  # over 2T: F on [0, T], G on [T, 2T]
     f, g = T // F.tden, T // G.tden
-    knots = F._knots + tuple(
-        k if d == 0 else PLCircleDiffeo(k.xn, [y + d * k.den for y in k.yn], k.den)
-        for k in G._knots[1:])
     return _knotted([t * f for t in F.tn] + [T + t * g for t in G.tn[1:]], 2 * T,
-                    [t * f for t in F._kn] + [T + t * g for t in G._kn[1:]], knots)
+                    [t * f for t in F._kn] + [T + t * g for t in G._kn[1:]],
+                    F._knots + tuple(shifted[1:]))
 
 
 def commutator(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
@@ -492,15 +469,6 @@ class MultiIsotopy:
             raise ValidationError("components and basepoints must match")
         self.components = comps
         self.basepoints = pts
-
-    def __eq__(self, other):
-        if type(other) is not MultiIsotopy:
-            return NotImplemented
-        return ((self.components, self.basepoints)
-                == (other.components, other.basepoints))
-
-    def __hash__(self):
-        return hash((self.components, self.basepoints))
 
     def __repr__(self):
         return (f"MultiIsotopy(components={self.components!r}, "

@@ -18,7 +18,7 @@ import os
 import sys
 
 from rotnorm._rat import Q, rat, rat_str
-from rotnorm.errors import InconsistentLedger, ValidationError
+from rotnorm.errors import InconsistentLedger, ValidationError, quoted
 
 
 class UsageError(Exception):
@@ -102,7 +102,10 @@ def _read_json(path: str):
         with open(path) as fh:
             return json.load(fh, parse_int=_json_int)
     except (OSError, ValueError) as exc:  # bad JSON, or an int past the digit cap
-        raise ValidationError(f"cannot read JSON from {path}: {exc}") from None
+        # an OSError's text repeats the whole path, so give only its reason
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(
+            f"cannot read JSON from {quoted(path)}: {reason}") from None
 
 
 def _emit(obj, fmt: str) -> None:
@@ -181,7 +184,7 @@ def coset_cmd(lattice_path, offset, fmt):
     try:
         x = [_rat(part) for part in offset.split(",")]
     except (ValueError, TypeError) as exc:
-        raise ValidationError(f"bad offset {offset!r}: {exc}") from None
+        raise ValidationError(f"bad offset {quoted(offset)}: {exc}") from None
     z = coset.AffineCoset.build(A, x)
     data = coset.theta(z)
     if A.m == 1:
@@ -247,7 +250,8 @@ def defect_cmd(trials, seed, fmt):
         try:
             seed = int(env_seed)
         except ValueError:
-            raise ValidationError(f"ROTNORM_SEED must be an integer, got {env_seed!r}")
+            raise ValidationError(
+                f"ROTNORM_SEED must be an integer, got {quoted(env_seed)}")
     _capped(str(seed))
     report = circle.defect_experiment(seed, trials)
     report["max_observed"] = {
@@ -303,7 +307,7 @@ def catalog_cmd(action, name, fmt):
     if action == "list":
         if name is not None:
             raise ValidationError(
-                f"catalog list takes no fixture name, got {name!r}")
+                f"catalog list takes no fixture name, got {quoted(name)}")
         _emit({"fixtures": catalog.list_fixtures()}, fmt)
         return
     if name is None:

@@ -1,8 +1,22 @@
 """Exception types shared across the package.
 
 ValidationError covers bad user input (CLI exit code 1); InconsistentLedger
-signals an internally contradictory bound ledger (CLI exit code 2).
+signals an internally contradictory bound ledger (CLI exit code 2).  A
+message that names an input value quotes it through ``quoted``.
 """
+
+#: Most characters of an input value that an error message quotes.
+QUOTE_CHARS = 40
+
+
+def quoted(value) -> str:
+    """``repr(value)``, or, when that is longer than QUOTE_CHARS
+    characters, its first QUOTE_CHARS characters and its length, so a
+    message stays short whatever the size of the input."""
+    text = repr(value)
+    if len(text) <= QUOTE_CHARS:
+        return text
+    return f"{text[:QUOTE_CHARS]}... ({len(text)} characters)"
 
 
 class RotnormError(Exception):

@@ -35,6 +35,7 @@ from rotnorm.errors import (
     NotSymmetric,
     TrivialGroup,
     ValidationError,
+    quoted,
 )
 
 Perm = tuple[int, ...]
@@ -69,12 +70,12 @@ def validate_perm(images) -> Perm:
     float or string)."""
     if not isinstance(images, (list, tuple)) or any(
             type(i) is not int for i in images):
-        raise ValidationError(f"a permutation is a list of integers: {images!r}")
+        raise ValidationError(f"a permutation is a list of integers: {quoted(images)}")
     p = tuple(images)
     if len(p) > MAX_DEGREE:
         raise ValidationError(f"degree {len(p)} exceeds cap {MAX_DEGREE}")
     if sorted(p) != list(range(len(p))):
-        raise ValidationError(f"not a permutation of 0..{len(p) - 1}: {p}")
+        raise ValidationError(f"not a permutation of 0..{len(p) - 1}: {quoted(p)}")
     return p
 
 

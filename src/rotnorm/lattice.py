@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 
-from rotnorm._rat import INF
-from rotnorm.errors import DimensionMismatch, FullRank, ValidationError
+from rotnorm._rat import INF, common
+from rotnorm.errors import DimensionMismatch, FullRank, ValidationError, quoted
 
 MAX_DIM = 8
 
@@ -105,9 +105,22 @@ class IntLattice:
         return {"m": self.m, "generators": [list(g) for g in self.generators]}
 
 
+def _integer(x) -> int:
+    """x as an int; an x not equal to an integer (3/2, 2.7, "2") is a
+    ValidationError, not truncated."""
+    try:
+        n, d = x.as_integer_ratio()
+    except (AttributeError, ValueError, OverflowError):  # not a real number
+        d = 0
+    if d != 1:
+        raise ValidationError(f"lattice entry {quoted(x)} is not an integer")
+    return n
+
+
 def normalize(generators, ambient_dim: int | None = None) -> IntLattice:
-    """Canonicalize a generating set into its Hermite normal form basis."""
-    gens = [tuple(int(x) for x in g) for g in generators]
+    """Canonicalize a generating set into its Hermite normal form basis.
+    Every entry must equal an integer."""
+    gens = [tuple(map(_integer, g)) for g in generators]
     if ambient_dim is None:
         if not gens:
             raise ValidationError("empty generating set needs an explicit dimension")
@@ -117,7 +130,8 @@ def normalize(generators, ambient_dim: int | None = None) -> IntLattice:
         raise ValidationError(f"ambient dimension must be in 1..{MAX_DIM}")
     for g in gens:
         if len(g) != m:
-            raise DimensionMismatch(f"generator {g} does not have length {m}")
+            raise DimensionMismatch(
+                f"generator {quoted(g)} does not have length {m}")
     basis, pivots = _hnf([list(g) for g in gens], m)
     return IntLattice(
         m=m,
@@ -134,12 +148,20 @@ def _order(A: IntLattice, v):
     taken so far: before pivot p is reduced, w and t are scaled by
     P/gcd(w[p], P), P = row[p], the least factor that makes w[p] a multiple
     of P.  So t stays the least scale whose coefficients so far are all
-    integers, and t*v is in A exactly when nothing is left of w.
+    integers, and t*v is in A exactly when nothing is left of w.  A rational
+    v starts from t = L, its entries' least common denominator, and w =
+    L*v: the numerators over L share no factor with L, so no smaller scale
+    makes t*v integral.
     """
-    w = [int(x) for x in v]
-    if len(w) != A.m:
-        raise DimensionMismatch(f"vector {v} does not have length {A.m}")
+    w = list(v)
     t = 1
+    if not all(type(x) is int for x in w):  # integers, as quotient_info passes, need no pass
+        try:
+            t, w = common(x.as_integer_ratio() for x in w)
+        except (AttributeError, ValueError, OverflowError):  # not a real number
+            raise ValidationError(f"vector {quoted(v)} is not rational") from None
+    if len(w) != A.m:
+        raise DimensionMismatch(f"vector {quoted(v)} does not have length {A.m}")
     for row, p in zip(A.hnf_basis, A.pivots):
         piv = row[p]
         s = piv // gcd(w[p], piv)
@@ -154,7 +176,9 @@ def _order(A: IntLattice, v):
 
 
 def member(A: IntLattice, v) -> bool:
-    """Exact membership test: v lies in A when its order is 1."""
+    """Exact membership test: v lies in A when its order is 1.  v may be
+    rational; one that is not integral has order at least its denominator,
+    so it is not a member."""
     return _order(A, v) == 1
 
 

@@ -733,9 +733,9 @@ def oracle_smith_invariant_factors(mat: list[list[int]]) -> list[int]:
 
 
 def oracle_rational_coefficients(A: IntLattice, v):
-    """Coefficients of v over the HNF basis in Q, or None if v is outside
-    the rational span."""
-    w = [Q(int(x)) for x in v]
+    """Coefficients of v, a rational vector, over the HNF basis in Q, or
+    None if v is outside the rational span."""
+    w = [Q(x) for x in v]
     coeffs = []
     for row, p in zip(A.hnf_basis, A.pivots):
         c = w[p] / row[p]

@@ -586,6 +586,49 @@ class TestDigitCap:
         assert max(map(len, want.split("/"))) > 4300
 
 
+#: Most bytes of the one JSON error line for an input of any size: each
+#: message quotes at most errors.QUOTE_CHARS characters of each input value.
+ERROR_LINE_BYTES = 400
+
+_DIGITS = "1" + "0" * 1000  # 1,001 digits: over MAX_INT_DIGITS
+_ZERO_DEN = "9" * 999 + "/0"  # within the cap, but not a rational
+
+
+class TestBoundedEcho:
+    """A validation message quotes a bounded prefix of each input value,
+    so inputs of any size give one short JSON error line; each case used
+    to echo its whole input (1 to 100 KB)."""
+
+    @pytest.mark.parametrize("case", [
+        ("coset", _DIGITS, "MAX_INT_DIGITS = 1000"),
+        ("coset", _ZERO_DEN, "not a rational"),
+        ("bounds", _ZERO_DEN, "not a rational"),
+        ("group", ["x"] * 20000, "a permutation is a list of integers"),
+        ("lattice", {"m": 2, "generators": [[1] * 20000]}, "does not have length 2"),
+        ("verdict", {"n": 3, "m": 1, "k" * 20000: 1}, "unknown context keys"),
+    ], ids=["coset_offset_digits", "coset_offset_zero_denominator",
+            "bounds_theta_zero_denominator", "group_strings",
+            "lattice_long_generator", "verdict_long_context_key"])
+    def test_one_short_error_line(self, tmp_path, case):
+        command, value, words = case
+        lattice = write_json(tmp_path, "A.json", {"m": 1, "generators": [[2]]})
+        if command == "coset":
+            args = ["coset", "--lattice", lattice, "--offset", f"1/2,{value}"]
+        elif command == "bounds":
+            args = ["bounds", "--theta", value]
+        elif command == "verdict":
+            args = ["verdict", "--context", write_json(tmp_path, "ctx.json", value),
+                    "--lattice", lattice]
+        else:
+            args = [command, "--in", write_json(tmp_path, "in.json", [value]
+                                                if command == "group" else value)]
+        r = run_cli(args)
+        assert_validation_error(r)
+        assert r.stderr.count("\n") == 1
+        assert len(r.stderr.encode()) <= ERROR_LINE_BYTES, len(r.stderr.encode())
+        assert words in json.loads(r.stderr)["error"]["message"]
+
+
 class TestThetaCap:
     """theta lists every attaining point; past coset.MAX_CVP_NODES search
     nodes it stops with a validation error instead of running for minutes."""

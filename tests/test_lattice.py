@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -62,6 +63,51 @@ class TestNormalize:
             assert piv > 0
             for i in range(j):
                 assert 0 <= A.hnf_basis[i][p] < piv
+
+
+class TestNonIntegerEntries:
+    """normalize refuses a generator entry that is not an integer, and
+    member is exact on rational vectors; both used to truncate with int()."""
+
+    @pytest.mark.parametrize("gens", [
+        [[Fraction(3, 2), 0], [0, 2]],
+        [[1, 0], [0, 2.7]],
+        [["2"]],
+        [[None]],
+        [[float("inf")]],
+    ], ids=["fraction", "float", "string", "none", "infinity"])
+    def test_normalize_refuses_entries_that_are_not_integers(self, gens):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            normalize(gens)
+
+    def test_entries_equal_to_integers_are_kept(self):
+        A = normalize([[Fraction(4, 2), 0], [0, 3.0]])
+        assert A.hnf_basis == ((2, 0), (0, 3))
+        assert A.generators == ((2, 0), (0, 3))
+        assert all(type(x) is int for g in A.generators for x in g)
+
+    def test_member_is_exact_on_rational_vectors(self):
+        Z = normalize([[1]])
+        assert not member(Z, [Fraction(1, 2)])
+        assert _order(Z, [Fraction(1, 2)]) == 2
+        assert member(Z, [Fraction(6, 3)])
+        A = normalize([[2, 0], [0, 3]])
+        assert _order(A, [Fraction(1, 2), Fraction(1, 3)]) == 36
+        assert _order(A, [Fraction(1, 2), 0.5]) == 12
+        assert not member(A, [Fraction(1, 2), 0])
+        assert member(A, [Fraction(4, 2), 3.0])
+        assert _order(normalize([[1, 1]]), [Fraction(1, 2), 0]) == INF
+
+    @seed(20251103)
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rational_orders_match_the_oracle(self, data):
+        m, gens = data.draw(wide_generators())
+        A = normalize(gens, ambient_dim=m)
+        v = data.draw(st.lists(st.fractions(-50, 50, max_denominator=12),
+                               min_size=m, max_size=m))
+        assert _order(A, v) == oracle_order(A, v)
+        assert member(A, v) == _oracle_member(A, v)
 
 
 small_vecs = st.lists(
