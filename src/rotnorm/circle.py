@@ -42,6 +42,7 @@ from rotnorm.errors import (
     DimensionMismatch,
     FrameMismatch,
     ValidationError,
+    quoted,
 )
 
 class PLCircleDiffeo:
@@ -620,7 +621,8 @@ def defect_experiment(seed: int, trials: int) -> dict:
         raise ValidationError("need at least one trial")
     if trials > MAX_DEFECT_TRIALS:
         raise ValidationError(
-            f"trials {trials} exceeds the cap MAX_DEFECT_TRIALS = {MAX_DEFECT_TRIALS}")
+            f"trials {quoted(trials)} exceeds the cap "
+            f"MAX_DEFECT_TRIALS = {MAX_DEFECT_TRIALS}")
     rng = random.Random(seed)
     names = ("left_mult", "right_mult", "product", "inverse_sum",
              "commutator", "basepoint_change")

@@ -5,9 +5,10 @@ rationals as "p/q" strings); diagnostics go to stderr as structured JSON.
 Exit codes: 0 success, 1 input validation or usage error, 2 internal
 inconsistency.
 
-Each command handler imports only the engine modules it runs, because on
-the small inputs these commands take, loading every engine was most of a
-call's wall time.
+Each command handler parses its inputs, makes one engine call and returns
+the JSON document that ``main`` prints.  A handler imports only the engine
+modules it runs, because on the small inputs these commands take, loading
+every engine was most of a call's wall time.
 """
 
 from __future__ import annotations
@@ -17,12 +18,18 @@ import json
 import os
 import sys
 
-from rotnorm._rat import Q, rat, rat_str
-from rotnorm.errors import InconsistentLedger, ValidationError, quoted
+from rotnorm._rat import rat, rat_str
+from rotnorm.errors import InconsistentLedger, ValidationError, cut, quoted
 
 
 class UsageError(Exception):
     """The command line does not parse; maps to exit code 1."""
+
+
+#: Most characters of a usage error message, after each word is cut to
+#: errors.QUOTE_CHARS; a bad command name, cut and followed by the nine
+#: choices, gives 192.
+_USAGE_CHARS = 250
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,7 +50,10 @@ class _Parser(argparse.ArgumentParser):
         return action
 
     def error(self, message):
-        raise UsageError(message)
+        # argparse echoes command-line tokens whole, and lists every
+        # unrecognized one: cut each word, then the message
+        raise UsageError(cut(" ".join(map(cut, message.split(" "))),
+                             _USAGE_CHARS))
 
 
 def _join_values(args, valued) -> list:
@@ -61,8 +71,9 @@ def _join_values(args, valued) -> list:
     return out
 
 
-#: Most digits in one input integer: a JSON integer, an integer option, or
-#: the numerator or denominator of a "p/q" rational.
+#: Most digits in one input integer: a JSON integer, ``--trials``,
+#: ``--seed``, ROTNORM_SEED, or the numerator or denominator of a "p/q"
+#: rational.
 MAX_INT_DIGITS = 1000
 
 #: Python's cap on int <-> str conversion while a command runs; every
@@ -86,8 +97,17 @@ def _capped(text: str) -> str:
     return text
 
 
-def _json_int(text: str) -> int:
-    return int(_capped(text))
+def _int(text: str, name: str = "", error=ValidationError) -> int:
+    """``int(text)`` of one input integer: a JSON integer, ``--trials``,
+    ``--seed`` or ROTNORM_SEED.  Its digits are checked against
+    MAX_INT_DIGITS before ``int`` runs, so an oversized one fails fast with
+    the cap named; a ``text`` that is not an integer (never a JSON
+    integer) raises ``error``, naming the input ``name``."""
+    _capped(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise error(f"{name}: invalid int value: {quoted(text)}") from None
 
 
 def _rat(value):
@@ -98,9 +118,9 @@ def _rat(value):
 def _read_json(path: str):
     try:
         if path == "-":
-            return json.load(sys.stdin, parse_int=_json_int)
+            return json.load(sys.stdin, parse_int=_int)
         with open(path) as fh:
-            return json.load(fh, parse_int=_json_int)
+            return json.load(fh, parse_int=_int)
     except (OSError, ValueError) as exc:  # bad JSON, or an int past the digit cap
         # an OSError's text repeats the whole path, so give only its reason
         reason = getattr(exc, "strerror", None) or exc
@@ -135,7 +155,7 @@ def _text_lines(obj, prefix: str):
         yield f"{prefix}{obj}"
 
 
-def group_cmd(path, norm_kind, element, fmt):
+def group_cmd(path, norm_kind, element):
     """Generate a permutation group; optionally emit a norm table."""
     from rotnorm import groups
 
@@ -147,36 +167,32 @@ def group_cmd(path, norm_kind, element, fmt):
     G = groups.generate_group(data)
     if norm_kind is None:
         s_g, classification = groups.weakly_simple_set(G)
-        _emit({
+        return {
             "degree": G.degree,
             "order": G.order,
             "classification": classification,
             "weakly_simple_set_size": len(s_g),
-        }, fmt)
-        return
+        }
     if norm_kind == "cl":
-        table = groups.commutator_length(G)
-    else:
-        if element is None:
-            raise ValidationError("--norm zeta requires --element")
-        try:
-            images = json.loads(element, parse_int=_json_int)
-        except ValueError as exc:  # not echoed: it may hold thousands of digits
-            raise ValidationError(f"bad --element: {exc}") from None
-        g = groups.validate_perm(images)
-        table = groups.zeta_norm(G, g)
-    _emit(table.to_json(), fmt)
+        return groups.commutator_length(G).to_json()
+    if element is None:
+        raise ValidationError("--norm zeta requires --element")
+    try:
+        images = json.loads(element, parse_int=_int)
+    except ValueError as exc:  # not echoed: it may hold thousands of digits
+        raise ValidationError(f"bad --element: {exc}") from None
+    return groups.zeta_norm(G, groups.validate_perm(images)).to_json()
 
 
-def lattice_cmd(path, fmt):
+def lattice_cmd(path):
     """Quotient invariants of an integer lattice."""
     from rotnorm import lattice
 
     A = lattice.lattice_from_json(_read_json(path))
-    _emit(lattice.quotient_info(A).to_json(), fmt)
+    return lattice.quotient_info(A).to_json()
 
 
-def coset_cmd(lattice_path, offset, fmt):
+def coset_cmd(lattice_path, offset):
     """Minimal l-infinity norm over the coset offset + lattice."""
     from rotnorm import coset, lattice
 
@@ -185,13 +201,12 @@ def coset_cmd(lattice_path, offset, fmt):
         x = [_rat(part) for part in offset.split(",")]
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"bad offset {quoted(offset)}: {exc}") from None
-    z = coset.AffineCoset.build(A, x)
-    data = coset.theta(z)
+    data = coset.theta(coset.AffineCoset.build(A, x))
     if A.m == 1:
         points = [rat_str(p[0]) for p in data.theta_points]
     else:
         points = [[rat_str(v) for v in p] for p in data.theta_points]
-    _emit({"theta": rat_str(data.theta), "points": points}, fmt)
+    return {"theta": rat_str(data.theta), "points": points}
 
 
 def _isotopy_from_json(data):
@@ -210,15 +225,15 @@ def _isotopy_from_json(data):
     return circle.PLIsotopy(times, frames)
 
 
-def mu_cmd(path, basepoint, fmt):
+def mu_cmd(path, basepoint):
     """Rotation angle of the basepoint trace of an isotopy."""
     from rotnorm import circle
 
     F = _isotopy_from_json(_read_json(path))
-    _emit({"mu": rat_str(circle.mu(F, _rat(basepoint)))}, fmt)
+    return {"mu": rat_str(circle.mu(F, _rat(basepoint)))}
 
 
-def nu_cmd(path, lattice_path, fmt):
+def nu_cmd(path, lattice_path):
     """Vector of per-component rotation angles (and optionally its coset)."""
     from rotnorm import circle
 
@@ -229,38 +244,32 @@ def nu_cmd(path, lattice_path, fmt):
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad multi-isotopy JSON: {exc}") from None
     F = circle.MultiIsotopy(tuple(comps), tuple(pts))
-    vec = circle.nu(F)
-    out = {"nu": [rat_str(v) for v in vec]}
+    out = {"nu": [rat_str(v) for v in circle.nu(F)]}
     if lattice_path is not None:
         from rotnorm import coset, lattice
 
         A = lattice.lattice_from_json(_read_json(lattice_path))
-        z = circle.nu_hat(F, A)
-        out["theta"] = rat_str(coset.theta(z).theta)
-    _emit(out, fmt)
+        out["theta"] = rat_str(coset.theta(circle.nu_hat(F, A)).theta)
+    return out
 
 
-def defect_cmd(trials, seed, fmt):
+def defect_cmd(trials, seed):
     """Randomized strict-inequality suite for the rotation quasimorphism."""
     from rotnorm import circle
 
+    trials = _int(trials, "argument --trials", UsageError)
+    seed = _int(seed, "argument --seed", UsageError)
     env_seed = os.environ.get("ROTNORM_SEED")
     if env_seed is not None:
-        _capped(env_seed)
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ValidationError(
-                f"ROTNORM_SEED must be an integer, got {quoted(env_seed)}")
-    _capped(str(seed))
+        seed = _int(env_seed, "ROTNORM_SEED")
     report = circle.defect_experiment(seed, trials)
     report["max_observed"] = {
         k: rat_str(v) for k, v in report["max_observed"].items()
     }
-    _emit(report, fmt)
+    return report
 
 
-def bounds_cmd(theta_str, context_path, lattice_path, fmt):
+def bounds_cmd(theta_str, context_path, lattice_path):
     """Certified bounds from a theta value (plus optional context/lattice)."""
     from rotnorm import bounds
 
@@ -269,38 +278,30 @@ def bounds_cmd(theta_str, context_path, lattice_path, fmt):
         raise ValidationError(
             f"bounds needs {missing} too: --context and --lattice go together")
     th = _rat(theta_str)
-    lower = bounds.lower_cl(th, bounds.NU_DEFECT, bounds.NU_COMMUTATOR_BOUND)
-    upper = bounds.upper_clb_modG(th)
-    out = {"theta": rat_str(th), "lower_cl": rat_str(lower),
-           "upper_clb_modG": upper}
+    out = {"theta": rat_str(th),
+           "lower_cl": rat_str(bounds.lower_cl(
+               th, bounds.NU_DEFECT, bounds.NU_COMMUTATOR_BOUND)),
+           "upper_clb_modG": bounds.upper_clb_modG(th)}
     if context_path is not None:
         from rotnorm import lattice
 
         ctx = bounds.ManifoldContext.from_json(_read_json(context_path))
         A = lattice.lattice_from_json(_read_json(lattice_path))
         q = lattice.quotient_info(A)
-        led = bounds.diameter_ledger(ctx, q)
-        if q.rank == A.m and th > Q(q.k, 2):
-            raise ValidationError(
-                f"theta {rat_str(th)} exceeds k/2 = {rat_str(Q(q.k, 2))}: no "
-                "coset of this lattice has theta above theta_sup <= k/2")
-        led = led.with_lower("cl_f", lower, "quasimorphism_theta_lower")
-        led = led.with_upper("clb_modG_f", Q(upper), "quotient_norm_theta_upper")
-        led = bounds.relation_close(led)
-        out["ledger"] = led.to_json()
-    _emit(out, fmt)
+        out["ledger"] = bounds.element_ledger(ctx, q, th).to_json()
+    return out
 
 
-def verdict_cmd(context_path, lattice_path, fmt):
+def verdict_cmd(context_path, lattice_path):
     """Boundedness verdict for a (context, lattice) pair."""
     from rotnorm import bounds, lattice
 
     ctx = bounds.ManifoldContext.from_json(_read_json(context_path))
     A = lattice.lattice_from_json(_read_json(lattice_path))
-    _emit(bounds.verdict(ctx, A).to_json(), fmt)
+    return bounds.verdict(ctx, A).to_json()
 
 
-def catalog_cmd(action, name, fmt):
+def catalog_cmd(action, name):
     """List fixtures or re-verify one against its stored expectations."""
     from rotnorm import catalog
 
@@ -308,14 +309,10 @@ def catalog_cmd(action, name, fmt):
         if name is not None:
             raise ValidationError(
                 f"catalog list takes no fixture name, got {quoted(name)}")
-        _emit({"fixtures": catalog.list_fixtures()}, fmt)
-        return
+        return {"fixtures": catalog.list_fixtures()}
     if name is None:
         raise ValidationError("catalog check needs a fixture name")
-    report = catalog.check_fixture(name)
-    _emit(report, fmt)
-    if not report["ok"]:
-        raise InconsistentLedger(f"fixture {name} failed its self-check")
+    return catalog.check_fixture(name)
 
 
 def _commands() -> tuple[_Parser, dict]:
@@ -332,65 +329,55 @@ def _commands() -> tuple[_Parser, dict]:
         commands[name] = p
         return p
 
-    def with_format(p):
-        p.add_argument("--format", dest="fmt", choices=["json", "text"],
-                       default="json", help="Output format.")
-
     p = command(group_cmd, "group")
     p.add_argument("--in", dest="path", required=True,
                    help="JSON list of generator image arrays.")
     p.add_argument("--norm", dest="norm_kind", choices=["cl", "zeta"])
     p.add_argument("--element", help="JSON image array (zeta generator).")
-    with_format(p)
 
     p = command(lattice_cmd, "lattice")
     p.add_argument("--in", dest="path", required=True,
                    help='JSON {"m": int, "generators": [...]}.')
-    with_format(p)
 
     p = command(coset_cmd, "coset")
     p.add_argument("--lattice", dest="lattice_path", required=True)
     p.add_argument("--offset", required=True,
                    help='Comma-separated rationals, e.g. "6/5,-5/2".')
-    with_format(p)
 
     p = command(mu_cmd, "mu")
     p.add_argument("--in", dest="path", required=True,
                    help="Isotopy JSON (times + frames).")
     p.add_argument("--basepoint", default="0",
                    help='Rational basepoint, e.g. "1/4".')
-    with_format(p)
 
     p = command(nu_cmd, "nu")
     p.add_argument("--in", dest="path", required=True,
                    help="Multi-isotopy JSON.")
     p.add_argument("--lattice", dest="lattice_path",
                    help="Optional lattice JSON: also report theta of nu + A.")
-    with_format(p)
 
     p = command(defect_cmd, "defect")
-    p.add_argument("--trials", type=int, default=10000,
+    p.add_argument("--trials", default="10000",
                    help="Number of trials (default 10000).")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", default="0",
                    help="Default 0; overridden by ROTNORM_SEED when set.")
-    with_format(p)
 
     p = command(bounds_cmd, "bounds")
     p.add_argument("--theta", dest="theta_str", required=True,
                    help='Rational, e.g. "5/2".')
     p.add_argument("--context", dest="context_path")
     p.add_argument("--lattice", dest="lattice_path")
-    with_format(p)
 
     p = command(verdict_cmd, "verdict")
     p.add_argument("--context", dest="context_path", required=True)
     p.add_argument("--lattice", dest="lattice_path", required=True)
-    with_format(p)
 
     p = command(catalog_cmd, "catalog")
     p.add_argument("action", choices=["list", "check"])
     p.add_argument("name", nargs="?", metavar="NAME")
-    with_format(p)
+    for p in commands.values():
+        p.add_argument("--format", dest="fmt", choices=["json", "text"],
+                       default="json", help="Output format.")
     return parser, commands
 
 
@@ -404,7 +391,12 @@ def main(argv=None) -> int:
         opts = vars(parser.parse_args(args))
         if limit:
             sys.set_int_max_str_digits(max(limit, _OUTPUT_DIGITS))
-        opts.pop("handler")(**opts)
+        handler, fmt = opts.pop("handler"), opts.pop("fmt")
+        doc = handler(**opts)
+        _emit(doc, fmt)
+        if doc.get("ok") is False:  # a catalog check that found a mismatch
+            raise InconsistentLedger(
+                f"fixture {doc['name']} failed its self-check")
         return 0
     except InconsistentLedger as exc:
         _report_error(exc, kind="inconsistency")

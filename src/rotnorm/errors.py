@@ -9,14 +9,23 @@ message that names an input value quotes it through ``quoted``.
 QUOTE_CHARS = 40
 
 
-def quoted(value) -> str:
-    """``repr(value)``, or, when that is longer than QUOTE_CHARS
-    characters, its first QUOTE_CHARS characters and its length, so a
-    message stays short whatever the size of the input."""
-    text = repr(value)
-    if len(text) <= QUOTE_CHARS:
+def cut(text: str, limit: int = QUOTE_CHARS) -> str:
+    """``text``, or, when it is longer than ``limit`` characters, its first
+    ``limit`` characters and its length, so a message stays short whatever
+    the size of the input."""
+    if len(text) <= limit:
         return text
-    return f"{text[:QUOTE_CHARS]}... ({len(text)} characters)"
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
+def quoted(value) -> str:
+    """``cut(repr(value))``; a value whose repr raises, as an int past
+    Python's int -> str digit cap does, is named by its type alone."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too large to print>"
+    return cut(text)
 
 
 class RotnormError(Exception):

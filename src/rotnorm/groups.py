@@ -133,19 +133,6 @@ class FiniteGroup:
         self._classes = _classes
         self._labels = _labels
 
-    def __eq__(self, other):
-        if type(other) is not FiniteGroup:
-            return NotImplemented
-        return ((self.degree, self.elements, self.generators)
-                == (other.degree, other.elements, other.generators))
-
-    def __hash__(self):
-        return hash((self.degree, self.elements, self.generators))
-
-    def __repr__(self):
-        return (f"FiniteGroup(degree={self.degree!r}, "
-                f"elements={self.elements!r}, generators={self.generators!r})")
-
     def _table(self):
         """(``_class_of``, ``_classes``, ``_labels``), labelling the classes
         of a directly built group first.
@@ -387,17 +374,6 @@ class NormTable:
     def __init__(self, group: FiniteGroup, values: dict):
         self.group = group
         self.values = values
-
-    def __eq__(self, other):
-        if type(other) is not NormTable:
-            return NotImplemented
-        return (self.group, self.values) == (other.group, other.values)
-
-    def __hash__(self):  # unhashable, as the values dict is
-        return hash((self.group, self.values))
-
-    def __repr__(self):
-        return f"NormTable(group={self.group!r}, values={self.values!r})"
 
     def __getitem__(self, g: Perm):
         self.group.require_member(g)

@@ -105,15 +105,15 @@ class IntLattice:
         return {"m": self.m, "generators": [list(g) for g in self.generators]}
 
 
-def _integer(x) -> int:
-    """x as an int; an x not equal to an integer (3/2, 2.7, "2") is a
-    ValidationError, not truncated."""
+def _integer(x, what: str = "lattice entry") -> int:
+    """x as an int; an x not equal to an integer (3/2, 2.7, "2"), or a
+    bool, is a ValidationError, not truncated or read as 0 or 1."""
     try:
         n, d = x.as_integer_ratio()
     except (AttributeError, ValueError, OverflowError):  # not a real number
         d = 0
-    if d != 1:
-        raise ValidationError(f"lattice entry {quoted(x)} is not an integer")
+    if d != 1 or type(x) is bool:
+        raise ValidationError(f"{what} {quoted(x)} is not an integer")
     return n
 
 
@@ -125,7 +125,7 @@ def normalize(generators, ambient_dim: int | None = None) -> IntLattice:
         if not gens:
             raise ValidationError("empty generating set needs an explicit dimension")
         ambient_dim = len(gens[0])
-    m = int(ambient_dim)
+    m = _integer(ambient_dim, "ambient dimension")
     if m < 1 or m > MAX_DIM:
         raise ValidationError(f"ambient dimension must be in 1..{MAX_DIM}")
     for g in gens:

@@ -18,6 +18,7 @@ from rotnorm.bounds import (
     ManifoldContext,
     Status,
     diameter_ledger,
+    element_ledger,
     lower_cl,
     relation_close,
     upper_clb_modG,
@@ -379,6 +380,46 @@ class TestRelationClose:
                 assert got == want, ctx
 
 
+class TestElementLedger:
+    """element_ledger: the diameter ledger, then the two per-element rules
+    at theta, then the relation closure; on a full-rank lattice a theta
+    above k/2 is refused."""
+
+    def test_rules_at_theta(self):
+        # HNF diag(2, 3): k = 3, so k/2 = 3/2 and k_hat = 5; n = 3 is odd
+        ctx = ManifoldContext(n=3, m=2)
+        q = quotient_info(normalize([(2, 0), (4, 3)]))
+        led = element_ledger(ctx, q, Q(1, 2))
+        assert led.get("cl_f").lower == lower_cl(Q(1, 2), 1, 3) == Q(3, 8)
+        assert led.get("clb_modG_f").upper == upper_clb_modG(Q(1, 2)) == 3
+        assert "quasimorphism_theta_lower" in led.get("cl_f").rules
+        assert led.get("clb_modG_f").rules == (
+            "quotient_diameter_k_hat", "quotient_norm_theta_upper")
+        # closed: cl_f <= cl mod G + cld_G = 3 + 4, zeta <= 4 (3 + 2n + 4)
+        assert led.get("cl_f").upper == 7
+        assert led.get("zeta").upper == 52
+        want = relation_close(diameter_ledger(ctx, q).with_lower(
+            "cl_f", Q(3, 8), "quasimorphism_theta_lower").with_upper(
+            "clb_modG_f", Q(3), "quotient_norm_theta_upper"))
+        assert led.to_json() == want.to_json()
+
+    def test_theta_above_half_k_is_refused(self):
+        q = quotient_info(normalize([(2, 0), (4, 3)]))
+        with pytest.raises(ValidationError, match="exceeds k/2 = 3/2"):
+            element_ledger(ManifoldContext(n=3, m=2), q, Q(8, 5))
+
+    def test_rank_deficient_takes_any_theta(self):
+        q = quotient_info(normalize([(1, 1)]))
+        led = element_ledger(ManifoldContext(n=3, m=2), q, 100)
+        assert led.get("cl_f").lower == Q(101, 4)
+        assert led.get("clb_modG_f").upper == 203
+
+    def test_dimension_mismatch_comes_first(self):
+        q = quotient_info(normalize([(2, 0), (4, 3)]))
+        with pytest.raises(DimensionMismatch):
+            element_ledger(ManifoldContext(n=3, m=1), q, 100)
+
+
 class TestVerdict:
     def test_unbounded_rank_deficient(self):
         v = verdict(ManifoldContext(n=3, m=2), normalize([(1, 1)]))
@@ -450,6 +491,13 @@ class TestVerdict:
         assert data["status"] == "Bounded"
         assert isinstance(data["justification"], list)
 
+    def test_status_is_a_str_with_its_value(self):
+        for status, text in ((Status.BOUNDED, "Bounded"),
+                             (Status.UNBOUNDED, "Unbounded"),
+                             (Status.UNKNOWN, "Unknown")):
+            assert status == text and json.dumps(status) == f'"{text}"'
+            assert type(status.value) is str and status.value == text
+
 
 def test_every_emitted_tag_is_documented():
     """Each verdict tag and ledger rule bounds.py can emit is named in the
@@ -461,6 +509,8 @@ def test_every_emitted_tag_is_documented():
         for ctx in battery_contexts(A.m):
             names.update(verdict(ctx, A).justification)
             for entry in diameter_ledger(ctx, q).entries.values():
+                names.update(entry.rules)
+            for entry in element_ledger(ctx, q, 0).entries.values():
                 names.update(entry.rules)
     doc = (Path(__file__).resolve().parents[1]
            / "docs" / "schemas" / "outputs.md").read_text()

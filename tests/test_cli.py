@@ -552,6 +552,17 @@ class TestDigitCap:
         path = write_json(tmp_path, "A.json", {"m": 1, "generators": [[2]]})
         assert_digit_cap(run_cli(["coset", "--lattice", path, "--offset", over]))
 
+    @pytest.mark.parametrize("args", [
+        ["defect", "--trials", "1", "--seed", "1" * 5000],
+        ["defect", "--trials", "1" * 2000],
+    ], ids=["seed", "trials"])
+    def test_integer_option_is_capped_before_int(self, args):
+        # the seed used to reach argparse's int(), past Python's own
+        # 4,300-digit cap: a 5,104-byte usage error; --trials had no cap
+        r = run_cli(args)
+        assert_digit_cap(r)
+        assert len(r.stderr.encode()) <= ERROR_LINE_BYTES
+
     def test_outputs_within_the_cap_are_written(self, tmp_path):
         # 1,000-digit diagonal entries: an 8,000-digit determinant
         d = [10 ** 1000 - 1 - i for i in range(8)]
@@ -606,9 +617,11 @@ class TestBoundedEcho:
         ("group", ["x"] * 20000, "a permutation is a list of integers"),
         ("lattice", {"m": 2, "generators": [[1] * 20000]}, "does not have length 2"),
         ("verdict", {"n": 3, "m": 1, "k" * 20000: 1}, "unknown context keys"),
+        ("defect", "9" * 1000, "MAX_DEFECT_TRIALS = 1000000"),
     ], ids=["coset_offset_digits", "coset_offset_zero_denominator",
             "bounds_theta_zero_denominator", "group_strings",
-            "lattice_long_generator", "verdict_long_context_key"])
+            "lattice_long_generator", "verdict_long_context_key",
+            "defect_trials_over_the_cap"])
     def test_one_short_error_line(self, tmp_path, case):
         command, value, words = case
         lattice = write_json(tmp_path, "A.json", {"m": 1, "generators": [[2]]})
@@ -616,6 +629,8 @@ class TestBoundedEcho:
             args = ["coset", "--lattice", lattice, "--offset", f"1/2,{value}"]
         elif command == "bounds":
             args = ["bounds", "--theta", value]
+        elif command == "defect":
+            args = ["defect", "--trials", value]
         elif command == "verdict":
             args = ["verdict", "--context", write_json(tmp_path, "ctx.json", value),
                     "--lattice", lattice]
@@ -624,6 +639,24 @@ class TestBoundedEcho:
                                                 if command == "group" else value)]
         r = run_cli(args)
         assert_validation_error(r)
+        assert r.stderr.count("\n") == 1
+        assert len(r.stderr.encode()) <= ERROR_LINE_BYTES, len(r.stderr.encode())
+        assert words in json.loads(r.stderr)["error"]["message"]
+
+    @pytest.mark.parametrize("args, words", [
+        (["defect", "--trials", "x" * 20000], "argument --trials: invalid int"),
+        (["c" * 20000], "argument COMMAND: invalid choice: 'ccc"),
+        (["group", "--in", "g.json", "--norm", "n" * 20000],
+         "argument --norm: invalid choice: 'nnn"),
+        (["lattice", "--in", "A.json", "--bogus", "b" * 20000],
+         "unrecognized arguments: --bogus bbb"),
+        (["lattice", "--in", "A.json", *["a"] * 10000],
+         "unrecognized arguments: a a a"),
+    ], ids=["bad_int", "command", "choice", "unknown_option", "many_tokens"])
+    def test_one_short_usage_line(self, args, words):
+        # argparse echoed each token whole: 20,089 to 20,198 bytes
+        r = run_cli(args)
+        assert_usage_error(r)
         assert r.stderr.count("\n") == 1
         assert len(r.stderr.encode()) <= ERROR_LINE_BYTES, len(r.stderr.encode())
         assert words in json.loads(r.stderr)["error"]["message"]

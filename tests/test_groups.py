@@ -79,6 +79,13 @@ class TestGenerateGroup:
             with pytest.raises(ValidationError, match="list of integers"):
                 g.validate_perm(images)
 
+    def test_image_past_the_int_conversion_cap(self):
+        # repr of a 5,001-digit int raises ValueError; the message names
+        # the value by its type instead
+        with pytest.raises(ValidationError, match="too large to print") as err:
+            g.validate_perm([10 ** 5000, 0])
+        assert len(str(err.value)) < 100
+
     def test_canonical_order(self):
         G = S3()
         assert list(G.elements) == sorted(G.elements)

@@ -75,10 +75,18 @@ class TestNonIntegerEntries:
         [["2"]],
         [[None]],
         [[float("inf")]],
-    ], ids=["fraction", "float", "string", "none", "infinity"])
+        [[True, 0], [0, 2]],
+    ], ids=["fraction", "float", "string", "none", "infinity", "bool"])
     def test_normalize_refuses_entries_that_are_not_integers(self, gens):
         with pytest.raises(ValidationError, match="is not an integer"):
             normalize(gens)
+
+    @pytest.mark.parametrize("m", [2.5, Fraction(5, 2), True, "2"],
+                             ids=["float", "fraction", "bool", "string"])
+    def test_normalize_refuses_an_ambient_dim_that_is_not_an_integer(self, m):
+        with pytest.raises(ValidationError, match="ambient dimension"):
+            normalize([[1, 0]], ambient_dim=m)
+        assert normalize([[1, 0]], ambient_dim=2.0).m == 2
 
     def test_entries_equal_to_integers_are_kept(self):
         A = normalize([[Fraction(4, 2), 0], [0, 3.0]])
