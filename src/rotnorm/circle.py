@@ -517,10 +517,10 @@ def _randint(bits, a: int, b: int) -> int:
     return a + r
 
 
-def random_diffeo(rng: random.Random, breakpoints: int | None = None) -> PLCircleDiffeo:
+def random_diffeo(rng: random.Random) -> PLCircleDiffeo:
     """Random PL circle diffeo: jittered rotation, slopes within [3/4, 5/4]."""
     bits = rng.getrandbits
-    b = breakpoints if breakpoints is not None else _randint(bits, 2, 8)
+    b = _randint(bits, 2, 8)
     c = _randint(bits, -64, 64) * b  # over 64*b
     xs = [64 * i for i in range(b)]
     ys = [x + c + _randint(bits, -8, 8) for x in xs]

@@ -26,10 +26,10 @@ class UsageError(Exception):
     """The command line does not parse; maps to exit code 1."""
 
 
-#: Most characters of a usage error message, after each word is cut to
-#: errors.QUOTE_CHARS; a bad command name, cut and followed by the nine
-#: choices, gives 192.
-_USAGE_CHARS = 250
+#: Most bytes of a usage error message in the JSON error line, after each
+#: word is cut to errors.QUOTE_BYTES; a bad command name, cut and followed
+#: by the nine choices, gives 192.
+_USAGE_BYTES = 250
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
         # argparse echoes command-line tokens whole, and lists every
         # unrecognized one: cut each word, then the message
         raise UsageError(cut(" ".join(map(cut, message.split(" "))),
-                             _USAGE_CHARS))
+                             _USAGE_BYTES))
 
 
 def _join_values(args, valued) -> list:

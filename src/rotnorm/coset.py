@@ -26,7 +26,8 @@ from math import prod
 from rotnorm import _kernels
 from rotnorm._rat import INF, Q, common
 from rotnorm.errors import DimensionMismatch, RankDeficient, ValidationError
-from rotnorm.lattice import IntLattice, quotient_info
+# Unused here; kept because perfbench/tests/test_spans.py pins this name.
+from rotnorm.lattice import IntLattice, quotient_info  # noqa: F401
 
 
 #: Most axis steps one theta_sup search may need, 6*m*2^m*det(A) (proven
@@ -180,9 +181,9 @@ def _sup_bfs(A: IntLattice):
 def theta_sup(A: IntLattice, epsilon):
     """sup of theta over all cosets of A, exactly, as the pair (v, v).
 
-    Infinite for rank-deficient lattices; exactly k/2 for m = 1.  For m >= 2
-    the value is exact too, so the interval has width 0 and meets every
-    epsilon; epsilon must still be positive.
+    Infinite for rank-deficient lattices; k/2 = det(A)/2 for m = 1.  For
+    m >= 2 it is exact too: width 0, within every epsilon (which must be
+    positive).  The rank and det(A), the pivot product, come off the HNF.
 
     Why the value is exact and half-integral.  theta(x + A), the minimum
     over a in A of ||x - a||_inf, is piecewise linear in x: on each cell of
@@ -208,13 +209,13 @@ def theta_sup(A: IntLattice, epsilon):
     epsilon = Q(epsilon)
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    info = quotient_info(A)
-    if info.rank < A.m:
+    if A.rank < A.m:
         return (INF, INF)
+    det = prod(row[i] for i, row in enumerate(A.hnf_basis))
     if A.m == 1:
-        v = Q(info.k, 2)
+        v = Q(det, 2)
     else:
-        steps = 6 * A.m * 2 ** A.m * prod(info.invariant_factors)
+        steps = 6 * A.m * 2 ** A.m * det
         if steps > MAX_SUP_MOVES:
             raise ValidationError(
                 f"theta_sup may need {steps} axis steps, which exceeds the "

@@ -5,17 +5,22 @@ signals an internally contradictory bound ledger (CLI exit code 2).  A
 message that names an input value quotes it through ``quoted``.
 """
 
-#: Most characters of an input value that an error message quotes.
-QUOTE_CHARS = 40
+import json
+
+#: Most bytes of an input value that an error message quotes, as ASCII JSON.
+QUOTE_BYTES = 40
 
 
-def cut(text: str, limit: int = QUOTE_CHARS) -> str:
-    """``text``, or, when it is longer than ``limit`` characters, its first
-    ``limit`` characters and its length, so a message stays short whatever
-    the size of the input."""
-    if len(text) <= limit:
+def cut(text: str, limit: int = QUOTE_BYTES) -> str:
+    """``text``, or, when its ASCII JSON form (6 bytes for a non-ASCII
+    character, 12 past U+FFFF) takes more than ``limit`` bytes, its longest
+    prefix within ``limit`` bytes and its length: short whatever the input."""
+    if len(json.dumps(text)) - 2 <= limit:  # 2: the quotes
         return text
-    return f"{text[:limit]}... ({len(text)} characters)"
+    n = limit  # no character takes less than a byte
+    while len(json.dumps(text[:n])) - 2 > limit:
+        n -= 1
+    return f"{text[:n]}... ({len(text)} characters)"
 
 
 def quoted(value) -> str:

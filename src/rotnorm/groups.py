@@ -356,8 +356,6 @@ def normal_closure(G: FiniteGroup, g: Perm) -> FiniteGroup:
     classes reachable by the class BFS over class(g) and class(g^-1).
     """
     g = G.require_member(g)
-    if g == G.identity:
-        return FiniteGroup(G.degree, (G.identity,), (G.identity,))
     s_labels = {G._label(g), G._label(inverse(g))}
     dist = _class_distances(G, s_labels)
     classes = G._table()[1]

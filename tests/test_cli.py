@@ -1,12 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, seed, settings
+from hypothesis import strategies as st
 
 
 def run_cli(args, env_extra=None, input_text=None):
@@ -598,7 +602,7 @@ class TestDigitCap:
 
 
 #: Most bytes of the one JSON error line for an input of any size: each
-#: message quotes at most errors.QUOTE_CHARS characters of each input value.
+#: message quotes at most errors.QUOTE_BYTES bytes of each input value.
 ERROR_LINE_BYTES = 400
 
 _DIGITS = "1" + "0" * 1000  # 1,001 digits: over MAX_INT_DIGITS
@@ -608,25 +612,28 @@ _ZERO_DEN = "9" * 999 + "/0"  # within the cap, but not a rational
 class TestBoundedEcho:
     """A validation message quotes a bounded prefix of each input value,
     so inputs of any size give one short JSON error line; each case used
-    to echo its whole input (1 to 100 KB)."""
+    to echo its whole input (1 to 100 KB).  The prefix is bounded in the
+    bytes the ASCII JSON line spends on it: 20,000 "é" in an offset,
+    cut to 40 characters, gave a 637-byte line."""
 
     @pytest.mark.parametrize("case", [
-        ("coset", _DIGITS, "MAX_INT_DIGITS = 1000"),
-        ("coset", _ZERO_DEN, "not a rational"),
+        ("coset", f"1/2,{_DIGITS}", "MAX_INT_DIGITS = 1000"),
+        ("coset", f"1/2,{_ZERO_DEN}", "not a rational"),
+        ("coset", "é" * 20000, "not a rational"),
         ("bounds", _ZERO_DEN, "not a rational"),
         ("group", ["x"] * 20000, "a permutation is a list of integers"),
         ("lattice", {"m": 2, "generators": [[1] * 20000]}, "does not have length 2"),
         ("verdict", {"n": 3, "m": 1, "k" * 20000: 1}, "unknown context keys"),
         ("defect", "9" * 1000, "MAX_DEFECT_TRIALS = 1000000"),
     ], ids=["coset_offset_digits", "coset_offset_zero_denominator",
-            "bounds_theta_zero_denominator", "group_strings",
+            "coset_offset_non_ascii", "bounds_theta_zero_denominator", "group_strings",
             "lattice_long_generator", "verdict_long_context_key",
             "defect_trials_over_the_cap"])
     def test_one_short_error_line(self, tmp_path, case):
         command, value, words = case
         lattice = write_json(tmp_path, "A.json", {"m": 1, "generators": [[2]]})
         if command == "coset":
-            args = ["coset", "--lattice", lattice, "--offset", f"1/2,{value}"]
+            args = ["coset", "--lattice", lattice, "--offset", value]
         elif command == "bounds":
             args = ["bounds", "--theta", value]
         elif command == "defect":
@@ -652,9 +659,13 @@ class TestBoundedEcho:
          "unrecognized arguments: --bogus bbb"),
         (["lattice", "--in", "A.json", *["a"] * 10000],
          "unrecognized arguments: a a a"),
-    ], ids=["bad_int", "command", "choice", "unknown_option", "many_tokens"])
+        (["lattice", "--in", "x", *["é"] * 2000],
+         "unrecognized arguments: é é é"),
+    ], ids=["bad_int", "command", "choice", "unknown_option", "many_tokens",
+            "many_non_ascii_tokens"])
     def test_one_short_usage_line(self, args, words):
-        # argparse echoed each token whole: 20,089 to 20,198 bytes
+        # argparse echoed each token whole: 20,089 to 20,198 bytes; cut by
+        # characters, 2,000 "é" tokens still gave 902 bytes once escaped
         r = run_cli(args)
         assert_usage_error(r)
         assert r.stderr.count("\n") == 1
@@ -798,3 +809,257 @@ class TestColdStart:
         assert json.loads(output[0])["()"] == 0
         assert "rotnorm.groups" in loaded
         assert not loaded & {"dataclasses", "inspect"}
+
+
+# The CLI contract as one property: every command line ends in exit 0 with
+# one JSON document on stdout, or in exit 1 or 2 with one JSON error line
+# of at most ERROR_LINE_BYTES bytes on stderr, within CALL_SECONDS.  The
+# inputs follow docs/schemas/inputs.md: valid, near-valid (a field
+# dropped, mistyped or out of range) and oversized, non-ASCII among them.
+
+#: Longest one in-process call may take.  The calls drawn here take
+#: milliseconds; the bound leaves room for a loaded host.
+CALL_SECONDS = 5
+
+
+@dataclass(frozen=True)
+class File:
+    """A command-line token that is the path of a file holding ``text``."""
+
+    text: str
+
+
+_SMALL = st.integers(-9, 9)
+_RAT = st.builds(lambda p, q: f"{p}/{q}" if q > 1 else str(p),
+                 st.integers(-20, 20), st.integers(1, 6))
+_NON_ASCII = st.text(st.characters(min_codepoint=0x80,
+                                   blacklist_categories=("Cs",)),
+                     min_size=1, max_size=3)
+_UNIT = st.one_of(st.sampled_from(["7", "é", "🙂", "a ", "\\", '"', "\x01"]),
+                  _NON_ASCII)
+#: 1,001 to 20,000 copies of a short unit: past MAX_INT_DIGITS when digits.
+_OVERSIZED = st.builds(lambda unit, n: unit * n, _UNIT,
+                       st.sampled_from([1001, 20000]))
+_JUNK = st.one_of(st.sampled_from(["", "x", "1/0", "0.5", "-1", "1e3", "-",
+                                   "--format", "[1,0", "{}"]),
+                  _NON_ASCII, st.text(max_size=4))
+#: JSON leaves: within the caps, mistyped, and past the digit cap (10^1000
+#: has 1,001 digits; 10^1000 - 1, within the cap, is a valid entry).
+_LEAF = st.one_of(_SMALL, _RAT, _NON_ASCII, st.none(), st.booleans(),
+                  st.sampled_from([1.5, 2.0, 10 ** 1000 - 1, 10 ** 1000,
+                                   -10 ** 4000]))
+_JSON_JUNK = st.recursive(_LEAF, lambda kids: st.one_of(
+    st.lists(kids, max_size=3),
+    st.dictionaries(st.sampled_from(["m", "generators", "times", "frames",
+                                     "x", "y", "components", "basepoints",
+                                     "n", "connected"]), kids, max_size=3)),
+    max_leaves=8)
+
+
+def _token(valid):
+    """A valid token (half the draws), a near-valid one, or an oversized
+    one."""
+    return st.one_of(valid, valid, _JUNK, _OVERSIZED)
+
+
+def _near(valid):
+    """valid, a dict or a non-empty list, with one key or item dropped or
+    set to a junk value."""
+    @st.composite
+    def mutated(draw):
+        obj = draw(valid)
+        obj = dict(obj) if isinstance(obj, dict) else list(obj)
+        key = draw(st.sampled_from(sorted(obj) if isinstance(obj, dict)
+                                   else range(len(obj))))
+        if draw(st.booleans()):
+            del obj[key]
+        else:
+            obj[key] = draw(_JSON_JUNK)
+        return obj
+    return mutated()
+
+
+def _file(valid, oversized):
+    """A File holding valid JSON (about half the draws), a near-valid
+    mutation of it, junk JSON, an oversized document, or text that is not
+    JSON."""
+    docs = st.one_of(valid, valid, _near(valid), _JSON_JUNK, st.just(oversized))
+    return st.one_of(
+        docs.map(lambda doc: File(json.dumps(doc, ensure_ascii=False))),
+        valid.map(lambda doc: File(json.dumps(doc))), _JUNK.map(File))
+
+
+@st.composite
+def _lattice(draw, m=None):
+    m = draw(st.integers(1, 3)) if m is None else m
+    return {"m": m, "generators": draw(st.lists(
+        st.lists(_SMALL, min_size=m, max_size=m), max_size=m + 1))}
+
+
+@st.composite
+def _isotopy(draw):
+    """Rotations, or maps with a second breakpoint at 1/2, moved by up to
+    1/2 a step: a step of 1/2 is the near-valid case."""
+    samples = draw(st.integers(2, 4))
+    rise = draw(st.sampled_from([None, "1/4", "1/2", "3/4"]))
+    c, frames = 0, []
+    for _ in range(samples):
+        y = Fraction(c, 8)
+        frames.append({"x": ["0"], "y": [str(y)]} if rise is None else
+                      {"x": ["0", "1/2"], "y": [str(y), str(y + Fraction(rise))]})
+        c += draw(st.integers(-4, 4))
+    times = [str(Fraction(j, samples - 1)) for j in range(samples)]
+    return {"times": times, "frames": frames}
+
+
+@st.composite
+def _multi(draw):
+    m = draw(st.integers(1, 3))
+    return {"components": draw(st.lists(_isotopy(), min_size=m, max_size=m)),
+            "basepoints": draw(st.lists(_RAT, min_size=m, max_size=m))}
+
+
+def _context(m):
+    return st.fixed_dictionaries({
+        "n": st.integers(2, 6), "m": st.just(m),
+        "connected": st.booleans(), "assumption_P": st.booleans(),
+        "closed_or_open": st.sampled_from(["closed", "open"]),
+        "regularity": st.sampled_from(["smooth", "finite_r"])})
+
+
+@st.composite
+def _perms(draw):
+    n = draw(st.integers(1, 5))
+    return draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+
+
+_LONG_LATTICE = {"m": 2, "generators": [[1] * 20000]}
+_LATTICE_FILE = _file(_lattice(), _LONG_LATTICE)
+
+
+@st.composite
+def _context_and_lattice(draw):
+    """--context and --lattice Files; when both are valid, of one m."""
+    m = draw(st.integers(1, 3))
+    return (draw(_file(_context(m), {"n": 3, "m": 1, "k" * 20000: 1})),
+            draw(_file(_lattice(m), _LONG_LATTICE)))
+
+
+@st.composite
+def _command_line(draw):
+    """One command line for one of the nine commands; a fifth of them get
+    a stray token (an unknown option, or --format without a value)."""
+    command = draw(st.sampled_from(["group", "lattice", "coset", "mu", "nu",
+                                    "defect", "bounds", "verdict", "catalog"]))
+    args = [command]
+    if command == "group":
+        args += ["--in", draw(_file(_perms(), [["x"] * 20000]))]
+        norm = draw(st.sampled_from([None, "cl", "zeta", "max"]))
+        if norm:
+            args += ["--norm", norm]
+        if draw(st.booleans()):
+            args += ["--element", draw(_token(
+                _perms().map(lambda gens: json.dumps(gens[0]))))]
+    elif command == "lattice":
+        args += ["--in", draw(_LATTICE_FILE)]
+    elif command == "coset":
+        lattice = draw(_lattice())
+        offset = ",".join(draw(st.lists(_RAT, min_size=lattice["m"],
+                                        max_size=lattice["m"])))
+        args += ["--lattice", draw(st.one_of(
+            st.just(File(json.dumps(lattice))), _LATTICE_FILE)),
+                 "--offset", draw(_token(st.just(offset)))]
+    elif command == "mu":
+        args += ["--in", draw(_file(_isotopy(), {"times": ["0"] * 20000}))]
+        if draw(st.booleans()):
+            args += ["--basepoint", draw(_token(_RAT))]
+    elif command == "nu":
+        args += ["--in", draw(_file(_multi(), {"basepoints": ["é"] * 20000}))]
+        if draw(st.booleans()):
+            args += ["--lattice", draw(_LATTICE_FILE)]
+    elif command == "defect":
+        # no near-valid count may be large: 10^6 trials take 100 s
+        trials = st.one_of(st.integers(1, 20).map(str), _OVERSIZED,
+                           st.sampled_from(["0", "-3", "x", "1.5", "1000001"]))
+        args += ["--trials", draw(trials), "--seed", draw(_token(
+            st.integers(-10 ** 6, 10 ** 6).map(str)))]
+    elif command == "bounds":
+        args += ["--theta", draw(_token(_RAT))]
+        context, lattice = draw(_context_and_lattice())
+        if draw(st.booleans()):
+            args += ["--context", context]
+        if draw(st.booleans()):
+            args += ["--lattice", lattice]
+    elif command == "verdict":
+        context, lattice = draw(_context_and_lattice())
+        args += ["--context", context, "--lattice", lattice]
+    else:
+        args.append(draw(st.sampled_from(["list", "check", "check", "show"])))
+        if draw(st.booleans()):
+            args.append(draw(_token(st.sampled_from(["hopf-1", "torus-knot"]))))
+    if draw(st.integers(0, 4)) == 3:  # 0 and 4 are drawn more often
+        args.append(draw(_token(st.sampled_from(["--format", "--bogus"]))))
+    return args
+
+
+def _main(tmp_path, tokens):
+    """(exit code, stdout, stderr, seconds) of ``cli.main`` in this process,
+    each File token written to its own file."""
+    from rotnorm import cli
+
+    argv = []
+    for i, token in enumerate(tokens):
+        if isinstance(token, File):
+            path = tmp_path / f"input{i}.json"
+            path.write_text(token.text, encoding="utf-8")
+            token = str(path)
+        argv.append(token)
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+_EXAMPLES = [
+    # a 5,000-digit determinant, and a mu output past Python's 4,300-digit
+    # conversion cap: both ended in a traceback
+    ["lattice", "--in", File('{"m": 2, "generators": [[%s, 0], [0, %s]]}'
+                             % ("9" * 2500, "1" + "0" * 2499 + "1"))],
+    ["mu", "--in", File(json.dumps(_two_frame_isotopy(
+        "1/2", ("0", "1/2"), ("0", f"5{'0' * 2998}1/1{'0' * 3000}")))),
+     "--basepoint", "1/" + "9" * 3000],
+    # non-ASCII echoes: 637- and 902-byte error lines
+    ["coset", "--lattice", File('{"m": 1, "generators": [[2]]}'),
+     "--offset", "é" * 20000],
+    ["lattice", "--in", "x", *["é"] * 2000],
+]
+
+
+class TestContract:
+    @seed(20261019)
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(_command_line())
+    @example(_EXAMPLES[0])
+    @example(_EXAMPLES[1])
+    @example(_EXAMPLES[2])
+    @example(_EXAMPLES[3])
+    def test_every_call_ends_in_one_document_or_one_error_line(
+            self, tmp_path, tokens):
+        code, out, err, seconds = _main(tmp_path, tokens)
+        assert seconds < CALL_SECONDS
+        if code == 0:
+            assert err == "" and out.count("\n") == 1
+            with _no_digit_cap():
+                json.loads(out)
+            return
+        assert code in (1, 2)
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) <= ERROR_LINE_BYTES, len(err.encode())
+        kind = json.loads(err)["error"]["kind"]
+        if code == 1:
+            assert kind in ("validation", "usage") and out == ""
+        else:  # a failed catalog self-check prints its document first
+            assert kind == "inconsistency" and out.count("\n") <= 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
-from rotnorm import _kernels, coset
+from rotnorm import _kernels, coset, lattice
 from rotnorm._rat import INF, Q
 from rotnorm.coset import (
     AffineCoset, _reduced, _sup_bfs, canonical_rep, theta, theta_sup,
@@ -559,3 +559,55 @@ class TestThetaSupCost:
         rows[-1][-1] = det
         monkeypatch.setattr(coset, "_sup_bfs", lambda A: (0, None))
         assert theta_sup(normalize(rows), 1) == (0, 0)
+
+
+class TestThetaSupReadsTheHnf:
+    """theta_sup reads the rank, k (m = 1) and det(A) off the HNF: with
+    quotient_info patched to raise, it keeps its values and cap messages."""
+
+    @pytest.fixture(autouse=True)
+    def no_quotient_info(self, monkeypatch):
+        def refuse(A):
+            raise AssertionError("theta_sup built the quotient invariants")
+
+        monkeypatch.setattr(coset, "quotient_info", refuse)
+        monkeypatch.setattr(lattice, "quotient_info", refuse)
+
+    @pytest.mark.parametrize("rows, want", [
+        (((6,),), Q(3)),
+        (((7,),), Q(7, 2)),
+        (((1, 0), (0, 1)), Q(1, 2)),
+        (((1, 9), (0, 29)), Q(7, 2)),
+        (((2, 0), (0, 3)), Q(3, 2)),
+        (((3, 1, 2), (0, 4, 1), (0, 0, 5)), Q(5, 2)),
+        (((1, 0, 5), (0, 1, 46), (0, 0, 61)), Q(5, 2)),
+        (((1, 0, 0, 7), (0, 1, 0, 11), (0, 0, 1, 13), (0, 0, 0, 97)), Q(5, 2)),
+    ], ids=["m1-k6", "m1-k7", "m2-unit", "m2-det29", "m2-diag", "m3-det60",
+            "m3-det61", "m4-det97"])
+    def test_full_rank_values(self, rows, want):
+        assert theta_sup(normalize(rows), Q(1, 2)) == (want, want)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_cap_message(self, m):
+        rows = [[int(i == j) for j in range(m)] for i in range(m)]
+        rows[-1][-1] = 10 ** 9
+        steps = 6 * m * 2 ** m * 10 ** 9
+        with pytest.raises(ValidationError, match=(
+                f"may need {steps} axis steps, which exceeds the cap "
+                f"MAX_SUP_MOVES = {coset.MAX_SUP_MOVES}$")):
+            theta_sup(normalize(rows), Q(1, 2))
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        # a skewed HNF: det(A) = 3 is its pivot product, 144 axis steps
+        A = normalize([(1, 2), (0, 3)])
+        monkeypatch.setattr(coset, "MAX_SUP_MOVES", 144)
+        assert theta_sup(A, 1) == (1, 1)
+        monkeypatch.setattr(coset, "MAX_SUP_MOVES", 143)
+        with pytest.raises(ValidationError, match="may need 144 axis steps"):
+            theta_sup(A, 1)
+
+    @pytest.mark.parametrize("gens, m", [
+        ([(1, 1)], 2), ([], 1), ([(2, 0, 0), (0, 3, 0)], 3),
+    ], ids=["m2-rank1", "m1-rank0", "m3-rank2"])
+    def test_rank_deficient_is_infinite(self, gens, m):
+        assert theta_sup(normalize(gens, ambient_dim=m), 1) == (INF, INF)

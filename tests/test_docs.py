@@ -1,4 +1,5 @@
-"""The caps stated in docs/schemas/inputs.md are the library's constants."""
+"""The caps stated in docs/schemas/inputs.md are the library's constants,
+and its bound on an error line is the one the CLI tests enforce."""
 
 import re
 from importlib import import_module
@@ -27,3 +28,11 @@ def test_each_cap_is_stated_once_with_its_value():
         value = eval(expr.replace("^", "**"), {"__builtins__": {}})
         module, attr = name.split(".")
         assert value == getattr(import_module(f"rotnorm.{module}"), attr), name
+
+
+def test_error_line_bound_is_the_tested_one():
+    from test_cli import ERROR_LINE_BYTES
+
+    stated = re.findall(r"error\s+line\s+is\s+at\s+most\s+(\d+)\s+bytes",
+                        INPUTS.read_text())
+    assert list(map(int, stated)) == [ERROR_LINE_BYTES]
