@@ -197,10 +197,12 @@ def coset_cmd(lattice_path, offset):
     from rotnorm import coset, lattice
 
     A = lattice.lattice_from_json(_read_json(lattice_path))
-    try:
-        x = [_rat(part) for part in offset.split(",")]
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"bad offset {quoted(offset)}: {exc}") from None
+    x = []
+    for i, part in enumerate(offset.split(","), 1):
+        try:
+            x.append(_rat(part))
+        except ValidationError as exc:  # exc quotes the part
+            raise ValidationError(f"bad offset, part {i}: {exc}") from None
     data = coset.theta(coset.AffineCoset.build(A, x))
     if A.m == 1:
         points = [rat_str(p[0]) for p in data.theta_points]

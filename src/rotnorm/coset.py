@@ -1,15 +1,15 @@
 """Exact minimal l-infinity representatives of affine cosets x + A.
 
-``theta`` works on integers: the offset as numerators over a common
-denominator D, the HNF rows scaled by D.  One reduction, ``_reduce``, takes
-each pivot coordinate into (-P/2, P/2], P the scaled pivot.  That
-representative has some norm r >= theta, and every point that attains theta
-has all of its coordinates within theta <= r, so r is a certified search
-radius.  Every ``theta`` passes the representative and r to
-``_kernels.cvp_enumerate``, which returns the minimum with every attaining
-point; an offset in the lattice reduces to 0 and costs rank + 1 nodes.
-theta is the exact minimum, so any common denominator gives the same
-rational.  A search past ``MAX_CVP_NODES`` nodes is a ValidationError.
+Every ``AffineCoset`` holds its centred representative: the constructor
+reduces the offset once, on its numerators over their least common
+denominator D against the HNF rows scaled by D (``_reduce``), so each pivot
+coordinate lies in (-P/2, P/2], P the pivot; equal cosets compare equal.
+That point has some norm r >= theta, and every point that attains theta has
+all of its coordinates within theta <= r, so r is a certified search
+radius.  ``theta`` passes the point and r to ``_kernels.cvp_enumerate``,
+which returns the minimum with every attaining point; an offset in the
+lattice is held as 0 and costs rank + 1 nodes.  A search past
+``MAX_CVP_NODES`` nodes is a ValidationError.
 
 ``theta_sup`` is exact and needs no CVP.  The maximum of theta over the
 torus R^m/A lies on (1/2)Z^m, and there 2*theta is the king-move distance
@@ -46,24 +46,25 @@ MAX_CVP_NODES = 3 * 10 ** 5
 
 @dataclass(frozen=True)
 class AffineCoset:
-    """Coset x + A with the offset stored in reduced canonical form."""
+    """Coset x + A; ``offset`` is its centred representative, however the
+    coset was made.  A wrong offset length is a DimensionMismatch."""
 
     lattice: IntLattice
     offset: tuple
 
-    @staticmethod
-    def build(A: IntLattice, offset) -> "AffineCoset":
-        d, y = common(Q(v).as_integer_ratio() for v in offset)
+    def __post_init__(self):
+        A = self.lattice
+        d, y = common(Q(v).as_integer_ratio() for v in self.offset)
         if len(y) != A.m:
             raise DimensionMismatch(f"offset length {len(y)} != ambient {A.m}")
-        # Reduce each pivot coordinate into [0, pivot) against the basis,
-        # on the numerators over d.
-        for row, p in zip(A.hnf_basis, A.pivots):
-            n = y[p] // (d * row[p])
-            if n:
-                for i in range(p, A.m):
-                    y[i] -= n * d * row[i]
-        return AffineCoset(lattice=A, offset=tuple(Q(v, d) for v in y))
+        basis = [[d * e for e in row] for row in A.hnf_basis]
+        y = _reduce(basis, A.pivots, y)
+        object.__setattr__(self, "offset", tuple(Q(v, d) for v in y))
+
+    @staticmethod
+    def build(A: IntLattice, offset) -> "AffineCoset":
+        """The coset offset + A; the constructor centres the offset."""
+        return AffineCoset(lattice=A, offset=offset)
 
     @property
     def m(self) -> int:
@@ -96,18 +97,9 @@ def _reduce(basis, pivots, nums) -> list:
     return y
 
 
-def _reduced(z: AffineCoset):
-    """(d, basis, y): the offset of z as integer numerators over their least
-    common denominator d, reduced by ``_reduce`` against the HNF rows scaled
-    by d."""
-    A = z.lattice
-    d, nums = common(Q(v).as_integer_ratio() for v in z.offset)
-    basis = [[d * e for e in row] for row in A.hnf_basis]
-    return d, basis, _reduce(basis, A.pivots, nums)
-
-
 def canonical_rep(z: AffineCoset) -> tuple:
-    """The representative with each pivot coordinate in (-pivot/2, pivot/2].
+    """The representative with each pivot coordinate in (-pivot/2, pivot/2],
+    which z holds as its offset.
 
     Requires full rank.  The result lies in the box J_A = prod(-k_i/2, k_i/2]
     because each pivot divides the corresponding coset order k_i.
@@ -115,15 +107,16 @@ def canonical_rep(z: AffineCoset) -> tuple:
     A = z.lattice
     if A.rank < A.m:
         raise RankDeficient("canonical representative needs a full-rank lattice")
-    d, _, y = _reduced(z)
-    return tuple(Q(v, d) for v in y)
+    return z.offset
 
 
 def theta(z: AffineCoset) -> NearestData:
     """Certified minimum l-infinity norm over the coset and its attaining set.
 
-    A search past ``MAX_CVP_NODES`` nodes raises ValidationError."""
-    d, basis, y = _reduced(z)
+    The search starts from the centred representative z holds.  A search
+    past ``MAX_CVP_NODES`` nodes raises ValidationError."""
+    d, y = common(v.as_integer_ratio() for v in z.offset)
+    basis = [[d * e for e in row] for row in z.lattice.hnf_basis]
     found = _kernels.cvp_enumerate(basis, z.lattice.pivots, y,
                                    max(map(abs, y)), MAX_CVP_NODES)
     if found is None:

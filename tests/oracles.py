@@ -323,13 +323,13 @@ def oracle_cvp_enumerate(
 
 
 
-def oracle_canonical_rep(z):
-    """The representative of the coset z with each pivot coordinate in
+def oracle_canonical_rep(A, offset):
+    """The representative of offset + A with each pivot coordinate in
     (-pivot/2, pivot/2], reduced row by row on Fractions: the reference for
-    ``coset.canonical_rep``, which reduces integer numerators through
+    the offset a ``coset.AffineCoset`` holds (``coset.canonical_rep``),
+    which its constructor reduces on integer numerators through
     ``coset._reduce``.  Needs a full-rank lattice."""
-    A = z.lattice
-    y = [Fraction(v) for v in z.offset]
+    y = [Fraction(v) for v in offset]
     for row, p in zip(A.hnf_basis, A.pivots):
         # y[p] - n*piv lies in (-piv/2, piv/2]  <=>  n = ceil(y[p]/piv - 1/2)
         n = ceil(y[p] / row[p] - Fraction(1, 2))

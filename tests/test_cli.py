@@ -650,6 +650,18 @@ class TestBoundedEcho:
         assert len(r.stderr.encode()) <= ERROR_LINE_BYTES, len(r.stderr.encode())
         assert words in json.loads(r.stderr)["error"]["message"]
 
+    def test_bad_offset_quoted_once(self, tmp_path):
+        # The message quoted the whole offset, then rat's quote of the part.
+        from rotnorm.errors import quoted
+
+        value = "abcdefghijklmnopqrstuvwxyz0123456789abcdefghij"
+        lattice = write_json(tmp_path, "A.json", {"m": 1, "generators": [[2]]})
+        r = run_cli(["coset", "--lattice", lattice, "--offset", value])
+        assert_validation_error(r)
+        message = json.loads(r.stderr)["error"]["message"]
+        assert message.count(quoted(value)) == 1, message
+        assert "part 1" in message
+
     @pytest.mark.parametrize("args, words", [
         (["defect", "--trials", "x" * 20000], "argument --trials: invalid int"),
         (["c" * 20000], "argument COMMAND: invalid choice: 'ccc"),

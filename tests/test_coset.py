@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
 from rotnorm import _kernels, coset, lattice
-from rotnorm._rat import INF, Q
+from rotnorm._rat import INF, Q, common
 from rotnorm.coset import (
-    AffineCoset, _reduced, _sup_bfs, canonical_rep, theta, theta_sup,
+    AffineCoset, _sup_bfs, canonical_rep, theta, theta_sup,
 )
 from rotnorm.errors import DimensionMismatch, RankDeficient, ValidationError
 from rotnorm.lattice import member, normalize, quotient_info
@@ -30,8 +30,9 @@ class TestBuild:
     def test_offset_reduced(self):
         A = normalize([(2, 0), (0, 3)])
         z = AffineCoset.build(A, (Q(7, 2), Q(-5)))
+        assert z.offset == (Q(-1, 2), Q(1))
         for (row, p) in zip(A.hnf_basis, A.pivots):
-            assert 0 <= z.offset[p] < row[p]
+            assert -row[p] < 2 * z.offset[p] <= row[p]
 
     def test_same_coset_same_offset(self):
         A = normalize([(2, 0), (0, 3)])
@@ -51,16 +52,54 @@ class TestBuild:
         st.lists(st.fractions(-50, 50, max_denominator=12),
                  min_size=m, max_size=m))))
     def test_canonical_offset_in_same_coset(self, case):
-        # The offset with every pivot coordinate in [0, pivot) is unique in
-        # its coset, so these two properties pin build's result.
+        # The offset with every pivot coordinate in (-pivot/2, pivot/2] is
+        # unique in its coset, so these two properties pin build's result.
         gens, off = case
         A = normalize(gens, ambient_dim=len(off))
         z = AffineCoset.build(A, off)
         for row, p in zip(A.hnf_basis, A.pivots):
-            assert 0 <= z.offset[p] < row[p]
+            assert -row[p] < 2 * z.offset[p] <= row[p]
         diff = [a - b for a, b in zip(z.offset, off)]
         assert all(v.denominator == 1 for v in diff)
         assert member(A, [int(v) for v in diff])
+
+
+class TestCentredRepresentative:
+    """Every AffineCoset holds its centred representative, however it was
+    made, so cosets compare equal exactly when they are the same coset and
+    theta reduces nothing itself."""
+
+    def test_construction_is_the_coset(self, monkeypatch):
+        rng = random.Random(32)
+        made = []
+        while len(made) < 80:
+            m = rng.randint(1, 4)
+            gens = [[rng.randint(-6, 6) for _ in range(m)]
+                    for _ in range(rng.randint(0, m + 1))]
+            A = normalize(gens, ambient_dim=m)
+            x = tuple(Q(rng.randint(-20, 20), rng.randint(1, 6))
+                      for _ in range(m))
+            coeffs = [rng.randint(-5, 5) for _ in A.hnf_basis]
+            moved = [v + sum(c * row[i] for c, row in zip(coeffs, A.hnf_basis))
+                     for i, v in enumerate(x)]
+            z = AffineCoset(lattice=A, offset=x)
+            assert z == AffineCoset.build(A, moved), (A, x)
+            assert hash(z) == hash(AffineCoset.build(A, moved))
+            for row, p in zip(A.hnf_basis, A.pivots):
+                assert -row[p] < 2 * z.offset[p] <= row[p]
+            if A.rank == m:
+                assert canonical_rep(z) == z.offset
+            for wrong in (x + (Q(0),), x[1:]):
+                with pytest.raises(DimensionMismatch):
+                    AffineCoset(lattice=A, offset=wrong)
+            made.append((z, theta(z)))
+
+        def refuse(*args):
+            raise AssertionError("theta reduced the offset again")
+
+        monkeypatch.setattr(coset, "_reduce", refuse)
+        for z, want in made:
+            assert theta(z) == want
 
 
 class TestCanonicalRep:
@@ -97,10 +136,12 @@ class TestCanonicalRep:
             for off in offsets:
                 for z in (AffineCoset.build(A, off),
                           AffineCoset(lattice=A, offset=tuple(off))):
-                    assert canonical_rep(z) == oracle_canonical_rep(z), (A, off)
+                    assert canonical_rep(z) == oracle_canonical_rep(A, off), (
+                        A, off)
         A = normalize([(4, 0), (0, 6)])
-        z = AffineCoset(lattice=A, offset=(Q(-2), Q(-3)))
-        assert canonical_rep(z) == oracle_canonical_rep(z) == (2, 3)
+        off = (Q(-2), Q(-3))
+        z = AffineCoset(lattice=A, offset=off)
+        assert canonical_rep(z) == oracle_canonical_rep(A, off) == (2, 3)
 
     def test_rank_deficient_rejected(self):
         A = normalize([(1, 1)])
@@ -198,12 +239,16 @@ class TestThetaLargeMagnitudes:
         nd = theta(AffineCoset.build(A, (Q(1, 3), Q(3, 2))))
         assert nd.theta == Q(3, 2)
         assert nd.theta_points == ((Q(1, 3), Q(-3, 2)), (Q(1, 3), Q(3, 2)))
-        # The offset is reduced to (BIG - 1/3, 1/2): a target past 2**31.
-        z = AffineCoset.build(A, (Q(-1, 3), Q(1, 2)))
+        # On BIG*Z^2 the offset is centred to (2**32 - 1/3, 1/2), within
+        # BIG/2 of 0: a target past 2**31, and the one point attaining theta.
+        A = normalize([(self.BIG, 0), (0, self.BIG)])
+        far = 2**32 - Q(1, 3)
+        z = AffineCoset.build(A, (far - 3 * self.BIG, Q(1, 2) + 5 * self.BIG))
+        assert z.offset == (far, Q(1, 2))
         assert z.offset[0] * 6 > 2**31
         nd = theta(z)
-        assert nd.theta == Q(1, 2)
-        assert nd.theta_points == ((Q(-1, 3), Q(1, 2)),)
+        assert nd.theta == far
+        assert nd.theta_points == ((far, Q(1, 2)),)
 
     def test_large_theta_on_free_coordinate(self):
         # Rank 1: the first coordinate is fixed, the second moves by 2**42 + 1.
@@ -350,7 +395,9 @@ class TestCvpKernel:
             top = 3 * scale * e
             off = [Q(rng.randint(-top, top), rng.randint(1, 7))
                    for _ in range(m)]
-            d, basis, y = _reduced(AffineCoset.build(A, off))
+            z = AffineCoset.build(A, off)
+            d, y = common(v.as_integer_ratio() for v in z.offset)
+            basis = [[d * e for e in row] for row in A.hnf_basis]
             inst = (basis, list(A.pivots), y, max(map(abs, y)))
             for cap in (5, 17, 60, 2000):
                 assert (_kernels.cvp_enumerate(*inst, cap)
@@ -380,6 +427,53 @@ class TestCvpKernel:
                 nd = theta(AffineCoset.build(A, off))
                 assert nd.theta == 0
                 assert nd.theta_points == ((Q(0),) * m,)
+
+
+class TestSignedPermutations:
+    """theta and theta_sup under the isometries of l-infinity, the signed
+    coordinate permutations s, and under scaling by 2: theta(sx + sA) =
+    theta(x + A) with the attaining points moved by s, theta_sup(sA) =
+    theta_sup(A) and theta(2x + 2A) = 2*theta(x + A).  s changes the HNF
+    completely, so the kernel and the theta_sup search run on another
+    basis, at entry sizes the brute-force oracles cannot reach."""
+
+    #: theta_sup is compared only where its search is at most this many
+    #: axis steps, 6*m*2^m*det(A).
+    SUP_STEPS = 2 * 10 ** 5
+
+    def test_invariance(self):
+        rng = random.Random(2026)
+        thetas = sups = 0
+        while thetas < 400 or sups < 100:
+            m = rng.randint(2, 4)
+            e = rng.choice((3, 20))
+            gens = [[rng.randint(-e, e) for _ in range(m)]
+                    for _ in range(rng.randint(1, m))]
+            A = normalize(gens, ambient_dim=m)
+            perm = rng.sample(range(m), m)
+            signs = [rng.choice((-1, 1)) for _ in range(m)]
+
+            def act(v):
+                return [signs[i] * v[perm[i]] for i in range(m)]
+
+            sA = normalize([act(row) for row in A.hnf_basis], ambient_dim=m)
+            twoA = normalize([[2 * c for c in row] for row in A.hnf_basis],
+                             ambient_dim=m)
+            x = [Q(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(m)]
+            want = theta(AffineCoset.build(A, x))
+            got = theta(AffineCoset.build(sA, act(x)))
+            assert got.theta == want.theta, (A.hnf_basis, perm, signs, x)
+            assert sorted(got.theta_points) == sorted(
+                tuple(act(p)) for p in want.theta_points)
+            twice = theta(AffineCoset.build(twoA, [2 * v for v in x]))
+            assert twice.theta == 2 * want.theta
+            assert twice.theta_points == tuple(
+                tuple(2 * v for v in p) for p in want.theta_points)
+            thetas += 1
+            det = prod(row[p] for row, p in zip(A.hnf_basis, A.pivots))
+            if A.rank == m and 6 * m * 2 ** m * det <= self.SUP_STEPS:
+                assert theta_sup(sA, 1) == theta_sup(A, 1), A.hnf_basis
+                sups += 1
 
 
 class TestThetaSup:
