@@ -65,7 +65,10 @@ class PLCircleDiffeo:
 
     ``PLCircleDiffeo(xs, ys)`` takes rationals; ``PLCircleDiffeo(xn, yn,
     den)`` takes integer numerators over the positive integer ``den``.  Both
-    are validated the same way.
+    are validated the same way.  The constructor builds ``dx`` and ``dy``
+    once, each at its final length, and runs its ordering checks on them: a
+    table built from ``map`` and then concatenated left one freed tuple per
+    map on CPython's tuple free lists.
     """
 
     __slots__ = ("den", "xn", "yn", "dx", "dy")
@@ -75,23 +78,24 @@ class PLCircleDiffeo:
             xs = list(xs)
             den, nums = common(Q(v).as_integer_ratio() for v in [*xs, *ys])
             xs, ys = nums[:len(xs)], nums[len(xs):]
-        if not xs or len(xs) != len(ys):
+        xn, yn = tuple(xs), tuple(ys)
+        if not xn or len(xn) != len(yn):
             raise ValidationError("need matching non-empty breakpoint lists")
         if den <= 0:
             raise ValidationError("common denominator must be positive")
-        if xs[0] < 0 or xs[-1] >= den:
+        if xn[0] < 0 or xn[-1] >= den:
             raise ValidationError("breakpoints must lie in [0, 1)")
-        if not all(map(lt, xs, xs[1:])):
+        # Once the breakpoints lie in [0, 1), the wrapped run is positive.
+        dx = (*map(sub, xn[1:], xn), xn[0] + den - xn[-1])
+        dy = (*map(sub, yn[1:], yn), yn[0] + den - yn[-1])
+        if min(dx) <= 0:
             raise ValidationError("breakpoints must strictly increase")
-        if not all(map(lt, ys, ys[1:])):
+        if min(dy[:-1], default=1) <= 0:
             raise ValidationError("lift values must strictly increase")
-        if ys[-1] >= ys[0] + den:
+        if dy[-1] <= 0:
             raise ValidationError("lift must increase by less than 1 per period")
         self.den = den
-        self.xn = tuple(xs)
-        self.yn = tuple(ys)
-        self.dx = tuple(map(sub, self.xn[1:], self.xn)) + (xs[0] + den - xs[-1],)
-        self.dy = tuple(map(sub, self.yn[1:], self.yn)) + (ys[0] + den - ys[-1],)
+        self.xn, self.yn, self.dx, self.dy = xn, yn, dx, dy
 
     @property
     def xs(self) -> tuple:

@@ -211,16 +211,24 @@ def coset_cmd(lattice_path, offset):
     return {"theta": rat_str(data.theta), "points": points}
 
 
+def _array(data, field: str) -> list:
+    """``data[field]``, which the input schema makes a JSON array: a string
+    or an object would be read character by character, or by its keys."""
+    value = data[field]
+    if not isinstance(value, list):
+        raise TypeError(f"{field} must be an array")
+    return value
+
+
 def _isotopy_from_json(data):
     from rotnorm import circle
 
     try:
-        times = [_rat(t) for t in data["times"]]
+        times = [_rat(t) for t in _array(data, "times")]
         frames = [
-            circle.PLCircleDiffeo(
-                [_rat(x) for x in fr["x"]], [_rat(y) for y in fr["y"]]
-            )
-            for fr in data["frames"]
+            circle.PLCircleDiffeo([_rat(x) for x in _array(fr, "x")],
+                                  [_rat(y) for y in _array(fr, "y")])
+            for fr in _array(data, "frames")
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad isotopy JSON: {exc}") from None
@@ -241,8 +249,8 @@ def nu_cmd(path, lattice_path):
 
     data = _read_json(path)
     try:
-        comps = [_isotopy_from_json(c) for c in data["components"]]
-        pts = [_rat(p) for p in data["basepoints"]]
+        comps = [_isotopy_from_json(c) for c in _array(data, "components")]
+        pts = [_rat(p) for p in _array(data, "basepoints")]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad multi-isotopy JSON: {exc}") from None
     F = circle.MultiIsotopy(tuple(comps), tuple(pts))

@@ -28,7 +28,11 @@ the reference for the class-table check of ``groups.word_norm``, and
 ``quotient_group`` builds G/N through the library's ``generate_group``, so
 that the word norm of G/N checks ``groups.quotient_norm``.
 ``oracle_mu`` reads a trace's rotation angle from its points mod 1, where
-``circle.mu`` reads the end frames' lifts.
+``circle.mu`` reads the end frames' lifts.  ``norm_relation_model`` is not
+an oracle of a library routine: it computes, with the library's group
+engine, the exact norms of a finite model of the norm relations that
+``bounds.relation_close`` encodes, so that the rules are checked against
+values they must bracket.
 """
 
 from __future__ import annotations
@@ -50,7 +54,13 @@ from rotnorm.errors import (
     NotSymmetric,
     ValidationError,
 )
-from rotnorm.groups import generate_group
+from rotnorm.groups import (
+    commutator_length,
+    generate_group,
+    normal_closure,
+    quotient_norm,
+    word_norm,
+)
 from rotnorm.lattice import IntLattice, quotient_info
 
 
@@ -454,6 +464,38 @@ def oracle_sup_bfs(A: IntLattice):
             return depth, min(cur)
         prev, cur = cur, nxt
         depth += 1
+
+
+def norm_relation_model(gens, x, ball=(0, 1, 2)):
+    """Exact norms of a finite model of the ledger's algebraic relations.
+
+    G = <gens> is a permutation group and N, the normal closure of x in G,
+    plays the subgroup G of the paper.  cl is G's commutator length; clb is
+    the word norm over the G-classes of the commutators [a, b] with a, b in
+    the ball subgroup H (the elements of G moving only points of ``ball``).
+    cl_modG and clb_modG are their quotient norms over N, and cld_G and
+    clbd_G their maxima over N.  Returns (per-element values, one dict of
+    cl_f, clb_f, cl_modG_f and clb_modG_f per element of G; the diameters
+    cld_G and clbd_G).  Values are ints, or INF outside the subgroup a
+    norm's generating set generates.
+    """
+    G = generate_group(gens)
+    N = normal_closure(G, tuple(x))
+    H = [h for h in G.elements
+         if all(h[i] == i for i in range(G.degree) if i not in ball)]
+    commutators = {_mul(_mul(a, b), _mul(_inv(a), _inv(b)))
+                   for a in H for b in H}
+    cl = commutator_length(G)
+    clb = word_norm(G, {g for c in commutators
+                        for g in oracle_conjugacy_class(G.elements, c)})
+    per_element = [
+        {"cl_f": cl.values[f], "clb_f": clb.values[f],
+         "cl_modG_f": quotient_norm(cl, N.elements, f),
+         "clb_modG_f": quotient_norm(clb, N.elements, f)}
+        for f in G.elements]
+    diameters = {"cld_G": max(cl.values[a] for a in N.elements),
+                 "clbd_G": max(clb.values[a] for a in N.elements)}
+    return per_element, diameters
 
 
 def s4_mod_v4_to_s3(g):

@@ -1,0 +1,108 @@
+"""The summary of tools/bench_pairs.py on synthetic runs (no subprocess)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+PAIRS = 10
+RSS = {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}
+OPS = {"name": "ops_per_s", "better": "higher", "bound": 0.25}
+DIGEST = "sha256:00"
+
+
+def _runs(metric, parent, change, workload="circle", seed=0):
+    """One run record per side and pair, holding only ``metric``."""
+    return [
+        {"workload": workload, "seed": seed, "pair": pair, "side": side,
+         "digest": DIGEST, "returncode": 0,
+         "last_line": {"correct": True, "failed": 0,
+                       "metrics": {metric: {"value": value}}}}
+        for pair in range(PAIRS)
+        for side, value in (("parent", parent[pair]), ("change", change[pair]))
+    ]
+
+
+def _summary(spec, parent, change):
+    summary, unresolved = bench_pairs.summarize(
+        _runs(spec["name"], parent, change), [spec], PAIRS)
+    return (summary["circle seed 0"][spec["name"]],
+            unresolved.get("circle seed 0", []))
+
+
+def test_lower_is_better_gain():
+    parent = [23.0 + 0.01 * i for i in range(PAIRS)]
+    change = [22.0 + 0.01 * i for i in range(PAIRS)]
+    entry, unresolved = _summary(RSS, parent, change)
+    assert entry["change_wins"] == "10/10" and entry["gain"] is True
+    assert entry["parent_median"] == pytest.approx(23.045)
+    assert entry["change_vs_parent"] == pytest.approx(-0.0434, abs=1e-4)
+    # inclusive quartiles of 23.00 .. 23.09: 23.0225 and 23.0675
+    assert entry["parent_iqr"] == pytest.approx(0.045)
+    assert unresolved == []
+
+
+def test_higher_is_better_gain_and_loss():
+    parent = [100.0 + i for i in range(PAIRS)]
+    entry, _ = _summary(OPS, parent, [200.0 + i for i in range(PAIRS)])
+    assert entry["change_wins"] == "10/10" and entry["gain"] is True
+    assert entry["change_vs_parent"] == pytest.approx(0.9569, abs=1e-4)
+    entry, _ = _summary(OPS, parent, [50.0 + i for i in range(PAIRS)])
+    assert entry["change_wins"] == "0/10" and entry["gain"] is False
+    assert entry["change_vs_parent"] == pytest.approx(-0.4785, abs=1e-4)
+
+
+def test_ties_count_for_neither_side():
+    parent = [10.0 + i for i in range(PAIRS)]
+    change = list(parent)
+    change[0] -= 5  # one win; nine ties
+    entry, _ = _summary(RSS, parent, change)
+    assert entry["change_wins"] == "1/10" and entry["gain"] is False
+
+
+def test_nine_wins_need_a_median_past_the_spread():
+    parent = [10.0 + i for i in range(PAIRS)]  # quartile spread 4.5
+    change = [v - 1 for v in parent]
+    change[9] = 20.0  # nine wins by 1
+    entry, _ = _summary(RSS, parent, change)
+    assert entry["change_wins"] == "9/10" and entry["gain"] is False
+    change = [v - 6 for v in parent]
+    change[9] = 20.0  # nine wins, median 6 below
+    entry, _ = _summary(RSS, parent, change)
+    assert entry["change_wins"] == "9/10" and entry["gain"] is True
+
+
+def test_wide_parent_spread_is_unresolved_unless_separated():
+    parent = [10.0 + 2 * i for i in range(PAIRS)]  # spread 9 of a median 19
+    overlapping = [v - 1 for v in parent]
+    _, unresolved = _summary(RSS, parent, overlapping)
+    assert unresolved == ["peak_rss_mb"]
+    separated = [v - 20 for v in parent]  # every change run below 10
+    entry, unresolved = _summary(RSS, parent, separated)
+    assert unresolved == [] and entry["parent_iqr_rel"] > RSS["bound"]
+
+
+def test_failed_runs_are_left_out_of_the_summary():
+    runs = _runs("peak_rss_mb", [1.0] * PAIRS, [1.0] * PAIRS)
+    runs[3]["last_line"] = None
+    summary, _ = bench_pairs.summarize(runs, [RSS], PAIRS)
+    assert summary == {}
+
+
+def test_problems_name_each_bad_run():
+    runs = _runs("peak_rss_mb", [1.0] * PAIRS, [1.0] * PAIRS)
+    assert bench_pairs.problems(runs) == []
+    runs[1]["returncode"], runs[1]["last_line"] = 1, None
+    runs[2]["last_line"] = {"correct": False, "failed": 3, "metrics": {}}
+    runs[5]["digest"] = "sha256:ff"
+    assert bench_pairs.problems(runs) == [
+        "circle seed 0 pair 0 change: failed (exit 1)",
+        "circle seed 0 pair 1 parent: incorrect (3 failed ops)",
+        "circle seed 0 pair 2 change: digest sha256:ff differs from the "
+        "parent's",
+    ]

@@ -32,7 +32,7 @@ from rotnorm.errors import (
 )
 from rotnorm.lattice import normalize, quotient_info
 
-from oracles import oracle_relation_close
+from oracles import norm_relation_model, oracle_relation_close
 
 # Every combination of context flags for n = 2..8, and lattices of rank m
 # and rank < m for m = 1..3.
@@ -378,6 +378,50 @@ class TestRelationClose:
                              for close in (relation_close,
                                            oracle_relation_close))
                 assert got == want, ctx
+
+
+# The exact norms of a finite model: G = S_n, N the normal closure of x (V4
+# in S4, A_n in S5 and S6), the ball subgroup Sym{0, 1, 2}.
+NORM_MODELS = {
+    "S4/V4": ([(1, 0, 2, 3), (1, 2, 3, 0)], (1, 0, 3, 2)),
+    "S5/A5": ([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], (1, 2, 0, 3, 4)),
+    "S6/A6": ([(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)], (1, 2, 0, 3, 4, 5)),
+}
+PER_ELEMENT = ("cl_f", "clb_f", "cl_modG_f", "clb_modG_f")
+
+
+class TestNormRelationModel:
+    """The four algebraic rows of `_RELATIONS` (cl <= clb, their quotient
+    form, and each norm <= its quotient norm plus the diameter) hold in any
+    finite model, so every bound `relation_close` derives from exact values
+    must bracket the exact value.  `clb_le_2eta` and `zeta_le_4clb` are
+    theorems about the diffeomorphism group and are left out: eta and zeta
+    are never seeded or checked.  An exact value INF (an element outside
+    the subgroup a norm's set generates) is seeded as a lower bound, so any
+    finite upper derived for it is a violation."""
+
+    @pytest.mark.parametrize("model", NORM_MODELS)
+    def test_derived_bounds_bracket_exact_norms(self, model):
+        per_element, diameters = norm_relation_model(*NORM_MODELS[model])
+        violations = []
+        for exact in per_element:
+            exact = {**exact, **diameters}
+            for pair in itertools.combinations(PER_ELEMENT, 2):
+                led = BoundLedger()
+                for name in (*pair, "cld_G", "clbd_G"):
+                    led = led.with_lower(name, exact[name], "exact")
+                    led = led.with_upper(name, exact[name], "exact")
+                try:
+                    closed = relation_close(led)
+                except InconsistentLedger as exc:
+                    violations.append((exact, pair, str(exc)))
+                    continue
+                for name, value in exact.items():
+                    e = closed.get(name)
+                    if not (e.lower <= value
+                            and _upper_rank(value) <= _upper_rank(e.upper)):
+                        violations.append((exact, pair, name, e))
+        assert not violations, (len(violations), violations[:3])
 
 
 class TestElementLedger:

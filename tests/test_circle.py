@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -117,6 +118,84 @@ class TestPLCircleDiffeo:
                        ((), (0,)), ((0,), ())):
             with pytest.raises(ValidationError, match="matching"):
                 PLCircleDiffeo(xs, ys)
+
+
+# The constructor's six rejections in the order it runs them, each with
+# integer inputs over the denominator 8 that break it (and possibly later
+# ones).  Rows that break two checks must report the earlier one.
+_MESSAGES = (
+    "need matching non-empty breakpoint lists",
+    "common denominator must be positive",
+    "breakpoints must lie in [0, 1)",
+    "breakpoints must strictly increase",
+    "lift values must strictly increase",
+    "lift must increase by less than 1 per period",
+)
+_REJECTIONS = [
+    (0, (0, 1), (0,)),
+    (0, (), ()),
+    (2, (-1, 2), (0, 1)),
+    (2, (0, 8), (0, 1)),
+    (2, (3, 8), (0, 0)),  # also not increasing
+    (3, (0, 3, 3), (0, 1, 2)),
+    (3, (0, 5, 3), (0, 1, 2)),
+    (3, (0, 3, 2), (0, 0, 1)),  # also lift values
+    (3, (0, 3, 3), (0, 1, 9)),  # also period overflow
+    (4, (0, 3), (2, 2)),
+    (4, (0, 2, 4), (0, 10, 9)),  # also period overflow
+    (5, (0, 3), (0, 8)),
+    (5, (0, 3), (1, 10)),
+]
+
+
+class TestRejections:
+    @pytest.mark.parametrize("check, xs, ys", _REJECTIONS)
+    def test_integer_form(self, check, xs, ys):
+        with pytest.raises(ValidationError) as info:
+            PLCircleDiffeo(xs, ys, 8)
+        assert str(info.value) == _MESSAGES[check]
+
+    @pytest.mark.parametrize("check, xs, ys", _REJECTIONS)
+    def test_rational_form(self, check, xs, ys):
+        with pytest.raises(ValidationError) as info:
+            PLCircleDiffeo([Q(x, 8) for x in xs], [Q(y, 8) for y in ys])
+        assert str(info.value) == _MESSAGES[check]
+
+    @pytest.mark.parametrize("den", (0, -3))
+    def test_denominator(self, den):
+        # Only the integer form takes a denominator; with a bad one every
+        # later check is broken too.
+        for xs, ys in (((0,), (0,)), ((0, 5), (0, 1)), ((0, 5, 3), (9, 1, 0))):
+            with pytest.raises(ValidationError) as info:
+                PLCircleDiffeo(xs, ys, den)
+            assert str(info.value) == _MESSAGES[1]
+        with pytest.raises(ValidationError) as info:
+            PLCircleDiffeo((0, 1), (0,), den)
+        assert str(info.value) == _MESSAGES[0]
+
+
+def test_construction_leaves_no_freed_tuples():
+    """Building maps and running defect trials holds no memory afterwards.
+
+    A segment table built from ``map`` and then concatenated left one freed
+    tuple per map on CPython's tuple free lists (about 1 MB here); a full
+    collection empties those lists first.
+    """
+    rng = random.Random(35)
+    inputs = [(sorted(rng.sample(range(1000), b)),
+               sorted(rng.sample(range(1000), b)))
+              for b in range(2, 9) for _ in range(2000)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for xs, ys in inputs:
+            PLCircleDiffeo(xs, ys, 1000)
+        defect_experiment(5, 2000)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 128 * 1024
 
 
 def _seeded_map(kind, seed):

@@ -386,6 +386,17 @@ def assert_validation_error(r):
     assert json.loads(r.stderr)["error"]["kind"] == "validation"
 
 
+# Each array field of the mu and nu inputs, as a string and as an object.
+_ARRAY_FIELDS = [
+    ("times", "01"), ("times", {"0": 5, "1": 7}),
+    ("frames", "ab"), ("frames", {"0": 1}),
+    ("x", "0"), ("x", {"0": 1}),
+    ("y", "0"), ("y", {"0": 1}),
+    ("components", "ab"), ("components", {"0": 1}),
+    ("basepoints", "0"), ("basepoints", {"1/3": True}),
+]
+
+
 class TestMalformedInput:
     """Malformed rationals and non-integer lattice or context fields are
     validation errors (exit 1, one JSON line on stderr), not tracebacks."""
@@ -422,6 +433,30 @@ class TestMalformedInput:
                  "basepoints": [True]}
         path = write_json(tmp_path, "multi.json", multi)
         assert_validation_error(run_cli(["nu", "--in", path]))
+
+    @pytest.mark.parametrize("field, value", _ARRAY_FIELDS, ids=[
+        f"{field}-{type(value).__name__}" for field, value in _ARRAY_FIELDS])
+    def test_array_field_of_another_type(self, tmp_path, field, value):
+        # A string was read character by character and an object by its
+        # keys: "times": "01" read as the times "0" and "1", printing
+        # {"mu":"1/4"}.
+        iso = {"times": ["0", "1"],
+               "frames": [{"x": ["0"], "y": ["0"]}, {"x": ["0"], "y": ["1/4"]}]}
+        multi = {"components": [iso], "basepoints": ["0"]}
+        if field in iso:
+            iso[field] = value
+        elif field in multi:
+            multi[field] = value
+        else:
+            iso["frames"][0][field] = value
+        runs = [run_cli(["nu", "--in", write_json(tmp_path, "multi.json", multi)])]
+        if field not in multi:
+            runs.append(
+                run_cli(["mu", "--in", write_json(tmp_path, "iso.json", iso)]))
+        for r in runs:
+            assert_validation_error(r)
+            assert (f"{field} must be an array"
+                    in json.loads(r.stderr)["error"]["message"])
 
     def test_lattice_non_integer_fields(self, tmp_path):
         for i, data in enumerate(({"m": 2, "generators": [[1, "a"]]},
