@@ -181,6 +181,20 @@ NU_DEFECT = Q(1)
 NU_COMMUTATOR_BOUND = Q(3)
 
 
+def theta_lower_cl(theta_f):
+    """The cl lower bound of an element f with theta(nu_hat(f)) = theta:
+    `lower_cl` with nu's constants when theta > 0, and 0 at theta = 0.
+
+    (theta + 1)/4 comes from |nu| <= nC + (n - 1)D for a product of n >= 1
+    commutators, so it holds only for f != id.  theta > 0 ensures that; at
+    theta = 0 f may be the identity, whose cl is 0.
+    """
+    theta_f = Q(theta_f)
+    if theta_f > 0:
+        return lower_cl(theta_f, NU_DEFECT, NU_COMMUTATOR_BOUND)
+    return Q(0)
+
+
 def _gaps(ctx: ManifoldContext) -> tuple:
     """Tags of the boundedness theorem hypotheses that ctx does not assert."""
     return tuple(tag for tag, missing in (
@@ -278,7 +292,8 @@ def element_ledger(ctx: ManifoldContext, q: QuotientInfo, theta) -> BoundLedger:
     Starts from `diameter_ledger` (so a lattice of another dimension is a
     DimensionMismatch first), refuses on a full-rank lattice a theta above
     k/2, which no coset reaches, then adds the per-element rules at theta
-    and closes the ledger under the norm relations (`relation_close`).
+    and closes the ledger under the norm relations (`relation_close`).  At
+    theta = 0 the cl_f lower rule adds nothing (see `theta_lower_cl`).
     """
     theta = Q(theta)
     led = diameter_ledger(ctx, q)
@@ -287,8 +302,7 @@ def element_ledger(ctx: ManifoldContext, q: QuotientInfo, theta) -> BoundLedger:
             f"theta {rat_str(theta)} exceeds k/2 = {rat_str(Q(q.k, 2))}: no "
             "coset of this lattice has theta above theta_sup <= k/2")
     led = led.with_lower(
-        "cl_f", lower_cl(theta, NU_DEFECT, NU_COMMUTATOR_BOUND),
-        "quasimorphism_theta_lower")
+        "cl_f", theta_lower_cl(theta), "quasimorphism_theta_lower")
     led = led.with_upper(
         "clb_modG_f", Q(upper_clb_modG(theta)), "quotient_norm_theta_upper")
     return relation_close(led)

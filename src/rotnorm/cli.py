@@ -289,8 +289,7 @@ def bounds_cmd(theta_str, context_path, lattice_path):
             f"bounds needs {missing} too: --context and --lattice go together")
     th = _rat(theta_str)
     out = {"theta": rat_str(th),
-           "lower_cl": rat_str(bounds.lower_cl(
-               th, bounds.NU_DEFECT, bounds.NU_COMMUTATOR_BOUND)),
+           "lower_cl": rat_str(bounds.theta_lower_cl(th)),
            "upper_clb_modG": bounds.upper_clb_modG(th)}
     if context_path is not None:
         from rotnorm import lattice

@@ -1,10 +1,12 @@
 """Exact invariants of integer sublattices A < Z^m.
 
 Row-style Hermite normal form (positive pivots, entries above a pivot reduced
-into [0, pivot)) gives a unique canonical basis.  Everything else comes from
-that one routine, on integers: the rank, the orders k_i of the unit cosets
-[e_i] in Z^m/A by back-substitution (``_order``), k = max k_i, the bound
-constant k_hat = 2*floor(k/2) + 3, the Smith invariant factors from
+into [0, pivot)) gives a unique canonical basis.  ``_hnf`` folds the
+generators in one at a time and keeps the HNF of those folded so far, so its
+time grows linearly with the generator count.  Everything else comes
+from that one routine, on integers: the rank, the orders k_i of the unit
+cosets [e_i] in Z^m/A by back-substitution (``_order``), k = max k_i, the
+bound constant k_hat = 2*floor(k/2) + 3, the Smith invariant factors from
 alternating row and column HNFs (``_smith_factors``), and — in the
 rank-deficient case — a primitive integer functional vanishing on A.
 """
@@ -21,42 +23,39 @@ from rotnorm.errors import DimensionMismatch, FullRank, ValidationError, quoted
 MAX_DIM = 8
 
 
-def _hnf(vectors: list[list[int]], m: int):
-    """Row HNF; returns (basis rows, pivot columns)."""
-    work = [list(v) for v in vectors if any(v)]
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for col in range(m):
-        # Reduce until at most one working row is nonzero in this column.
-        while True:
-            nz = [r for r in work if r[col] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda r: abs(r[col]))
-            p = nz[0]
-            for r in nz[1:]:
-                q = r[col] // p[col]
-                for i in range(m):
-                    r[i] -= q * p[i]
-        nz = [r for r in work if r[col] != 0]
-        if nz:
-            p = nz[0]
-            work.remove(p)
-            if p[col] < 0:
-                p = [-x for x in p]
-            basis.append(p)
-            pivots.append(col)
-        work = [r for r in work if any(r)]
-    # Reduce entries above each pivot into [0, pivot).
-    for j in range(len(basis)):
-        pj = pivots[j]
-        piv = basis[j][pj]
-        for i in range(j):
-            q = basis[i][pj] // piv
-            if q:
-                for col in range(m):
-                    basis[i][col] -= q * basis[j][col]
-    return basis, pivots
+def _hnf(vectors, m: int):
+    """Row HNF of the lattice the vectors span: (basis rows, pivot columns).
+
+    Folds the vectors in one at a time; the rows, keyed by pivot column, are
+    the HNF of those folded so far.  At each nonzero entry the vector becomes
+    the row there, or Euclid's algorithm leaves the pair's gcd in the row
+    (positive: every divisor is) and 0 in the vector.  A fold that changed a
+    row then reduces the entries above each pivot into [0, pivot).  Cost per
+    vector: a Euclid run per nonzero entry, O(m^3) more if a row changed.
+    """
+    rows: dict[int, list[int]] = {}
+    for v in vectors:
+        changed = False
+        for col in range(m):
+            if not v[col]:
+                continue
+            row = rows.get(col)
+            if row is None:
+                row, v = [-x for x in v] if v[col] < 0 else list(v), [0] * m
+            while v[col]:
+                q = v[col] // row[col]
+                v = [x - q * y for x, y in zip(v, row)]
+                if v[col]:
+                    row, v = v, row
+            changed |= row is not rows.get(col)
+            rows[col] = row
+        if changed:
+            for p in sorted(rows):
+                for i in rows:
+                    q = rows[i][p] // rows[p][p] if i < p else 0
+                    if q:
+                        rows[i] = [x - q * y for x, y in zip(rows[i], rows[p])]
+    return [rows[p] for p in sorted(rows)], sorted(rows)
 
 
 def _smith_factors(basis: list[list[int]]) -> list[int]:
@@ -132,7 +131,7 @@ def normalize(generators, ambient_dim: int | None = None) -> IntLattice:
         if len(g) != m:
             raise DimensionMismatch(
                 f"generator {quoted(g)} does not have length {m}")
-    basis, pivots = _hnf([list(g) for g in gens], m)
+    basis, pivots = _hnf(gens, m)
     return IntLattice(
         m=m,
         generators=tuple(gens),

@@ -17,7 +17,9 @@ exact denominators and times that ``circle.compose`` and ``circle.refine``
 produce.  The lattice oracles (``oracle_smith_invariant_factors``,
 ``oracle_order``, ``oracle_kernel_functional``) are the earlier elimination
 and Fraction back-substitution paths, kept as the reference for the integer
-routines of ``lattice`` that all run on its one HNF.
+routines of ``lattice`` that all run on its one HNF; ``oracle_hnf`` is
+the earlier batch elimination, kept as the reference for the fold of
+``lattice._hnf``.
 ``oracle_cvp_enumerate`` is the earlier interval-and-undo CVP kernel,
 kept as the reference result and node count for ``_kernels.cvp_enumerate``.
 ``oracle_relation_close`` is the earlier fixed point that re-swept every
@@ -716,6 +718,46 @@ def oracle_mu(F, p):
     half = Fraction(1, 2)
     return sum(((b - a + half) % 1 - half for a, b in zip(points, points[1:])),
                Fraction(0))
+
+
+def oracle_hnf(vectors, m: int):
+    """Row HNF by batch elimination, column by column: every nonzero working
+    row is reduced against the one of least absolute entry until at most one
+    is left nonzero in the column, then the entries above each pivot are
+    reduced into [0, pivot).  The reference (basis rows, pivot columns) for
+    ``lattice._hnf``, which folds the vectors in one at a time."""
+    work = [list(v) for v in vectors if any(v)]
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for col in range(m):
+        while True:
+            nz = [r for r in work if r[col] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda r: abs(r[col]))
+            p = nz[0]
+            for r in nz[1:]:
+                q = r[col] // p[col]
+                for i in range(m):
+                    r[i] -= q * p[i]
+        nz = [r for r in work if r[col] != 0]
+        if nz:
+            p = nz[0]
+            work.remove(p)
+            if p[col] < 0:
+                p = [-x for x in p]
+            basis.append(p)
+            pivots.append(col)
+        work = [r for r in work if any(r)]
+    for j in range(len(basis)):
+        pj = pivots[j]
+        piv = basis[j][pj]
+        for i in range(j):
+            q = basis[i][pj] // piv
+            if q:
+                for col in range(m):
+                    basis[i][col] -= q * basis[j][col]
+    return basis, pivots
 
 
 def oracle_smith_invariant_factors(mat: list[list[int]]) -> list[int]:

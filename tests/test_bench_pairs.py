@@ -77,6 +77,25 @@ def test_nine_wins_need_a_median_past_the_spread():
     assert entry["change_wins"] == "9/10" and entry["gain"] is True
 
 
+def test_a_gain_must_pass_the_floor():
+    # peak_rss_mb of BENCH_35.json: coset-groups seed 20251 ran none of the
+    # changed code and moved 1.1%; circle moved 4.3%.
+    parent = [25.3515625, 25.32421875, 25.3515625, 25.39453125, 25.33203125,
+              25.375, 25.39453125, 25.3515625, 25.34765625, 25.3359375]
+    change = [25.078125, 25.05078125, 25.0234375, 25.0546875, 25.078125,
+              25.06640625, 25.0546875, 25.109375, 25.08203125, 25.015625]
+    entry, _ = _summary(RSS, parent, change)
+    assert entry["change_wins"] == "10/10"
+    assert entry["parent_iqr"] == pytest.approx(0.0303, abs=1e-4)
+    assert entry["gain"] is False
+    parent = [23.1171875, 23.1328125, 23.10546875, 23.1328125, 23.140625,
+              23.1875, 23.1484375, 23.12890625, 23.20703125, 23.13671875]
+    change = [22.21484375, 22.09375, 22.15625, 22.08984375, 22.1328125,
+              22.12890625, 22.0859375, 22.16015625, 22.14453125, 22.14453125]
+    entry, _ = _summary(RSS, parent, change)
+    assert entry["change_wins"] == "10/10" and entry["gain"] is True
+
+
 def test_wide_parent_spread_is_unresolved_unless_separated():
     parent = [10.0 + 2 * i for i in range(PAIRS)]  # spread 9 of a median 19
     overlapping = [v - 1 for v in parent]

@@ -21,9 +21,20 @@ from rotnorm.bounds import (
     element_ledger,
     lower_cl,
     relation_close,
+    theta_lower_cl,
     upper_clb_modG,
     verdict,
 )
+from rotnorm.catalog import list_fixtures, load_fixture
+from rotnorm.circle import (
+    MultiIsotopy,
+    PLIsotopy,
+    commutator,
+    compose,
+    nu_hat,
+    random_isotopy,
+)
+from rotnorm.coset import theta
 from rotnorm.errors import (
     DimensionMismatch,
     InconsistentLedger,
@@ -452,6 +463,18 @@ class TestElementLedger:
         with pytest.raises(ValidationError, match="exceeds k/2 = 3/2"):
             element_ledger(ManifoldContext(n=3, m=2), q, Q(8, 5))
 
+    def test_theta_zero_adds_no_cl_lower(self):
+        # The identity has theta = 0 and cl = clb = eta = 0; (theta + 1)/4
+        # bounds cl only on a product of at least one commutator.
+        ctx = ManifoldContext(n=3, m=2)
+        q = quotient_info(normalize([(1, 0), (0, 1)]))
+        led = element_ledger(ctx, q, 0)
+        assert [led.get(name).lower for name in ("cl_f", "clb_f", "eta")] == [0] * 3
+        assert "quasimorphism_theta_lower" not in led.get("cl_f").rules
+        assert theta_lower_cl(0) == 0
+        assert theta_lower_cl(Q(5, 2)) == lower_cl(
+            Q(5, 2), NU_DEFECT, NU_COMMUTATOR_BOUND) == Q(7, 8)
+
     def test_rank_deficient_takes_any_theta(self):
         q = quotient_info(normalize([(1, 1)]))
         led = element_ledger(ManifoldContext(n=3, m=2), q, 100)
@@ -462,6 +485,38 @@ class TestElementLedger:
         q = quotient_info(normalize([(2, 0), (4, 3)]))
         with pytest.raises(DimensionMismatch):
             element_ledger(ManifoldContext(n=3, m=1), q, 100)
+
+
+class TestThetaRulesCircleModel:
+    """A circle-side model of the theta rules.  Each of the m components is
+    a product of n commutators of random isotopies (the identity isotopy
+    for n = 0).  Such an end lift moves every point by less than 2n
+    (Eisenbud, Hirsch & Neumann, Comment. Math. Helv. 56, 1981), so
+    theta(nu + A) < 2n, and theta = 0 for n = 0; the cl_f lower bound of
+    the ledger at that theta must be at most n."""
+
+    def test_products_of_commutators(self):
+        rng = random.Random(20261020)
+        positive = 0
+        for fx in map(load_fixture, list_fixtures()):
+            if fx.lattice is None:
+                continue
+            q = quotient_info(fx.lattice)
+            for n, _ in itertools.product(range(4), range(3)):
+                comps = []
+                for _ in range(fx.lattice.m):
+                    K = PLIsotopy.rotation(0)
+                    for _ in range(n):
+                        K = compose(K, commutator(random_isotopy(rng),
+                                                  random_isotopy(rng)))
+                    comps.append(K)
+                F = MultiIsotopy(comps, [Q(rng.randint(0, 63), 64) for _ in comps])
+                th = theta(nu_hat(F, fx.lattice)).theta
+                assert (th == 0) if n == 0 else (th < 2 * n), (fx.name, n, th)
+                lower = element_ledger(fx.ctx, q, th).get("cl_f").lower
+                assert lower <= n, (fx.name, n, th, lower)
+                positive += lower > 0
+        assert positive  # the rule fired on some n >= 1
 
 
 class TestVerdict:
@@ -554,8 +609,9 @@ def test_every_emitted_tag_is_documented():
             names.update(verdict(ctx, A).justification)
             for entry in diameter_ledger(ctx, q).entries.values():
                 names.update(entry.rules)
-            for entry in element_ledger(ctx, q, 0).entries.values():
-                names.update(entry.rules)
+            for th in (0, Q(1, 2)):  # theta > 0 adds the cl_f lower rule
+                for entry in element_ledger(ctx, q, th).entries.values():
+                    names.update(entry.rules)
     doc = (Path(__file__).resolve().parents[1]
            / "docs" / "schemas" / "outputs.md").read_text()
     assert sorted(n for n in names if f"`{n}`" not in doc) == []

@@ -231,6 +231,23 @@ class TestBoundsVerdictCommands:
         assert data["lower_cl"] == "7/8"
         assert data["upper_clb_modG"] == 7
 
+    def test_bounds_at_theta_zero(self, tmp_path):
+        # theta = 0 holds the identity, whose cl, clb and eta are 0; the
+        # ledger printed lower bounds 1/4, 1/4 and 1/8 for them.
+        r = run_cli(["bounds", "--theta", "0"])
+        assert json.loads(r.stdout)["lower_cl"] == "0"
+        cp = write_json(tmp_path, "ctx.json", {"n": 3, "m": 2})
+        ap = write_json(tmp_path, "A.json",
+                        {"m": 2, "generators": [[1, 0], [0, 1]]})
+        r = run_cli(["bounds", "--theta", "0", "--context", cp,
+                     "--lattice", ap])
+        assert r.returncode == 0
+        data = json.loads(r.stdout)
+        assert data["lower_cl"] == "0"
+        led = data["ledger"]
+        assert led["cl_f"]["lower"] == led["clb_f"]["lower"] == "0"
+        assert led.get("eta", {"lower": "0"})["lower"] == "0"
+
     def test_bounds_with_ledger(self, tmp_path):
         cp = write_json(tmp_path, "ctx.json", {"n": 3, "m": 1})
         ap = write_json(tmp_path, "A.json", {"m": 1, "generators": [[3]]})

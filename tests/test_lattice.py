@@ -1,5 +1,7 @@
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from rotnorm._rat import INF
 from rotnorm.errors import DimensionMismatch, FullRank, ValidationError
 from rotnorm.lattice import (
+    _hnf,
     _order,
     _smith_factors,
     kernel_functional,
@@ -20,6 +23,7 @@ from rotnorm.lattice import (
 )
 
 from oracles import (
+    oracle_hnf,
     oracle_kernel_functional,
     oracle_order,
     oracle_rational_coefficients,
@@ -63,6 +67,53 @@ class TestNormalize:
             assert piv > 0
             for i in range(j):
                 assert 0 <= A.hnf_basis[i][p] < piv
+
+
+def _seeded_generator_sets():
+    """3,000 seeded (m, generators): m = 1..6, 0 to 9 generators, entries
+    drawn from [-b, b] with b one of 1, 3, 20 or 1000."""
+    rng = random.Random(3)
+    out = []
+    for _ in range(3000):
+        m, b = rng.randint(1, 6), rng.choice((1, 3, 20, 1000))
+        out.append((m, [[rng.randint(-b, b) for _ in range(m)]
+                        for _ in range(rng.randint(0, 9))]))
+    return out
+
+
+class TestFold:
+    """``_hnf`` folds one generator at a time; ``oracle_hnf`` is the batch
+    elimination it replaced."""
+
+    def test_matches_the_batch_oracle(self):
+        for m, gens in _seeded_generator_sets():
+            got = _hnf(gens, m)
+            assert got == oracle_hnf(gens, m), (m, gens)
+            if got[0]:  # the transpose, as _smith_factors passes it
+                t = list(zip(*got[0]))
+                assert _hnf(t, len(t[0])) == oracle_hnf(t, len(t[0])), t
+
+    def test_leaves_its_input_alone(self):
+        gens = [[0, -4, 6], (2, 3, 5), [0, 2, 0]]
+        _hnf(gens, 3)
+        assert gens == [[0, -4, 6], (2, 3, 5), [0, 2, 0]]
+
+    def test_many_large_generators_in_linear_time(self):
+        # Column j holds multiples of j + 1 up to 10^1000 in size, so the
+        # 400 generators span the lattice with HNF diag(1, ..., 8).  On a
+        # 2-vCPU host with Python 3.11.7 the batch elimination took about
+        # 20 s on them, the fold about 0.5 s.
+        rng = random.Random(400)
+        top = 10 ** 1000
+        gens = [[(j + 1) * rng.randint(-top // (j + 1), top // (j + 1))
+                 for j in range(8)] for _ in range(400)]
+        start = time.perf_counter()
+        A = normalize(gens)
+        assert time.perf_counter() - start < 3.0
+        assert A.pivots == tuple(range(8))
+        assert A.hnf_basis == tuple(
+            tuple(j + 1 if i == j else 0 for j in range(8)) for i in range(8))
+        assert all(member(A, g) for g in gens)
 
 
 class TestNonIntegerEntries:
