@@ -214,7 +214,11 @@ def diameter_ledger(ctx: ManifoldContext, q: QuotientInfo) -> BoundLedger:
     element: every coset's canonical representative lies in the box
     prod (-k_i/2, k_i/2], so theta_sup <= k/2, and theta_sup >= theta_lo
     with theta_lo = k/2 for m = 1 and 0 otherwise.  Hence on a closed pair
-    clb_modG_f <= upper_clb_modG(k/2) = k_hat, and cld >= lower_cl(theta_lo).
+    clb_modG_f <= upper_clb_modG(k/2) = k_hat.  For m = 1 an element
+    attains theta = k/2 > 0, so cld >= (k/2 + 1)/4 = lower_cl(k/2).  For
+    m >= 2 the per-element rule does not apply at theta = 0, which the
+    identity attains; a rotation of one circle N_j by a small eps > 0 has
+    theta = eps instead, so cld >= (eps + 1)/4 > 1/4 = lower_cl(0).
     The G and whole-group diameter uppers need every hypothesis of the
     boundedness theorem (see `verdict`).  A lattice whose dimension is not
     the context's m is a DimensionMismatch.

@@ -626,7 +626,7 @@ def defect_experiment(seed: int, trials: int) -> dict:
     if trials > MAX_DEFECT_TRIALS:
         raise ValidationError(
             f"trials {quoted(trials)} exceeds the cap "
-            f"MAX_DEFECT_TRIALS = {MAX_DEFECT_TRIALS}")
+            f"circle.MAX_DEFECT_TRIALS = {MAX_DEFECT_TRIALS}")
     rng = random.Random(seed)
     names = ("left_mult", "right_mult", "product", "inverse_sum",
              "commutator", "basepoint_change")

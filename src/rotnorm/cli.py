@@ -93,7 +93,7 @@ def _capped(text: str) -> str:
     for part in text.split("/"):
         if sum(map(str.isdigit, part)) > MAX_INT_DIGITS:
             raise ValidationError("an input integer has more digits than the "
-                                  f"cap MAX_INT_DIGITS = {MAX_INT_DIGITS}")
+                                  f"cap cli.MAX_INT_DIGITS = {MAX_INT_DIGITS}")
     return text
 
 

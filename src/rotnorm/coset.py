@@ -212,6 +212,6 @@ def theta_sup(A: IntLattice, epsilon):
         if steps > MAX_SUP_MOVES:
             raise ValidationError(
                 f"theta_sup may need {steps} axis steps, which exceeds the "
-                f"cap MAX_SUP_MOVES = {MAX_SUP_MOVES}")
+                f"cap coset.MAX_SUP_MOVES = {MAX_SUP_MOVES}")
         v = Q(_sup_bfs(A)[0], 2)
     return (v, v)

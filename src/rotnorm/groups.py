@@ -9,16 +9,19 @@ function, and every engine runs over the conjugacy-class table: the
 commutator set, word norms, the zeta norm and normal closures are computed
 over classes rather than over elements or pairs of elements.
 
-``generate_group`` enumerates a group one conjugacy class at a time, so
-closing the generators and labelling the classes are one pass: each class
-is an orbit under conjugation by the generators, and the products of each
-class with the generators' classes name the classes still to walk.  That
-pass works on bytes: a permutation padded to 256 bytes is a
-``bytes.translate`` table, so each product or conjugation step is one or two
-C-level lookups.  The elements are sorted and become tuples once, at the
-end.  The group keeps the walk's own table: its one index maps the bytes of
-each element to its class label, so a lookup answers membership and class
-at once, and the walk's orbits are the classes.
+``generate_group`` builds every group, normal closures included.  Its walk
+(``_walk``) enumerates the group one conjugacy class at a time, so closing
+the generators and labelling the classes are one pass: each class is an
+orbit under conjugation by the generators, and the products of each class
+with the generators' classes name the classes still to walk.  Elements are
+bytes there: a permutation padded to 256 bytes is a ``bytes.translate``
+table, so each product or conjugation step is one or two C-level lookups.
+A walk conjugates each element by each generator, so the generators are
+thinned first (Dimino's algorithm; Butler, *Fundamental Algorithms for
+Permutation Groups*, 1991): at most log2|G| + 1 are kept, and the time
+grows with |G| log|G|, not with their number.  The group keeps the walk's
+table: its one index maps the bytes of each element to its class label, so
+a lookup answers membership and class at once.
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ def validate_perm(images) -> Perm:
         raise ValidationError(f"a permutation is a list of integers: {quoted(images)}")
     p = tuple(images)
     if len(p) > MAX_DEGREE:
-        raise ValidationError(f"degree {len(p)} exceeds cap {MAX_DEGREE}")
+        raise ValidationError(f"degree {len(p)} exceeds the cap "
+                              f"groups.MAX_DEGREE = {MAX_DEGREE}")
     if sorted(p) != list(range(len(p))):
         raise ValidationError(f"not a permutation of 0..{len(p) - 1}: {quoted(p)}")
     return p
@@ -110,50 +114,24 @@ class FiniteGroup:
     ``generators`` must generate ``elements``: the conjugacy classes and the
     invariance checks are taken under conjugation by the generators alone.
 
-    The group keeps one index, ``_class_of``, which maps the bytes of each
-    element to its class label, the identity's class being label 0.
-    ``_classes`` holds the members of each class as bytes, in label order,
-    and ``_labels`` the label of each element in ``elements`` order.
-    ``generate_group`` hands over all three from its class walk.  A group
-    built directly (as ``normal_closure`` builds them) starts with an index
-    that answers membership only, and labels its classes on first use
-    (``_table``).
+    The group keeps the table of the class walk that built it.
+    ``_class_of`` maps the bytes of each element to its class label, the
+    identity's class being label 0; ``_classes`` holds the members of each
+    class as bytes, in label order, and ``_labels`` the label of each
+    element in ``elements`` order.  ``generate_group`` builds every group.
     """
 
     __slots__ = ("degree", "elements", "generators", "_class_of", "_classes",
                  "_labels")
 
-    def __init__(self, degree, elements, generators, _class_of=None,
-                 _classes=None, _labels=None):
+    def __init__(self, degree, elements, generators, class_of, classes,
+                 labels):
         self.degree = degree
         self.elements = elements
         self.generators = generators
-        self._class_of = (dict.fromkeys(map(bytes, elements))
-                          if _class_of is None else _class_of)
-        self._classes = _classes
-        self._labels = _labels
-
-    def _table(self):
-        """(``_class_of``, ``_classes``, ``_labels``), labelling the classes
-        of a directly built group first.
-
-        Its classes are the orbits under conjugation by the generators,
-        walked by ``_orbit`` in element order, which costs |G| *
-        |generators| conjugations.  The identity is the least element, so
-        its class is walked first and gets label 0.
-        """
-        if self._classes is None:
-            keys = list(self._class_of)
-            conjugators = _conjugators(self.generators)
-            class_of, orbits = {}, []
-            for x in keys:
-                if x not in class_of:
-                    orbits.append(_orbit(x, conjugators, class_of, len(orbits),
-                                         len(keys)))
-            self._class_of = class_of
-            self._classes = orbits
-            self._labels = list(map(class_of.__getitem__, keys))
-        return self._class_of, self._classes, self._labels
+        self._class_of = class_of
+        self._classes = classes
+        self._labels = labels
 
     @property
     def order(self) -> int:
@@ -190,7 +168,7 @@ class FiniteGroup:
         key = self._key(g)
         if key is None:
             raise NotAMember(f"{g} is not an element of the group")
-        return self._table()[0][key]
+        return self._class_of[key]
 
     def __contains__(self, g) -> bool:
         return self._key(g) is not None
@@ -210,27 +188,26 @@ def _conjugators(generators):
             for s in generators]
 
 
-def _orbit(x: bytes, conjugators, class_of: dict, k: int, cap: int) -> list:
+def _orbit(x: bytes, conjugators, class_of: dict, k: int) -> list:
     """The orbit of x under conjugation by the generators, entered in
     class_of as class k.
 
     (s y s^-1)[i] = s[y[s^-1[i]]]: translate s^-1 through y, then through s,
     with y padded to 256 bytes as a translate table.  Raises ClosureTooLarge
-    as soon as class_of would hold more than cap elements, so an oversized
+    once class_of holds more than ``CLOSURE_CAP`` elements, so an oversized
     group stops inside the walk that passes the cap.
     """
     pad = bytes(256 - len(x))
-    if len(class_of) >= cap:
-        raise ClosureTooLarge(f"closure exceeds {cap} elements")
     class_of[x] = k
     orbit = [x]
     for y in orbit:  # the list grows as it is walked: a BFS queue
+        if len(class_of) > CLOSURE_CAP:
+            raise ClosureTooLarge(
+                f"closure exceeds the cap groups.CLOSURE_CAP = {CLOSURE_CAP}")
         table = y + pad
         for s_table, s_inv in conjugators:
             z = s_inv.translate(table).translate(s_table)
             if z not in class_of:
-                if len(class_of) >= cap:
-                    raise ClosureTooLarge(f"closure exceeds {cap} elements")
                 class_of[z] = k
                 orbit.append(z)
     return orbit
@@ -253,9 +230,9 @@ def _class_products(K, C) -> list[bytes]:
     return [k.translate(table) for k in K]
 
 
-def generate_group(generators) -> FiniteGroup:
-    """The group generated by a set of permutations, enumerated one
-    conjugacy class at a time (cap 10^6 elements).
+def _walk(gens, degree: int):
+    """(class_of, orbits): the group generated by gens (a non-empty list of
+    permutations of one degree), enumerated one conjugacy class at a time.
 
     The classes of the identity and of each generator come first, each an
     orbit under conjugation by the generators (``_orbit``).  Then the
@@ -274,25 +251,15 @@ def generate_group(generators) -> FiniteGroup:
     powers), and U = G.  Every member of U is a conjugate of a product of
     generators, so U lies in G.
 
-    Elements stay bytes throughout; they are sorted once (bytes of one
-    length sort exactly as the tuples of their values) and turned into
-    tuples once.  The group keeps the walk's table as it stands: ``class_of``
-    as its index, the orbits as its classes (the identity's first), and the
-    labels of the sorted elements.
+    ``class_of`` maps the bytes of each element to its class label and
+    ``orbits`` lists the classes in label order, the identity's first.
     """
-    gens = tuple(validate_perm(g) for g in generators)
-    if not gens:
-        raise ValidationError("at least one generator required")
-    degree = len(gens[0])
-    if any(len(g) != degree for g in gens):
-        raise ValidationError("generators have mixed degrees")
     conjugators = _conjugators(gens)
     class_of: dict[bytes, int] = {}
     orbits: list[list[bytes]] = []
     for x in (bytes(range(degree)), *map(bytes, gens)):
         if x not in class_of:
-            orbits.append(_orbit(x, conjugators, class_of, len(orbits),
-                                 CLOSURE_CAP))
+            orbits.append(_orbit(x, conjugators, class_of, len(orbits)))
     gen_classes = [orbits[c]
                    for c in sorted({class_of[bytes(g)] for g in gens})]
     for K in orbits:  # the list grows as it is walked
@@ -300,7 +267,44 @@ def generate_group(generators) -> FiniteGroup:
             for x in _class_products(K, C):
                 if x not in class_of:
                     orbits.append(_orbit(x, conjugators, class_of,
-                                         len(orbits), CLOSURE_CAP))
+                                         len(orbits)))
+    return class_of, orbits
+
+
+def generate_group(generators) -> FiniteGroup:
+    """The group generated by a set of permutations (cap ``CLOSURE_CAP``
+    elements) with its class table: the one way a ``FiniteGroup`` is built.
+
+    The generators are thinned in order: each one that lies in the group of
+    those kept before it is dropped, one lookup in the last ``_walk`` of
+    the kept ones, which is rerun only when they have grown and a later
+    generator is still to be tested.  The last generator is kept untested,
+    which costs at most one conjugation per element; testing it would walk
+    the group of the others.  Every other kept generator at least doubles
+    the order, so at most log2|G| + 1 are kept, and the walks before the
+    final one visit fewer than 2|G| elements in all.  On two generators the
+    final walk is the only one.
+
+    Elements are sorted once as bytes (bytes of one length sort exactly as
+    the tuples of their values) and turned into tuples once.  The group
+    keeps the final walk's table, the labels of the sorted elements and
+    the generators as given.
+    """
+    gens = tuple(validate_perm(g) for g in generators)
+    if not gens:
+        raise ValidationError("at least one generator required")
+    degree = len(gens[0])
+    if any(len(g) != degree for g in gens):
+        raise ValidationError("generators have mixed degrees")
+    kept, walked = [], 0  # class_of indexes the group of kept[:walked]
+    class_of = {bytes(range(degree)): 0}
+    for s in gens[:-1]:
+        if walked < len(kept):
+            class_of, _ = _walk(kept, degree)
+            walked = len(kept)
+        if bytes(s) not in class_of:
+            kept.append(s)
+    class_of, orbits = _walk([*kept, gens[-1]], degree)
     keys = sorted(class_of)
     elements = (tuple(struct.iter_unpack(f"{degree}B", b"".join(keys)))
                 if degree else ((),))
@@ -310,7 +314,7 @@ def generate_group(generators) -> FiniteGroup:
 
 def _union_of_classes(G: FiniteGroup, keep) -> tuple[Perm, ...]:
     """The sorted members of the classes whose labels satisfy keep."""
-    return tuple(g for g, k in zip(G.elements, G._table()[2]) if keep(k))
+    return tuple(g for g, k in zip(G.elements, G._labels) if keep(k))
 
 
 def _class_distances(G: FiniteGroup, s_labels) -> list[int]:
@@ -321,7 +325,7 @@ def _class_distances(G: FiniteGroup, s_labels) -> list[int]:
     and s in a class C of S; ``_class_products`` gives those classes from
     min(|K|, |C|) products.
     """
-    class_of, classes, _ = G._table()
+    class_of, classes = G._class_of, G._classes
     dist = [-1] * len(classes)
     dist[0] = 0  # the identity's class
     unseen = len(classes) - 1
@@ -346,22 +350,16 @@ def _class_distances(G: FiniteGroup, s_labels) -> list[int]:
 def conjugacy_class(G: FiniteGroup, g: Perm) -> tuple[Perm, ...]:
     """The members of g's class, sorted."""
     label = G._label(g)
-    return tuple(map(tuple, sorted(G._table()[1][label])))
+    return tuple(map(tuple, sorted(G._classes[label])))
 
 
 def normal_closure(G: FiniteGroup, g: Perm) -> FiniteGroup:
-    """Smallest normal subgroup of G containing g.
-
-    It is the set of finite products of conjugates of g and g^-1: the
-    classes reachable by the class BFS over class(g) and class(g^-1).
-    """
+    """Smallest normal subgroup of G containing g: the group generated by
+    the members of class(g) and class(g^-1), sorted."""
     g = G.require_member(g)
-    s_labels = {G._label(g), G._label(inverse(g))}
-    dist = _class_distances(G, s_labels)
-    classes = G._table()[1]
-    gens = tuple(map(tuple, sorted(s for c in s_labels for s in classes[c])))
-    return FiniteGroup(G.degree, _union_of_classes(G, lambda k: dist[k] >= 0),
-                       gens)
+    labels = sorted({G._label(g), G._label(inverse(g))})
+    return generate_group(sorted(
+        tuple(s) for k in labels for s in G._classes[k]))
 
 
 class NormTable:
@@ -422,7 +420,7 @@ def word_norm(G: FiniteGroup, S) -> NormTable:
     """
     members = [G.require_member(s) for s in sorted({tuple(s) for s in S})]
     mset = set(members)
-    class_of, classes, _ = G._table()
+    class_of, classes = G._class_of, G._classes
     labels = [class_of[bytes(s)] for s in members]
     for s in members:
         if inverse(s) not in mset:
@@ -441,7 +439,7 @@ def _class_norm(G: FiniteGroup, s_labels) -> NormTable:
     identity's class not among them)."""
     per_class = [INF if d < 0 else d for d in _class_distances(G, s_labels)]
     return NormTable(group=G, values=dict(
-        zip(G.elements, map(per_class.__getitem__, G._table()[2]))))
+        zip(G.elements, map(per_class.__getitem__, G._labels))))
 
 
 def _commutator_labels(G: FiniteGroup) -> set[int]:
@@ -451,7 +449,7 @@ def _commutator_labels(G: FiniteGroup) -> set[int]:
     [h a h^-1, h b h^-1], so the set is the union of the classes of r*c for
     r a class representative and c in class(r^-1): |G| products in all.
     """
-    class_of, classes, _ = G._table()
+    class_of, classes = G._class_of, G._classes
     hit = set()
     for K in classes:
         inv = classes[class_of[bytes(inverse(K[0]))]]
@@ -505,7 +503,7 @@ def weakly_simple_set(G: FiniteGroup):
     # class(g) and class(g^-1), so its order is a sum of class sizes.  A
     # proper closure holds the closures of all the classes it reaches, so
     # they lie in S_G with no BFS of their own.
-    class_of, classes, _ = G._table()
+    class_of, classes = G._class_of, G._classes
     keep = {0}  # the identity's class
     for k, K in enumerate(classes):
         if k in keep:

@@ -126,7 +126,8 @@ def normalize(generators, ambient_dim: int | None = None) -> IntLattice:
         ambient_dim = len(gens[0])
     m = _integer(ambient_dim, "ambient dimension")
     if m < 1 or m > MAX_DIM:
-        raise ValidationError(f"ambient dimension must be in 1..{MAX_DIM}")
+        raise ValidationError(f"ambient dimension must be in 1..{MAX_DIM}, "
+                              f"the cap lattice.MAX_DIM = {MAX_DIM}")
     for g in gens:
         if len(g) != m:
             raise DimensionMismatch(

@@ -688,7 +688,7 @@ class TestThetaSupReadsTheHnf:
         steps = 6 * m * 2 ** m * 10 ** 9
         with pytest.raises(ValidationError, match=(
                 f"may need {steps} axis steps, which exceeds the cap "
-                f"MAX_SUP_MOVES = {coset.MAX_SUP_MOVES}$")):
+                f"coset.MAX_SUP_MOVES = {coset.MAX_SUP_MOVES}$")):
             theta_sup(normalize(rows), Q(1, 2))
 
     def test_cap_is_inclusive(self, monkeypatch):

@@ -1,7 +1,10 @@
+import json
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -584,11 +587,12 @@ class TestClassEnumeration:
         want = sorted(oracle_closure_bytes(gens, 10_000))
         assert G.elements == tuple(map(tuple, want))
         oracle = _oracle_classes(G)
-        # a group built directly labels its classes on first use, alike
-        direct = g.FiniteGroup(G.degree, G.elements, G.generators)
+        # with every element as a generator, |G|^2 conjugations unthinned
+        every = g.generate_group(G.elements)
+        assert every.generators == G.elements
         partitions = []
-        for H in (G, direct):
-            class_of, classes, labels = H._table()
+        for H in (G, every):
+            class_of, classes, labels = H._class_of, H._classes, H._labels
             assert sorted(class_of) == want
             assert labels == [class_of[bytes(x)] for x in H.elements]
             assert [class_of[x] for cls in classes for x in cls] == [
@@ -642,6 +646,75 @@ class TestClassEnumeration:
         seconds, peak_kb = out.split()
         assert float(seconds) < 10
         assert int(peak_kb) <= 200 * 1024
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The generator list of each ``_walk`` call, in call order."""
+    calls = []
+    walk = g._walk
+
+    def counted(gens, degree):
+        calls.append(list(gens))
+        return walk(gens, degree)
+
+    monkeypatch.setattr(g, "_walk", counted)
+    return calls
+
+
+class TestThinning:
+    """``generate_group`` drops each generator that lies in the group of
+    those kept before it, so padding a generator set changes nothing."""
+
+    @pytest.mark.parametrize("index", range(len(ALL_GEN_SETS)),
+                             ids=lambda i: f"deg{len(ALL_GEN_SETS[i][0])}_{i}")
+    def test_padded_set_gives_the_same_group(self, index, walks):
+        rng = random.Random(index)
+        bare = [tuple(x) for x in ALL_GEN_SETS[index]]
+        G = g.generate_group(bare)
+        padded = (bare + rng.choices(G.elements, k=rng.randint(0, 40))
+                  + rng.choices(bare, k=rng.randint(1, 3)) + [G.identity])
+        rng.shuffle(padded)
+        walks.clear()
+        H = g.generate_group(padded)
+        assert H.generators == tuple(padded)
+        assert H.elements == G.elements
+        assert ({frozenset(c) for c in H._classes}
+                == {frozenset(c) for c in G._classes})
+        assert (g.commutator_length(H).values
+                == g.commutator_length(G).values)
+        if G.order > 1:
+            x = rng.choice(G.elements[1:])
+            assert g.zeta_norm(H, x).values == g.zeta_norm(G, x).values
+        # every generator kept but the last at least doubles the order
+        assert len(walks) <= math.log2(G.order) + 1
+        assert max(map(len, walks)) <= math.log2(G.order) + 1
+
+    @pytest.mark.parametrize("gens", [
+        gens for gens in ALL_GEN_SETS if len(gens) == 2],
+        ids=lambda gens: f"deg{len(gens[0])}")
+    def test_two_generators_walk_once(self, gens, walks):
+        first, last = map(tuple, gens)
+        g.generate_group([first, last])
+        identity = first == g.identity_perm(len(first))
+        assert walks == [[last] if identity else [first, last]]
+
+    def test_every_element_of_s8_within_budget(self, tmp_path):
+        # 40,320 generators: the unthinned walk made |G|^2 conjugations and
+        # took minutes; the document is the one of the two generators.
+        pair = [(1, 0, *range(2, 8)), (*range(1, 8), 0)]
+        every = tmp_path / "s8-all.json"
+        every.write_text(json.dumps(g.generate_group(pair).elements))
+        two = tmp_path / "s8.json"
+        two.write_text(json.dumps(pair))
+        cmd = [sys.executable, "-m", "rotnorm.cli", "group", "--in"]
+        start = time.perf_counter()
+        got = subprocess.run([*cmd, str(every)], capture_output=True,
+                             text=True, check=True).stdout
+        assert time.perf_counter() - start < 10
+        want = subprocess.run([*cmd, str(two)], capture_output=True,
+                              text=True, check=True).stdout
+        assert got == want and '"order":40320' in want
 
 
 # The answers of a tuple-keyed dict lookup: images equal to ints count as
@@ -705,29 +778,6 @@ class TestMembership:
                     == g.quotient_norm(with_ints, G.elements[:5], x))
             assert (g.normal_closure(G, fx).elements
                     == g.normal_closure(G, x).elements)
-
-    def test_direct_group_answers_without_class_walk(self, monkeypatch):
-        G = S4()
-        groups = [g.FiniteGroup(G.degree, G.elements, G.generators),
-                  g.normal_closure(G, (1, 2, 0, 3))]
-
-        def walk(*args):
-            raise AssertionError("the class walk ran")
-
-        monkeypatch.setattr(g, "_orbit", walk)
-        for H in groups:
-            for x in H.elements:
-                assert x in H
-                assert H.require_member(x) is x
-            members = set(H.elements)
-            outside = [x for x in G.elements if x not in members]
-            for x in outside + [(0, 1, 2), (1.5, 0, 2, 3)]:
-                assert x not in H
-                with pytest.raises(NotAMember):
-                    H.require_member(x)
-            with pytest.raises(AssertionError, match="class walk"):
-                H._label(H.identity)
-
 
 def _oracle_norm(G, s):
     lengths = oracle_word_lengths(
