@@ -1,9 +1,6 @@
-"""Pure-Python kernels on plain ints and bytes.
-
-Permutations are passed as bytes objects (degree <= 12, so every image fits
-in one byte), and ``closure_bytes`` forms each product with one
-``bytes.translate`` call; ``cvp_enumerate``, the one CVP kernel, works on
-exact Python integers of any size.
+"""Pure-Python kernels: permutations as bytes (degree <= 12, so every image
+fits in one byte; ``closure_bytes`` forms each product with one
+``bytes.translate`` call), and the one CVP kernel on exact integers.
 """
 
 from __future__ import annotations
@@ -25,12 +22,8 @@ def closure_bytes(gens: list[bytes], cap: int):
     runs one C-level table lookup per product instead of a loop over points.
     The table is built once per popped element and serves every generator.
     On a 2-vCPU host with Python 3.11 the closure of S7 takes about 2 ms and
-    that of S8 14-26 ms.
-
-    ``groups.generate_group`` no longer calls it: it enumerates a group
-    class by class, which closes and labels it in one pass.  The kernel is
-    kept because perfbench wraps it and times it in its ``closure_s8_s``
-    case; ``tests/test_groups.py`` still checks it against its oracle.
+    that of S8 14-26 ms.  No engine calls it (``groups.generate_group``
+    closes a group class by class); perfbench times it (``closure_s8_s``).
     """
     if not gens:
         return []
@@ -56,11 +49,9 @@ def word_lengths_bytes(elements: list[bytes], s: list[bytes]) -> list[int]:
 
     Result is aligned with `elements`; unreachable elements get -1 (meaning
     infinite word norm).  Every product of a group element with a member of
-    `s` must again lie in `elements`.
-
-    This is the element-level BFS.  ``groups.word_norm`` runs its BFS over
-    conjugacy classes instead; perfbench's ``bfs_s8_transpositions`` case
-    still times this kernel.
+    `s` must again lie in `elements`.  ``groups.word_norm`` runs its BFS over
+    conjugacy classes instead; perfbench times this one
+    (``bfs_s8_transpositions``).
     """
     if not elements:
         return []
@@ -85,66 +76,75 @@ def word_lengths_bytes(elements: list[bytes], s: list[bytes]) -> list[int]:
     return dist
 
 
-def cvp_enumerate(
-    basis: list[list[int]],
-    pivots: list[int],
-    target: list[int],
-    bound: int,
-    max_nodes=None,
-):
+def _window(y: list[int], row: list[int], p: int, end: int, r: int):
+    """(lo, hi): the integers c with |y[i] + c*row[i]| <= r for p <= i < end,
+    lo > hi if none; row[p] > 0 is the pivot, so the range is finite."""
+    lo, hi = -((r + y[p]) // row[p]), (r - y[p]) // row[p]
+    for i in range(p + 1, end):
+        a, v = row[i], y[i]
+        if a:  # with s = sign(a)*r: ceil((-s - v)/a) <= c <= floor((s - v)/a)
+            s = r if a > 0 else -r
+            lo, hi = max(lo, -((s + v) // a)), min(hi, (s - v) // a)
+            if lo > hi:
+                break
+        elif abs(v) > r:
+            return 1, 0
+    return lo, hi
+
+
+def cvp_enumerate(basis: list[list[int]], pivots: list[int],
+                  target: list[int], bound: int, max_nodes=None):
     """Exact integer l-infinity closest-point enumeration on a coset.
 
     Minimizes max|target + sum_j c_j * basis[j]| over integer coefficients.
-    `bound` is a certified initial search radius: some optimal point has all
-    pivot coordinates within it.  Branch-and-bound: the basis rows are upper
-    triangular with increasing pivots, so once row j's coefficient is chosen
-    every coordinate from pivots[j] up to the next pivot is final, and
-    ``rec(j, y, settled)`` carries the largest final |coordinate| so far as
-    `settled`.  Columns before the first pivot are never touched, so they
-    seed it.  A node whose `settled` exceeds the best norm is cut.
+    `bound` must be at least the optimum norm (the norm of any point of the
+    coset is), and ``best`` starts there.  Branch-and-bound: the basis rows
+    are upper triangular with increasing pivots, so when ``rec(j, y)``
+    chooses row j's coefficient c, the coordinates before pivots[j] are
+    final and c settles those up to the next pivot.  Each settled
+    |y[i] + c*row[i]| is convex in c, so the c that keep all of them within
+    ``best`` form an interval, ``_window``.  It is walked from the c nearest
+    the pivot's center down, then up, and shrunk whenever a leaf lowers
+    ``best`` (emptied if a final coordinate now exceeds it): every c walked
+    is a node entered that can still attain the optimum, so the node cap
+    bounds the work.
 
-    Row j's coefficients c are visited center-out (`center`, then down, then
-    up), so the radius min(bound, best) shrinks fast.  |y[p] + c*piv| is
-    convex in c and least at `center`, so it only grows along each side: the
-    first c past the radius ends that side, just as an interval of admissible
-    c would, and as the radius only shrinks no later c comes back within it.
-    If `center` misses, every c does.
-
-    Returns (best_norm, points) where points is the sorted list of all
-    attaining integer vectors, or None once the search has entered more than
+    Returns (best_norm, points), points the sorted list of all attaining
+    integer vectors, or None once the search has entered more than
     ``max_nodes`` nodes (one per partial choice of coefficients).
     """
-    ell = len(basis)
-    ends = [*pivots[1:], len(target)]
-    best, points, budget = None, [], max_nodes
+    ell, ends = len(basis), [*pivots[1:], len(target)]
+    best, points, budget = bound, [], max_nodes
 
-    def rec(j: int, y: list[int], settled: int) -> None:
+    def rec(j: int, y: list[int]) -> None:
         nonlocal best, points, budget
         if budget is not None:
             budget -= 1
             if budget < 0:
                 raise _OverBudget
-        if best is not None and settled > best:
-            return
         if j == ell:
-            if best is None or settled < best:
-                best, points = settled, [tuple(y)]
-            else:
-                points.append(tuple(y))
+            norm = max(map(abs, y), default=0)
+            if norm < best:
+                best, points = norm, []
+            points.append(tuple(y))
             return
-        row, p = basis[j], pivots[j]
-        piv = row[p]
-        center = -((2 * y[p] + piv) // (2 * piv))
-        for c, step in ((center, -1), (center + 1, 1)):
-            while abs(y[p] + c * piv) <= (
-                    bound if best is None else min(bound, best)):
-                z = [a + c * b for a, b in zip(y, row)]
-                rec(j + 1, z, max(settled, *map(abs, z[p:ends[j]])))
+        row, p, end, r = basis[j], pivots[j], ends[j], best
+        lo, hi = _window(y, row, p, end, r)
+        center = -((2 * y[p] + row[p]) // (2 * row[p]))
+        start = lo if center < lo else hi if center > hi else center
+        for step in (-1, 1):
+            c = start if step < 0 else start + 1 if start >= lo else lo
+            while lo <= c <= hi:
+                rec(j + 1, [a + c * b for a, b in zip(y, row)])
                 c += step
+                if best < r:
+                    r = best
+                    lo, hi = (_window(y, row, p, end, r)
+                              if max(map(abs, y[:p]), default=0) <= r else (1, 0))
+                    c = min(c, hi) if step < 0 else max(c, lo)
 
-    first = pivots[0] if ell else len(target)
     try:
-        rec(0, target, max(map(abs, target[:first]), default=0))
+        rec(0, target)
     except _OverBudget:
         return None
     return best, sorted(points)

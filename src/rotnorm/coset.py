@@ -38,9 +38,10 @@ MAX_SUP_MOVES = 12 * 10 ** 6
 
 #: Most nodes one theta search enters in ``_kernels.cvp_enumerate``, each a
 #: partial choice of coefficients.  The benchmark panel's searches enter at
-#: most 513 (seeds 0 to 3 and 20251); a search at the cap takes 0.6 to 1.3 s
+#: most 107 (seeds 0 to 3 and 20251); a search at the cap takes 0.5 to 1.7 s
 #: for m = 2 to 8 on a 2-vCPU host with Python 3.11.  Every attaining point
-#: is a node, so the cap also bounds the size of the output.
+#: is a node, so the cap also bounds the size of the output, and every step
+#: of the search enters a node, so it also bounds the time.
 MAX_CVP_NODES = 3 * 10 ** 5
 
 

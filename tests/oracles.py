@@ -21,7 +21,8 @@ routines of ``lattice`` that all run on its one HNF; ``oracle_hnf`` is
 the earlier batch elimination, kept as the reference for the fold of
 ``lattice._hnf``.
 ``oracle_cvp_enumerate`` is the earlier interval-and-undo CVP kernel,
-kept as the reference result and node count for ``_kernels.cvp_enumerate``.
+kept as the reference result for ``_kernels.cvp_enumerate`` and as a node
+count that the kernel never exceeds.
 ``oracle_relation_close`` is the earlier fixed point that re-swept every
 norm relation until nothing changed, kept as the reference bounds for the
 two ordered walks of ``bounds.relation_close``.  ``oracle_invariant_set``
@@ -241,9 +242,10 @@ def oracle_cvp_enumerate(
     bound: int,
     max_nodes=None,
 ):
-    """The earlier ``_kernels.cvp_enumerate``, kept verbatim as the
-    reference for the plain recursion that replaced it: the same result and
-    the same node count, so the same least ``max_nodes`` that succeeds.
+    """An earlier ``_kernels.cvp_enumerate``, kept verbatim as the reference
+    for the kernel that replaced it: the same result, and a least
+    ``max_nodes`` that succeeds at least the kernel's, since this one enters
+    nodes only to cut them.
 
     Exact integer l-infinity closest-point enumeration on a coset.
 

@@ -125,3 +125,15 @@ def test_problems_name_each_bad_run():
         "circle seed 0 pair 2 change: digest sha256:ff differs from the "
         "parent's",
     ]
+
+
+def test_one_pair_fails_at_parse_time(tmp_path, capsys):
+    # The summary's quartiles need two runs per side: with one pair every
+    # run ran, and then summarize raised StatisticsError and wrote nothing.
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--pairs", "1",
+                          "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--pairs must be at least 2" in capsys.readouterr().err
+    assert not out.exists()

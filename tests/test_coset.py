@@ -289,6 +289,21 @@ class TestThetaCost:
         assert nd.theta == 1
         assert nd.theta_points == ((-1, 0), (1, -1))
 
+    def test_cut_children_cost_no_steps(self, monkeypatch):
+        # Rank 1 in Z^2 by (1, 10**7): from the centred point (0, 10**6),
+        # every c != 0 within the pivot's radius |c| <= 10**6 moves the
+        # second coordinate past 10**6, so the window holds c = 0 alone and
+        # the search is the root and one leaf.  A kernel that walked the
+        # pivot's radius and cut each child would take 2*10**6 steps that
+        # no cap counts.
+        z = AffineCoset.build(normalize([(1, 10**7)]), (0, 10**6))
+        monkeypatch.setattr(coset, "MAX_CVP_NODES", 2)
+        start = time.perf_counter()
+        nd = theta(z)
+        assert time.perf_counter() - start < 0.5
+        assert nd.theta == 10**6
+        assert nd.theta_points == ((0, 10**6),)
+
     @pytest.mark.parametrize("gens, offset", [
         ([(1, 0), (0, 2 * 10**6)], (0, 10**6)),
         ([(1, 0)], (0, 300000)),
@@ -362,14 +377,14 @@ class TestThetaPointsOracle:
             checked[full] += 1
 
 
-def _least_cap(inst, hi):
-    """The least max_nodes at which the kernel succeeds, or None past hi."""
-    if _kernels.cvp_enumerate(*inst, hi) is None:
+def _least_cap(cvp, inst, hi):
+    """The least max_nodes at which ``cvp`` succeeds, or None past hi."""
+    if cvp(*inst, hi) is None:
         return None
     lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _kernels.cvp_enumerate(*inst, mid) is None:
+        if cvp(*inst, mid) is None:
             lo = mid + 1
         else:
             hi = mid
@@ -382,10 +397,13 @@ class TestCvpKernel:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_matches_earlier_kernel_and_node_threshold(self, m):
         # Every third lattice is scaled by a number near 2**40; odd trials
-        # are full rank, even ones have rank 0..m-1.
+        # are full rank, even ones have rank 0..m-1.  At every cap the
+        # kernel gives up or gives the earlier kernel's uncapped answer; it
+        # never needs a larger cap, and on some rank-deficient lattice a
+        # smaller one, because it enters no node that is cut on entry.
         rng = random.Random(1500 + m)
         e = 6 if m <= 4 else 2
-        thresholds = 0
+        thresholds = fewer = 0
         for trial in range(24):
             scale = 2**40 + rng.randint(-9, 9) if trial % 3 == 0 else 1
             rank = m if trial % 2 else rng.randint(0, m - 1)
@@ -399,17 +417,18 @@ class TestCvpKernel:
             d, y = common(v.as_integer_ratio() for v in z.offset)
             basis = [[d * e for e in row] for row in A.hnf_basis]
             inst = (basis, list(A.pivots), y, max(map(abs, y)))
+            want = oracle_cvp_enumerate(*inst)
             for cap in (5, 17, 60, 2000):
-                assert (_kernels.cvp_enumerate(*inst, cap)
-                        == oracle_cvp_enumerate(*inst, cap))
-            t = _least_cap(inst, 2000)
+                assert _kernels.cvp_enumerate(*inst, cap) in (None, want)
+            t = _least_cap(_kernels.cvp_enumerate, inst, 2000)
             if t is not None:
-                assert oracle_cvp_enumerate(*inst, t - 1) is None
-                assert (oracle_cvp_enumerate(*inst, t)
-                        == _kernels.cvp_enumerate(*inst, t)
-                        == _kernels.cvp_enumerate(*inst))
+                assert _kernels.cvp_enumerate(*inst) == want
+                t_old = _least_cap(oracle_cvp_enumerate, inst, 2000)
+                assert t_old is None or t <= t_old
+                fewer += A.rank < m and (t_old is None or t < t_old)
                 thresholds += 1
         assert thresholds >= 16
+        assert fewer or m == 1  # rank 0 is the only deficient rank at m = 1
 
     @pytest.mark.parametrize("m", range(1, 5))
     def test_offset_in_lattice_has_theta_zero(self, m):

@@ -1,10 +1,14 @@
 """tools/interleave_ops.py: the repo against a copy of itself exits 0, and
 a copy with a planted change of output exits 1 naming the op."""
 
+import importlib.util
 import json
+import random
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "interleave_ops.py"
 ROUNDS = 2
+_SPEC = importlib.util.spec_from_file_location("interleave_ops", TOOL)
+interleave_ops = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(interleave_ops)
 
 
 def _copy(tmp_path) -> Path:
@@ -46,6 +53,8 @@ def test_copy_of_itself_exits_0(tmp_path, workload):
         entry["pairs"] for entry in report["per_label"].values())
     q1, q3 = overall["quartiles"]
     assert 0 < q1 <= overall["median_ratio"] <= q3
+    lo, hi = overall["median_ci95"]
+    assert lo <= overall["median_ratio"] <= hi
 
 
 def test_planted_output_change_exits_1(tmp_path):
@@ -68,3 +77,33 @@ def test_each_side_reads_its_own_fixtures(tmp_path):
     r = _run(change, "coset-groups")
     assert r.returncode == 1
     assert "raised on the change side" in r.stderr
+
+
+@pytest.mark.parametrize("n, k", [(6, 1), (10, 2), (20, 6), (100, 40),
+                                  (1000, 469)])
+def test_median_interval_takes_the_sign_test_ranks(n, k):
+    # [x_(k), x_(n+1-k)], k from the binomial tables (1000: the normal
+    # approximation, 500 - 1.96 * sqrt(1000) / 2 = 469.0, agrees); ratio
+    # r has rank r, whatever order the pairs came in
+    ratios = [1 + rank / 10**4 for rank in range(1, n + 1)]
+    random.Random(n).shuffle(ratios)
+    assert interleave_ops.median_interval(ratios) == [
+        1 + k / 10**4, 1 + (n + 1 - k) / 10**4]
+
+
+def _below(n, k):
+    """P(B < k) for B ~ Bin(n, 1/2)."""
+    return Fraction(sum(comb(n, i) for i in range(k)), 2**n)
+
+
+def test_median_interval_coverage_is_exact():
+    # k is the largest with P(B < k) <= 2.5%, so the coverage 1 - 2 P(B < k)
+    # is at least 95%; below 6 values even k = 1 misses it
+    for n in range(1, 80):
+        got = interleave_ops.median_interval(list(range(1, n + 1)))
+        if n < 6:
+            assert got is None and _below(n, 1) > Fraction(1, 40)
+            continue
+        k = got[0]
+        assert got == [k, n + 1 - k]
+        assert _below(n, k) <= Fraction(1, 40) < _below(n, k + 1)

@@ -150,14 +150,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="At least 2: the summary takes quartiles.")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 20251])
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--note", default="",
                         help="What the change does, kept as 'change'.")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     if spec != json.loads((args.parent / "BENCHMARK.json").read_text()):

@@ -25,8 +25,9 @@ that ``run.py`` makes on first outputs are left to it.
 
 Stdout is one JSON document: per op label and over all ops, the pairs, the
 median of the per-pair time ratios change/parent with their quartiles
-(``statistics.quantiles(method="inclusive")``), the pairs in which the
-change was faster, and the ratio of the total times.
+(``statistics.quantiles(method="inclusive")``) and the distribution-free
+95% interval of that median (``median_interval``, the sign test's), the
+pairs in which the change was faster, and the ratio of the total times.
 """
 
 from __future__ import annotations
@@ -91,15 +92,38 @@ class Side:
         return ns, digest
 
 
+def median_interval(values: list[float]):
+    """The distribution-free 95% interval of the median, or None if there
+    are fewer than 6 values.
+
+    With the values sorted as x_(1) <= ... <= x_(n) and B ~ Bin(n, 1/2),
+    [x_(k), x_(n+1-k)] holds the median with probability at least
+    1 - 2 P(B < k), whatever the distribution (binomial order statistics,
+    the interval of the sign test).  k is the largest with P(B < k) <= 1/40,
+    found on exact integers: 40 * sum_{i<k} C(n, i) <= 2^n.
+    """
+    xs = sorted(values)
+    n = len(xs)
+    k, below, term = 0, 0, 1  # below = sum_{i<k} C(n, i), term = C(n, k)
+    while 40 * (below + term) <= 2 ** n:
+        below += term
+        term = term * (n - k) // (k + 1)
+        k += 1
+    return [xs[k - 1], xs[n - k]] if k else None
+
+
 def summarize(ratios: list[float], parent_ns: int, change_ns: int) -> dict:
-    """The median per-pair ratio change/parent with its quartiles, the pairs
-    the change was faster in, and the ratio of the totals."""
+    """The median per-pair ratio change/parent with its quartiles and its
+    95% interval, the pairs the change was faster in, and the ratio of the
+    totals."""
     q1, med, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
                    if len(ratios) > 1 else ratios * 3)
+    ci = median_interval(ratios)
     return {
         "pairs": len(ratios),
         "median_ratio": round(med, 4),
         "quartiles": [round(q1, 4), round(q3, 4)],
+        "median_ci95": ci and [round(v, 4) for v in ci],
         "change_faster": f"{sum(r < 1 for r in ratios)}/{len(ratios)}",
         "total_ratio": round(change_ns / parent_ns, 4),
     }
@@ -188,7 +212,9 @@ def main(argv=None) -> int:
             "both sides in one process, op by op, the side going first "
             "alternating per op and per round; CPU time per op by "
             "time.process_time_ns; ratio = change / parent per pair; "
-            "quartiles by statistics.quantiles(method='inclusive')"),
+            "quartiles by statistics.quantiles(method='inclusive'); "
+            "median_ci95 from binomial order statistics (sign test), null "
+            "below 6 pairs"),
         **report,
     }, indent=1))
     return 0
