@@ -111,7 +111,9 @@ def cvp_enumerate(basis: list[list[int]], pivots: list[int],
 
     Returns (best_norm, points), points the sorted list of all attaining
     integer vectors, or None once the search has entered more than
-    ``max_nodes`` nodes (one per partial choice of coefficients).
+    ``max_nodes`` nodes (one per partial choice of coefficients).  A
+    ``bound`` below the optimum leaves no point within it: the search then
+    raises ValueError rather than return the bound as the norm.
     """
     ell, ends = len(basis), [*pivots[1:], len(target)]
     best, points, budget = bound, [], max_nodes
@@ -126,7 +128,8 @@ def cvp_enumerate(basis: list[list[int]], pivots: list[int],
             norm = max(map(abs, y), default=0)
             if norm < best:
                 best, points = norm, []
-            points.append(tuple(y))
+            if norm == best:
+                points.append(tuple(y))
             return
         row, p, end, r = basis[j], pivots[j], ends[j], best
         lo, hi = _window(y, row, p, end, r)
@@ -147,4 +150,6 @@ def cvp_enumerate(basis: list[list[int]], pivots: list[int],
         rec(0, target)
     except _OverBudget:
         return None
+    if not points:
+        raise ValueError(f"bound {bound} is below the optimum norm")
     return best, sorted(points)

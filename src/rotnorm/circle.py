@@ -7,26 +7,22 @@ rotation angles, the basepoint quasimorphism mu, and its vector version nu
 are computed exactly, and the strict defect inequalities can be tested
 without floating-point noise.
 
-An isotopy is a list of sample times, integer numerators over one
-denominator, and its knots: its frames at some of those times, always
-including 0 and 1.  Its lift path runs straight, in lift space, from each
-knot to the next.  The rotation angle mu of a basepoint trace depends only
+An isotopy is its time grid, integer numerators over one denominator, and
+its two end lifts.  The rotation angle mu of a basepoint trace depends only
 on the isotopy's class up to homotopy rel endpoints.  Lifts of circle
 homeomorphisms form a convex set, so that class is fixed by the start and
-end lifts, and mu is the difference of the end knots' lifts at the
-basepoint, whatever the isotopy does in between.
+end lifts, and mu is the difference of the end lifts at the basepoint,
+whatever the isotopy does in between.  Its lift path is taken straight
+from the start lift to the end lift.
 
 So what must be right is the end lifts.  Frames read from input are circle
-maps with a chosen lift, so the public constructor makes every sample a
-knot and requires frames to move by less than 1/2 (in sup norm) per time
-step: the chosen lifts are then the continuous ones.  ``compose`` and
-``invert`` keep the factors' sample grid but hold only two knots, the end
-composites or the end inverses.  So a composite's frames in between lie on
-the straight lift path between its end composites, not at F_t o G_t; both
-paths join the same end lifts.  ``refine`` keeps its factor's knots on a
-finer grid, and ``concat`` joins both knot lists.  No step of a derived
-isotopy is checked, and no isotopy holds another.  ``frames`` builds each
-sample's frame from the knots when it is read.
+maps with a chosen lift, so the public constructor requires frames to move
+by less than 1/2 (in sup norm) per time step: the chosen lifts are then
+the continuous ones, and the constructor keeps the first and the last.
+``compose`` and ``invert`` keep the factors' sample grid and build the end
+composites or the end inverses, not F_t o G_t in between; ``refine`` cuts
+the grid finer, and ``concat`` joins two grids.  No step of a derived
+isotopy is checked, and no isotopy holds another.
 """
 
 from __future__ import annotations
@@ -200,15 +196,9 @@ class PLCircleDiffeo:
         return Q(*self._displacement(other))
 
     def interpolate(self, other: "PLCircleDiffeo", s) -> "PLCircleDiffeo":
-        """Convex combination (1-s)*self + s*other of the lifts.
-
-        ``s`` is a rational, or an integer pair (num, den) with den > 0.
-        """
-        if type(s) is tuple:
-            sn, sd = s
-        else:
-            s = Q(s)
-            sn, sd = s.numerator, s.denominator
+        """Convex combination (1-s)*self + s*other of the lifts, s rational."""
+        s = Q(s)
+        sn, sd = s.numerator, s.denominator
         if sn == 0:
             return self
         if sn == sd:
@@ -261,7 +251,7 @@ def _lookup(D, us, vs, du, dv, a, q):
 
 
 class PLIsotopy:
-    """Time-sampled isotopy of PL circle diffeos with interpolated lifts.
+    """Time-sampled isotopy of PL circle diffeos: its grid and two end lifts.
 
     The sample times are kept as strictly increasing integer numerators
     ``tn`` over one positive denominator ``tden``, running from 0 to
@@ -270,17 +260,15 @@ class PLIsotopy:
     ``PLIsotopy(tn, frames, tden)`` takes integer numerators.  Both are
     validated the same way.
 
-    The isotopy holds its knots: frames at some of its sample times, always
-    0 and 1, and its lift path runs straight between adjacent knots.  The
-    public constructor makes every sample a knot and refuses frames that
-    move by >= 1/2 between adjacent samples: below that threshold the
-    frames' lifts are the continuous ones, so they fix the lift path.
-    ``refine``, ``compose``, ``invert`` and ``concat`` build their result
-    through ``_knotted`` and check no step.  ``frames`` builds each
-    sample's frame from the knots on every read.
+    The public constructor refuses frames that move by >= 1/2 between
+    adjacent samples: below that threshold the frames' lifts are the
+    continuous ones, so the first and last fix the class rel endpoints.  It
+    keeps those two, ``start`` and ``end``; the lift path runs straight
+    between them.  ``refine``, ``compose``, ``invert`` and ``concat`` build
+    their result through ``_path`` and check no step.
     """
 
-    __slots__ = ("tn", "tden", "_kn", "_knots", "__weakref__")
+    __slots__ = ("tn", "tden", "start", "end", "__weakref__")
 
     def __init__(self, times, frames, tden=None):
         if tden is None:
@@ -302,15 +290,8 @@ class PLIsotopy:
                     "frames move by >= 1/2 within one time step; "
                     "resample the isotopy more finely"
                 )
-        self.tn = self._kn = tn
-        self.tden = tden
-        self._knots = frames
-
-    @property
-    def frames(self) -> tuple:
-        if len(self._kn) == len(self.tn):
-            return self._knots
-        return tuple(self._frame(t, self.tden) for t in self.tn)
+        self.tn, self.tden = tn, tden
+        self.start, self.end = frames[0], frames[-1]
 
     @property
     def times(self) -> tuple:
@@ -329,46 +310,35 @@ class PLIsotopy:
                                           for j in range(samples)], S)
 
     def frame_at(self, t) -> PLCircleDiffeo:
+        """The frame at time t on the straight lift path from start to end."""
         t = Q(t)
         if t < 0 or t > 1:
             raise ValidationError("time outside [0, 1]")
-        return self._frame(t.numerator, t.denominator)
-
-    def _frame(self, a, q) -> PLCircleDiffeo:
-        """The frame at the time a/q, integers with q > 0 and 0 <= a <= q."""
-        kn, knots = self._kn, self._knots
-        a *= self.tden  # the time is a / (q * tden)
-        i = bisect_right(kn, a // q) - 1
-        if i >= len(kn) - 1:
-            return knots[-1]
-        r = a - kn[i] * q
-        if r == 0:
-            return knots[i]
-        return knots[i].interpolate(knots[i + 1], (r, (kn[i + 1] - kn[i]) * q))
+        return self.start.interpolate(self.end, t)
 
     def is_based_loop(self) -> bool:
-        return self._knots[0].is_identity() and self._knots[-1].is_identity()
+        return self.start.is_identity() and self.end.is_identity()
 
 
 def mu(F: PLIsotopy, p):
     """Rotation angle of the basepoint trace t -> F_t(p).
 
     The trace has a continuous lift through the frame lifts (see the module
-    docstring), so its rotation angle is the difference of the end frames'
-    lifts at p, evaluated on integers.
+    docstring), so its rotation angle is the difference of the end lifts
+    at p, evaluated on integers.
     """
     p = Q(p)
     a, q = p.numerator, p.denominator
-    n1, d1 = F._knots[-1]._eval(a, q)
-    n0, d0 = F._knots[0]._eval(a, q)
+    n1, d1 = F.end._eval(a, q)
+    n0, d0 = F.start._eval(a, q)
     return Q(n1 * d0 - n0 * d1, d0 * d1)
 
 
-def _knotted(tn, tden, kn, knots) -> PLIsotopy:
+def _path(tn, tden, start, end) -> PLIsotopy:
     """The isotopy sampled at the times tn / tden whose lift path runs
-    straight between the frames ``knots`` at the times kn / tden."""
+    straight from ``start`` to ``end``."""
     H = object.__new__(PLIsotopy)
-    H.tn, H.tden, H._kn, H._knots = tuple(tn), tden, tuple(kn), tuple(knots)
+    H.tn, H.tden, H.start, H.end = tuple(tn), tden, start, end
     return H
 
 
@@ -376,29 +346,20 @@ def compose(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
     """The isotopy from F_0 o G_0 to F_1 o G_1 on the merged time grid.
 
     The grid is the union of both sample times over the least common
-    multiple T of their denominators.  The knots are the two end
-    composites, so the frames in between lie on the straight lift path
-    from one to the other, not at F_t o G_t; ``F.frame_at(t).compose(
-    G.frame_at(t))`` gives the pointwise frame.  Both paths join the same
-    end lifts, so they have the same class rel endpoints and the same
-    ``mu``.
+    multiple T of their denominators.  Its lift path runs straight between
+    the end composites, not through F_t o G_t; both paths join the same end
+    lifts, so they have the same class rel endpoints and the same ``mu``.
     """
     T = lcm(F.tden, G.tden)
     grid = sorted({t * (T // F.tden) for t in F.tn}
                   .union(t * (T // G.tden) for t in G.tn))
-    return _knotted(grid, T, (0, T), (F._knots[0].compose(G._knots[0]),
-                                      F._knots[-1].compose(G._knots[-1])))
+    return _path(grid, T, F.start.compose(G.start), F.end.compose(G.end))
 
 
 def invert(F: PLIsotopy) -> PLIsotopy:
-    """The isotopy from (F_0)^-1 to (F_1)^-1, sampled at F's times.
-
-    As for ``compose``, the knots are the two end inverses, and the frames
-    in between lie on the straight lift path between them;
-    ``F.frame_at(t).inverse()`` gives the pointwise frame.
-    """
-    return _knotted(F.tn, F.tden, (0, F.tden),
-                    (F._knots[0].inverse(), F._knots[-1].inverse()))
+    """The isotopy from (F_0)^-1 to (F_1)^-1, sampled at F's times; as for
+    ``compose``, its lift path runs straight between the end inverses."""
+    return _path(F.tn, F.tden, F.start.inverse(), F.end.inverse())
 
 
 def concat(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
@@ -406,22 +367,21 @@ def concat(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
 
     The two halves may carry lifts differing by an integer d (e.g. after a
     full turn), read at 0 from the end lifts' ``_eval`` pairs by floor
-    division.  G's knots are shifted by d, so the concatenated lift path
-    stays continuous, and joined to F's; the shifted start knot must equal
-    F's end knot, or the frames do not meet.
+    division.  G's lifts are shifted by d, so the concatenated lift path
+    stays continuous; G's shifted start must equal F's end, or the frames
+    do not meet.  The result runs from F's start to G's shifted end.
     """
-    (n1, d1), (n0, d0) = F._knots[-1]._eval(0, 1), G._knots[0]._eval(0, 1)
+    (n1, d1), (n0, d0) = F.end._eval(0, 1), G.start._eval(0, 1)
     d = (n1 * d0 - n0 * d1) // (d0 * d1)
-    shifted = [k if d == 0 else PLCircleDiffeo(k.xn, [y + d * k.den for y in k.yn], k.den)
-               for k in G._knots]
-    if shifted[0] != F._knots[-1]:
+    g0, g1 = (PLCircleDiffeo(k.xn, [y + d * k.den for y in k.yn], k.den)
+              for k in (G.start, G.end))
+    if g0 != F.end:
         raise FrameMismatch("end frame of the first isotopy must equal the "
                             "start frame of the second")
     T = lcm(F.tden, G.tden)  # over 2T: F on [0, T], G on [T, 2T]
     f, g = T // F.tden, T // G.tden
-    return _knotted([t * f for t in F.tn] + [T + t * g for t in G.tn[1:]], 2 * T,
-                    [t * f for t in F._kn] + [T + t * g for t in G._kn[1:]],
-                    F._knots + tuple(shifted[1:]))
+    return _path([t * f for t in F.tn] + [T + t * g for t in G.tn[1:]], 2 * T,
+                 F.start, g1)
 
 
 def commutator(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
@@ -432,34 +392,25 @@ def refine(F: PLIsotopy, max_disp) -> PLIsotopy:
     """Insert samples until each step moves less than max_disp.
 
     Each step is cut into the fewest equal pieces that move less than
-    max_disp.  F's lift path is straight between its knots, so a step of
-    length l within the knot step from K_a to K_b, of length L, moves
-    exactly (l / L) * sup|K_b - K_a|, and each of its pieces moves that
-    over the piece count.  The new times are integers over ``tden`` times
-    the least common multiple of the piece counts.
-
-    The result keeps F's knots, so it has F's lift path and builds no frame.
+    max_disp.  F's lift path runs straight from its start to its end, so a
+    step of length l moves exactly l * sup|end - start|, and each of its
+    pieces moves that over the piece count.  The new times are integers
+    over ``tden`` times the least common multiple of the piece counts.  The
+    result keeps F's end lifts, so it has F's lift path and builds no map.
     """
     max_disp = Q(max_disp)
     if max_disp <= 0:
         raise ValidationError("max_disp must be positive")
-    mn, md = max_disp.numerator, max_disp.denominator
-    kn, knots = F._kn, F._knots
-    moves = [(n * md, d * mn * (k1 - k0))  # per unit of time, over max_disp
-             for (n, d), k0, k1 in zip(map(PLCircleDiffeo._displacement,
-                                           knots, knots[1:]), kn, kn[1:])]
-    counts, j = [], 0
-    for t0, t1 in zip(F.tn, F.tn[1:]):
-        j += t0 == kn[j + 1]
-        num, den = moves[j]
-        counts.append((t1 - t0) * num // den + 1)  # fewest pieces below max_disp
+    n, d = F.start._displacement(F.end)
+    num, den = n * max_disp.denominator, d * max_disp.numerator * F.tden
+    counts = [(t1 - t0) * num // den + 1  # fewest pieces below max_disp
+              for t0, t1 in zip(F.tn, F.tn[1:])]
     P = lcm(*counts)
     tn: list = []
     for t0, t1, pieces in zip(F.tn, F.tn[1:], counts):
         tn += range(t0 * P, t1 * P, (t1 - t0) * (P // pieces))
-    T = F.tden * P
-    tn.append(T)
-    return _knotted(tn, T, [k * P for k in kn], knots)
+    tn.append(F.tden * P)
+    return _path(tn, F.tden * P, F.start, F.end)
 
 
 class MultiIsotopy:
@@ -566,14 +517,20 @@ def random_isotopy(rng: random.Random) -> PLIsotopy:
 
 
 def _end_frame(rng: random.Random) -> PLCircleDiffeo:
-    """``random_isotopy(rng).frames[-1]`` with the same draws, building only
-    that frame."""
+    """``random_isotopy(rng).end`` with the same draws, building only that
+    frame."""
     _, D, xs, rows = _isotopy_rows(rng)
     return PLCircleDiffeo(xs, rows[-1], D)
 
 
 def random_based_loop(rng: random.Random, winding: int | None = None) -> PLIsotopy:
     """Random loop at the identity with a prescribed integer winding number."""
+    frames = _loop_frames(rng, winding)
+    return PLIsotopy(range(len(frames)), frames, len(frames) - 1)
+
+
+def _loop_frames(rng: random.Random, winding: int | None) -> list:
+    """The frames of ``random_based_loop``, at the times 0, 1/S, ..., 1."""
     bits = rng.getrandbits
     w = winding if winding is not None else _randint(bits, -2, 2)
     samples = 4 * abs(w) + 2
@@ -591,11 +548,11 @@ def random_based_loop(rng: random.Random, winding: int | None = None) -> PLIsoto
             jitter = [_randint(bits, -8, 8) * S for _ in range(b)]
         ys = [x + c + e for x, e in zip(xs, jitter)]
         frames.append(PLCircleDiffeo(xs, ys, D))
-    return PLIsotopy(range(samples), frames, S)
+    return frames
 
 
-#: Most trials one defect_experiment call runs: 10**6 trials take about 100 s
-#: on a 2-vCPU host, while larger counts would run for hours.
+#: Most trials one defect_experiment call runs: 10**6 trials take about 66 s
+#: on a 2-vCPU host (Python 3.11), while larger counts would run for hours.
 MAX_DEFECT_TRIALS = 10 ** 6
 
 

@@ -33,7 +33,8 @@ from rotnorm.lattice import IntLattice, quotient_info  # noqa: F401
 #: Most axis steps one theta_sup search may need, 6*m*2^m*det(A) (proven
 #: in ``_sup_bfs``).  It admits every lattice the earlier king-move cap,
 #: 2^m*det(A)*(3^m - 1) <= 8*10^6, admitted (m = 2 binds: det <= 250,000).
-#: A search at the cap takes 3 to 7.5 s for m = 2 to 8 (2-vCPU, Python 3.11).
+#: A search at the cap takes 3.2 to 7.5 s for m = 2 to 8 (2-vCPU host,
+#: Python 3.11).
 MAX_SUP_MOVES = 12 * 10 ** 6
 
 #: Most nodes one theta search enters in ``_kernels.cvp_enumerate``, each a

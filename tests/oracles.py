@@ -30,9 +30,11 @@ is the earlier element-level check of a conjugation-invariant set, kept as
 the reference for the class-table check of ``groups.word_norm``, and
 ``quotient_group`` builds G/N through the library's ``generate_group``, so
 that the word norm of G/N checks ``groups.quotient_norm``.
-``oracle_mu`` reads a trace's rotation angle from its points mod 1, where
-``circle.mu`` reads the end frames' lifts.  ``norm_relation_model`` is not
-an oracle of a library routine: it computes, with the library's group
+The circle isotopy oracles work on a ``Path``, the times and every frame
+of an isotopy as the test wrote it, never on the library's isotopy, which
+keeps only its grid and end lifts.  ``oracle_mu`` reads a trace's rotation
+angle from a path's points mod 1, where ``circle.mu`` reads the end lifts.
+``norm_relation_model`` is not an oracle of a library routine: it computes, with the library's group
 engine, the exact norms of a finite model of the norm relations that
 ``bounds.relation_close`` encodes, so that the rules are checked against
 values they must bracket.
@@ -45,6 +47,7 @@ from fractions import Fraction
 from itertools import product
 from math import ceil, gcd, lcm
 from operator import add
+from typing import NamedTuple
 
 from rotnorm._rat import INF, Q, common
 from rotnorm.bounds import FINITE, BoundLedger
@@ -635,8 +638,27 @@ def oracle_diffeo_compose(f, g):
     return type(f)(xs, ys)
 
 
+class Path(NamedTuple):
+    """An isotopy as a test wrote it: Fraction times and a library map at
+    each, moving by less than 1/2 per step.  The circle isotopy oracles
+    take and give paths, never a ``PLIsotopy``, which keeps only its end
+    lifts."""
+
+    times: tuple
+    frames: tuple
+
+
+def straight_path(times, start, end):
+    """The straight lift path from the map ``start`` to the map ``end`` at
+    the Fraction times, each frame interpolated by ``FractionCircleDiffeo``:
+    the path of an isotopy the library derives."""
+    a, b = FractionCircleDiffeo.of(start), FractionCircleDiffeo.of(end)
+    frames = (a.interpolate(b, t) for t in times)
+    return Path(tuple(times), tuple(type(start)(f.xs, f.ys) for f in frames))
+
+
 def oracle_frame_at(F, t):
-    """Frame of the isotopy F at time t by bisecting its Fraction times."""
+    """Frame of the path F at time t by bisecting its Fraction times."""
     t = Fraction(t)
     times = F.times
     i = bisect_right(times, t) - 1
@@ -648,9 +670,9 @@ def oracle_frame_at(F, t):
     return F.frames[i].interpolate(F.frames[i + 1], s)
 
 
-def _bisected(iso, ts, at):
-    """The isotopy through the frames ``at(t)`` at the Fraction times ts,
-    each step that moves by 1/2 or more bisected at its midpoint until every
+def _bisected(ts, at):
+    """The path through the frames ``at(t)`` at the Fraction times ts, each
+    step that moves by 1/2 or more bisected at its midpoint until every
     piece moves less, so the public constructor accepts it."""
     out_t, out_f = [ts[0]], [at(ts[0])]
     pending = [(t, at(t)) for t in reversed(ts[1:])]  # earliest on top
@@ -663,22 +685,22 @@ def _bisected(iso, ts, at):
         else:
             tm = (out_t[-1] + t1) / 2
             pending.append((tm, at(tm)))
-    return iso(out_t, out_f)
+    return Path(tuple(out_t), tuple(out_f))
 
 
 def oracle_isotopy_compose(F, G):
-    """F_t o G_t on the merged Fraction time grid, each frame found by
-    ``oracle_frame_at``, with every step of 1/2 or more bisected.  The
-    reference for ``circle.compose``: its frames at the merged times, and
-    its mu, which this reads step by step (``oracle_mu``)."""
+    """F_t o G_t on the merged Fraction time grid of the paths F and G,
+    each frame found by ``oracle_frame_at``, with every step of 1/2 or more
+    bisected.  The reference for ``circle.compose``: its grid, its end
+    composites, and its mu, which this reads step by step (``oracle_mu``)."""
     def at(t):
         return oracle_diffeo_compose(oracle_frame_at(F, t), oracle_frame_at(G, t))
 
-    return _bisected(type(F), sorted(set(F.times) | set(G.times)), at)
+    return _bisected(sorted(set(F.times) | set(G.times)), at)
 
 
 def oracle_invert(F):
-    """t -> (F_t)^-1 at F's times, each frame inverted by
+    """t -> (F_t)^-1 at the path F's times, each frame inverted by
     ``FractionCircleDiffeo``, with every step of 1/2 or more bisected.  The
     reference for ``circle.invert``, as ``oracle_isotopy_compose`` is for
     ``circle.compose``."""
@@ -688,12 +710,13 @@ def oracle_invert(F):
         inv = FractionCircleDiffeo.of(oracle_frame_at(F, t)).inverse()
         return diffeo(inv.xs, inv.ys)
 
-    return _bisected(type(F), list(F.times), at)
+    return _bisected(list(F.times), at)
 
 
 def oracle_refine(F, max_disp):
-    """``circle.refine`` on Fraction times: each step cut into the fewest
-    equal pieces that move less than max_disp."""
+    """The path F with each step cut into the fewest equal pieces that move
+    less than max_disp.  On the straight path of an isotopy (``straight_path``)
+    it is the reference for ``circle.refine``."""
     max_disp = Fraction(max_disp)
     ts, frames = [], []
     for t0, t1, fa, fb in zip(F.times, F.times[1:], F.frames, F.frames[1:]):
@@ -706,15 +729,16 @@ def oracle_refine(F, max_disp):
             frames.append(fa.interpolate(fb, s))
     ts.append(F.times[-1])
     frames.append(F.frames[-1])
-    return type(F)(ts, frames)
+    return Path(tuple(ts), tuple(frames))
 
 
 def oracle_mu(F, p):
-    """Rotation angle of the trace t -> F_t(p), read without lifts: each
-    frame's value at p mod 1, by ``FractionCircleDiffeo``, and each step's
-    move taken in [-1/2, 1/2).  Frames move by less than 1/2 per step, so
-    that is the move of the trace's continuous lift.  The reference for
-    ``circle.mu``, which reads the end frames' lifts."""
+    """Rotation angle of the trace t -> F_t(p) along the path F, read
+    without lifts: each frame's value at p mod 1, by
+    ``FractionCircleDiffeo``, and each step's move taken in [-1/2, 1/2).
+    Frames move by less than 1/2 per step, so that is the move of the
+    trace's continuous lift.  The reference for ``circle.mu``, which reads
+    the end lifts."""
     p = Fraction(p)
     points = [FractionCircleDiffeo.of(f).eval(p) % 1 for f in F.frames]
     half = Fraction(1, 2)

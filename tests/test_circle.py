@@ -36,12 +36,14 @@ from rotnorm.lattice import normalize
 
 from oracles import (
     FractionCircleDiffeo,
+    Path,
     oracle_diffeo_compose,
     oracle_frame_at,
     oracle_invert,
     oracle_isotopy_compose,
     oracle_mu,
     oracle_refine,
+    straight_path,
 )
 
 
@@ -52,6 +54,26 @@ rationals = st.fractions(
 
 def _rand_diffeo(seed):
     return random_diffeo(random.Random(seed))
+
+
+def _isotopy_path(rng):
+    """The path ``random_isotopy(rng)`` is built from, from the same draws."""
+    samples, D, xs, rows = c._isotopy_rows(rng)
+    return Path(tuple(Q(j, samples - 1) for j in range(samples)),
+                tuple(PLCircleDiffeo(xs, ys, D) for ys in [xs, *rows]))
+
+
+def _loop_path(rng, winding=None):
+    """The path ``random_based_loop(rng, winding)`` is built from."""
+    frames = c._loop_frames(rng, winding)
+    return Path(tuple(Q(j, len(frames) - 1) for j in range(len(frames))),
+                tuple(frames))
+
+
+def _straight(X):
+    """The library isotopy X's lift path at its sample times: straight from
+    its start to its end lift, by the Fraction oracle."""
+    return straight_path(X.times, X.start, X.end)
 
 
 class TestPLCircleDiffeo:
@@ -204,13 +226,14 @@ def _seeded_map(kind, seed):
     if kind == "diffeo":
         return random_diffeo(rng)
     if kind == "isotopy":
-        F = random_isotopy(rng)
+        frames = _isotopy_path(rng).frames
     elif kind == "loop":
-        F = random_based_loop(rng)
+        frames = _loop_path(rng).frames
     else:  # frames of a composed isotopy: breakpoints vary frame to frame
         F = compose(refine(random_isotopy(rng), Q(1, 4)),
                     refine(random_isotopy(rng), Q(1, 4)))
-    return F.frames[rng.randrange(len(F.frames))]
+        frames = [F.frame_at(t) for t in F.times]
+    return frames[rng.randrange(len(frames))]
 
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=40).filter(
@@ -267,7 +290,8 @@ class TestFractionOracle:
         for _ in range(10):
             H = compose(refine(random_isotopy(rng), Q(1, 4)),
                         refine(random_isotopy(rng), Q(1, 4)))
-            for a, b in zip(H.frames, H.frames[1:]):
+            frames = [H.frame_at(t) for t in H.times]
+            for a, b in zip(frames, frames[1:]):
                 ra, rb = FractionCircleDiffeo.of(a), FractionCircleDiffeo.of(b)
                 differing += a.xs != b.xs
                 assert a.displacement(b) == ra.displacement(rb)
@@ -279,15 +303,12 @@ class TestFractionOracle:
         # adjacent frames of a based loop share one grid of breakpoints
         rng = random.Random(47)
         for _ in range(10):
-            F = random_based_loop(rng)
-            for a, b in zip(F.frames, F.frames[1:]):
+            frames = _loop_path(rng).frames
+            for a, b in zip(frames, frames[1:]):
                 assert (a.den, a.xn) == (b.den, b.xn)
                 ra, rb = FractionCircleDiffeo.of(a), FractionCircleDiffeo.of(b)
                 for s in (Q(1, 3), Q(1, 2), Q(5, 7)):
-                    mid = a.interpolate(b, s)
-                    assert _same_map(mid, ra.interpolate(rb, s))
-                    pair = a.interpolate(b, (2 * s.numerator, 2 * s.denominator))
-                    assert (pair.den, pair.xn, pair.yn) == (mid.den, mid.xn, mid.yn)
+                    assert _same_map(a.interpolate(b, s), ra.interpolate(rb, s))
 
     def test_loop_frames_compose_like_oracle(self):
         rng = random.Random(43)
@@ -357,7 +378,10 @@ class TestPLIsotopy:
 
     def test_rotation_mu_matches_oracle(self):
         F = PLIsotopy.rotation(Q(5, 4), samples=6)
-        assert mu(F, Q(7, 3)) == oracle_mu(F, Q(7, 3)) == Q(5, 4)
+        P = Path(tuple(Q(j, 5) for j in range(6)),
+                 _rotations(*(Q(j, 4) for j in range(6))))
+        assert (F.times, F.start, F.end) == (P.times, P.frames[0], P.frames[-1])
+        assert mu(F, Q(7, 3)) == oracle_mu(P, Q(7, 3)) == Q(5, 4)
 
     def test_full_turn_mu_is_one(self):
         F = random_based_loop(random.Random(2), winding=1)
@@ -366,14 +390,13 @@ class TestPLIsotopy:
 
     @pytest.mark.parametrize("winding", [1, -1, 2])
     def test_concat_adds_mu(self, winding):
-        # G's knots are shifted by the gap d = winding between F's end lift
-        # and G's start lift
-        F = random_based_loop(random.Random(3), winding=winding)
-        G = random_based_loop(random.Random(4), winding=0)
-        H = concat(F, G)
+        # G's end lift is shifted by the gap d = winding between F's end
+        # lift and G's start lift
+        PF = _loop_path(random.Random(3), winding)
+        PG = _loop_path(random.Random(4), 0)
+        H = concat(PLIsotopy(*PF), PLIsotopy(*PG))
         for p in (Q(0), Q(1, 8), Q(5, 7)):
-            assert mu(H, p) == mu(F, p) + mu(G, p) == winding
-            assert oracle_mu(H, p) == oracle_mu(F, p) + oracle_mu(G, p)
+            assert mu(H, p) == oracle_mu(_concat_path(PF, PG), p) == winding
 
     @pytest.mark.parametrize("F, G", [
         (PLIsotopy.rotation(Q(1, 4)), PLIsotopy.rotation(Q(1, 8))),
@@ -396,13 +419,25 @@ class TestPLIsotopy:
     def test_refine(self):
         F = PLIsotopy.rotation(Q(3, 2), samples=5)
         R = refine(F, Q(1, 8))
-        for a, b in zip(R.frames, R.frames[1:]):
+        frames = _straight(R).frames
+        for a, b in zip(frames, frames[1:]):
             assert a.displacement(b) < Q(1, 8)
         assert mu(R, Q(0)) == Q(3, 2)
 
 
 def _rotations(*angles):
-    return [PLCircleDiffeo.rotation(a) for a in angles]
+    return tuple(PLCircleDiffeo.rotation(a) for a in angles)
+
+
+def _concat_path(P, R):
+    """P on [0, 1/2], then R on [1/2, 1], R's lifts shifted by the integer
+    that takes its start lift to P's end lift."""
+    d = P.frames[-1].eval(0) - R.frames[0].eval(0)
+    assert d.denominator == 1
+    return Path(tuple(t / 2 for t in P.times)
+                + tuple(Q(1, 2) + t / 2 for t in R.times[1:]),
+                P.frames + tuple(PLCircleDiffeo(f.xs, [y + d for y in f.ys])
+                                 for f in R.frames[1:]))
 
 
 class TestIntegerTimes:
@@ -415,7 +450,7 @@ class TestIntegerTimes:
             F = PLIsotopy(tn, frames, tden)
             assert F.times == R.times == (0, Q(1, 3), Q(1, 2), 1)
             assert all(type(t) is Q for t in F.times)
-            assert F.frames == R.frames
+            assert (F.start, F.end) == (R.start, R.end) == (frames[0], frames[-1])
             for t in (0, Q(1, 6), Q(1, 3), Q(5, 12), Q(7, 9), 1):
                 assert F.frame_at(t) == R.frame_at(t)
             assert mu(F, Q(1, 5)) == mu(R, Q(1, 5)) == Q(1, 2)
@@ -454,9 +489,10 @@ class TestMuAlgebra:
         # without lifts, on the bisecting oracle's pointwise composite FG
         rng = random.Random(17)
         for _ in range(15):
-            F, G = random_isotopy(rng), random_isotopy(rng)
+            PF, PG = _isotopy_path(rng), _isotopy_path(rng)
             p = Q(rng.randint(0, 63), 64)
-            assert mu(compose(F, G), p) == oracle_mu(oracle_isotopy_compose(F, G), p)
+            H = compose(PLIsotopy(*PF), PLIsotopy(*PG))
+            assert mu(H, p) == oracle_mu(oracle_isotopy_compose(PF, PG), p)
 
     def test_inverse_identity(self):
         # mu of the end-inverse isotopy agrees with the bisecting oracle's
@@ -464,12 +500,12 @@ class TestMuAlgebra:
         # trace from p: mu(F^-1, f(p)) = -mu(F, p), as F_0 is the identity
         rng = random.Random(19)
         for _ in range(10):
-            F = random_isotopy(rng)
+            PF = _isotopy_path(rng)
             p = Q(rng.randint(0, 63), 64)
-            Finv, ref = invert(F), oracle_invert(F)
+            Finv, ref = invert(PLIsotopy(*PF)), oracle_invert(PF)
             assert mu(Finv, p) == oracle_mu(ref, p)
-            fp = p + oracle_mu(F, p)  # F_1(p)
-            assert mu(Finv, fp) == oracle_mu(ref, fp) == -oracle_mu(F, p)
+            fp = p + oracle_mu(PF, p)  # F_1(p)
+            assert mu(Finv, fp) == oracle_mu(ref, fp) == -oracle_mu(PF, p)
 
     def test_invert_then_compose_is_loop(self):
         rng = random.Random(23)
@@ -502,7 +538,7 @@ class TestEisenbudHirschNeumann:
                 for _ in range(n):
                     K = compose(K, commutator(random_isotopy(rng),
                                               random_isotopy(rng)))
-                f = K.frame_at(1)
+                f = K.end
                 moves = [y - x for x, y in zip(f.xs, f.ys)]
                 assert min(moves) < 2 * n - 1, (seed, n)
                 assert max(moves) > 1 - 2 * n, (seed, n)
@@ -527,28 +563,76 @@ class TestProductDefect:
         assert report["max_observed"]["product"] < Q(1, 4)
 
 
+def _held(h):
+    """The constant isotopy at h."""
+    return PLIsotopy((0, 1), (h, h))
+
+
+_STEEP = PLCircleDiffeo((0, Q(1, 400)), (0, Q(399, 400)))
+
+
+class TestDefectWitnesses:
+    """Hand-built witnesses for the other quantities of limit 1, each read
+    as ``defect_experiment`` reads it, through the public ``compose``,
+    ``invert`` and ``mu``.  f is the lift through (0, 0) and (1/400,
+    399/400), F runs straight from the identity to f in 4 steps, and R
+    rotates by a = 1/400; a map h acts through the constant isotopy at h.
+    f(a) - a = 398/400, where f - id is largest."""
+
+    F = PLIsotopy([Q(k, 4) for k in range(5)],
+                  [PLCircleDiffeo.identity().interpolate(_STEEP, Q(k, 4))
+                   for k in range(5)])
+    R = PLIsotopy.rotation(Q(1, 400))
+    a = Q(1, 400)
+
+    def _check(self, name, value, want):
+        # criterion 3's draws stay below 1/4 on every quantity of limit 1
+        report = defect_experiment(seed=3, trials=2000)
+        assert value == want
+        assert Q(99, 100) <= abs(value) < report["limits"][name]
+        assert report["max_observed"][name] < Q(1, 4)
+
+    def test_left_mult(self):
+        # mu(hF) - mu(F) with h = f and F = R, at 0: f(a) - f(0) - a
+        value = mu(compose(_held(_STEEP), self.R), 0) - mu(self.R, 0)
+        self._check("left_mult", value, Q(398, 400))
+
+    def test_right_mult(self):
+        # mu(Fh) - mu(F) with h the rotation by a, at 0: f(a) - a - f(0)
+        value = (mu(compose(self.F, _held(PLCircleDiffeo.rotation(self.a))), 0)
+                 - mu(self.F, 0))
+        self._check("right_mult", value, Q(398, 400))
+
+    def test_inverse_sum(self):
+        # mu(F) + mu(F^-1) at a: (f(a) - a) + (f^-1(a) - a), where f^-1
+        # has slope 1/399 on [0, 399/400], so f^-1(a) = a / 399
+        value = mu(self.F, self.a) + mu(invert(self.F), self.a)
+        self._check("inverse_sum", value, Q(397, 400) + self.a / 399)
+
+    def test_basepoint_change(self):
+        # mu at q = a minus mu at p = 0: f(a) - a - f(0)
+        value = mu(self.F, self.a) - mu(self.F, 0)
+        self._check("basepoint_change", value, Q(398, 400))
+
+
 def _assert_like_bisecting_oracle(H, ref, times):
     """H, a composite or an inverse, keeps the sample times ``times``, and
-    agrees with ``ref``, an oracle that bisects every step of 1/2 or more:
-    H's end frames are ref's, and mu(H) is ref's mu read step by step.  H's
-    frames in between lie on the straight lift path between its end frames,
-    by the Fraction oracle.  H refined below 1/2 passes the public
-    constructor's step check, and its mu read step by step is mu(H) too."""
+    agrees with ``ref``, the path an oracle builds pointwise, bisecting
+    every step of 1/2 or more: H's end lifts are ref's, and mu(H) is ref's
+    mu read step by step.  H's straight lift path, by the Fraction oracle,
+    on H's grid refined below 1/4 passes the public constructor's step
+    check, and its mu read step by step is mu(H) too."""
     assert list(H.times) == sorted(times)
-    frames = H.frames
-    assert _same_map(frames[0], ref.frames[0])
-    assert _same_map(frames[-1], ref.frames[-1])
-    start, end = FractionCircleDiffeo.of(frames[0]), FractionCircleDiffeo.of(frames[-1])
-    for t, h in zip(H.times, frames):
-        assert _same_map(h, start.interpolate(end, t)), t
-    R = refine(H, Q(1, 4))
-    PLIsotopy(R.tn, R.frames, R.tden)
+    assert _same_map(H.start, ref.frames[0])
+    assert _same_map(H.end, ref.frames[-1])
+    R = _straight(refine(H, Q(1, 4)))
+    PLIsotopy(*R)
     for p in (Q(0), Q(1, 3), Q(5, 7), Q(63, 64)):
         assert mu(H, p) == oracle_mu(ref, p) == oracle_mu(R, p), p
 
 
 def _oracle_commutator(F, G):
-    """[F, G] built by the bisecting oracles alone."""
+    """[F, G] built by the bisecting oracles alone, from the paths F, G."""
     return oracle_isotopy_compose(oracle_isotopy_compose(F, G),
                                   oracle_isotopy_compose(oracle_invert(F), oracle_invert(G)))
 
@@ -563,53 +647,52 @@ class TestComposeResampling:
     def test_bisected_steps_match_oracle(self, seed):
         # compose keeps the merged grid; the oracle bisects the long step
         rng = random.Random(seed)
-        F, G = random_isotopy(rng), random_isotopy(rng)
+        PF, PG = _isotopy_path(rng), _isotopy_path(rng)
+        F, G = PLIsotopy(*PF), PLIsotopy(*PG)
         merged = set(F.times) | set(G.times)
-        steps = [F.frame_at(t).compose(G.frame_at(t)) for t in sorted(merged)]
+        steps = [oracle_frame_at(PF, t).compose(oracle_frame_at(PG, t))
+                 for t in sorted(merged)]
         with pytest.raises(AmbiguousLift):
             PLIsotopy(sorted(merged), steps)
         H = compose(F, G)
-        ref = oracle_isotopy_compose(F, G)
+        ref = oracle_isotopy_compose(PF, PG)
         assert merged < set(ref.times)
         _assert_like_bisecting_oracle(H, ref, merged)
         for p in (Q(0), Q(1, 3), Q(5, 7)):
             assert abs(mu(H, p) - mu(F, p) - mu(G, p)) < 1
-        _assert_like_bisecting_oracle(commutator(F, G), _oracle_commutator(F, G), merged)
+        _assert_like_bisecting_oracle(commutator(F, G), _oracle_commutator(PF, PG),
+                                      merged)
 
     def test_concat_takes_a_composite_with_a_long_step(self):
         rng = random.Random(184)
-        F, G = random_isotopy(rng), random_isotopy(rng)
-        H = compose(F, G)
-        ref = oracle_isotopy_compose(F, G)
+        PF, PG = _isotopy_path(rng), _isotopy_path(rng)
+        H = compose(PLIsotopy(*PF), PLIsotopy(*PG))
+        ref = oracle_isotopy_compose(PF, PG)
         assert len(ref.times) > len(H.times)  # F_t o G_t has a long step
-        loop = random_based_loop(random.Random(0), winding=1)
+        PL = _loop_path(random.Random(0), 1)
+        loop = PLIsotopy(*PL)
         C = concat(loop, H)  # H starts at the identity
         assert C.times == (tuple(t / 2 for t in loop.times)
                            + tuple(Q(1, 2) + t / 2 for t in H.times[1:]))
-        assert _same_map(C.frames[0], loop.frames[0])
-        end = C.frames[-1]  # one turn on from H's end frame
-        assert end.xs == ref.frames[-1].xs
-        assert end.ys == tuple(y + 1 for y in ref.frames[-1].ys)
-        for f, h in zip(C.frames[len(loop.tn):], H.frames[1:], strict=True):
-            # the same maps, one turn on; C's path starts from the loop's
-            # end knot, so its breakpoints may differ from H's
-            assert all(f.eval(x) == h.eval(x) + 1 for x in {*f.xs, *h.xs})
+        assert C.start is loop.start
+        assert C.end.xs == ref.frames[-1].xs  # one turn on from H's end
+        assert C.end.ys == tuple(y + 1 for y in ref.frames[-1].ys)
         for p in (Q(0), Q(1, 3), Q(5, 7)):
-            assert (mu(C, p) == oracle_mu(loop, p) + oracle_mu(ref, p)
-                    == oracle_mu(refine(C, Q(1, 4)), p))
+            assert (mu(C, p) == oracle_mu(_concat_path(PL, ref), p)
+                    == oracle_mu(PL, p) + oracle_mu(ref, p)
+                    == oracle_mu(_straight(refine(C, Q(1, 4))), p))
 
     def test_accepted_pairs_keep_the_merged_grid(self):
         rng = random.Random(17)
         for _ in range(15):
-            F, G = random_isotopy(rng), random_isotopy(rng)
-            ts = sorted(set(F.times) | set(G.times))
-            H = compose(F, G)
+            PF, PG = _isotopy_path(rng), _isotopy_path(rng)
+            ts = sorted(set(PF.times) | set(PG.times))
+            H = compose(PLIsotopy(*PF), PLIsotopy(*PG))
             assert list(H.times) == ts
-            for t, h in ((0, H.frames[0]), (1, H.frames[-1])):
-                want = F.frame_at(t).compose(G.frame_at(t))
-                assert _key(h) == _key(want)
-            ref = oracle_isotopy_compose(F, G)
-            R = refine(H, Q(1, 4))
+            for i, h in ((0, H.start), (-1, H.end)):
+                assert _key(h) == _key(PF.frames[i].compose(PG.frames[i]))
+            ref = oracle_isotopy_compose(PF, PG)
+            R = _straight(refine(H, Q(1, 4)))
             for p in (Q(0), Q(1, 3), Q(5, 7)):
                 assert mu(H, p) == oracle_mu(ref, p) == oracle_mu(R, p)
 
@@ -635,14 +718,8 @@ def _diffeo_of_kind(rng):
         return PLCircleDiffeo.rotation(
             Q(rng.randint(-64, 64), rng.choice((1, 2, 3, 8, 64))))
     if kind == 6:
-        return random_isotopy(rng).frames[-1]
+        return random_isotopy(rng).end
     return f
-
-
-def _same_isotopy(H, R):
-    assert H.times == R.times
-    assert all(type(t) is Q for t in H.times)
-    assert [_key(f) for f in H.frames] == [_key(f) for f in R.frames]
 
 
 def _steep_isotopy(rng):
@@ -661,23 +738,27 @@ def _steep_isotopy(rng):
     h = PLCircleDiffeo([sum(runs[:k]) for k in range(b)],
                        [y0 + sum(rises[:k]) for k in range(b)], 72)
     c = Q(rng.randint(-9, 9), 72)
-    return PLIsotopy(range(S + 1), [PLCircleDiffeo.rotation(c * Q(k, S)).compose(h)
-                                    for k in range(S + 1)], S)
+    return Path(tuple(Q(k, S) for k in range(S + 1)),
+                tuple(PLCircleDiffeo.rotation(c * Q(k, S)).compose(h)
+                      for k in range(S + 1)))
 
 
 def _isotopy_pair(seed, kind):
+    """Two paths, each an input path or the path of a refined isotopy."""
     rng = random.Random(seed)
     if kind == 0:
-        return random_isotopy(rng), random_isotopy(rng)
+        return _isotopy_path(rng), _isotopy_path(rng)
     if kind == 1:
-        return (refine(random_based_loop(rng), Q(1, 8)),
-                refine(random_based_loop(rng), Q(1, 8)))
+        return (_straight(refine(random_based_loop(rng), Q(1, 8))),
+                _straight(refine(random_based_loop(rng), Q(1, 8))))
     if kind == 2:
-        return refine(random_isotopy(rng), Q(1, rng.randint(2, 9))), random_isotopy(rng)
+        return (_straight(refine(random_isotopy(rng), Q(1, rng.randint(2, 9)))),
+                _isotopy_path(rng))
     if kind == 3:
-        return PLIsotopy.rotation(Q(rng.randint(-9, 9), 4)), random_based_loop(rng)
+        R = PLIsotopy.rotation(Q(rng.randint(-9, 9), 4))
+        return _straight(R), _loop_path(rng)
     # steep outer frames: the slope bound rarely proves a composite step
-    return _steep_isotopy(rng), random_based_loop(rng)
+    return _steep_isotopy(rng), _loop_path(rng)
 
 
 #: (seed, kind) of every _isotopy_pair the oracle tests compose
@@ -703,104 +784,87 @@ class TestCompositionOracles:
         assert coincident > 5000 and shifted > 5000
 
     def test_isotopy_operations_match_oracles(self):
+        # each isotopy X against its own path: an input path, a path the
+        # oracles build pointwise, or the straight path of what refine gives
         bisected = 0
         for seed, kind in PAIR_CASES:
-            F, G = _isotopy_pair(seed, kind)
+            PF, PG = _isotopy_pair(seed, kind)
+            F, G = PLIsotopy(*PF), PLIsotopy(*PG)
             merged = set(F.times) | set(G.times)
             H = compose(F, G)
-            ref = oracle_isotopy_compose(F, G)
+            ref = oracle_isotopy_compose(PF, PG)
             _assert_like_bisecting_oracle(H, ref, merged)
             bisected += len(ref.times) > len(merged)
             Fi, Gi = invert(F), invert(G)
-            for X, Xi in ((F, Fi), (G, Gi)):
-                _assert_like_bisecting_oracle(Xi, oracle_invert(X), X.times)
-                for i in (0, -1):
-                    assert _key(Xi.frames[i]) == _key(X.frames[i].inverse())
-                assert mu(Xi, Q(1, 3)) == (X.frames[-1].eval_inv(Q(1, 3))
-                                           - X.frames[0].eval_inv(Q(1, 3)))
+            for X, PX, Xi in ((F, PF, Fi), (G, PG, Gi)):
+                _assert_like_bisecting_oracle(Xi, oracle_invert(PX), X.times)
+                assert _key(Xi.start) == _key(X.start.inverse())
+                assert _key(Xi.end) == _key(X.end.inverse())
+                assert mu(Xi, Q(1, 3)) == (X.end.eval_inv(Q(1, 3))
+                                           - X.start.eval_inv(Q(1, 3)))
+            PK = _oracle_commutator(PF, PG)
             K = commutator(F, G)
-            _assert_like_bisecting_oracle(K, _oracle_commutator(F, G), merged)
-            loop = random_based_loop(random.Random(seed))
-            C = concat(loop, G)  # G starts at the identity
-            assert C.times == (tuple(t / 2 for t in loop.times)
-                               + tuple(Q(1, 2) + t / 2 for t in G.times[1:]))
-            made = [F, G, H, Fi, K, C]
+            _assert_like_bisecting_oracle(K, PK, merged)
+            PL = _loop_path(random.Random(seed))
+            C = concat(PLIsotopy(*PL), G)  # G starts at the identity
+            PC = _concat_path(PL, PG)
+            assert C.times == PC.times
+            made = [(F, PF), (G, PG), (H, ref), (Fi, oracle_invert(PF)), (K, PK),
+                    (C, PC)]
             for X, max_disp in ((F, Q(1, 3)), (K, Q(1, 8)), (C, Q(1, 5))):
                 R = refine(X, max_disp)
-                ref = oracle_refine(X, max_disp)
-                assert R.times == ref.times
-                assert all(map(_same_map, R.frames, ref.frames))
-                made.append(R)
-            _assert_like_bisecting_oracle(compose(C, Fi), oracle_isotopy_compose(C, Fi),
+                fine = oracle_refine(_straight(X), max_disp)
+                assert R.times == fine.times
+                assert all(map(_same_map, _straight(R).frames, fine.frames))
+                made.append((R, fine))
+            _assert_like_bisecting_oracle(compose(C, Fi),
+                                          oracle_isotopy_compose(PC, oracle_invert(PF)),
                                           set(C.times) | set(Fi.times))
-            for X in made:
+            for X, PX in made:
                 for p in (Q(0), Q(1, 3), Q(5, 7), Q(63, 64)):
                     got = mu(X, p)
-                    assert got == oracle_mu(oracle_refine(X, Q(1, 4)), p)
+                    assert got == oracle_mu(PX, p)
+                    assert got == oracle_mu(_straight(refine(X, Q(1, 4))), p)
                     assert type(got) is Q
         assert bisected >= len(TestComposeResampling.SEEDS)
 
     def test_frame_at_matches_oracle(self):
-        # at seeded times off the samples, and at t = 0 and t = 1; a
-        # composite's frames lie on the straight lift path between its ends
+        # at seeded times off the samples, and at t = 0 and t = 1, every
+        # frame lies on the straight lift path between the end lifts
         for seed in range(40):
-            F, G = _isotopy_pair(seed, seed % 4)
+            PF, PG = _isotopy_pair(seed, seed % 4)
+            F, G = PLIsotopy(*PF), PLIsotopy(*PG)
             H = compose(F, G)
-            start, end = (FractionCircleDiffeo.of(f.compose(g))
-                          for f, g in ((F.frames[0], G.frames[0]),
-                                       (F.frames[-1], G.frames[-1])))
+            ends = {F: (PF.frames[0], PF.frames[-1]), G: (PG.frames[0], PG.frames[-1]),
+                    H: (oracle_diffeo_compose(PF.frames[0], PG.frames[0]),
+                        oracle_diffeo_compose(PF.frames[-1], PG.frames[-1]))}
             rng = random.Random(seed)
             times = [Q(0), Q(1)]
             while len(times) < 8:
                 t = Q(rng.randint(1, 999), rng.randint(1000, 5000))
                 if t not in F.times and t not in G.times:
                     times.append(t)
-            for t in times:
-                for X in (F, G):
-                    assert _same_map(X.frame_at(t), oracle_frame_at(X, t))
-                assert _same_map(H.frame_at(t), start.interpolate(end, t))
-            for X in (F, G, H):
-                assert X.frame_at(0) is X.frames[0]
-                assert X.frame_at(1) is X.frames[-1]
+            for X, (start, end) in ends.items():
+                path = straight_path(times, start, end)
+                for t, want in zip(times, path.frames):
+                    assert _same_map(X.frame_at(t), want)
+                assert X.frame_at(0) is X.start
+                assert X.frame_at(1) is X.end
 
     def test_refine_with_unequal_piece_counts(self):
-        # steps of 3/20, 1/4, 7/20 and 9/20 below 1/10: 2, 3, 4 and 5 pieces
+        # rotation by 6t sampled at 0, 1/8, 1/3, 5/8 and 1: steps of 3/20,
+        # 1/4, 7/20 and 9/20 below 1/10, so 2, 3, 4 and 5 pieces
         angles = (0, Q(3, 20), Q(2, 5), Q(3, 4), Q(6, 5))
-        F = PLIsotopy((0, Q(1, 7), Q(1, 2), Q(2, 3), 1), _rotations(*angles))
-        R = refine(F, Q(1, 10))
-        _same_isotopy(R, oracle_refine(F, Q(1, 10)))
+        P = Path((0, Q(1, 8), Q(1, 3), Q(5, 8), 1), _rotations(*angles))
+        R = refine(PLIsotopy(*P), Q(1, 10))
+        fine = oracle_refine(P, Q(1, 10))
+        assert R.times == fine.times
+        assert all(type(t) is Q for t in R.times)
+        assert all(map(_same_map, _straight(R).frames, fine.frames))
         assert len(R.times) == 2 + 3 + 4 + 5 + 1
-        assert R.times[:3] == (0, Q(1, 14), Q(1, 7))
-        assert R.times[-2] == Q(2, 3) + Q(1, 3) * Q(4, 5)
+        assert R.times[:3] == (0, Q(1, 16), Q(1, 8))
+        assert R.times[-2] == Q(5, 8) + Q(3, 8) * Q(4, 5)
         assert mu(R, Q(2, 9)) == Q(6, 5)
-
-    def test_compose_interpolates_only_off_the_factor_samples(self, monkeypatch):
-        calls = []
-        interpolate = PLCircleDiffeo.interpolate
-
-        def counting(f, g, s):
-            calls.append(s)
-            return interpolate(f, g, s)
-
-        rng = random.Random(59)
-        for _ in range(10):
-            F = refine(random_based_loop(rng), Q(1, 8))
-            G = refine(random_isotopy(rng), Q(1, 5))
-            grid = set(F.times) | set(G.times)
-            calls.clear()
-            monkeypatch.setattr(PLCircleDiffeo, "interpolate", counting)
-            H = compose(F, G)
-            assert calls == []  # the end composites need no interpolated frame
-            frames = H.frames
-            monkeypatch.undo()
-            assert set(H.times) == grid
-            assert len(calls) == len(grid) - 2  # one per interior sample
-            assert all(0 < Q(*s) < 1 for s in calls)  # s is a pair (num, den)
-            assert _key(frames[0]) == _key(F.frames[0].compose(G.frames[0]))
-            assert _key(frames[-1]) == _key(F.frames[-1].compose(G.frames[-1]))
-            for p in (Q(0), Q(1, 3), Q(5, 7)):
-                assert (mu(H, p) == oracle_mu(oracle_isotopy_compose(F, G), p)
-                        == oracle_mu(refine(H, Q(1, 4)), p))
 
 
 def _counting_builds(monkeypatch):
@@ -818,8 +882,8 @@ def _counting_builds(monkeypatch):
 
 
 class TestKnotFrames:
-    """Derived isotopies hold knot frames only: refine keeps its factor's,
-    compose builds two, and neither keeps its factors."""
+    """Derived isotopies hold their two end lifts only: refine builds no
+    map, compose builds two, and neither keeps its factors."""
 
     def test_refine_builds_no_map_and_compose_two_end_composites(self, monkeypatch):
         rng = random.Random(61)
@@ -830,24 +894,25 @@ class TestKnotFrames:
             R = refine(F, Q(1, 64))
             assert calls == []
             H = compose(F, G)
-            assert calls == ["compose", "compose"]  # H's two end frames
+            assert calls == ["compose", "compose"]  # H's two end lifts
             mu(R, Q(1, 3)), mu(H, Q(1, 3)), H.is_based_loop()
             assert calls == ["compose", "compose"]
             monkeypatch.undo()
-            fine = oracle_refine(F, Q(1, 64))
+            fine = oracle_refine(_straight(F), Q(1, 64))
             assert R.times == fine.times
-            assert all(map(_same_map, R.frames, fine.frames))
-            ref = oracle_isotopy_compose(F, G)
+            assert all(map(_same_map, _straight(R).frames, fine.frames))
+            ref = oracle_isotopy_compose(_straight(F), _straight(G))
             assert H.times == ref.times  # loops: no pointwise step is long
-            for i in (0, -1):
-                assert _same_map(H.frames[i], ref.frames[i])
+            assert _same_map(H.start, ref.frames[0])
+            assert _same_map(H.end, ref.frames[-1])
             for p in (Q(0), Q(1, 3), Q(5, 7)):
                 assert mu(R, p) == oracle_mu(fine, p)
-                assert mu(H, p) == oracle_mu(ref, p) == oracle_mu(refine(H, Q(1, 4)), p)
+                assert (mu(H, p) == oracle_mu(ref, p)
+                        == oracle_mu(_straight(refine(H, Q(1, 4))), p))
 
     def test_a_derived_isotopy_keeps_no_factor_alive(self):
         for seed, kind in PAIR_CASES[::7]:
-            F, G = _isotopy_pair(seed, kind)
+            F, G = (PLIsotopy(*P) for P in _isotopy_pair(seed, kind))
             R = refine(F, Q(1, 10))
             H = compose(R, G)
             K = commutator(H, invert(G))
@@ -859,34 +924,37 @@ class TestKnotFrames:
             assert [ref() for ref in refs] == [None] * 4, (seed, kind)
             assert [mu(X, Q(1, 3)) for X in (K, C)] == want
             for X in (K, C):
-                assert oracle_mu(refine(X, Q(1, 4)), Q(1, 3)) == mu(X, Q(1, 3))
+                R = _straight(refine(X, Q(1, 4)))
+                assert oracle_mu(R, Q(1, 3)) == mu(X, Q(1, 3))
 
 
 def _steep_for_invert():
     """F_t = R(t/8) o h for h with slopes 8 and 1/8, sampled at 0, 1/2, 1:
     F moves 1/16 per step, but its inverse moves 8/16 = 1/2."""
     h = PLCircleDiffeo([0, 8], [0, 64], 72)
-    return PLIsotopy((0, Q(1, 2), 1),
-                     [PLCircleDiffeo.rotation(Q(k, 16)).compose(h) for k in range(3)])
+    return Path((0, Q(1, 2), 1),
+                tuple(PLCircleDiffeo.rotation(Q(k, 16)).compose(h) for k in range(3)))
 
 
 class TestInvert:
     def test_steep_steps_are_bisected(self):
         # invert keeps F's times; the oracle bisects the long steps
-        F = _steep_for_invert()
+        PF = _steep_for_invert()
         with pytest.raises(AmbiguousLift):
-            PLIsotopy(F.tn, [f.inverse() for f in F.frames], F.tden)
+            PLIsotopy(PF.times, [f.inverse() for f in PF.frames])
+        F = PLIsotopy(*PF)
         Fi = invert(F)
-        ref = oracle_invert(F)
+        ref = oracle_invert(PF)
         assert ref.times == (0, Q(1, 4), Q(1, 2), Q(3, 4), 1)
         _assert_like_bisecting_oracle(Fi, ref, F.times)
-        for i in (0, -1):
-            assert _key(Fi.frames[i]) == _key(F.frames[i].inverse())
+        assert _key(Fi.start) == _key(PF.frames[0].inverse())
+        assert _key(Fi.end) == _key(PF.frames[-1].inverse())
         for p in (Q(0), Q(1, 3), Q(5, 7), Q(63, 64)):
-            assert mu(Fi, p) == F.frames[-1].eval_inv(p) - F.frames[0].eval_inv(p)
-        G = random_isotopy(random.Random(0))
-        _assert_like_bisecting_oracle(commutator(F, G), _oracle_commutator(F, G),
-                                      set(F.times) | set(G.times))
+            assert mu(Fi, p) == F.end.eval_inv(p) - F.start.eval_inv(p)
+        PG = _isotopy_path(random.Random(0))
+        _assert_like_bisecting_oracle(commutator(F, PLIsotopy(*PG)),
+                                      _oracle_commutator(PF, PG),
+                                      set(PF.times) | set(PG.times))
 
 
 class TestBasedLoopHomomorphism:
@@ -972,11 +1040,13 @@ class TestSeededStreams:
     def test_random_isotopy(self, seed):
         tden, rows = self.ISOTOPIES[seed]
         F = random_isotopy(random.Random(seed))
+        P = _isotopy_path(random.Random(seed))
         b = len(rows[0])
         xs = tuple(64 * i for i in range(b))
         assert F.tn == tuple(range(tden + 1)) and F.tden == tden
-        assert all(f.den == 64 * b and f.xn == xs for f in F.frames)
-        assert [f.yn for f in F.frames] == [xs, *rows]
+        assert all(f.den == 64 * b and f.xn == xs for f in P.frames)
+        assert [f.yn for f in P.frames] == [xs, *rows]
+        assert (_key(F.start), _key(F.end)) == (_key(P.frames[0]), _key(P.frames[-1]))
 
     @pytest.mark.parametrize("seed", sorted(DIFFEOS))
     def test_random_diffeo(self, seed):
@@ -990,9 +1060,11 @@ class TestSeededStreams:
     def test_random_based_loop(self, seed):
         D, rows = self.LOOPS[seed]
         F = random_based_loop(random.Random(seed))
+        P = _loop_path(random.Random(seed))
         assert F.tn == tuple(range(len(rows))) and F.tden == len(rows) - 1
-        assert all(f.den == D and f.xn == rows[0] for f in F.frames)
-        assert [f.yn for f in F.frames] == rows
+        assert all(f.den == D and f.xn == rows[0] for f in P.frames)
+        assert [f.yn for f in P.frames] == rows
+        assert (_key(F.start), _key(F.end)) == (_key(P.frames[0]), _key(P.frames[-1]))
 
     def test_defect_report(self):
         assert defect_experiment(0, 2000) == {
@@ -1018,8 +1090,7 @@ class TestSeededStreams:
         for _ in range(5):
             F = random_isotopy(a)
             f = c._end_frame(b)
-            assert (f.den, f.xn, f.yn) == (F.frames[-1].den, F.frames[-1].xn,
-                                           F.frames[-1].yn)
+            assert _key(f) == _key(F.end)
             assert a.getstate() == b.getstate()
 
     def test_row_drawer_checks_steps(self, monkeypatch):
@@ -1062,7 +1133,7 @@ class TestDefectExperiment:
         # same random stream
         rng = random.Random(55)
         for _ in range(8):
-            F, G = random_isotopy(rng), random_isotopy(rng)
+            F, G = _isotopy_path(rng), _isotopy_path(rng)
             p = Q(rng.randint(0, 63), 64)
             f, g = F.frames[-1], G.frames[-1]
             assert oracle_mu(F, p) == f.eval(p) - p

@@ -431,6 +431,31 @@ class TestCvpKernel:
         assert fewer or m == 1  # rank 0 is the only deficient rank at m = 1
 
     @pytest.mark.parametrize("m", range(1, 5))
+    def test_bound_below_the_optimum_raises(self, m):
+        # The optimum minus one leaves no point within the bound; on every
+        # rank 0..m, including lattices whose first pivot is past the first
+        # coordinate, the kernel raises instead of returning the bound.
+        rng = random.Random(700 + m)
+        raised = 0
+        for trial in range(30):
+            rank = trial % (m + 1)
+            gens = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(rank)]
+            A = normalize(gens, ambient_dim=m)
+            off = [Q(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(m)]
+            z = AffineCoset.build(A, off)
+            d, y = common(v.as_integer_ratio() for v in z.offset)
+            basis = [[d * e for e in row] for row in A.hnf_basis]
+            inst = (basis, list(A.pivots), y)
+            best, points = _kernels.cvp_enumerate(*inst, max(map(abs, y)))
+            assert (best, points) == oracle_cvp_enumerate(*inst, max(map(abs, y)))
+            if best == 0:
+                continue
+            with pytest.raises(ValueError, match="below the optimum"):
+                _kernels.cvp_enumerate(*inst, best - 1)
+            raised += 1
+        assert raised >= 20
+
+    @pytest.mark.parametrize("m", range(1, 5))
     def test_offset_in_lattice_has_theta_zero(self, m):
         # Every rank 0..m: the zero vector is the one point, as theta gave
         # before it sent zero offsets through the kernel too.

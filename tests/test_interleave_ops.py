@@ -1,5 +1,6 @@
 """tools/interleave_ops.py: the repo against a copy of itself exits 0, and
-a copy with a planted change of output exits 1 naming the op."""
+a copy with a planted change of output is still timed, then exits 1 naming
+the ops that differ."""
 
 import importlib.util
 import json
@@ -55,6 +56,7 @@ def test_copy_of_itself_exits_0(tmp_path, workload):
     assert 0 < q1 <= overall["median_ratio"] <= q3
     lo, hi = overall["median_ci95"]
     assert lo <= overall["median_ratio"] <= hi
+    assert report["differs"] == {}
 
 
 def test_planted_output_change_exits_1(tmp_path):
@@ -64,8 +66,18 @@ def test_planted_output_change_exits_1(tmp_path):
            'return out or "()"', 'return out or "(0)"')
     r = _run(change, "coset-groups")
     assert r.returncode == 1
-    assert "the change's output differs" in r.stderr
-    assert r.stdout == ""
+    assert "the change's output differs on " in r.stderr
+    report = json.loads(r.stdout)
+    differs = report["differs"]
+    assert any(label in report["per_label"] for label in differs)
+    # every timed run of a group op differs; no coset op does
+    for label, count in differs.items():
+        assert not label.startswith("coset|"), label
+        if label in report["per_label"]:
+            assert count == report["per_label"][label]["pairs"], label
+    assert all(label in r.stderr for label in differs)
+    assert report["overall"]["pairs"] == sum(
+        entry["pairs"] for entry in report["per_label"].values())
 
 
 def test_each_side_reads_its_own_fixtures(tmp_path):
