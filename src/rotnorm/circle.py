@@ -22,7 +22,10 @@ the continuous ones, and the constructor keeps the first and the last.
 ``compose`` and ``invert`` keep the factors' sample grid and build the end
 composites or the end inverses, not F_t o G_t in between; ``refine`` cuts
 the grid finer, and ``concat`` joins two grids.  No step of a derived
-isotopy is checked, and no isotopy holds another.
+isotopy is checked, and no isotopy holds another.  The seeded generators
+draw their frames as integer lift rows on one grid and check on those rows
+every rule the constructors would; they build only the two end lifts, so
+no generator builds a frame that the isotopy drops.
 """
 
 from __future__ import annotations
@@ -453,6 +456,9 @@ def nu_hat(F: MultiIsotopy, A):
 # Seeded random generators.  Each draws its maps on one integer grid (the
 # breakpoints i/b and jitter in units of 1/(64*b)), so every map is built
 # straight from integer numerators.  Every draw goes through ``_randint``.
+# An isotopy's frames are drawn as rows of lift numerators (``_isotopy_rows``,
+# ``_loop_rows``), step-checked as they are drawn and lift-checked by
+# ``_ends``; only the start and end rows become maps.
 # ---------------------------------------------------------------------------
 
 
@@ -509,11 +515,56 @@ def _isotopy_rows(rng: random.Random):
     return samples, D, xs, rows
 
 
+def _loop_rows(rng: random.Random, winding: int | None):
+    """The draws of ``random_based_loop``: (S, D, xs, rows).
+
+    ``rows`` holds the lift numerators over D, on the breakpoints ``xs``, of
+    the S frames after the identity, at the times 1/S, ..., 1; the last is
+    xs + w * D.  As in ``_isotopy_rows``, the step rule is checked on the
+    integers: it holds by construction (a step moves at most
+    2/9 + 1/16 + 1/8), and a row that broke it would raise AmbiguousLift
+    here.
+    """
+    bits = rng.getrandbits
+    w = winding if winding is not None else _randint(bits, -2, 2)
+    S = 4 * abs(w) + 1
+    b = _randint(bits, 2, 8)
+    D = 64 * b * S  # lifts over 64*b*S: time steps are 1/S
+    xs = [64 * S * i for i in range(b)]
+    rows = []
+    prev = xs
+    for j in range(1, S + 1):
+        if j == S:
+            ys = [x + w * D for x in xs]
+        else:
+            c = 64 * b * w * j + _randint(bits, -2, 2) * b * S
+            ys = [x + c + _randint(bits, -8, 8) * S for x in xs]
+        if 2 * max(map(abs, map(sub, ys, prev))) >= D:
+            raise AmbiguousLift("random loop frames move by >= 1/2 in one step")
+        rows.append(ys)
+        prev = ys
+    return S, D, xs, rows
+
+
+def _ends(D, xs, rows):
+    """The identity and the last row's map, on the breakpoints ``xs`` over
+    D, once every row between them keeps PLCircleDiffeo's lift rules.
+
+    The two maps are built, so the constructor checks the breakpoints and
+    the last row; the rows between are checked here and never built.
+    """
+    for ys in rows[:-1]:
+        if not all(map(lt, ys, ys[1:])):
+            raise ValidationError("lift values must strictly increase")
+        if ys[-1] - ys[0] >= D:
+            raise ValidationError("lift must increase by less than 1 per period")
+    return PLCircleDiffeo(xs, xs, D), PLCircleDiffeo(xs, rows[-1], D)
+
+
 def random_isotopy(rng: random.Random) -> PLIsotopy:
     """Random isotopy starting at the identity; per-step movement <= 3/8."""
     samples, D, xs, rows = _isotopy_rows(rng)
-    frames = [PLCircleDiffeo(xs, ys, D) for ys in [xs, *rows]]
-    return PLIsotopy(range(samples), frames, samples - 1)
+    return _path(range(samples), samples - 1, *_ends(D, xs, rows))
 
 
 def _end_frame(rng: random.Random) -> PLCircleDiffeo:
@@ -525,30 +576,8 @@ def _end_frame(rng: random.Random) -> PLCircleDiffeo:
 
 def random_based_loop(rng: random.Random, winding: int | None = None) -> PLIsotopy:
     """Random loop at the identity with a prescribed integer winding number."""
-    frames = _loop_frames(rng, winding)
-    return PLIsotopy(range(len(frames)), frames, len(frames) - 1)
-
-
-def _loop_frames(rng: random.Random, winding: int | None) -> list:
-    """The frames of ``random_based_loop``, at the times 0, 1/S, ..., 1."""
-    bits = rng.getrandbits
-    w = winding if winding is not None else _randint(bits, -2, 2)
-    samples = 4 * abs(w) + 2
-    b = _randint(bits, 2, 8)
-    S = samples - 1
-    D = 64 * b * S  # lifts over 64*b*S: time steps are 1/S
-    xs = [64 * S * i for i in range(b)]
-    frames = [PLCircleDiffeo(xs, xs, D)]
-    for j in range(1, samples):
-        if j == S:
-            c = w * D
-            jitter = [0] * b
-        else:
-            c = 64 * b * w * j + _randint(bits, -2, 2) * b * S
-            jitter = [_randint(bits, -8, 8) * S for _ in range(b)]
-        ys = [x + c + e for x, e in zip(xs, jitter)]
-        frames.append(PLCircleDiffeo(xs, ys, D))
-    return frames
+    S, D, xs, rows = _loop_rows(rng, winding)
+    return _path(range(S + 1), S, *_ends(D, xs, rows))
 
 
 #: Most trials one defect_experiment call runs: 10**6 trials take about 66 s

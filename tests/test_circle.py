@@ -64,10 +64,36 @@ def _isotopy_path(rng):
 
 
 def _loop_path(rng, winding=None):
-    """The path ``random_based_loop(rng, winding)`` is built from."""
-    frames = c._loop_frames(rng, winding)
-    return Path(tuple(Q(j, len(frames) - 1) for j in range(len(frames))),
-                tuple(frames))
+    """The path ``random_based_loop(rng, winding)`` is built from, from the
+    same draws."""
+    S, D, xs, rows = c._loop_rows(rng, winding)
+    return Path(tuple(Q(j, S) for j in range(S + 1)),
+                tuple(PLCircleDiffeo(xs, ys, D) for ys in [xs, *rows]))
+
+
+def _drawn_isotopy_rows(rng):
+    """The lift rows of ``random_isotopy``'s frames, identity first, drawn
+    with ``rng.randint`` in the generator's order."""
+    samples, b = rng.randint(2, 6), rng.randint(2, 8)
+    xs = [64 * i for i in range(b)]
+    rows, drift = [xs], 0
+    for _ in range(samples - 1):
+        drift += rng.randint(-16, 16) * b
+        rows.append([x + drift + rng.randint(-8, 8) for x in xs])
+    return rows
+
+
+def _drawn_loop_rows(rng, winding):
+    """The lift rows of ``random_based_loop``'s frames, identity first,
+    drawn with ``rng.randint`` in the generator's order."""
+    w = winding if winding is not None else rng.randint(-2, 2)
+    S, b = 4 * abs(w) + 1, rng.randint(2, 8)
+    xs = [64 * S * i for i in range(b)]
+    rows = [xs]
+    for j in range(1, S):
+        drift = 64 * b * w * j + rng.randint(-2, 2) * b * S
+        rows.append([x + drift + rng.randint(-8, 8) * S for x in xs])
+    return rows + [[x + w * 64 * b * S for x in xs]]
 
 
 def _straight(X):
@@ -1100,6 +1126,69 @@ class TestSeededStreams:
                             lambda bits, a, b: 2 if a == 2 else 10 * b)
         with pytest.raises(AmbiguousLift):
             c._isotopy_rows(random.Random(0))
+
+    @pytest.mark.parametrize("winding", [None, -2, -1, 0, 1, 2])
+    def test_generators_match_the_public_constructor(self, winding):
+        # each generator keeps the grid and end lifts that PLIsotopy keeps
+        # from the frames its rows build, and draws what randint draws
+        for seed in range(300):
+            a, b, o = (random.Random(seed) for _ in range(3))
+            for gen, path, drawn in (
+                    (lambda r: random_based_loop(r, winding),
+                     lambda r: _loop_path(r, winding),
+                     lambda r: _drawn_loop_rows(r, winding)),
+                    (random_isotopy, _isotopy_path, _drawn_isotopy_rows)):
+                F, P = gen(a), path(b)
+                want = PLIsotopy(range(len(P.times)), P.frames,
+                                 len(P.times) - 1)
+                assert (F.tn, F.tden) == (want.tn, want.tden)
+                assert _key(F.start) == _key(want.start)
+                assert _key(F.end) == _key(want.end)
+                assert [list(f.yn) for f in P.frames] == drawn(o)
+                assert a.getstate() == b.getstate() == o.getstate()
+
+    def test_generators_build_only_the_two_end_lifts(self, monkeypatch):
+        built = []
+        init = PLCircleDiffeo.__init__
+
+        def counting(self, *args):
+            built.append(args[1])
+            init(self, *args)
+
+        monkeypatch.setattr(PLCircleDiffeo, "__init__", counting)
+        monkeypatch.setattr(PLIsotopy, "__init__", None)  # never called
+        rng = random.Random(9)
+        for winding in (None, -2, -1, 0, 1, 2):
+            for gen in (lambda: random_based_loop(rng, winding),
+                        lambda: random_isotopy(rng)):
+                F = gen()
+                assert built == [list(F.start.yn), list(F.end.yn)]
+                built.clear()
+
+    # Rigged draws whose first row after the identity breaks one rule; the
+    # rows after it keep every rule.  The isotopy draws samples, b, then per
+    # row its drift and b jitters (D = 128); the loop, at winding 1, draws
+    # b, then per row the same (S = 5, D = 640).  Draws run out as 0.
+    RIGGED = {
+        "step": (AmbiguousLift, "1/2", (3, 2, 40, 0, 0), (2, 40, 0, 0)),
+        "order": (ValidationError, "strictly increase",
+                  (3, 2, 0, 40, -40), (2, 0, 30, -34)),
+        "period": (ValidationError, "less than 1 per period",
+                   (3, 2, 0, -40, 40), (2, 0, -30, 34)),
+    }
+
+    @pytest.mark.parametrize("rule", sorted(RIGGED))
+    @pytest.mark.parametrize("kind", ["isotopy", "loop"])
+    def test_generators_check_every_row(self, monkeypatch, rule, kind):
+        error, message, isotopy_draws, loop_draws = self.RIGGED[rule]
+        draws = iter(isotopy_draws if kind == "isotopy" else loop_draws)
+        monkeypatch.setattr(c, "_randint", lambda bits, a, b: next(draws, 0))
+        with pytest.raises(error, match=message) as info:
+            if kind == "isotopy":
+                random_isotopy(random.Random(0))
+            else:
+                random_based_loop(random.Random(0), 1)
+        assert info.type is error
 
     def test_randint_matches_stdlib(self):
         for seed in range(300):

@@ -50,8 +50,11 @@ def test_copy_of_itself_exits_0(tmp_path, workload):
     report = json.loads(r.stdout)
     overall = report["overall"]
     assert overall["pairs"] > 0 and overall["pairs"] % ROUNDS == 0
-    assert overall["pairs"] == sum(
-        entry["pairs"] for entry in report["per_label"].values())
+    for key in ("pairs", "parent_ns", "change_ns"):
+        assert overall[key] == sum(
+            entry[key] for entry in report["per_label"].values()), key
+    assert overall["total_ratio"] == round(
+        overall["change_ns"] / overall["parent_ns"], 4)
     q1, q3 = overall["quartiles"]
     assert 0 < q1 <= overall["median_ratio"] <= q3
     lo, hi = overall["median_ci95"]

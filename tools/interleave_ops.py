@@ -31,8 +31,10 @@ Stdout is one JSON document: per op label and over all ops, the pairs, the
 median of the per-pair time ratios change/parent with their quartiles
 (``statistics.quantiles(method="inclusive")``) and the distribution-free
 95% interval of that median (``median_interval``, the sign test's), the
-pairs in which the change was faster, and the ratio of the total times,
-then ``differs``.
+pairs in which the change was faster, each side's total CPU time
+(``parent_ns``, ``change_ns``) and their ratio, then ``differs``.  The
+per-label totals add up to the overall ones, so the total ratio of a
+family of labels (all ``loops|...`` ops, say) is read from their sums.
 """
 
 from __future__ import annotations
@@ -120,8 +122,8 @@ def median_interval(values: list[float]):
 
 def summarize(ratios: list[float], parent_ns: int, change_ns: int) -> dict:
     """The median per-pair ratio change/parent with its quartiles and its
-    95% interval, the pairs the change was faster in, and the ratio of the
-    totals."""
+    95% interval, the pairs the change was faster in, and the two total
+    times with their ratio."""
     q1, med, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
                    if len(ratios) > 1 else ratios * 3)
     ci = median_interval(ratios)
@@ -131,6 +133,8 @@ def summarize(ratios: list[float], parent_ns: int, change_ns: int) -> dict:
         "quartiles": [round(q1, 4), round(q3, 4)],
         "median_ci95": ci and [round(v, 4) for v in ci],
         "change_faster": f"{sum(r < 1 for r in ratios)}/{len(ratios)}",
+        "parent_ns": parent_ns,
+        "change_ns": change_ns,
         "total_ratio": round(change_ns / parent_ns, 4),
     }
 
