@@ -20,12 +20,13 @@ maps with a chosen lift, so the public constructor requires frames to move
 by less than 1/2 (in sup norm) per time step: the chosen lifts are then
 the continuous ones, and the constructor keeps the first and the last.
 ``compose`` and ``invert`` keep the factors' sample grid and build the end
-composites or the end inverses, not F_t o G_t in between; ``refine`` cuts
-the grid finer, and ``concat`` joins two grids.  No step of a derived
-isotopy is checked, and no isotopy holds another.  The seeded generators
-draw their frames as integer lift rows on one grid and check on those rows
-every rule the constructors would; they build only the two end lifts, so
-no generator builds a frame that the isotopy drops.
+composites or the end inverses, not F_t o G_t in between, and ``refine``
+cuts the grid finer.  No step of a derived isotopy is checked, and no
+isotopy holds another.  A path joined from two isotopies' frames goes
+through the public constructor, which checks every step.  The seeded
+generators draw their frames as integer lift rows on one grid and check
+on those rows every rule the constructors would; they build only the two
+end lifts, so no generator builds a frame that the isotopy drops.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from rotnorm._rat import Q, common, floor_q
 from rotnorm.errors import (
     AmbiguousLift,
     DimensionMismatch,
-    FrameMismatch,
     ValidationError,
     quoted,
 )
@@ -66,8 +66,8 @@ class PLCircleDiffeo:
     den)`` takes integer numerators over the positive integer ``den``.  Both
     are validated the same way.  The constructor builds ``dx`` and ``dy``
     once, each at its final length, and runs its ordering checks on them: a
-    table built from ``map`` and then concatenated left one freed tuple per
-    map on CPython's tuple free lists.
+    table built from ``map`` and then extended by its wrapped entry left
+    one freed tuple per map on CPython's tuple free lists.
     """
 
     __slots__ = ("den", "xn", "yn", "dx", "dy")
@@ -256,32 +256,26 @@ def _lookup(D, us, vs, du, dv, a, q):
 class PLIsotopy:
     """Time-sampled isotopy of PL circle diffeos: its grid and two end lifts.
 
-    The sample times are kept as strictly increasing integer numerators
-    ``tn`` over one positive denominator ``tden``, running from 0 to
-    ``tden``, as the frames keep their breakpoints; ``times`` gives them as
-    rationals.  ``PLIsotopy(times, frames)`` takes rational times;
-    ``PLIsotopy(tn, frames, tden)`` takes integer numerators.  Both are
-    validated the same way.
+    ``PLIsotopy(times, frames)`` takes rational times, strictly increasing
+    from 0 to 1.  They are kept as integer numerators ``tn`` over their
+    least common denominator ``tden``, as the frames keep their
+    breakpoints; ``times`` gives them as rationals.
 
-    The public constructor refuses frames that move by >= 1/2 between
-    adjacent samples: below that threshold the frames' lifts are the
-    continuous ones, so the first and last fix the class rel endpoints.  It
-    keeps those two, ``start`` and ``end``; the lift path runs straight
-    between them.  ``refine``, ``compose``, ``invert`` and ``concat`` build
-    their result through ``_path`` and check no step.
+    The constructor refuses frames that move by >= 1/2 between adjacent
+    samples: below that threshold the frames' lifts are the continuous
+    ones, so the first and last fix the class rel endpoints.  It keeps
+    those two, ``start`` and ``end``; the lift path runs straight between
+    them.  ``refine``, ``compose`` and ``invert`` build their result
+    through ``_path`` and check no step.
     """
 
     __slots__ = ("tn", "tden", "start", "end", "__weakref__")
 
-    def __init__(self, times, frames, tden=None):
-        if tden is None:
-            tden, times = common(Q(t).as_integer_ratio() for t in times)
-        tn = tuple(times)
-        frames = tuple(frames)
+    def __init__(self, times, frames):
+        tden, tn = common(Q(t).as_integer_ratio() for t in times)
+        tn, frames = tuple(tn), tuple(frames)
         if len(tn) < 2 or len(tn) != len(frames):
             raise ValidationError("need at least 2 matching time samples")
-        if tden <= 0:
-            raise ValidationError("time denominator must be positive")
         if tn[0] != 0 or tn[-1] != tden:
             raise ValidationError("isotopy must be parametrized over [0, 1]")
         if not all(map(lt, tn, tn[1:])):
@@ -308,9 +302,9 @@ class PLIsotopy:
             samples = max(2, 3 * (abs(floor_q(angle)) + 1))
         if samples < 2:
             raise ValidationError("a rotation isotopy needs at least 2 samples")
-        S = samples - 1
-        return PLIsotopy(range(samples), [PLCircleDiffeo.rotation(angle * Q(j, S))
-                                          for j in range(samples)], S)
+        times = [Q(j, samples - 1) for j in range(samples)]
+        return PLIsotopy(times,
+                         [PLCircleDiffeo.rotation(angle * t) for t in times])
 
     def frame_at(self, t) -> PLCircleDiffeo:
         """The frame at time t on the straight lift path from start to end."""
@@ -363,28 +357,6 @@ def invert(F: PLIsotopy) -> PLIsotopy:
     """The isotopy from (F_0)^-1 to (F_1)^-1, sampled at F's times; as for
     ``compose``, its lift path runs straight between the end inverses."""
     return _path(F.tn, F.tden, F.start.inverse(), F.end.inverse())
-
-
-def concat(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
-    """Run F on [0, 1/2], then G on [1/2, 1]; needs F_1 = G_0 on the circle.
-
-    The two halves may carry lifts differing by an integer d (e.g. after a
-    full turn), read at 0 from the end lifts' ``_eval`` pairs by floor
-    division.  G's lifts are shifted by d, so the concatenated lift path
-    stays continuous; G's shifted start must equal F's end, or the frames
-    do not meet.  The result runs from F's start to G's shifted end.
-    """
-    (n1, d1), (n0, d0) = F.end._eval(0, 1), G.start._eval(0, 1)
-    d = (n1 * d0 - n0 * d1) // (d0 * d1)
-    g0, g1 = (PLCircleDiffeo(k.xn, [y + d * k.den for y in k.yn], k.den)
-              for k in (G.start, G.end))
-    if g0 != F.end:
-        raise FrameMismatch("end frame of the first isotopy must equal the "
-                            "start frame of the second")
-    T = lcm(F.tden, G.tden)  # over 2T: F on [0, T], G on [T, 2T]
-    f, g = T // F.tden, T // G.tden
-    return _path([t * f for t in F.tn] + [T + t * g for t in G.tn[1:]], 2 * T,
-                 F.start, g1)
 
 
 def commutator(F: PLIsotopy, G: PLIsotopy) -> PLIsotopy:
@@ -489,30 +461,30 @@ def random_diffeo(rng: random.Random) -> PLCircleDiffeo:
 
 
 def _isotopy_rows(rng: random.Random):
-    """The draws of ``random_isotopy``: (samples, D, xs, rows).
+    """The draws of ``random_isotopy``: (S, D, xs, rows).
 
     ``rows`` holds the lift numerators over D, on the breakpoints ``xs``, of
-    the samples - 1 frames after the identity.  Adjacent frames share one
-    grid, so PLIsotopy's step rule reads 2 * max|dy| < D on the integers;
-    it holds by construction (steps are <= 3/8), and a row that broke it
-    would raise AmbiguousLift here.
+    the S frames after the identity, at the times 1/S, ..., 1.  Adjacent
+    frames share one grid, so PLIsotopy's step rule reads 2 * max|dy| < D on
+    the integers; it holds by construction (steps are <= 3/8), and a row
+    that broke it would raise AmbiguousLift here.
     """
     bits = rng.getrandbits
-    samples = _randint(bits, 2, 6)
+    S = _randint(bits, 2, 6) - 1  # 2 to 6 samples
     b = _randint(bits, 2, 8)
     D = 64 * b
     xs = [64 * i for i in range(b)]
     rows = []
     prev = xs
     c = 0
-    for _ in range(samples - 1):
+    for _ in range(S):
         c += _randint(bits, -16, 16) * b
         ys = [x + c + _randint(bits, -8, 8) for x in xs]
         if 2 * max(map(abs, map(sub, ys, prev))) >= D:
             raise AmbiguousLift("random isotopy frames move by >= 1/2 in one step")
         rows.append(ys)
         prev = ys
-    return samples, D, xs, rows
+    return S, D, xs, rows
 
 
 def _loop_rows(rng: random.Random, winding: int | None):
@@ -563,8 +535,8 @@ def _ends(D, xs, rows):
 
 def random_isotopy(rng: random.Random) -> PLIsotopy:
     """Random isotopy starting at the identity; per-step movement <= 3/8."""
-    samples, D, xs, rows = _isotopy_rows(rng)
-    return _path(range(samples), samples - 1, *_ends(D, xs, rows))
+    S, D, xs, rows = _isotopy_rows(rng)
+    return _path(range(S + 1), S, *_ends(D, xs, rows))
 
 
 def _end_frame(rng: random.Random) -> PLCircleDiffeo:

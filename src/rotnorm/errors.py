@@ -81,10 +81,6 @@ class RankDeficient(ValidationError):
     """Operation requires a full-rank lattice."""
 
 
-class FrameMismatch(ValidationError):
-    """Isotopy endpoints do not line up for concatenation."""
-
-
 class AmbiguousLift(ValidationError):
     """Per-step frame displacement >= 1/2: continuous lift selection refused."""
 

@@ -15,7 +15,6 @@ from rotnorm.circle import (
     PLIsotopy,
     commutator,
     compose,
-    concat,
     defect_experiment,
     invert,
     mu,
@@ -29,7 +28,6 @@ from rotnorm.circle import (
 from rotnorm.errors import (
     AmbiguousLift,
     DimensionMismatch,
-    FrameMismatch,
     ValidationError,
 )
 from rotnorm.lattice import normalize
@@ -56,19 +54,23 @@ def _rand_diffeo(seed):
     return random_diffeo(random.Random(seed))
 
 
+def _rows_path(S, D, xs, rows):
+    """The path at the times 0, 1/S, ..., 1 through the identity and the
+    frames whose lift numerators over D, on the breakpoints ``xs``, are
+    ``rows``."""
+    return Path(tuple(Q(j, S) for j in range(S + 1)),
+                tuple(PLCircleDiffeo(xs, ys, D) for ys in [xs, *rows]))
+
+
 def _isotopy_path(rng):
     """The path ``random_isotopy(rng)`` is built from, from the same draws."""
-    samples, D, xs, rows = c._isotopy_rows(rng)
-    return Path(tuple(Q(j, samples - 1) for j in range(samples)),
-                tuple(PLCircleDiffeo(xs, ys, D) for ys in [xs, *rows]))
+    return _rows_path(*c._isotopy_rows(rng))
 
 
 def _loop_path(rng, winding=None):
     """The path ``random_based_loop(rng, winding)`` is built from, from the
     same draws."""
-    S, D, xs, rows = c._loop_rows(rng, winding)
-    return Path(tuple(Q(j, S) for j in range(S + 1)),
-                tuple(PLCircleDiffeo(xs, ys, D) for ys in [xs, *rows]))
+    return _rows_path(*c._loop_rows(rng, winding))
 
 
 def _drawn_isotopy_rows(rng):
@@ -407,6 +409,7 @@ class TestPLIsotopy:
         P = Path(tuple(Q(j, 5) for j in range(6)),
                  _rotations(*(Q(j, 4) for j in range(6))))
         assert (F.times, F.start, F.end) == (P.times, P.frames[0], P.frames[-1])
+        assert (F.tn, F.tden) == (tuple(range(6)), 5)
         assert mu(F, Q(7, 3)) == oracle_mu(P, Q(7, 3)) == Q(5, 4)
 
     def test_full_turn_mu_is_one(self):
@@ -415,25 +418,16 @@ class TestPLIsotopy:
         assert mu(F, Q(0)) == 1
 
     @pytest.mark.parametrize("winding", [1, -1, 2])
-    def test_concat_adds_mu(self, winding):
-        # G's end lift is shifted by the gap d = winding between F's end
-        # lift and G's start lift
+    def test_joined_loops_add_mu(self, winding):
+        # the joined path shifts PG's lifts by the gap d = winding between
+        # PF's end lift and PG's start lift
         PF = _loop_path(random.Random(3), winding)
         PG = _loop_path(random.Random(4), 0)
-        H = concat(PLIsotopy(*PF), PLIsotopy(*PG))
+        PH = _concat_path(PF, PG)
+        H = PLIsotopy(*PH)
         for p in (Q(0), Q(1, 8), Q(5, 7)):
-            assert mu(H, p) == oracle_mu(_concat_path(PF, PG), p) == winding
-
-    @pytest.mark.parametrize("F, G", [
-        (PLIsotopy.rotation(Q(1, 4)), PLIsotopy.rotation(Q(1, 8))),
-        # F_1 is the identity one turn on and G_0 fixes 0: the lifts differ
-        # by the integer 1 at 0, but not everywhere
-        (PLIsotopy.rotation(1),
-         PLIsotopy((0, 1), [PLCircleDiffeo((0, Q(1, 2)), (0, Q(1, 4)))] * 2)),
-    ], ids=["gap_not_an_integer", "integer_gap_at_0_only"])
-    def test_concat_frame_mismatch(self, F, G):
-        with pytest.raises(FrameMismatch):
-            concat(F, G)
+            assert (mu(H, p) == oracle_mu(PH, p) == winding
+                    == mu(PLIsotopy(*PF), p) + mu(PLIsotopy(*PG), p))
 
     def test_rotation_needs_two_samples(self):
         for samples in (1, 0, -2):
@@ -467,40 +461,24 @@ def _concat_path(P, R):
 
 
 class TestIntegerTimes:
-    """``PLIsotopy(tn, frames, tden)`` against the rational constructor."""
-
-    def test_integer_constructor_matches_rational_one(self):
-        frames = _rotations(0, Q(1, 8), Q(3, 8), Q(1, 2))
-        R = PLIsotopy((0, Q(1, 3), Q(1, 2), 1), frames)
-        for tn, tden in (((0, 2, 3, 6), 6), ((0, 4, 6, 12), 12)):
-            F = PLIsotopy(tn, frames, tden)
-            assert F.times == R.times == (0, Q(1, 3), Q(1, 2), 1)
-            assert all(type(t) is Q for t in F.times)
-            assert (F.start, F.end) == (R.start, R.end) == (frames[0], frames[-1])
-            for t in (0, Q(1, 6), Q(1, 3), Q(5, 12), Q(7, 9), 1):
-                assert F.frame_at(t) == R.frame_at(t)
-            assert mu(F, Q(1, 5)) == mu(R, Q(1, 5)) == Q(1, 2)
-        assert (R.tn, R.tden) == ((0, 2, 3, 6), 6)  # least common denominator
+    """Rational times, kept as integer numerators over one denominator."""
 
     def test_integer_constructor_validation(self):
         ident = PLCircleDiffeo.identity()
         three = [ident] * 3
-        for tden in (0, -2):
-            with pytest.raises(ValidationError, match="denominator"):
-                PLIsotopy((0, 1, tden), three, tden)
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-            PLIsotopy((1, 2, 3), three, 3)  # tn[0] != 0
+            PLIsotopy((Q(1, 3), Q(2, 3), 1), three)  # starts after 0
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-            PLIsotopy((0, 1, 2), three, 3)  # tn[-1] != tden
+            PLIsotopy((0, Q(1, 3), Q(2, 3)), three)  # ends before 1
         with pytest.raises(ValidationError, match="increase"):
-            PLIsotopy((0, 2, 2, 3), [ident] * 4, 3)
+            PLIsotopy((0, Q(2, 3), Q(2, 3), 1), [ident] * 4)
         with pytest.raises(ValidationError, match="increase"):
-            PLIsotopy((0, 2, 1, 3), [ident] * 4, 3)
+            PLIsotopy((0, Q(2, 3), Q(1, 3), 1), [ident] * 4)
         with pytest.raises(ValidationError, match="matching"):
-            PLIsotopy((0, 3), three, 3)
+            PLIsotopy((0, 1), three)
         with pytest.raises(AmbiguousLift):
-            PLIsotopy((0, 1), _rotations(0, Q(1, 2)), 1)
-        PLIsotopy((0, 1), _rotations(0, Q(7, 16)), 1)  # fine
+            PLIsotopy((0, 1), _rotations(0, Q(1, 2)))
+        PLIsotopy((0, 1), _rotations(0, Q(7, 16)))  # fine
 
     def test_frame_at_outside_unit_interval(self):
         F = PLIsotopy.rotation(Q(1, 2), samples=3)
@@ -689,25 +667,6 @@ class TestComposeResampling:
         _assert_like_bisecting_oracle(commutator(F, G), _oracle_commutator(PF, PG),
                                       merged)
 
-    def test_concat_takes_a_composite_with_a_long_step(self):
-        rng = random.Random(184)
-        PF, PG = _isotopy_path(rng), _isotopy_path(rng)
-        H = compose(PLIsotopy(*PF), PLIsotopy(*PG))
-        ref = oracle_isotopy_compose(PF, PG)
-        assert len(ref.times) > len(H.times)  # F_t o G_t has a long step
-        PL = _loop_path(random.Random(0), 1)
-        loop = PLIsotopy(*PL)
-        C = concat(loop, H)  # H starts at the identity
-        assert C.times == (tuple(t / 2 for t in loop.times)
-                           + tuple(Q(1, 2) + t / 2 for t in H.times[1:]))
-        assert C.start is loop.start
-        assert C.end.xs == ref.frames[-1].xs  # one turn on from H's end
-        assert C.end.ys == tuple(y + 1 for y in ref.frames[-1].ys)
-        for p in (Q(0), Q(1, 3), Q(5, 7)):
-            assert (mu(C, p) == oracle_mu(_concat_path(PL, ref), p)
-                    == oracle_mu(PL, p) + oracle_mu(ref, p)
-                    == oracle_mu(_straight(refine(C, Q(1, 4))), p))
-
     def test_accepted_pairs_keep_the_merged_grid(self):
         rng = random.Random(17)
         for _ in range(15):
@@ -831,9 +790,8 @@ class TestCompositionOracles:
             PK = _oracle_commutator(PF, PG)
             K = commutator(F, G)
             _assert_like_bisecting_oracle(K, PK, merged)
-            PL = _loop_path(random.Random(seed))
-            C = concat(PLIsotopy(*PL), G)  # G starts at the identity
-            PC = _concat_path(PL, PG)
+            PC = _concat_path(_loop_path(random.Random(seed)), PG)
+            C = PLIsotopy(*PC)
             assert C.times == PC.times
             made = [(F, PF), (G, PG), (H, ref), (Fi, oracle_invert(PF)), (K, PK),
                     (C, PC)]
@@ -938,11 +896,12 @@ class TestKnotFrames:
 
     def test_a_derived_isotopy_keeps_no_factor_alive(self):
         for seed, kind in PAIR_CASES[::7]:
-            F, G = (PLIsotopy(*P) for P in _isotopy_pair(seed, kind))
+            PF, PG = _isotopy_pair(seed, kind)
+            F, G = PLIsotopy(*PF), PLIsotopy(*PG)
             R = refine(F, Q(1, 10))
             H = compose(R, G)
             K = commutator(H, invert(G))
-            C = concat(random_based_loop(random.Random(seed)), G)
+            C = PLIsotopy(*_concat_path(_loop_path(random.Random(seed)), PG))
             refs = [weakref.ref(X) for X in (F, G, R, H)]
             want = [mu(X, Q(1, 3)) for X in (K, C)]
             del F, G, R, H
@@ -1139,8 +1098,7 @@ class TestSeededStreams:
                      lambda r: _drawn_loop_rows(r, winding)),
                     (random_isotopy, _isotopy_path, _drawn_isotopy_rows)):
                 F, P = gen(a), path(b)
-                want = PLIsotopy(range(len(P.times)), P.frames,
-                                 len(P.times) - 1)
+                want = PLIsotopy(P.times, P.frames)
                 assert (F.tn, F.tden) == (want.tn, want.tden)
                 assert _key(F.start) == _key(want.start)
                 assert _key(F.end) == _key(want.end)
