@@ -56,9 +56,21 @@ def floor_q(value) -> int:
     return q.numerator // q.denominator
 
 
-def common(pairs):
+def more_digits(n: int, digits: int) -> bool:
+    """Whether the positive int n has more than ``digits`` decimal digits.
+
+    2^(3d) < 10^d, so n of at most 3d bits has at most d digits and needs
+    no power of 10."""
+    return n.bit_length() > 3 * digits and n >= 10 ** digits
+
+
+def common(pairs, cap=None):
     """Rationals given as (num, den) pairs, den > 0, as numerators over
-    their least common denominator: returns (den, numerators)."""
+    their least common denominator: returns (den, numerators).
+
+    ``cap``, a (name, digits) pair, bounds that denominator: as soon as it
+    grows past ``digits`` digits, a ValidationError names the cap, before
+    the rest of the pairs are read and before any numerator is scaled."""
     reduced = []
     L = 1
     for n, d in pairs:
@@ -68,5 +80,9 @@ def common(pairs):
             d //= g
         if L % d:
             L = lcm(L, d)
+            if cap and more_digits(L, cap[1]):
+                raise ValidationError(
+                    "a common denominator has more digits than the cap "
+                    f"{cap[0]} = {cap[1]}")
         reduced.append((n, d))
     return L, [n * (L // d) for n, d in reduced]

@@ -44,6 +44,13 @@ from rotnorm.errors import (
     quoted,
 )
 
+#: Most digits in the shared denominator of a frame built from rationals,
+#: as every input frame is.  That denominator is the lcm of the frame's
+#: input denominators, so it can grow with their number, and the cost of
+#: each lookup in the constructor's step check with its square.
+MAX_FRAME_DIGITS = 10_000
+
+
 class PLCircleDiffeo:
     """Orientation-preserving circle diffeo, stored as one period of its lift.
 
@@ -75,7 +82,8 @@ class PLCircleDiffeo:
     def __init__(self, xs, ys, den=None):
         if den is None:
             xs = list(xs)
-            den, nums = common(Q(v).as_integer_ratio() for v in [*xs, *ys])
+            den, nums = common((Q(v).as_integer_ratio() for v in [*xs, *ys]),
+                               ("circle.MAX_FRAME_DIGITS", MAX_FRAME_DIGITS))
             xs, ys = nums[:len(xs)], nums[len(xs):]
         xn, yn = tuple(xs), tuple(ys)
         if not xn or len(xn) != len(yn):

@@ -1,13 +1,21 @@
 """Conjugation-invariant word norms on small permutation groups.
 
-Elements are permutations of at most 12 points, stored as tuples of images.
-Groups are fully enumerated (cap 10^6 elements), which keeps every norm
-exact and every axiom checkable exhaustively.
+Elements are permutations of at most 12 points, given and returned as
+tuples of images.  Groups are fully enumerated (cap 10^6 elements), which
+keeps every norm exact and every axiom checkable exhaustively.
 
 Every norm here is conjugation invariant, so on a finite group it is a class
 function, and every engine runs over the conjugacy-class table: the
 commutator set, word norms, the zeta norm and normal closures are computed
-over classes rather than over elements or pairs of elements.
+over classes rather than over elements or pairs of elements.  A norm table
+holds one value per class (``_ClassValues``), read through the group's
+index as a map element -> value.
+
+A group keeps one packed copy of its elements: the sorted bytes of each,
+joined into one table.  The engines stream that table
+(``struct.iter_unpack``) and keep no tuple per element beyond what they
+return; the tuple of ``elements`` is built the first time a caller reads
+it, and kept.
 
 ``generate_group`` builds every group, normal closures included.  Its walk
 (``_walk``) enumerates the group one conjugacy class at a time, so closing
@@ -27,6 +35,7 @@ a lookup answers membership and class at once.
 from __future__ import annotations
 
 import struct
+from collections.abc import ItemsView, Mapping
 
 from rotnorm._rat import INF
 from rotnorm.errors import (
@@ -111,31 +120,50 @@ def cycle_str(p: Perm) -> str:
 class FiniteGroup:
     """A fully enumerated permutation group with canonically ordered elements.
 
-    ``generators`` must generate ``elements``: the conjugacy classes and the
+    ``generators`` must generate the group: the conjugacy classes and the
     invariance checks are taken under conjugation by the generators alone.
 
-    The group keeps the table of the class walk that built it.
+    The group keeps the table of the class walk that built it and one
+    packed copy of its elements, but no tuple per element.  ``_table``
+    packs the sorted elements, ``degree`` bytes each; ``_labels`` holds the
+    class label of each element in that order;
     ``_class_of`` maps the bytes of each element to its class label, the
     identity's class being label 0; ``_classes`` holds the members of each
-    class as bytes, in label order, and ``_labels`` the label of each
-    element in ``elements`` order.  ``generate_group`` builds every group.
+    class as bytes, in label order.  ``elements``, the sorted elements as
+    tuples, is built on first read and kept.  ``generate_group`` builds
+    every group.
     """
 
-    __slots__ = ("degree", "elements", "generators", "_class_of", "_classes",
-                 "_labels")
+    __slots__ = ("degree", "generators", "_table", "_class_of", "_classes",
+                 "_labels", "_elements")
 
-    def __init__(self, degree, elements, generators, class_of, classes,
-                 labels):
+    def __init__(self, degree, table, generators, class_of, classes, labels):
         self.degree = degree
-        self.elements = elements
         self.generators = generators
+        self._table = table
         self._class_of = class_of
         self._classes = classes
         self._labels = labels
+        self._elements = None
+
+    @property
+    def elements(self) -> tuple[Perm, ...]:
+        if self._elements is None:
+            self._elements = tuple(self._tuples())
+        return self._elements
+
+    def _tuples(self):
+        """The elements as tuples, in order, read off the packed table
+        unless ``elements`` holds them already."""
+        if self._elements is not None:
+            return iter(self._elements)
+        if not self.degree:
+            return iter(((),))
+        return struct.iter_unpack(f"{self.degree}B", self._table)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._labels)
 
     @property
     def identity(self) -> Perm:
@@ -286,9 +314,9 @@ def generate_group(generators) -> FiniteGroup:
     final walk is the only one.
 
     Elements are sorted once as bytes (bytes of one length sort exactly as
-    the tuples of their values) and turned into tuples once.  The group
-    keeps the final walk's table, the labels of the sorted elements and
-    the generators as given.
+    the tuples of their values) and packed into one table.  The group keeps
+    that table, the final walk's class table, the labels of the sorted
+    elements and the generators as given.
     """
     gens = tuple(validate_perm(g) for g in generators)
     if not gens:
@@ -306,15 +334,13 @@ def generate_group(generators) -> FiniteGroup:
             kept.append(s)
     class_of, orbits = _walk([*kept, gens[-1]], degree)
     keys = sorted(class_of)
-    elements = (tuple(struct.iter_unpack(f"{degree}B", b"".join(keys)))
-                if degree else ((),))
-    return FiniteGroup(degree, elements, gens, class_of, orbits,
+    return FiniteGroup(degree, b"".join(keys), gens, class_of, orbits,
                        list(map(class_of.__getitem__, keys)))
 
 
 def _union_of_classes(G: FiniteGroup, keep) -> tuple[Perm, ...]:
     """The sorted members of the classes whose labels satisfy keep."""
-    return tuple(g for g, k in zip(G.elements, G._labels) if keep(k))
+    return tuple(g for g, k in zip(G._tuples(), G._labels) if keep(k))
 
 
 def _class_distances(G: FiniteGroup, s_labels) -> list[int]:
@@ -362,12 +388,60 @@ def normal_closure(G: FiniteGroup, g: Perm) -> FiniteGroup:
         tuple(s) for k in labels for s in G._classes[k]))
 
 
+class _ClassValues(Mapping):
+    """A class function as a read-only map element -> value, holding one
+    value per conjugacy class of the group.
+
+    ``values[g]`` answers as a dict keyed by the element tuples would
+    (``FiniteGroup._key``): KeyError for a non-member, TypeError for an
+    unhashable g.  It iterates over the elements in order, and compares
+    equal to that dict.
+    """
+
+    __slots__ = ("_group", "_per_class")
+
+    def __init__(self, group: FiniteGroup, per_class: list):
+        self._group = group
+        self._per_class = per_class
+
+    def __getitem__(self, g):
+        key = self._group._key(g)
+        if key is None:
+            raise KeyError(g)
+        return self._per_class[self._group._class_of[key]]
+
+    def __iter__(self):
+        return self._group._tuples()
+
+    def __len__(self) -> int:
+        return self._group.order
+
+    def items(self):
+        return _ClassItems(self)
+
+
+class _ClassItems(ItemsView):
+    """The items of a ``_ClassValues``, read off the class table rather
+    than looked up one element at a time."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        values = self._mapping
+        return zip(values, map(values._per_class.__getitem__,
+                               values._group._labels))
+
+
 class NormTable:
-    """Map element -> word-norm value (non-negative int, or inf)."""
+    """Map element -> word-norm value (non-negative int, or inf).
+
+    ``values`` is any map keyed by the element tuples; the engines give a
+    ``_ClassValues``, one value per conjugacy class.
+    """
 
     __slots__ = ("group", "values")
 
-    def __init__(self, group: FiniteGroup, values: dict):
+    def __init__(self, group: FiniteGroup, values: Mapping):
         self.group = group
         self.values = values
 
@@ -379,27 +453,27 @@ class NormTable:
         """Exhaustive check of the four norm axioms; raises AssertionError
         on a violation, also under ``python -O``."""
         G = self.group
-        v = self.values
+        elements = tuple(G._tuples())
+        v = dict(zip(elements, map(self.values.__getitem__, elements)))
         if v[G.identity] != 0:
             raise AssertionError("norm is nonzero at the identity")
-        for g in G.elements:
+        for g in elements:
             if g != G.identity and v[g] <= 0:
                 raise AssertionError(f"norm vanishes off identity at {g}")
             if v[g] != v[inverse(g)]:
                 raise AssertionError(f"asymmetric at {g}")
-        for g in G.elements:
-            for h in G.elements:
+        for g in elements:
+            for h in elements:
                 if v[compose(g, h)] > v[g] + v[h]:
                     raise AssertionError(f"triangle fails at {g},{h}")
                 if v[conjugate(h, g)] != v[g]:
                     raise AssertionError(f"not conjugation-invariant at {g}")
 
     def to_json(self) -> dict:
-        out = {}
-        for g in self.group.elements:
-            val = self.values[g]
-            out[cycle_str(g)] = "inf" if val == INF else int(val)
-        return out
+        """{cycle notation: value} over the items of ``values``, inf as
+        "inf"."""
+        return {cycle_str(g): "inf" if val == INF else int(val)
+                for g, val in self.values.items()}
 
 
 def word_norm(G: FiniteGroup, S) -> NormTable:
@@ -438,8 +512,7 @@ def _class_norm(G: FiniteGroup, s_labels) -> NormTable:
     """The word norm over the union of the classes s_labels (the
     identity's class not among them)."""
     per_class = [INF if d < 0 else d for d in _class_distances(G, s_labels)]
-    return NormTable(group=G, values=dict(
-        zip(G.elements, map(per_class.__getitem__, G._labels))))
+    return NormTable(group=G, values=_ClassValues(G, per_class))
 
 
 def _commutator_labels(G: FiniteGroup) -> set[int]:

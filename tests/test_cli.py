@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,6 +12,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
+
+from rotnorm._rat import more_digits
+from rotnorm.errors import ValidationError
 
 
 def run_cli(args, env_extra=None, input_text=None):
@@ -750,6 +754,61 @@ class TestThetaCap:
             assert time.perf_counter() - start < 5
             assert_validation_error(r)
             assert "MAX_CVP_NODES" in r.stderr
+
+
+def _wide_denominator_isotopy(k):
+    """Two frames, each with k breakpoints i/k + 1/(k d_i) and values of
+    the same form, every d_i a fresh odd 300-digit integer: each frame's
+    shared denominator has about 2 * 300k digits."""
+    rng = random.Random(5)
+
+    def points():
+        dens = [rng.randrange(10 ** 299, 10 ** 300) | 1 for _ in range(k)]
+        return [f"{i * d + 1}/{k * d}" for i, d in enumerate(dens)]
+
+    return {"times": ["0", "1"],
+            "frames": [{"x": points(), "y": points()} for _ in range(2)]}
+
+
+class TestFrameDigitCap:
+    """An input frame whose shared denominator passes
+    circle.MAX_FRAME_DIGITS fails before any step check runs; at k = 20 the
+    instance below ran for 2.7 s, and at k = 100 for 220 s."""
+
+    @pytest.mark.parametrize("cap", [None, 1000])
+    def test_mu_fails_fast_naming_the_cap(self, tmp_path, monkeypatch,
+                                          capsys, cap):
+        from rotnorm import circle, cli
+
+        if cap is not None:
+            monkeypatch.setattr(circle, "MAX_FRAME_DIGITS", cap)
+
+        def step_check(self, other):
+            raise AssertionError("a step was checked")
+
+        monkeypatch.setattr(circle.PLCircleDiffeo, "_displacement", step_check)
+        path = write_json(tmp_path, "iso.json", _wide_denominator_isotopy(20))
+        start = time.perf_counter()
+        code = cli.main(["mu", "--in", path])
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "validation"
+        assert (f"the cap circle.MAX_FRAME_DIGITS = {circle.MAX_FRAME_DIGITS}"
+                in error["message"])
+
+    def test_a_frame_at_the_cap_is_read(self, monkeypatch):
+        from rotnorm import circle
+
+        monkeypatch.setattr(circle, "MAX_FRAME_DIGITS", 5)
+        assert circle.PLCircleDiffeo([Fraction(1, 99999)], [0]).den == 99999
+        with pytest.raises(ValidationError, match="MAX_FRAME_DIGITS = 5"):
+            circle.PLCircleDiffeo([Fraction(1, 100000)], [0])
+        # derived maps keep the denominators their operations give
+        f, g = (circle.PLCircleDiffeo([0, Fraction(1, d)], [0, Fraction(2, d)])
+                for d in (99991, 99989))
+        assert more_digits(f.compose(g).den, 5)
 
 
 class TestExitCodes:

@@ -16,6 +16,7 @@ INPUTS = Path(__file__).resolve().parents[1] / "docs" / "schemas" / "inputs.md"
 
 CAPS = [
     "circle.MAX_DEFECT_TRIALS",
+    "circle.MAX_FRAME_DIGITS",
     "cli.MAX_INT_DIGITS",
     "coset.MAX_CVP_NODES",
     "coset.MAX_SUP_MOVES",
@@ -42,6 +43,8 @@ def test_each_cap_is_stated_once_with_its_value():
 _PASS_CAP = {
     "circle.MAX_DEFECT_TRIALS":
         lambda: circle.defect_experiment(0, circle.MAX_DEFECT_TRIALS + 1),
+    "circle.MAX_FRAME_DIGITS": lambda: circle.PLCircleDiffeo(
+        [Fraction(1, 10 ** circle.MAX_FRAME_DIGITS)], [0]),
     "cli.MAX_INT_DIGITS": lambda: cli._capped("9" * (cli.MAX_INT_DIGITS + 1)),
     # Z x {0} at (0, 3): theta takes 8 CVP nodes
     "coset.MAX_CVP_NODES": lambda: coset.theta(coset.AffineCoset.build(

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -778,6 +779,95 @@ class TestMembership:
                     == g.quotient_norm(with_ints, G.elements[:5], x))
             assert (g.normal_closure(G, fx).elements
                     == g.normal_closure(G, x).elements)
+
+    @pytest.mark.parametrize("probe,answer", MEMBERSHIP, ids=repr)
+    def test_norm_table_values(self, probe, answer):
+        # values[g], g in values and values.get(g) answer as the dict keyed
+        # by the element tuples does
+        G = S3()
+        values = g.zeta_norm(G, (1, 0, 2)).values
+        as_dict = dict(zip(G.elements, [values[x] for x in G.elements]))
+        assert sorted(as_dict.values()) == [0, 1, 1, 1, 2, 2]
+        if answer is TypeError:
+            for read in (values.__getitem__, values.__contains__, values.get,
+                         as_dict.__getitem__, as_dict.__contains__,
+                         as_dict.get):
+                with pytest.raises(TypeError):
+                    read(probe)
+        elif answer:
+            assert probe in values and probe in as_dict
+            assert values[probe] == values.get(probe) == as_dict[probe]
+        else:
+            assert probe not in values and probe not in as_dict
+            for mapping in (values, as_dict):
+                with pytest.raises(KeyError):
+                    mapping[probe]
+                assert mapping.get(probe) is None
+                assert mapping.get(probe, "absent") == "absent"
+
+
+def _s(n):
+    """S_n from a transposition and an n-cycle."""
+    return g.generate_group([(1, 0, *range(2, n)), (*range(1, n), 0)])
+
+
+class TestPackedTable:
+    """A group keeps its elements packed, and its norm tables one value
+    per class; tuples are built only when ``elements`` is read."""
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_engines_read_no_element_tuples(self, n):
+        G = _s(n)
+        tables = [g.zeta_norm(G, (1, 0, *range(2, n))),
+                  g.commutator_length(G)]
+        s_g, _ = g.weakly_simple_set(G)
+        assert len(s_g) == G.order // 2
+        for table in tables:
+            assert len(table.to_json()) == G.order
+        assert G._elements is None
+        assert G.elements is G.elements  # built once, then kept
+        assert G.elements == tuple(sorted(G.elements))
+
+    def test_check_axioms_reads_no_element_tuples(self):
+        G = _s(5)
+        g.zeta_norm(G, (1, 0, 2, 3, 4)).check_axioms()
+        g.commutator_set(G)
+        assert G._elements is None
+
+    def test_s7_with_a_zeta_table_stays_small(self):
+        # 1,080 KB while the group kept a tuple per element and the table
+        # a dict entry per element
+        tracemalloc.start()
+        try:
+            G = _s(7)
+            table = g.zeta_norm(G, (1, 0, 2, 3, 4, 5, 6))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.group is G
+        assert held < 600 * 1024
+
+    @pytest.mark.parametrize("make", [S3, S4, A5, Z4], ids=["S3", "S4", "A5",
+                                                           "Z4"])
+    def test_values_read_as_the_dict_they_replace(self, make):
+        G = make()
+        values = g.commutator_length(G).values
+        as_dict = {x: values[x] for x in G.elements}
+        assert values == as_dict and as_dict == values
+        assert list(values) == list(G.elements)
+        assert len(values) == G.order
+        assert list(values.items()) == list(as_dict.items())
+        assert list(values.values()) == list(as_dict.values())
+        assert values.keys() == as_dict.keys()
+        assert values != {**as_dict, G.identity: 1}
+        with pytest.raises(TypeError):
+            values[G.identity] = 1
+
+    def test_degree_zero(self):
+        G = g.generate_group([()])
+        assert G.order == 1 and G.elements == ((),)
+        assert g.commutator_length(G).to_json() == {"()": 0}
+
 
 def _oracle_norm(G, s):
     lengths = oracle_word_lengths(

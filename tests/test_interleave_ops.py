@@ -59,6 +59,9 @@ def test_copy_of_itself_exits_0(tmp_path, workload):
     assert 0 < q1 <= overall["median_ratio"] <= q3
     lo, hi = overall["median_ci95"]
     assert lo <= overall["median_ratio"] <= hi
+    assert "median_ci95_family" not in overall
+    assert all("median_ci95_family" in entry
+               for entry in report["per_label"].values())
     assert report["differs"] == {}
 
 
@@ -122,3 +125,48 @@ def test_median_interval_coverage_is_exact():
         k = got[0]
         assert got == [k, n + 1 - k]
         assert _below(n, k) <= Fraction(1, 40) < _below(n, k + 1)
+
+
+@pytest.mark.parametrize("n, family, k", [
+    (10, 2, 2), (20, 2, 5), (10, 10, 1), (20, 10, 4), (40, 10, 11),
+    (100, 10, 36), (1000, 10, 456)])
+def test_family_interval_takes_the_bonferroni_ranks(n, family, k):
+    # level 1 - 0.05/family: P(B < k) <= 1/(40 family).  n = 20, family =
+    # 10: P(B <= 3) = 1351/2^20 = 0.0013 <= 0.0025 < P(B <= 4) = 0.0059;
+    # n = 1000: the normal approximation, 500 - 2.807 * sqrt(1000) / 2 =
+    # 455.6, agrees
+    ratios = [1 + rank / 10**4 for rank in range(1, n + 1)]
+    random.Random(n).shuffle(ratios)
+    assert interleave_ops.median_interval(ratios, family) == [
+        1 + k / 10**4, 1 + (n + 1 - k) / 10**4]
+
+
+@pytest.mark.parametrize("family", [2, 3, 10, 25])
+def test_family_interval_coverage_is_exact(family):
+    # each of the family's intervals misses its median with probability
+    # 2 P(B < k) <= 0.05/family, so all hold with probability >= 95%; the
+    # interval is the widest rank pair that does so, and is None where even
+    # k = 1 misses
+    for n in range(1, 120):
+        got = interleave_ops.median_interval(list(range(1, n + 1)), family)
+        bound = Fraction(1, 40 * family)
+        if got is None:
+            assert _below(n, 1) > bound
+            continue
+        k = got[0]
+        assert got == [k, n + 1 - k]
+        assert _below(n, k) <= bound < _below(n, k + 1)
+        # no narrower than the 95% interval
+        assert k <= interleave_ops.median_interval(
+            list(range(1, n + 1)))[0]
+
+
+def test_report_gives_each_label_its_family_interval():
+    pairs = [(100, 100 + i % 7 - 3) for i in range(40)]
+    entry = interleave_ops.summarize(
+        [c / p for p, c in pairs], 4000, sum(c for _, c in pairs), 10)
+    lo, hi = entry["median_ci95_family"]
+    lo95, hi95 = entry["median_ci95"]
+    assert lo <= lo95 <= entry["median_ratio"] <= hi95 <= hi
+    assert "median_ci95_family" not in interleave_ops.summarize(
+        [1.0] * 6, 6, 6)

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from rotnorm._rat import HAVE_GMPY2, Q, common, floor_q, rat, rat_str
+from rotnorm._rat import (
+    HAVE_GMPY2, Q, common, floor_q, more_digits, rat, rat_str)
 from rotnorm.errors import ValidationError
 
 
@@ -38,3 +39,17 @@ def test_common_reduces_to_the_least_denominator():
     assert common([(0, 5), (-3, 9)]) == (3, [0, -1])
     assert common([]) == (1, [])
     assert common(iter([(2, 1)])) == (1, [2])
+
+
+@pytest.mark.parametrize("digits", [1, 2, 3, 10, 100, 4301])
+def test_more_digits_at_each_side_of_a_power_of_ten(digits):
+    # 10^d - 1 has d digits and 10^d has d + 1
+    assert not more_digits(10 ** digits - 1, digits)
+    assert more_digits(10 ** digits, digits)
+    assert not more_digits(10 ** digits, digits + 1)
+
+
+def test_common_names_the_cap_past_its_digits():
+    assert common([(1, 10 ** 5 - 1)], ("m.CAP", 5)) == (10 ** 5 - 1, [1])
+    with pytest.raises(ValidationError, match=r"the cap m\.CAP = 5"):
+        common([(1, 99991), (1, 99989)], ("m.CAP", 5))

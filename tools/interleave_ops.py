@@ -32,7 +32,11 @@ median of the per-pair time ratios change/parent with their quartiles
 (``statistics.quantiles(method="inclusive")``) and the distribution-free
 95% interval of that median (``median_interval``, the sign test's), the
 pairs in which the change was faster, each side's total CPU time
-(``parent_ns``, ``change_ns``) and their ratio, then ``differs``.  The
+(``parent_ns``, ``change_ns``) and their ratio, then ``differs``.  Each
+label also gets ``median_ci95_family``, its interval at level 1 - 0.05/L
+for the report's L labels: with ten labels, some 95% interval of a run
+excludes 1 by chance even on identical code, while the L family-wise
+intervals all hold their medians with probability at least 95%.  The
 per-label totals add up to the overall ones, so the total ratio of a
 family of labels (all ``loops|...`` ops, say) is read from their sums.
 """
@@ -100,38 +104,51 @@ class Side:
         return ns, digest
 
 
-def median_interval(values: list[float]):
-    """The distribution-free 95% interval of the median, or None if there
-    are fewer than 6 values.
+def median_interval(values: list[float], family: int = 1):
+    """The distribution-free interval of the median at level
+    1 - 0.05/family, or None if there are too few values for it (fewer
+    than 6 at family = 1).
 
     With the values sorted as x_(1) <= ... <= x_(n) and B ~ Bin(n, 1/2),
     [x_(k), x_(n+1-k)] holds the median with probability at least
     1 - 2 P(B < k), whatever the distribution (binomial order statistics,
-    the interval of the sign test).  k is the largest with P(B < k) <= 1/40,
-    found on exact integers: 40 * sum_{i<k} C(n, i) <= 2^n.
+    the interval of the sign test).  k is the largest with
+    P(B < k) <= 1/(40 family), found on exact integers:
+    40 family sum_{i<k} C(n, i) <= 2^n.  At family = L the L intervals of
+    one report all hold their medians with probability at least 95%
+    (Bonferroni).
     """
     xs = sorted(values)
     n = len(xs)
     k, below, term = 0, 0, 1  # below = sum_{i<k} C(n, i), term = C(n, k)
-    while 40 * (below + term) <= 2 ** n:
+    while 40 * family * (below + term) <= 2 ** n:
         below += term
         term = term * (n - k) // (k + 1)
         k += 1
     return [xs[k - 1], xs[n - k]] if k else None
 
 
-def summarize(ratios: list[float], parent_ns: int, change_ns: int) -> dict:
+def _rounded(interval):
+    return interval and [round(v, 4) for v in interval]
+
+
+def summarize(ratios: list[float], parent_ns: int, change_ns: int,
+              family: int | None = None) -> dict:
     """The median per-pair ratio change/parent with its quartiles and its
     95% interval, the pairs the change was faster in, and the two total
-    times with their ratio."""
+    times with their ratio.  With ``family`` = L, the number of labels of
+    the report, also the interval at level 1 - 0.05/L,
+    ``median_ci95_family``."""
     q1, med, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
                    if len(ratios) > 1 else ratios * 3)
-    ci = median_interval(ratios)
+    family_ci = ({"median_ci95_family": _rounded(
+        median_interval(ratios, family))} if family else {})
     return {
         "pairs": len(ratios),
         "median_ratio": round(med, 4),
         "quartiles": [round(q1, 4), round(q3, 4)],
-        "median_ci95": ci and [round(v, 4) for v in ci],
+        "median_ci95": _rounded(median_interval(ratios)),
+        **family_ci,
         "change_faster": f"{sum(r < 1 for r in ratios)}/{len(ratios)}",
         "parent_ns": parent_ns,
         "change_ns": change_ns,
@@ -185,13 +202,15 @@ def interleave(parent: Side, change: Side, rounds: int) -> dict:
             times.setdefault(p_op.label, []).append(
                 (got["parent"][0], got["change"][0]))
 
-    def entry(pairs):
+    def entry(pairs, family=None):
         return summarize([c / p for p, c in pairs],
-                         sum(p for p, _ in pairs), sum(c for _, c in pairs))
+                         sum(p for p, _ in pairs), sum(c for _, c in pairs),
+                         family)
 
     every = [pair for pairs in times.values() for pair in pairs]
     return {"overall": entry(every),
-            "per_label": {label: entry(times[label]) for label in sorted(times)},
+            "per_label": {label: entry(times[label], len(times))
+                          for label in sorted(times)},
             "differs": {label: n for label, n in sorted(differs.items()) if n}}
 
 
@@ -226,7 +245,9 @@ def main(argv=None) -> int:
             "time.process_time_ns; ratio = change / parent per pair; "
             "quartiles by statistics.quantiles(method='inclusive'); "
             "median_ci95 from binomial order statistics (sign test), null "
-            "below 6 pairs"),
+            "below 6 pairs; per label, median_ci95_family at level "
+            "1 - 0.05/L for the L labels (Bonferroni), null where too few "
+            "pairs"),
         **report,
     }, indent=1))
     if report["differs"]:
