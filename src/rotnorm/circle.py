@@ -59,9 +59,11 @@ class PLCircleDiffeo:
     with the integer run ``dx`` and rise ``dy`` of every segment (the last
     segment wraps to the first breakpoint one period on).  Every operation
     works on these integers and builds a rational only for the values it
-    returns.  Every lift value is an ``_eval`` pair (num, den): ``eval``,
-    ``compose``, ``_displacement``, ``interpolate`` and ``mu`` all read the
-    lift through it (``_eval_inv`` reads the inverse the same way).
+    returns.  Every lift value looked up is an ``_eval`` pair (num, den):
+    ``eval``, ``compose``, ``_displacement``, ``interpolate`` and ``mu`` all
+    read the lift through it (``_eval_inv`` reads the inverse the same way).
+    At a map's own breakpoints its value is stored, so ``_displacement``
+    looks up each map only at the other's breakpoints.
 
     Maps built by ``compose`` use the least common denominator of their
     breakpoints and values.  Maps built by ``interpolate`` use lcm(L, D),
@@ -174,32 +176,25 @@ class PLCircleDiffeo:
         pairs.sort()
         return PLCircleDiffeo([p[0] for p in pairs], [p[1] for p in pairs], D)
 
-    def _merged(self, other):
-        """Both lifts at the union of their breakpoints, through ``_eval``.
-
-        Returns (L, points, mine, theirs): the sorted integer points over
-        the common denominator L, and each map's ``_eval`` pair at them.
-        """
-        L = lcm(self.den, other.den)
-        ms, mo = L // self.den, L // other.den
-        points = sorted({x * ms for x in self.xn}.union(x * mo for x in other.xn))
-        return (L, points, [self._eval(X, L) for X in points],
-                [other._eval(X, L) for X in points])
-
     def _displacement(self, other):
         """sup |self - other| as an unreduced pair (num, den).
 
-        Maps on one grid compare their values directly; others compare
-        their ``_merged`` pairs.
+        self - other is PL and periodic, so its sup is taken at a breakpoint
+        of one of the two maps, where that map's value is its stored
+        numerator over ``den``.  So each map is read at its own breakpoints
+        and the other looked up there: one ``_eval`` per breakpoint of each.
+        Maps on one grid compare their values directly, with no lookup.
         """
         if self.den == other.den and self.xn == other.xn:
             return max(map(abs, map(sub, self.yn, other.yn))), self.den
-        _, _, mine, theirs = self._merged(other)
         num, den = 0, 1
-        for (na, da), (nb, db) in zip(mine, theirs):
-            n, d = abs(na * db - nb * da), da * db
-            if n * den > num * d:
-                num, den = n, d
+        for f, g in ((self, other), (other, self)):
+            D = f.den
+            for x, y in zip(f.xn, f.yn):
+                nb, db = g._eval(x, D)
+                n, d = abs(y * db - nb * D), D * db
+                if n * den > num * d:
+                    num, den = n, d
         return num, den
 
     def displacement(self, other: "PLCircleDiffeo"):
@@ -214,9 +209,13 @@ class PLCircleDiffeo:
             return self
         if sn == sd:
             return other
-        L, xs, mine, theirs = self._merged(other)
+        # The breakpoints of the combination are the union of both maps'.
+        L = lcm(self.den, other.den)
+        ms, mo = L // self.den, L // other.den
+        xs = sorted({x * ms for x in self.xn}.union(x * mo for x in other.xn))
         D, ys = common([((sd - sn) * na * db + sn * nb * da, sd * da * db)
-                        for (na, da), (nb, db) in zip(mine, theirs)])
+                        for (na, da), (nb, db) in
+                        ((self._eval(X, L), other._eval(X, L)) for X in xs)])
         m = lcm(L, D)
         return PLCircleDiffeo([x * (m // L) for x in xs],
                               [y * (m // D) for y in ys], m)
@@ -248,6 +247,13 @@ class PLCircleDiffeo:
 
     def __repr__(self):
         return f"PLCircleDiffeo(xs={self.xs}, ys={self.ys})"
+
+
+def _check_step(num, den):
+    """Raise AmbiguousLift unless a time step's sup move num/den is below 1/2."""
+    if 2 * num >= den:
+        raise AmbiguousLift("frames move by >= 1/2 within one time step; "
+                            "resample the isotopy more finely")
 
 
 def _lookup(D, us, vs, du, dv, a, q):
@@ -289,12 +295,7 @@ class PLIsotopy:
         if not all(map(lt, tn, tn[1:])):
             raise ValidationError("time samples must strictly increase")
         for fa, fb in zip(frames, frames[1:]):
-            num, den = fa._displacement(fb)
-            if 2 * num >= den:
-                raise AmbiguousLift(
-                    "frames move by >= 1/2 within one time step; "
-                    "resample the isotopy more finely"
-                )
+            _check_step(*fa._displacement(fb))
         self.tn, self.tden = tn, tden
         self.start, self.end = frames[0], frames[-1]
 
@@ -488,8 +489,7 @@ def _isotopy_rows(rng: random.Random):
     for _ in range(S):
         c += _randint(bits, -16, 16) * b
         ys = [x + c + _randint(bits, -8, 8) for x in xs]
-        if 2 * max(map(abs, map(sub, ys, prev))) >= D:
-            raise AmbiguousLift("random isotopy frames move by >= 1/2 in one step")
+        _check_step(max(map(abs, map(sub, ys, prev))), D)
         rows.append(ys)
         prev = ys
     return S, D, xs, rows
@@ -519,8 +519,7 @@ def _loop_rows(rng: random.Random, winding: int | None):
         else:
             c = 64 * b * w * j + _randint(bits, -2, 2) * b * S
             ys = [x + c + _randint(bits, -8, 8) * S for x in xs]
-        if 2 * max(map(abs, map(sub, ys, prev))) >= D:
-            raise AmbiguousLift("random loop frames move by >= 1/2 in one step")
+        _check_step(max(map(abs, map(sub, ys, prev))), D)
         rows.append(ys)
         prev = ys
     return S, D, xs, rows

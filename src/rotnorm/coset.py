@@ -68,10 +68,6 @@ class AffineCoset:
         """The coset offset + A; the constructor centres the offset."""
         return AffineCoset(lattice=A, offset=offset)
 
-    @property
-    def m(self) -> int:
-        return self.lattice.m
-
 
 @dataclass(frozen=True)
 class NearestData:

@@ -358,6 +358,66 @@ class TestFractionOracle:
             PLCircleDiffeo((0,), (0,), 0)
 
 
+def _wide_frame(rng, k, digits, shift=0):
+    """A frame of k breakpoints i/k + 1/(3k d_i) and values
+    shift + i/k + 1/(5k e_i), the d_i and e_i cycling through five distinct
+    odd integers of ``digits`` digits each."""
+    def odd_ints():
+        drawn = []
+        while len(drawn) < 5:
+            n = rng.randrange(10 ** (digits - 1), 10 ** digits) | 1
+            if n not in drawn:
+                drawn.append(n)
+        return drawn
+
+    ds, es = odd_ints(), odd_ints()
+    return PLCircleDiffeo(
+        [Q(i, k) + Q(1, 3 * k * ds[i % 5]) for i in range(k)],
+        [shift + Q(i, k) + Q(1, 5 * k * es[i % 5]) for i in range(k)])
+
+
+class TestDisplacement:
+    """``_displacement`` reads each map's stored values at its own
+    breakpoints and looks the other map up there."""
+
+    def test_one_lookup_per_breakpoint_of_each(self, monkeypatch):
+        f = PLCircleDiffeo([0, Q(1, 3), Q(2, 3)], [Q(1, 10), Q(1, 2), Q(4, 5)])
+        g = PLCircleDiffeo([Q(1, 8), Q(3, 8), Q(5, 8), Q(7, 8)],
+                           [Q(1, 4), Q(1, 3), Q(3, 5), Q(6, 7)])
+        h = PLCircleDiffeo(f.xn, (6, 12, 18), f.den)  # f's grid, over 30
+        wants = [FractionCircleDiffeo.of(a).displacement(FractionCircleDiffeo.of(b))
+                 for a, b in ((f, g), (g, f), (f, h))]
+        calls = []
+        lookup = c._lookup
+
+        def counting(*args):
+            calls.append(args)
+            return lookup(*args)
+
+        monkeypatch.setattr(c, "_lookup", counting)
+        for (a, b), want in zip(((f, g), (g, f)), wants):
+            calls.clear()
+            assert a.displacement(b) == want
+            assert len(calls) == 3 + 4
+        calls.clear()
+        assert f.displacement(h) == wants[2]  # one grid: no lookup
+        assert calls == []
+
+    @pytest.mark.parametrize("shift", [0, Q(1, 4), Q(1, 2), Q(-1, 2), Q(3, 4)])
+    def test_wide_denominators_match_the_oracle(self, shift):
+        rng = random.Random(5)
+        a = _wide_frame(rng, 5, 50)
+        b = _wide_frame(rng, 5, 50, shift)
+        assert a.xn != b.xn
+        want = FractionCircleDiffeo.of(a).displacement(FractionCircleDiffeo.of(b))
+        assert a.displacement(b) == b.displacement(a) == want
+        if 2 * want < 1:
+            assert PLIsotopy((0, 1), (a, b)).end is b
+        else:
+            with pytest.raises(AmbiguousLift):
+                PLIsotopy((0, 1), (a, b))
+
+
 class TestHash:
     """Maps that are equal pointwise hash equal, whatever their breakpoints."""
 
