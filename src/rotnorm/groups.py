@@ -11,12 +11,6 @@ over classes rather than over elements or pairs of elements.  A norm table
 holds one value per class (``_ClassValues``), read through the group's
 index as a map element -> value.
 
-A group keeps one packed copy of its elements: the sorted bytes of each,
-joined into one table.  The engines stream that table
-(``struct.iter_unpack``) and keep no tuple per element beyond what they
-return; the tuple of ``elements`` is built the first time a caller reads
-it, and kept.
-
 ``generate_group`` builds every group, normal closures included.  Its walk
 (``_walk``) enumerates the group one conjugacy class at a time, so closing
 the generators and labelling the classes are one pass: each class is an
@@ -27,15 +21,22 @@ table, so each product or conjugation step is one or two C-level lookups.
 A walk conjugates each element by each generator, so the generators are
 thinned first (Dimino's algorithm; Butler, *Fundamental Algorithms for
 Permutation Groups*, 1991): at most log2|G| + 1 are kept, and the time
-grows with |G| log|G|, not with their number.  The group keeps the walk's
-table: its one index maps the bytes of each element to its class label, so
-a lookup answers membership and class at once.
+grows with |G| log|G|, not with their number.  The walk stops once it
+holds all of Sym(degree).
+
+A group is its walk and nothing more: one index maps the bytes of each
+element to its class label, so a lookup answers membership and class at
+once, and the walk's orbits are the classes.  Nothing is sorted when a
+group is built.  The engines read the index in walk order; sorted element
+order is paid for only where a caller reads it: the tuple of ``elements``,
+built the first time it is read and kept, the sorted members of a union of
+classes, and a norm table iterated in element order.
 """
 
 from __future__ import annotations
 
-import struct
 from collections.abc import ItemsView, Mapping
+from math import factorial
 
 from rotnorm._rat import INF
 from rotnorm.errors import (
@@ -123,47 +124,35 @@ class FiniteGroup:
     ``generators`` must generate the group: the conjugacy classes and the
     invariance checks are taken under conjugation by the generators alone.
 
-    The group keeps the table of the class walk that built it and one
-    packed copy of its elements, but no tuple per element.  ``_table``
-    packs the sorted elements, ``degree`` bytes each; ``_labels`` holds the
-    class label of each element in that order;
-    ``_class_of`` maps the bytes of each element to its class label, the
-    identity's class being label 0; ``_classes`` holds the members of each
-    class as bytes, in label order.  ``elements``, the sorted elements as
-    tuples, is built on first read and kept.  ``generate_group`` builds
-    every group.
+    The group keeps the table of the class walk that built it, in walk
+    order, and no tuple per element.  ``_class_of`` maps the bytes of each
+    element to its class label, the identity's class being label 0;
+    ``_classes`` holds the members of each class as bytes, in label order.
+    ``elements``, the sorted elements as tuples, is built on first read and
+    kept.  ``generate_group`` builds every group.
     """
 
-    __slots__ = ("degree", "generators", "_table", "_class_of", "_classes",
-                 "_labels", "_elements")
+    __slots__ = ("degree", "generators", "_class_of", "_classes",
+                 "_elements")
 
-    def __init__(self, degree, table, generators, class_of, classes, labels):
+    def __init__(self, degree, generators, class_of, classes):
         self.degree = degree
         self.generators = generators
-        self._table = table
         self._class_of = class_of
         self._classes = classes
-        self._labels = labels
         self._elements = None
 
     @property
     def elements(self) -> tuple[Perm, ...]:
+        """The elements as tuples, sorted (bytes of one length sort exactly
+        as the tuples of their values)."""
         if self._elements is None:
-            self._elements = tuple(self._tuples())
+            self._elements = tuple(map(tuple, sorted(self._class_of)))
         return self._elements
-
-    def _tuples(self):
-        """The elements as tuples, in order, read off the packed table
-        unless ``elements`` holds them already."""
-        if self._elements is not None:
-            return iter(self._elements)
-        if not self.degree:
-            return iter(((),))
-        return struct.iter_unpack(f"{self.degree}B", self._table)
 
     @property
     def order(self) -> int:
-        return len(self._labels)
+        return len(self._class_of)
 
     @property
     def identity(self) -> Perm:
@@ -267,7 +256,9 @@ def _walk(gens, degree: int):
     classes are walked in the order found: for each class K and each class
     C of a generator, ``_class_products`` gives elements whose classes are
     those of k*c over k in K, c in C, and each product not seen yet starts
-    a new orbit.
+    a new orbit.  The walk stops before a class product once ``class_of``
+    holds degree! elements: every orbit is complete when it is entered, so
+    the group is all of Sym(degree) and nothing is left to find.
 
     This reaches all of G.  Let U be the union of the classes found.  It
     contains the identity.  Take x in U and a generator g, and write x =
@@ -290,8 +281,11 @@ def _walk(gens, degree: int):
             orbits.append(_orbit(x, conjugators, class_of, len(orbits)))
     gen_classes = [orbits[c]
                    for c in sorted({class_of[bytes(g)] for g in gens})]
+    whole = factorial(degree)
     for K in orbits:  # the list grows as it is walked
         for C in gen_classes:
+            if len(class_of) == whole:
+                return class_of, orbits
             for x in _class_products(K, C):
                 if x not in class_of:
                     orbits.append(_orbit(x, conjugators, class_of,
@@ -311,12 +305,8 @@ def generate_group(generators) -> FiniteGroup:
     the group of the others.  Every other kept generator at least doubles
     the order, so at most log2|G| + 1 are kept, and the walks before the
     final one visit fewer than 2|G| elements in all.  On two generators the
-    final walk is the only one.
-
-    Elements are sorted once as bytes (bytes of one length sort exactly as
-    the tuples of their values) and packed into one table.  The group keeps
-    that table, the final walk's class table, the labels of the sorted
-    elements and the generators as given.
+    final walk is the only one.  The group keeps the final walk's class
+    table and the generators as given.
     """
     gens = tuple(validate_perm(g) for g in generators)
     if not gens:
@@ -333,14 +323,13 @@ def generate_group(generators) -> FiniteGroup:
         if bytes(s) not in class_of:
             kept.append(s)
     class_of, orbits = _walk([*kept, gens[-1]], degree)
-    keys = sorted(class_of)
-    return FiniteGroup(degree, b"".join(keys), gens, class_of, orbits,
-                       list(map(class_of.__getitem__, keys)))
+    return FiniteGroup(degree, gens, class_of, orbits)
 
 
-def _union_of_classes(G: FiniteGroup, keep) -> tuple[Perm, ...]:
-    """The sorted members of the classes whose labels satisfy keep."""
-    return tuple(g for g, k in zip(G._tuples(), G._labels) if keep(k))
+def _union_of_classes(G: FiniteGroup, labels) -> tuple[Perm, ...]:
+    """The sorted members of the classes with these labels."""
+    return tuple(map(tuple, sorted(
+        x for k in labels for x in G._classes[k])))
 
 
 def _class_distances(G: FiniteGroup, s_labels) -> list[int]:
@@ -394,8 +383,8 @@ class _ClassValues(Mapping):
 
     ``values[g]`` answers as a dict keyed by the element tuples would
     (``FiniteGroup._key``): KeyError for a non-member, TypeError for an
-    unhashable g.  It iterates over the elements in order, and compares
-    equal to that dict.
+    unhashable g.  It iterates over the elements in order, sorting their
+    bytes each time, and compares equal to that dict.
     """
 
     __slots__ = ("_group", "_per_class")
@@ -411,7 +400,7 @@ class _ClassValues(Mapping):
         return self._per_class[self._group._class_of[key]]
 
     def __iter__(self):
-        return self._group._tuples()
+        return map(tuple, sorted(self._group._class_of))
 
     def __len__(self) -> int:
         return self._group.order
@@ -428,8 +417,10 @@ class _ClassItems(ItemsView):
 
     def __iter__(self):
         values = self._mapping
-        return zip(values, map(values._per_class.__getitem__,
-                               values._group._labels))
+        class_of = values._group._class_of
+        keys = sorted(class_of)
+        return zip(map(tuple, keys), map(values._per_class.__getitem__,
+                                         map(class_of.__getitem__, keys)))
 
 
 class NormTable:
@@ -453,7 +444,7 @@ class NormTable:
         """Exhaustive check of the four norm axioms; raises AssertionError
         on a violation, also under ``python -O``."""
         G = self.group
-        elements = tuple(G._tuples())
+        elements = tuple(map(tuple, G._class_of))  # in walk order
         v = dict(zip(elements, map(self.values.__getitem__, elements)))
         if v[G.identity] != 0:
             raise AssertionError("norm is nonzero at the identity")
@@ -532,7 +523,7 @@ def _commutator_labels(G: FiniteGroup) -> set[int]:
 
 def commutator_set(G: FiniteGroup) -> tuple[Perm, ...]:
     """All commutators [a, b] = a b a^-1 b^-1, sorted."""
-    return _union_of_classes(G, _commutator_labels(G).__contains__)
+    return _union_of_classes(G, _commutator_labels(G))
 
 
 def commutator_length(G: FiniteGroup) -> NormTable:
@@ -585,7 +576,7 @@ def weakly_simple_set(G: FiniteGroup):
         reached = [j for j, d in enumerate(dist) if d >= 0]
         if sum(len(classes[j]) for j in reached) < G.order:
             keep.update(reached)
-    s_g = _union_of_classes(G, keep.__contains__)
+    s_g = _union_of_classes(G, keep)
     if len(s_g) == 1:  # the identity alone
         classification = "simple"
     elif len(s_g) < G.order:

@@ -593,9 +593,9 @@ class TestClassEnumeration:
         assert every.generators == G.elements
         partitions = []
         for H in (G, every):
-            class_of, classes, labels = H._class_of, H._classes, H._labels
+            class_of, classes = H._class_of, H._classes
             assert sorted(class_of) == want
-            assert labels == [class_of[bytes(x)] for x in H.elements]
+            labels = [class_of[bytes(x)] for x in H.elements]
             assert [class_of[x] for cls in classes for x in cls] == [
                 k for k, cls in enumerate(classes) for _ in cls]
             members = [tuple(map(tuple, sorted(cls))) for cls in classes]
@@ -812,8 +812,9 @@ def _s(n):
 
 
 class TestPackedTable:
-    """A group keeps its elements packed, and its norm tables one value
-    per class; tuples are built only when ``elements`` is read."""
+    """A group keeps only its class walk, and its norm tables one value
+    per class; tuples are built only when ``elements`` is read, and the
+    whole group is sorted only when a caller reads it in element order."""
 
     @pytest.mark.parametrize("n", [5, 7])
     def test_engines_read_no_element_tuples(self, n):
@@ -863,10 +864,66 @@ class TestPackedTable:
         with pytest.raises(TypeError):
             values[G.identity] = 1
 
+    def test_building_a_group_sorts_no_element_list(self, monkeypatch):
+        # S7 and a zeta table: the only sorts left are of one permutation's
+        # images (validate_perm) and of the generators' class labels
+        lengths = []
+
+        def recorded(iterable, **kwargs):
+            out = sorted(iterable, **kwargs)
+            lengths.append(len(out))
+            return out
+
+        monkeypatch.setattr(g, "sorted", recorded, raising=False)
+        G = _s(7)
+        g.zeta_norm(G, (1, 0, 2, 3, 4, 5, 6))
+        assert lengths and max(lengths) <= max(G.degree, len(G.generators))
+
     def test_degree_zero(self):
         G = g.generate_group([()])
         assert G.order == 1 and G.elements == ((),)
         assert g.commutator_length(G).to_json() == {"()": 0}
+
+
+@pytest.fixture
+def walk_events(monkeypatch):
+    """The walk's steps in call order: the size of ``class_of`` after each
+    ``_orbit``, and None for each ``_class_products`` call."""
+    events = []
+    orbit, products = g._orbit, g._class_products
+
+    def counted_orbit(x, conjugators, class_of, k):
+        out = orbit(x, conjugators, class_of, k)
+        events.append(len(class_of))
+        return out
+
+    def counted_products(K, C):
+        events.append(None)
+        return products(K, C)
+
+    monkeypatch.setattr(g, "_orbit", counted_orbit)
+    monkeypatch.setattr(g, "_class_products", counted_products)
+    return events
+
+
+class TestWalkStop:
+    """The walk stops once it holds all of Sym(degree), and only then: on
+    A7 and S4×S4 it forms the class products of a full walk."""
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_no_class_products_once_sym_n_is_whole(self, n, walk_events):
+        whole = math.factorial(n)
+        assert _s(n).order == whole
+        assert None not in walk_events[walk_events.index(whole):]
+
+    @pytest.mark.parametrize("gens, order, calls", [
+        ([(1, 2, 0, 3, 4, 5, 6), (0, 1, 3, 4, 5, 6, 2)], 2520, 18),
+        ([(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 0, 4, 5, 6, 7),
+          (0, 1, 2, 3, 5, 4, 6, 7), (0, 1, 2, 3, 5, 6, 7, 4)], 576, 112),
+    ], ids=["A7", "S4xS4"])
+    def test_other_groups_walk_on(self, gens, order, calls, walk_events):
+        assert g.generate_group(gens).order == order
+        assert walk_events.count(None) == calls
 
 
 def _oracle_norm(G, s):
