@@ -45,9 +45,10 @@ from rotnorm.errors import (
 )
 
 #: Most digits in the shared denominator of a frame built from rationals,
-#: as every input frame is.  That denominator is the lcm of the frame's
-#: input denominators, so it can grow with their number, and the cost of
-#: each lookup in the constructor's step check with its square.
+#: as every input frame is, and of an isotopy's time grid.  Each is the lcm
+#: of its input denominators, so it can grow with their number: the cost of
+#: each lookup in the constructor's step check grows with the square of a
+#: frame's, and the cost of reading the times with that of the grid's.
 MAX_FRAME_DIGITS = 10_000
 
 
@@ -273,7 +274,9 @@ class PLIsotopy:
     ``PLIsotopy(times, frames)`` takes rational times, strictly increasing
     from 0 to 1.  They are kept as integer numerators ``tn`` over their
     least common denominator ``tden``, as the frames keep their
-    breakpoints; ``times`` gives them as rationals.
+    breakpoints, and ``tden`` has the frames' digit cap
+    (``MAX_FRAME_DIGITS``), checked before any step; ``times`` gives them
+    as rationals.
 
     The constructor refuses frames that move by >= 1/2 between adjacent
     samples: below that threshold the frames' lifts are the continuous
@@ -286,7 +289,8 @@ class PLIsotopy:
     __slots__ = ("tn", "tden", "start", "end", "__weakref__")
 
     def __init__(self, times, frames):
-        tden, tn = common(Q(t).as_integer_ratio() for t in times)
+        tden, tn = common((Q(t).as_integer_ratio() for t in times),
+                          ("circle.MAX_FRAME_DIGITS", MAX_FRAME_DIGITS))
         tn, frames = tuple(tn), tuple(frames)
         if len(tn) < 2 or len(tn) != len(frames):
             raise ValidationError("need at least 2 matching time samples")

@@ -151,8 +151,6 @@ def _text_lines(obj, prefix: str):
                 yield from _text_lines(value, prefix + "  ")
             else:
                 yield f"{prefix}- {value}"
-    else:
-        yield f"{prefix}{obj}"
 
 
 def group_cmd(path, norm_kind, element):

@@ -158,8 +158,9 @@ class FiniteGroup:
     def identity(self) -> Perm:
         return identity_perm(self.degree)
 
-    def _key(self, g):
-        """The bytes of g if g is an element, else None.
+    def _label_of(self, g):
+        """The class label of g if g is an element, else None: one read of
+        the index.
 
         Answers as a dict keyed by the element tuples would: an unhashable
         g raises TypeError, and images equal to ints (True, 1.0) count as
@@ -177,26 +178,18 @@ class FiniteGroup:
                 ints = tuple(map(int, g))
             except (TypeError, ValueError, OverflowError):
                 return None
-            return self._key(ints) if ints == g else None
-        return key if key in self._class_of else None
-
-    def _label(self, g) -> int:
-        """The class label of the element g."""
-        key = self._key(g)
-        if key is None:
-            raise NotAMember(f"{g} is not an element of the group")
-        return self._class_of[key]
+            return self._label_of(ints) if ints == g else None
+        return self._class_of.get(key)
 
     def __contains__(self, g) -> bool:
-        return self._key(g) is not None
+        return self._label_of(g) is not None
 
     def require_member(self, g: Perm) -> Perm:
         """g as a tuple of ints (g itself when its images are ints), or
         NotAMember when g is not an element."""
-        key = self._key(g)
-        if key is None:
+        if self._label_of(g) is None:
             raise NotAMember(f"{g} is not an element of the group")
-        return g if all(type(i) is int for i in g) else tuple(key)
+        return g if all(type(i) is int for i in g) else tuple(map(int, g))
 
 
 def _conjugators(generators):
@@ -364,15 +357,15 @@ def _class_distances(G: FiniteGroup, s_labels) -> list[int]:
 
 def conjugacy_class(G: FiniteGroup, g: Perm) -> tuple[Perm, ...]:
     """The members of g's class, sorted."""
-    label = G._label(g)
-    return tuple(map(tuple, sorted(G._classes[label])))
+    g = G.require_member(g)
+    return tuple(map(tuple, sorted(G._classes[G._class_of[bytes(g)]])))
 
 
 def normal_closure(G: FiniteGroup, g: Perm) -> FiniteGroup:
     """Smallest normal subgroup of G containing g: the group generated by
     the members of class(g) and class(g^-1), sorted."""
     g = G.require_member(g)
-    labels = sorted({G._label(g), G._label(inverse(g))})
+    labels = sorted({G._class_of[bytes(g)], G._class_of[bytes(inverse(g))]})
     return generate_group(sorted(
         tuple(s) for k in labels for s in G._classes[k]))
 
@@ -382,7 +375,7 @@ class _ClassValues(Mapping):
     value per conjugacy class of the group.
 
     ``values[g]`` answers as a dict keyed by the element tuples would
-    (``FiniteGroup._key``): KeyError for a non-member, TypeError for an
+    (``FiniteGroup._label_of``): KeyError for a non-member, TypeError for an
     unhashable g.  It iterates over the elements in order, sorting their
     bytes each time, and compares equal to that dict.
     """
@@ -394,10 +387,10 @@ class _ClassValues(Mapping):
         self._per_class = per_class
 
     def __getitem__(self, g):
-        key = self._group._key(g)
-        if key is None:
+        label = self._group._label_of(g)
+        if label is None:
             raise KeyError(g)
-        return self._per_class[self._group._class_of[key]]
+        return self._per_class[label]
 
     def __iter__(self):
         return map(tuple, sorted(self._group._class_of))
@@ -540,7 +533,8 @@ def zeta_norm(G: FiniteGroup, g: Perm) -> NormTable:
     g = G.require_member(g)
     if g == G.identity:
         raise IdentityGenerator("zeta norm requires a non-identity element")
-    return _class_norm(G, {G._label(g), G._label(inverse(g))})
+    return _class_norm(G, {G._class_of[bytes(g)],
+                           G._class_of[bytes(inverse(g))]})
 
 
 def quotient_norm(q: NormTable, S, f: Perm):

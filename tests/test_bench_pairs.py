@@ -137,3 +137,32 @@ def test_one_pair_fails_at_parse_time(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--pairs must be at least 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_calibration_line_is_read_into_the_run():
+    lines = ["metric setup_s = 0.05 s",
+             "calibration before_ms = 12.500 after_ms = 13.250",
+             "digest sha256:00", "{}"]
+    assert bench_pairs.calibration(lines) == {"before_ms": 12.5,
+                                              "after_ms": 13.25}
+    assert bench_pairs.calibration(lines[2:]) is None
+
+
+def test_summary_gives_each_sides_median_calibration():
+    runs = _runs("peak_rss_mb", [1.0] * PAIRS, [1.0] * PAIRS)
+    for i, run in enumerate(runs):
+        # the parent reads 10 + pair, the change 20 + pair, as two readings
+        # whose mean is that value
+        base = (10 if run["side"] == "parent" else 20) + run["pair"]
+        run["calibration_ms"] = {"before_ms": base - 1, "after_ms": base + 1}
+    summary, _ = bench_pairs.summarize(runs, [RSS], PAIRS)
+    assert summary["circle seed 0"]["calibration_ms"] == {
+        "parent_median": 14.5, "change_median": 24.5,
+        "change_vs_parent": 0.6897}
+    assert summary["circle seed 0"]["peak_rss_mb"]["change_wins"] == "0/10"
+    # with no readings on one side there is nothing to compare
+    for run in runs:
+        if run["side"] == "change":
+            run["calibration_ms"] = None
+    summary, _ = bench_pairs.summarize(runs, [RSS], PAIRS)
+    assert "calibration_ms" not in summary["circle seed 0"]

@@ -504,6 +504,13 @@ class TestPLIsotopy:
             assert a.displacement(b) < Q(1, 8)
         assert mu(R, Q(0)) == Q(3, 2)
 
+    @pytest.mark.parametrize("max_disp", [0, Q(-1, 8)],
+                             ids=["zero", "negative"])
+    def test_refine_needs_a_positive_bound(self, max_disp):
+        F = PLIsotopy.rotation(Q(3, 2), samples=5)
+        with pytest.raises(ValidationError, match="max_disp must be positive"):
+            refine(F, max_disp)
+
 
 def _rotations(*angles):
     return tuple(PLCircleDiffeo.rotation(a) for a in angles)
@@ -1233,6 +1240,34 @@ class TestDefectExperiment:
     def test_needs_trials(self):
         with pytest.raises(ValidationError):
             defect_experiment(seed=1, trials=0)
+
+    @staticmethod
+    def _shifted_inverse(monkeypatch, shift):
+        """Plant a fault: every inverse lift value moves up by shift."""
+        eval_inv = PLCircleDiffeo._eval_inv
+
+        def planted(self, a, q):
+            n, d = eval_inv(self, a, q)
+            return n * shift.denominator + shift.numerator * d, d * shift.denominator
+
+        monkeypatch.setattr(PLCircleDiffeo, "_eval_inv", planted)
+
+    def test_counts_a_broken_inverse_round_trip(self, monkeypatch):
+        # f^-1(f(p)) - p reads 1/2 in every trial, and no observed sum
+        # reaches its limit
+        self._shifted_inverse(monkeypatch, Q(1, 2))
+        report = defect_experiment(seed=3, trials=200)
+        assert report["violations"] == 200
+        for name, lim in report["limits"].items():
+            assert report["max_observed"][name] < lim
+
+    def test_counts_sums_past_their_limits(self, monkeypatch):
+        # shifted by 1, the round trip fails in every trial and
+        # |mu(F) + mu(F^-1)| reaches 1 in some: more violations than trials
+        self._shifted_inverse(monkeypatch, Q(1))
+        report = defect_experiment(seed=3, trials=200)
+        assert report["violations"] > 200
+        assert report["max_observed"]["inverse_sum"] >= 1
 
     def test_end_frame_mu_matches_oracle_isotopy_mu(self):
         # the experiment's end-frame evaluations equal mu, read step by step

@@ -115,6 +115,18 @@ class TestGroupCommand:
         assert r.returncode == 1
         assert json.loads(r.stderr)["error"]["kind"] == "validation"
 
+    @pytest.mark.parametrize("doc", [[], {}], ids=["empty_list", "object"])
+    def test_needs_a_non_empty_list(self, tmp_path, capsys, doc):
+        from rotnorm import cli
+
+        path = write_json(tmp_path, "g.json", doc)
+        assert cli.main(["group", "--in", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "validation"
+        assert "non-empty JSON list" in error["message"]
+
 
 class TestLatticeCommand:
     def test_invariants(self, tmp_path):
@@ -156,6 +168,20 @@ class TestCosetCommand:
         r = run_cli(["coset", "--lattice", path, "--offset", "0.5"])
         assert r.returncode == 1
 
+    def test_text_points_of_two_coordinates(self, tmp_path, capsys):
+        # each point is a list in the list of points: its coordinates are
+        # written one level deeper
+        from rotnorm import cli
+
+        path = write_json(tmp_path, "A.json",
+                          {"m": 2, "generators": [[2, 0], [0, 3]]})
+        assert cli.main(["coset", "--lattice", path, "--offset", "1,1/2",
+                         "--format", "text"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == ("points:\n    - -1\n    - 1/2\n    - 1\n    - 1/2\n"
+                       "theta: 1\n")
+
 
 class TestMuNuCommands:
     def test_mu_rotation(self, tmp_path):
@@ -190,6 +216,20 @@ class TestMuNuCommands:
         assert r.stderr.count("\n") == 1
         err = json.loads(r.stderr)["error"]
         assert (err["kind"], err["type"]) == ("validation", "DimensionMismatch")
+
+    def test_nu_needs_a_basepoint_per_component(self, tmp_path, capsys):
+        from rotnorm import cli
+
+        multi = {"components": [rotation_isotopy_json(3, 2, 7),
+                                rotation_isotopy_json(1, 2, 3)],
+                 "basepoints": ["0"]}
+        path = write_json(tmp_path, "multi.json", multi)
+        assert cli.main(["nu", "--in", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "validation"
+        assert "components and basepoints must match" in error["message"]
 
     def test_ambiguous_isotopy_rejected(self, tmp_path):
         iso = rotation_isotopy_json(3, 2, 4)  # exactly 1/2 per step
@@ -811,6 +851,59 @@ class TestFrameDigitCap:
         assert more_digits(f.compose(g).den, 5)
 
 
+def _wide_time_grid_isotopy(k):
+    """Identity frames at the times 0, i/k + 1/(k d_i) for 0 < i < k, and 1,
+    every d_i a distinct odd 995-digit integer: the time grid's shared
+    denominator has about 995k digits."""
+    rng = random.Random(5)
+    dens = set()
+    while len(dens) < k - 1:
+        dens.add(rng.randrange(10 ** 994, 10 ** 995) | 1)
+    times = ["0", *(f"{i * d + 1}/{k * d}"
+                    for i, d in zip(range(1, k), sorted(dens))), "1"]
+    return {"times": times, "frames": [{"x": ["0"], "y": ["0"]}] * (k + 1)}
+
+
+class TestTimeGridDigitCap:
+    """An isotopy whose time grid's shared denominator passes
+    circle.MAX_FRAME_DIGITS fails before any step check runs; without the
+    cap the instance below ran for 2.5 s at k = 200 and 39 s at k = 800."""
+
+    @pytest.mark.parametrize("command", ["mu", "nu"])
+    @pytest.mark.parametrize("steps", ["checked", "failing"])
+    def test_fails_fast_naming_the_cap(self, tmp_path, monkeypatch, capsys,
+                                       command, steps):
+        from rotnorm import circle, cli
+
+        if steps == "failing":
+            def check_step(num, den):
+                raise AssertionError("a step was checked")
+
+            monkeypatch.setattr(circle, "_check_step", check_step)
+        iso = _wide_time_grid_isotopy(20)
+        doc = iso if command == "mu" else {"components": [iso],
+                                           "basepoints": ["0"]}
+        path = write_json(tmp_path, "iso.json", doc)
+        start = time.perf_counter()
+        code = cli.main([command, "--in", path])
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "validation"
+        assert (f"the cap circle.MAX_FRAME_DIGITS = {circle.MAX_FRAME_DIGITS}"
+                in error["message"])
+
+    def test_a_time_grid_at_the_cap_is_read(self, monkeypatch):
+        from rotnorm import circle
+
+        monkeypatch.setattr(circle, "MAX_FRAME_DIGITS", 5)
+        e = circle.PLCircleDiffeo.identity()
+        assert circle.PLIsotopy([0, Fraction(1, 99999), 1], [e] * 3).tden == 99999
+        with pytest.raises(ValidationError, match="MAX_FRAME_DIGITS = 5"):
+            circle.PLIsotopy([0, Fraction(1, 100000), 1], [e] * 3)
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self):
         r = run_cli(["lattice"])  # missing required --in
@@ -837,6 +930,21 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "inconsistency"
+
+    def test_failed_fixture_check_is_2(self, monkeypatch, capsys):
+        # the report is printed, then the failure is raised
+        from rotnorm import catalog, cli
+
+        report = {"name": "hopf-1", "ok": False, "checks": {"rank": {
+            "expected": 2, "actual": 1, "ok": False}}}
+        monkeypatch.setattr(catalog, "check_fixture", lambda name: report)
+        code = cli.main(["catalog", "check", "hopf-1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert json.loads(out) == report
+        error = json.loads(err)["error"]
+        assert error["kind"] == "inconsistency"
+        assert error["message"] == "fixture hopf-1 failed its self-check"
 
 
 def assert_usage_error(r):

@@ -90,6 +90,14 @@ class TestGenerateGroup:
             g.validate_perm([10 ** 5000, 0])
         assert len(str(err.value)) < 100
 
+    def test_no_generators(self):
+        with pytest.raises(ValidationError, match="at least one generator"):
+            g.generate_group([])
+
+    def test_mixed_degrees(self):
+        with pytest.raises(ValidationError, match="mixed degrees"):
+            g.generate_group([(1, 0, 2), (1, 0)])
+
     def test_canonical_order(self):
         G = S3()
         assert list(G.elements) == sorted(G.elements)

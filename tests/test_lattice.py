@@ -157,6 +157,19 @@ class TestNonIntegerEntries:
         assert member(A, [Fraction(4, 2), 3.0])
         assert _order(normalize([[1, 1]]), [Fraction(1, 2), 0]) == INF
 
+    @pytest.mark.parametrize("entry", ["1/2", float("inf"), float("nan"),
+                                       1j, None],
+                             ids=["str", "inf", "nan", "complex", "none"])
+    def test_member_refuses_a_vector_that_is_not_rational(self, entry):
+        with pytest.raises(ValidationError, match="is not rational"):
+            member(normalize([[2, 0], [0, 3]]), [Fraction(1, 2), entry])
+
+    @pytest.mark.parametrize("v", [[2, 0, 0], [Fraction(1, 2)]],
+                             ids=["integer", "rational"])
+    def test_member_refuses_a_vector_of_the_wrong_length(self, v):
+        with pytest.raises(DimensionMismatch, match="does not have length 2"):
+            member(normalize([[2, 0], [0, 3]]), v)
+
     @seed(20251103)
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -23,8 +23,12 @@ counting for neither side, and ``gain``: at least ``GAIN_WINS`` of the pairs
 won, and a median better by more than both the parent's quartile spread and
 ``GAIN_FLOOR`` of its median), ``unresolved`` (the metrics whose
 parent spread exceeds the bound, unless every change run beats every parent
-run) and ``runs``.  A run that fails, reports an
-incorrect result or prints another digest than the first parent run of its
+run) and ``runs``.  Each run keeps the host-speed reading that the
+benchmark prints on its ``calibration`` line, the milliseconds of a fixed
+loop before and after the timed passes; ``summary`` gives each side's
+median of those readings per workload and seed as ``calibration_ms``, so a
+metric that moved with the host shows beside it.  A run that fails, reports
+an incorrect result or prints another digest than the first parent run of its
 workload and seed is named on stderr, and the script exits 1.
 """
 
@@ -35,6 +39,7 @@ import json
 import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -49,6 +54,9 @@ GAIN_WINS = 0.9
 #: that workload ran none of the changed code.
 GAIN_FLOOR = 0.02
 
+_CALIBRATION = re.compile(
+    r"calibration before_ms = (\S+) after_ms = (\S+)$")
+
 
 def _better(a, b, better: str) -> bool:
     """Whether value a beats value b; equal values beat neither."""
@@ -61,14 +69,21 @@ def summarize(runs, metrics, pairs: int):
 
     ``runs`` are run records with the keys workload, seed, pair, side and
     last_line; records without metrics (failed runs) are left out, and a
-    metric is summarised only where both sides have every pair.
+    metric is summarised only where both sides have every pair.  Where
+    both sides have host-speed readings (a run's optional
+    ``calibration_ms``), a summarised group also gets ``calibration_ms``:
+    each side's median over its runs of the mean of the two readings.
     """
-    values = {}
+    values, speed = {}, {}
     for run in runs:
+        group = f"{run['workload']} seed {run['seed']}"
         got = (run.get("last_line") or {}).get("metrics", {})
         for name, entry in got.items():
-            key = (f"{run['workload']} seed {run['seed']}", name, run["side"])
+            key = (group, name, run["side"])
             values.setdefault(key, {})[run["pair"]] = entry["value"]
+        if run.get("calibration_ms"):
+            speed.setdefault((group, run["side"]), []).append(
+                statistics.fmean(run["calibration_ms"].values()))
     summary, unresolved = {}, {}
     for group in dict.fromkeys(key[0] for key in values):
         for spec in metrics:
@@ -100,6 +115,16 @@ def summarize(runs, metrics, pairs: int):
             separated = all(_better(ci, pi, better) for ci in c for pi in p)
             if iqr_rel > bound and not separated:
                 unresolved.setdefault(group, []).append(name)
+    for group, entries in summary.items():
+        parent = speed.get((group, "parent"))
+        change = speed.get((group, "change"))
+        if parent and change:
+            p_med, c_med = statistics.median(parent), statistics.median(change)
+            entries["calibration_ms"] = {
+                "parent_median": round(p_med, 3),
+                "change_median": round(c_med, 3),
+                "change_vs_parent": round((c_med - p_med) / p_med, 4),
+            }
     return summary, unresolved
 
 
@@ -123,9 +148,21 @@ def problems(runs) -> list[str]:
     return out
 
 
+def calibration(lines):
+    """{"before_ms", "after_ms"}: the host-speed readings of a run's
+    ``calibration`` line, or None if it printed none."""
+    for line in lines:
+        match = _CALIBRATION.match(line)
+        if match:
+            before, after = map(float, match.groups())
+            return {"before_ms": before, "after_ms": after}
+    return None
+
+
 def run_one(side_dir: Path, command, workload: str, seed: int, seconds: int):
     """One benchmark run in side_dir: (returncode, digest, last JSON line,
-    wall seconds); a run past its timeout has returncode None."""
+    host-speed readings, wall seconds); a run past its timeout has
+    returncode None."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
@@ -134,7 +171,7 @@ def run_one(side_dir: Path, command, workload: str, seed: int, seconds: int):
         proc = subprocess.run(argv, cwd=side_dir, env=env, capture_output=True,
                               text=True, timeout=20 * seconds + 600)
     except subprocess.TimeoutExpired:
-        return None, None, None, time.monotonic() - start
+        return None, None, None, None, time.monotonic() - start
     wall = time.monotonic() - start
     lines = proc.stdout.splitlines()
     digest = next((ln.split()[1] for ln in lines if ln.startswith("digest ")),
@@ -143,7 +180,7 @@ def run_one(side_dir: Path, command, workload: str, seed: int, seconds: int):
         last = json.loads(lines[-1])
     except (IndexError, ValueError):
         last = None
-    return proc.returncode, digest, last, wall
+    return proc.returncode, digest, last, calibration(lines), wall
 
 
 def main(argv=None) -> int:
@@ -172,14 +209,14 @@ def main(argv=None) -> int:
         for workload in workloads:
             for seed in args.seeds:
                 for side in order:
-                    code, digest, last, wall = run_one(
+                    code, digest, last, speed, wall = run_one(
                         getattr(args, side), command, workload, seed, seconds)
                     runs.append({
                         "workload": workload, "seed": seed, "pair": pair,
                         "side": side, "trace": 0,
                         "ran_first": side == order[0], "digest": digest,
                         "wall_s": round(wall, 2), "returncode": code,
-                        "last_line": last,
+                        "calibration_ms": speed, "last_line": last,
                     })
                     print(f"pair {pair} {workload} seed {seed} {side}: "
                           f"exit {code}, {wall:.1f} s", file=sys.stderr)
@@ -205,7 +242,10 @@ def main(argv=None) -> int:
             "its median beats the parent's by more than the parent's "
             f"quartile spread and by more than {GAIN_FLOOR:.0%} of the "
             "parent's median.  'unresolved': parent spread over the bound, "
-            "unless every change run beats every parent run."),
+            "unless every change run beats every parent run.  "
+            "'calibration_ms': the median host-speed reading of each side "
+            "(ms of a fixed loop, the mean of the readings before and after "
+            "the timed passes); it is never applied to the metrics."),
         "summary": summary,
         "unresolved": unresolved,
         "runs": runs,
