@@ -252,7 +252,17 @@ def diameter_ledger(ctx: ManifoldContext, q: QuotientInfo) -> BoundLedger:
 
 # Norm relations, each row (target, c, terms, rule) read as
 # target <= c * sum(terms).  Every rule that writes a quantity's upper bound
-# comes before every rule that reads it (see `relation_close`).
+# comes before every rule that reads it (see `relation_close`).  The rows
+# about eta and zeta rest on the paper's first result and on Burago,
+# Ivanov and Polterovich, "Conjugation-invariant norms on groups of
+# geometric origin", Adv. Stud. Pure Math. 52, 2008:
+# - clb_le_2eta holds when every element supported in a ball is a product
+#   of at most two commutators supported in a ball: a product of eta
+#   ball-supported elements is then a product of at most 2 * eta of them.
+# - zeta_le_4clb rests on the lemma [a, b] = [a, [b, g]] for a, b supported
+#   in a ball B that g displaces (g(B) and B disjoint): g b^-1 g^-1 then
+#   commutes with a, and [b, g] = (b g b^-1) g^-1 is a product of two
+#   conjugates of g or its inverse, so [a, b] is a product of four such.
 _RELATIONS = (
     ("clb_f", Q(2), ("eta",), "clb_le_2eta"),
     ("clb_f", Q(1), ("clb_modG_f", "clbd_G"), "clb_le_quotient_plus_diameter"),

@@ -61,10 +61,10 @@ class PLCircleDiffeo:
     segment wraps to the first breakpoint one period on).  Every operation
     works on these integers and builds a rational only for the values it
     returns.  Every lift value looked up is an ``_eval`` pair (num, den):
-    ``eval``, ``compose``, ``_displacement``, ``interpolate`` and ``mu`` all
-    read the lift through it (``_eval_inv`` reads the inverse the same way).
-    At a map's own breakpoints its value is stored, so ``_displacement``
-    looks up each map only at the other's breakpoints.
+    ``eval``, ``compose``, ``_gaps``, ``interpolate`` and ``mu`` all read
+    the lift through it (``_eval_inv`` reads the inverse the same way).  At
+    a map's own breakpoints its value is stored, so ``_gaps`` looks up each
+    map only at the other's breakpoints.
 
     Maps built by ``compose`` use the least common denominator of their
     breakpoints and values.  Maps built by ``interpolate`` use lcm(L, D),
@@ -177,25 +177,29 @@ class PLCircleDiffeo:
         pairs.sort()
         return PLCircleDiffeo([p[0] for p in pairs], [p[1] for p in pairs], D)
 
-    def _displacement(self, other):
-        """sup |self - other| as an unreduced pair (num, den).
+    def _gaps(self, other):
+        """|self - other| at breakpoints, as unreduced pairs (num, den).
 
-        self - other is PL and periodic, so its sup is taken at a breakpoint
-        of one of the two maps, where that map's value is its stored
-        numerator over ``den``.  So each map is read at its own breakpoints
-        and the other looked up there: one ``_eval`` per breakpoint of each.
-        Maps on one grid compare their values directly, with no lookup.
+        self - other is PL and periodic, so its sup, the largest pair, is
+        taken at a breakpoint of one map, where its value is stored: each
+        map is read at its own breakpoints and the other looked up there.
+        Maps on one grid yield only their largest difference, no lookup.
         """
         if self.den == other.den and self.xn == other.xn:
-            return max(map(abs, map(sub, self.yn, other.yn))), self.den
-        num, den = 0, 1
+            yield max(map(abs, map(sub, self.yn, other.yn))), self.den
+            return
         for f, g in ((self, other), (other, self)):
             D = f.den
             for x, y in zip(f.xn, f.yn):
                 nb, db = g._eval(x, D)
-                n, d = abs(y * db - nb * D), D * db
-                if n * den > num * d:
-                    num, den = n, d
+                yield abs(y * db - nb * D), D * db
+
+    def _displacement(self, other):
+        """sup |self - other| as an unreduced pair: the largest ``_gaps``."""
+        num, den = 0, 1
+        for n, d in self._gaps(other):
+            if n * den > num * d:
+                num, den = n, d
         return num, den
 
     def displacement(self, other: "PLCircleDiffeo"):
@@ -224,7 +228,7 @@ class PLCircleDiffeo:
     def __eq__(self, other):
         if not isinstance(other, PLCircleDiffeo):
             return NotImplemented
-        return self._displacement(other)[0] == 0
+        return not any(n for n, _ in self._gaps(other))
 
     def __hash__(self):
         # Equal maps can list different breakpoints, so hash the lift at 0
@@ -251,7 +255,7 @@ class PLCircleDiffeo:
 
 
 def _check_step(num, den):
-    """Raise AmbiguousLift unless a time step's sup move num/den is below 1/2."""
+    """Raise AmbiguousLift unless a time step's move num/den is below 1/2."""
     if 2 * num >= den:
         raise AmbiguousLift("frames move by >= 1/2 within one time step; "
                             "resample the isotopy more finely")
@@ -278,12 +282,12 @@ class PLIsotopy:
     (``MAX_FRAME_DIGITS``), checked before any step; ``times`` gives them
     as rationals.
 
-    The constructor refuses frames that move by >= 1/2 between adjacent
-    samples: below that threshold the frames' lifts are the continuous
-    ones, so the first and last fix the class rel endpoints.  It keeps
-    those two, ``start`` and ``end``; the lift path runs straight between
-    them.  ``refine``, ``compose`` and ``invert`` build their result
-    through ``_path`` and check no step.
+    The constructor refuses frames that move by >= 1/2 at some point
+    between adjacent samples, and stops at the first: below that bound
+    the frames' lifts are the continuous ones, so the first and last fix
+    the class rel endpoints.  It keeps those two, ``start`` and ``end``;
+    the lift path runs straight between them.  ``refine``, ``compose`` and
+    ``invert`` build their result through ``_path`` and check no step.
     """
 
     __slots__ = ("tn", "tden", "start", "end", "__weakref__")
@@ -299,7 +303,8 @@ class PLIsotopy:
         if not all(map(lt, tn, tn[1:])):
             raise ValidationError("time samples must strictly increase")
         for fa, fb in zip(frames, frames[1:]):
-            _check_step(*fa._displacement(fb))
+            for gap in fa._gaps(fb):
+                _check_step(*gap)
         self.tn, self.tden = tn, tden
         self.start, self.end = frames[0], frames[-1]
 

@@ -137,6 +137,8 @@ def _emit(obj, fmt: str) -> None:
 
 
 def _text_lines(obj, prefix: str):
+    """The ``--format text`` lines, by the rule docs/schemas/outputs.md
+    states."""
     if isinstance(obj, dict):
         for key in sorted(obj):
             value = obj[key]
@@ -147,10 +149,14 @@ def _text_lines(obj, prefix: str):
                 yield f"{prefix}{key}: {value}"
     elif isinstance(obj, list):
         for value in obj:
-            if isinstance(value, (dict, list)):
-                yield from _text_lines(value, prefix + "  ")
-            else:
+            if not isinstance(value, (dict, list)):
                 yield f"{prefix}- {value}"
+            elif isinstance(value, list) and not any(
+                    isinstance(v, (dict, list)) for v in value):
+                yield f"{prefix}- [{', '.join(map(str, value))}]"
+            else:
+                yield f"{prefix}-"
+                yield from _text_lines(value, prefix + "  ")
 
 
 def group_cmd(path, norm_kind, element):

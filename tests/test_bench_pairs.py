@@ -1,6 +1,7 @@
 """The summary of tools/bench_pairs.py on synthetic runs (no subprocess)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -156,9 +157,11 @@ def test_summary_gives_each_sides_median_calibration():
         base = (10 if run["side"] == "parent" else 20) + run["pair"]
         run["calibration_ms"] = {"before_ms": base - 1, "after_ms": base + 1}
     summary, _ = bench_pairs.summarize(runs, [RSS], PAIRS)
+    # inclusive quartiles of the parent's 10 .. 19: 12.25 and 16.75
     assert summary["circle seed 0"]["calibration_ms"] == {
         "parent_median": 14.5, "change_median": 24.5,
-        "change_vs_parent": 0.6897}
+        "change_vs_parent": 0.6897, "parent_iqr": 4.5,
+        "phase_differs": True}
     assert summary["circle seed 0"]["peak_rss_mb"]["change_wins"] == "0/10"
     # with no readings on one side there is nothing to compare
     for run in runs:
@@ -166,3 +169,60 @@ def test_summary_gives_each_sides_median_calibration():
             run["calibration_ms"] = None
     summary, _ = bench_pairs.summarize(runs, [RSS], PAIRS)
     assert "calibration_ms" not in summary["circle seed 0"]
+
+
+def _timed_runs(parent_ms, change_ms):
+    """Runs of one metric whose calibration reads ``parent_ms[pair]`` and
+    ``change_ms[pair]``."""
+    runs = _runs("peak_rss_mb", [1.0] * PAIRS, [1.0] * PAIRS)
+    for run in runs:
+        ms = (parent_ms if run["side"] == "parent" else change_ms)[run["pair"]]
+        run["calibration_ms"] = {"before_ms": ms, "after_ms": ms}
+    return runs
+
+
+def test_a_phase_differs_only_past_the_parents_spread():
+    parent = [10.0 + i for i in range(PAIRS)]  # median 14.5, spread 4.5
+    for shift, differs in ((4.5, False), (-4.5, False), (4.6, True),
+                           (-4.6, True)):
+        summary, _ = bench_pairs.summarize(
+            _timed_runs(parent, [v + shift for v in parent]), [RSS], PAIRS)
+        speed = summary["circle seed 0"]["calibration_ms"]
+        assert speed["phase_differs"] is differs, shift
+        # the gain rule does not read it
+        assert summary["circle seed 0"]["peak_rss_mb"]["gain"] is False
+
+
+def test_main_names_a_group_run_in_another_phase(tmp_path, monkeypatch,
+                                                 capsys):
+    spec = {"command": ["true"], "run_seconds": 1,
+            "workloads": [{"name": "circle"}, {"name": "coset-groups"}],
+            "end_to_end": [RSS]}
+    sides = {}
+    for side in ("parent", "change"):
+        sides[side] = tmp_path / side
+        sides[side].mkdir()
+        (sides[side] / "BENCHMARK.json").write_text(json.dumps(spec))
+    line = {"correct": True, "failed": 0,
+            "metrics": {"peak_rss_mb": {"value": 1.0}}}
+
+    def run_one(side_dir, command, workload, seed, seconds):
+        # circle's change runs read twice the parent's calibration
+        ms = 20.0 if side_dir == sides["change"] and workload == "circle" \
+            else 10.0
+        return 0, DIGEST, line, {"before_ms": ms, "after_ms": ms + 1}, 0.1
+
+    monkeypatch.setattr(bench_pairs, "run_one", run_one)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(sides["parent"]), str(sides["change"]),
+                             "--pairs", "2", "--seeds", "0",
+                             "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert ("bench_pairs: circle seed 0: the sides ran in different host "
+            "phases (calibration medians 10.5 and 20.5 ms, parent spread "
+            "0.0 ms)") in err
+    assert "coset-groups seed 0: the sides" not in err
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["circle seed 0"]["calibration_ms"]["phase_differs"] is True
+    assert summary["coset-groups seed 0"]["calibration_ms"][
+        "phase_differs"] is False

@@ -376,32 +376,88 @@ def _wide_frame(rng, k, digits, shift=0):
         [shift + Q(i, k) + Q(1, 5 * k * es[i % 5]) for i in range(k)])
 
 
+@pytest.fixture
+def lookups(monkeypatch):
+    """The arguments of every ``circle._lookup`` call from here on."""
+    calls = []
+    lookup = c._lookup
+
+    def counting(*args):
+        calls.append(args)
+        return lookup(*args)
+
+    monkeypatch.setattr(c, "_lookup", counting)
+    return calls
+
+
+#: Two maps on disjoint grids; every other map below is on one of them.
+_F = PLCircleDiffeo([0, Q(1, 3), Q(2, 3)], [Q(1, 10), Q(1, 2), Q(4, 5)])
+_G = PLCircleDiffeo([Q(1, 8), Q(3, 8), Q(5, 8), Q(7, 8)],
+                    [Q(1, 4), Q(1, 3), Q(3, 5), Q(6, 7)])
+
+
+def _oracle_displacement(a, b):
+    return FractionCircleDiffeo.of(a).displacement(FractionCircleDiffeo.of(b))
+
+
 class TestDisplacement:
-    """``_displacement`` reads each map's stored values at its own
-    breakpoints and looks the other map up there."""
+    """``_gaps`` reads each map's stored values at its own breakpoints and
+    looks the other map up there; ``displacement`` is their largest, and
+    the step rule and ``==`` stop at the first point that decides them."""
 
-    def test_one_lookup_per_breakpoint_of_each(self, monkeypatch):
-        f = PLCircleDiffeo([0, Q(1, 3), Q(2, 3)], [Q(1, 10), Q(1, 2), Q(4, 5)])
-        g = PLCircleDiffeo([Q(1, 8), Q(3, 8), Q(5, 8), Q(7, 8)],
-                           [Q(1, 4), Q(1, 3), Q(3, 5), Q(6, 7)])
+    def test_one_lookup_per_breakpoint_of_each(self, lookups):
+        f, g = _F, _G
         h = PLCircleDiffeo(f.xn, (6, 12, 18), f.den)  # f's grid, over 30
-        wants = [FractionCircleDiffeo.of(a).displacement(FractionCircleDiffeo.of(b))
-                 for a, b in ((f, g), (g, f), (f, h))]
-        calls = []
-        lookup = c._lookup
+        for a, b in ((f, g), (g, f)):
+            lookups.clear()
+            assert a.displacement(b) == _oracle_displacement(a, b)
+            assert len(lookups) == 3 + 4
+        lookups.clear()
+        assert f.displacement(h) == _oracle_displacement(f, h)
+        assert lookups == []  # one grid: no lookup
 
-        def counting(*args):
-            calls.append(args)
-            return lookup(*args)
+    @pytest.mark.parametrize("order", ["f first", "g first"])
+    def test_a_refused_step_stops_at_the_first_point(self, lookups, order):
+        # _G one period up moves by more than 1/2 at every point
+        up = PLCircleDiffeo(_G.xn, [y + _G.den for y in _G.yn], _G.den)
+        frames = (_F, up) if order == "f first" else (up, _F)
+        with pytest.raises(AmbiguousLift):
+            PLIsotopy((0, 1), frames)
+        assert len(lookups) == 1
 
-        monkeypatch.setattr(c, "_lookup", counting)
-        for (a, b), want in zip(((f, g), (g, f)), wants):
-            calls.clear()
-            assert a.displacement(b) == want
-            assert len(calls) == 3 + 4
-        calls.clear()
-        assert f.displacement(h) == wants[2]  # one grid: no lookup
-        assert calls == []
+    def test_unequal_at_the_first_point_is_one_lookup(self, lookups):
+        assert _F.eval(0) != _G.eval(0)  # 0 is the first point walked
+        lookups.clear()
+        assert _F != _G
+        assert len(lookups) == 1
+
+    @pytest.mark.parametrize("order", ["f first", "g first"])
+    def test_equal_maps_walk_every_point(self, lookups, order):
+        # _F written again with a collinear breakpoint at 1/6
+        xs = sorted({*_F.xs, Q(1, 6)})
+        f2 = PLCircleDiffeo(xs, [_F.eval(x) for x in xs])
+        lookups.clear()
+        assert (_F == f2 if order == "f first" else f2 == _F)
+        assert len(lookups) == 3 + 4
+
+    @pytest.mark.parametrize("eps", [0, Q(1, 2 ** 70), -Q(1, 2 ** 70)],
+                             ids=["half", "below", "above"])
+    @pytest.mark.parametrize("order", ["f first", "g first"])
+    def test_half_reached_only_at_the_second_maps_breakpoints(self, eps,
+                                                              order):
+        # g - _F is 1/2 - eps at g's breakpoint 1/6 and less than 1/2 at
+        # every other breakpoint of either map
+        g = PLCircleDiffeo([Q(1, 6), Q(1, 2), Q(5, 6)],
+                           [Q(4, 5) - eps, Q(9, 10), Q(19, 20)])
+        assert max(abs(g.eval(x) - _F.eval(x)) for x in _F.xs) < Q(1, 2)
+        assert abs(g.eval(Q(1, 6)) - _F.eval(Q(1, 6))) == Q(1, 2) - eps
+        a, b = (_F, g) if order == "f first" else (g, _F)
+        if eps > 0:
+            assert PLIsotopy((0, 1), (a, b)).end is b
+        else:
+            with pytest.raises(AmbiguousLift):
+                PLIsotopy((0, 1), (a, b))
+        assert a.displacement(b) == _oracle_displacement(a, b) == Q(1, 2) - eps
 
     @pytest.mark.parametrize("shift", [0, Q(1, 4), Q(1, 2), Q(-1, 2), Q(3, 4)])
     def test_wide_denominators_match_the_oracle(self, shift):

@@ -169,8 +169,8 @@ class TestCosetCommand:
         assert r.returncode == 1
 
     def test_text_points_of_two_coordinates(self, tmp_path, capsys):
-        # each point is a list in the list of points: its coordinates are
-        # written one level deeper
+        # each point is a list of scalars in the list of points: it is
+        # written on one line
         from rotnorm import cli
 
         path = write_json(tmp_path, "A.json",
@@ -179,8 +179,7 @@ class TestCosetCommand:
                          "--format", "text"]) == 0
         out, err = capsys.readouterr()
         assert err == ""
-        assert out == ("points:\n    - -1\n    - 1/2\n    - 1\n    - 1/2\n"
-                       "theta: 1\n")
+        assert out == "points:\n  - [-1, 1/2]\n  - [1, 1/2]\ntheta: 1\n"
 
 
 class TestMuNuCommands:
@@ -439,6 +438,90 @@ class TestDeterminism:
         path = write_json(tmp_path, "A.json", {"m": 1, "generators": [[2]]})
         r = run_cli(["lattice", "--in", path, "--format", "text"])
         assert "k_max: 2" in r.stdout
+
+
+def _text_tree(text):
+    """The tree that ``--format text`` lines write, every scalar as the
+    string they print."""
+    lines = text.splitlines()
+    pos = 0
+
+    def block(indent):
+        nonlocal pos
+        tree = None
+        while pos < len(lines) and lines[pos].startswith(" " * indent):
+            body = lines[pos][indent:]
+            assert not body.startswith(" "), lines[pos]
+            pos += 1
+            if body == "-" or body.startswith("- "):
+                tree = [] if tree is None else tree
+                item = body[2:]
+                if body == "-":
+                    tree.append(block(indent + 2))
+                elif item.startswith("[") and item.endswith("]"):
+                    tree.append(item[1:-1].split(", ") if item != "[]" else [])
+                else:
+                    tree.append(item)
+            else:
+                tree = {} if tree is None else tree
+                key, _, value = body.partition(":")
+                tree[key] = value[1:] if value else block(indent + 2)
+        return tree
+
+    tree = block(0)
+    assert pos == len(lines)
+    return tree
+
+
+def _printed(obj):
+    """A JSON tree with every scalar as the string the text form prints."""
+    if isinstance(obj, dict):
+        return {key: _printed(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_printed(value) for value in obj]
+    return str(obj)
+
+
+class TestTextFormat:
+    """``--format text`` keeps the shape of the JSON it renders: reading
+    its lines back gives the JSON tree."""
+
+    @staticmethod
+    def _suite(tmp_path):
+        from rotnorm.catalog import list_fixtures
+
+        lat = write_json(tmp_path, "A.json",
+                         {"m": 2, "generators": [[2, 0], [4, 3]]})
+        ctx = write_json(tmp_path, "ctx.json", {"n": 3, "m": 2})
+        return [
+            ["lattice", "--in", lat],
+            ["coset", "--lattice", lat, "--offset", "6/5,1/2"],
+            ["defect", "--trials", "200", "--seed", "11"],
+            ["bounds", "--theta", "3/2", "--context", ctx, "--lattice", lat],
+            ["verdict", "--context", ctx, "--lattice", lat],
+            ["catalog", "list"],
+            *(["catalog", "check", name] for name in list_fixtures()),
+        ]
+
+    def test_text_reads_back_as_the_json_tree(self, tmp_path, capsys):
+        from rotnorm import cli
+
+        suite = self._suite(tmp_path)
+        assert ["catalog", "check", "hopf-2"] in suite  # criterion 7's
+        for args in suite:
+            assert cli.main(args) == 0
+            tree = json.loads(capsys.readouterr().out)
+            assert cli.main([*args, "--format", "text"]) == 0
+            assert _text_tree(capsys.readouterr().out) == _printed(tree), args
+
+    def test_each_nesting_depth_keeps_one_rule(self, capsys):
+        from rotnorm import cli
+
+        obj = {"a": [[["1", "2"], ["3"]], [], "4", {"b": ["5"]}], "c": []}
+        lines = list(cli._text_lines(obj, ""))
+        assert lines == ["a:", "  -", "    - [1, 2]", "    - [3]", "  - []",
+                         "  - 4", "  -", "    b:", "      - 5", "c:"]
+        assert _text_tree("\n".join(lines))["a"] == _printed(obj)["a"]
 
 
 def assert_validation_error(r):
@@ -826,7 +909,7 @@ class TestFrameDigitCap:
         def step_check(self, other):
             raise AssertionError("a step was checked")
 
-        monkeypatch.setattr(circle.PLCircleDiffeo, "_displacement", step_check)
+        monkeypatch.setattr(circle.PLCircleDiffeo, "_gaps", step_check)
         path = write_json(tmp_path, "iso.json", _wide_denominator_isotopy(20))
         start = time.perf_counter()
         code = cli.main(["mu", "--in", path])

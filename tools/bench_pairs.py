@@ -27,9 +27,13 @@ run) and ``runs``.  Each run keeps the host-speed reading that the
 benchmark prints on its ``calibration`` line, the milliseconds of a fixed
 loop before and after the timed passes; ``summary`` gives each side's
 median of those readings per workload and seed as ``calibration_ms``, so a
-metric that moved with the host shows beside it.  A run that fails, reports
-an incorrect result or prints another digest than the first parent run of its
-workload and seed is named on stderr, and the script exits 1.
+metric that moved with the host shows beside it.  Its ``phase_differs`` is
+true when the two medians differ by more than the parent's quartile spread
+of its readings: the two sides then ran in different host phases, and such
+groups are named on stderr; they change no ``gain`` and no exit code.  A
+run that fails, reports an incorrect result or prints another digest than
+the first parent run of its workload and seed is named on stderr, and the
+script exits 1.
 """
 
 from __future__ import annotations
@@ -95,8 +99,7 @@ def summarize(runs, metrics, pairs: int):
             p = [parent[i] for i in range(pairs)]
             c = [change[i] for i in range(pairs)]
             p_med, c_med = statistics.median(p), statistics.median(c)
-            q1, _, q3 = statistics.quantiles(p, n=4, method="inclusive")
-            iqr = q3 - q1
+            iqr = _iqr(p)
             iqr_rel = iqr / p_med if p_med else math.inf
             wins = sum(_better(ci, pi, better) for ci, pi in zip(c, p))
             gain = (wins >= math.ceil(GAIN_WINS * pairs)
@@ -120,12 +123,23 @@ def summarize(runs, metrics, pairs: int):
         change = speed.get((group, "change"))
         if parent and change:
             p_med, c_med = statistics.median(parent), statistics.median(change)
+            iqr = _iqr(parent)
             entries["calibration_ms"] = {
                 "parent_median": round(p_med, 3),
                 "change_median": round(c_med, 3),
                 "change_vs_parent": round((c_med - p_med) / p_med, 4),
+                "parent_iqr": round(iqr, 3),
+                "phase_differs": abs(c_med - p_med) > iqr,
             }
     return summary, unresolved
+
+
+def _iqr(values) -> float:
+    """The quartile spread of values, by the inclusive method; 0 for one."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
 
 
 def problems(runs) -> list[str]:
@@ -245,11 +259,20 @@ def main(argv=None) -> int:
             "unless every change run beats every parent run.  "
             "'calibration_ms': the median host-speed reading of each side "
             "(ms of a fixed loop, the mean of the readings before and after "
-            "the timed passes); it is never applied to the metrics."),
+            "the timed passes); it is never applied to the metrics.  Its "
+            "'phase_differs': the medians differ by more than the parent's "
+            "quartile spread of its readings."),
         "summary": summary,
         "unresolved": unresolved,
         "runs": runs,
     }, indent=1) + "\n")
+    for group, entries in summary.items():
+        speed = entries.get("calibration_ms")
+        if speed and speed["phase_differs"]:
+            print(f"bench_pairs: {group}: the sides ran in different host "
+                  f"phases (calibration medians {speed['parent_median']} and "
+                  f"{speed['change_median']} ms, parent spread "
+                  f"{speed['parent_iqr']} ms)", file=sys.stderr)
     bad = problems(runs)
     for line in bad:
         print(f"bench_pairs: {line}", file=sys.stderr)
