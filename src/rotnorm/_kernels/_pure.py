@@ -5,9 +5,7 @@ fits in one byte; ``closure_bytes`` forms each product with one
 
 from __future__ import annotations
 
-
-class _OverBudget(Exception):
-    """Unwinds ``cvp_enumerate``'s recursion once it passes its node cap."""
+from rotnorm.errors import ValidationError
 
 
 def closure_bytes(gens: list[bytes], cap: int):
@@ -93,7 +91,7 @@ def _window(y: list[int], row: list[int], p: int, end: int, r: int):
 
 
 def cvp_enumerate(basis: list[list[int]], pivots: list[int],
-                  target: list[int], bound: int, max_nodes=None):
+                  target: list[int], bound: int, cap=None):
     """Exact integer l-infinity closest-point enumeration on a coset.
 
     Minimizes max|target + sum_j c_j * basis[j]| over integer coefficients.
@@ -110,20 +108,22 @@ def cvp_enumerate(basis: list[list[int]], pivots: list[int],
     bounds the work.
 
     Returns (best_norm, points), points the sorted list of all attaining
-    integer vectors, or None once the search has entered more than
-    ``max_nodes`` nodes (one per partial choice of coefficients).  A
-    ``bound`` below the optimum leaves no point within it: the search then
-    raises ValueError rather than return the bound as the norm.
+    integer vectors.  ``cap``, a (name, nodes) pair, bounds the nodes
+    entered, one per partial choice of coefficients: the node past
+    ``nodes`` raises a ValidationError that names the cap.  A ``bound``
+    below the optimum leaves no point within it: the search then raises
+    ValueError rather than return the bound as the norm.
     """
     ell, ends = len(basis), [*pivots[1:], len(target)]
-    best, points, budget = bound, [], max_nodes
+    best, points, budget = bound, [], cap[1] if cap else None
 
     def rec(j: int, y: list[int]) -> None:
         nonlocal best, points, budget
-        if budget is not None:
+        if cap:
             budget -= 1
             if budget < 0:
-                raise _OverBudget
+                raise ValidationError("theta needs more CVP nodes than the "
+                                      f"cap {cap[0]} = {cap[1]}")
         if j == ell:
             norm = max(map(abs, y), default=0)
             if norm < best:
@@ -146,10 +146,7 @@ def cvp_enumerate(basis: list[list[int]], pivots: list[int],
                               if max(map(abs, y[:p]), default=0) <= r else (1, 0))
                     c = min(c, hi) if step < 0 else max(c, lo)
 
-    try:
-        rec(0, target)
-    except _OverBudget:
-        return None
+    rec(0, target)
     if not points:
         raise ValueError(f"bound {bound} is below the optimum norm")
     return best, sorted(points)

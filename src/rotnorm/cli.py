@@ -132,8 +132,12 @@ def _emit(obj, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     else:
-        for line in _text_lines(obj, ""):
-            print(line)
+        sys.stdout.writelines(f"{line}\n" for line in _text_lines(obj, ""))
+
+
+def _scalar(value) -> str:
+    """A scalar as JSON spells it (true, false, null), a string unquoted."""
+    return value if isinstance(value, str) else json.dumps(value)
 
 
 def _text_lines(obj, prefix: str):
@@ -146,14 +150,14 @@ def _text_lines(obj, prefix: str):
                 yield f"{prefix}{key}:"
                 yield from _text_lines(value, prefix + "  ")
             else:
-                yield f"{prefix}{key}: {value}"
+                yield f"{prefix}{key}: {_scalar(value)}"
     elif isinstance(obj, list):
         for value in obj:
             if not isinstance(value, (dict, list)):
-                yield f"{prefix}- {value}"
+                yield f"{prefix}- {_scalar(value)}"
             elif isinstance(value, list) and not any(
                     isinstance(v, (dict, list)) for v in value):
-                yield f"{prefix}- [{', '.join(map(str, value))}]"
+                yield f"{prefix}- [{', '.join(map(_scalar, value))}]"
             else:
                 yield f"{prefix}-"
                 yield from _text_lines(value, prefix + "  ")
@@ -407,30 +411,32 @@ def main(argv=None) -> int:
         handler, fmt = opts.pop("handler"), opts.pop("fmt")
         doc = handler(**opts)
         _emit(doc, fmt)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
         if doc.get("ok") is False:  # a catalog check that found a mismatch
             raise InconsistentLedger(
                 f"fixture {doc['name']} failed its self-check")
         return 0
     except InconsistentLedger as exc:
-        _report_error(exc, kind="inconsistency")
-        return 2
+        return _report_error(exc, "inconsistency", 2)
     except ValidationError as exc:
-        _report_error(exc, kind="validation")
-        return 1
+        return _report_error(exc, "validation", 1)
     except UsageError as exc:
-        _report_error(exc, kind="usage")
-        return 1
+        return _report_error(exc, "usage", 1)
     except KeyboardInterrupt:
+        return 1
+    except BrokenPipeError:  # stdout's reader is gone: say nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
 
 
-def _report_error(exc, kind: str) -> None:
+def _report_error(exc, kind: str, code: int) -> int:
     payload = {"error": {"kind": kind, "type": type(exc).__name__,
                          "message": str(exc)}}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -4,12 +4,11 @@ Every ``AffineCoset`` holds its centred representative: the constructor
 reduces the offset once, on its numerators over their least common
 denominator D against the HNF rows scaled by D (``_reduce``), so each pivot
 coordinate lies in (-P/2, P/2], P the pivot; equal cosets compare equal.
-That point has some norm r >= theta, and every point that attains theta has
-all of its coordinates within theta <= r, so r is a certified search
-radius.  ``theta`` passes the point and r to ``_kernels.cvp_enumerate``,
-which returns the minimum with every attaining point; an offset in the
-lattice is held as 0 and costs rank + 1 nodes.  A search past
-``MAX_CVP_NODES`` nodes is a ValidationError.
+It keeps D, those numerators and the scaled rows for ``theta``.  The point
+has some norm r >= theta, and every point that attains theta has all of its
+coordinates within theta <= r, so r is a certified search radius for
+``_kernels.cvp_enumerate``, which returns the minimum with every attaining
+point; an offset in the lattice is held as 0 and costs rank + 1 nodes.
 
 ``theta_sup`` is exact and needs no CVP.  The maximum of theta over the
 torus R^m/A lies on (1/2)Z^m, and there 2*theta is the king-move distance
@@ -20,7 +19,7 @@ breadth-first search finds in at most 6*m*2^m*det(A) one-axis steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 from rotnorm import _kernels
@@ -40,19 +39,21 @@ MAX_SUP_MOVES = 12 * 10 ** 6
 #: Most nodes one theta search enters in ``_kernels.cvp_enumerate``, each a
 #: partial choice of coefficients.  The benchmark panel's searches enter at
 #: most 107 (seeds 0 to 3 and 20251); a search at the cap takes 0.5 to 1.7 s
-#: for m = 2 to 8 on a 2-vCPU host with Python 3.11.  Every attaining point
-#: is a node, so the cap also bounds the size of the output, and every step
-#: of the search enters a node, so it also bounds the time.
+#: for m = 2 to 8 on a 2-vCPU host with Python 3.11.  Each step of the search
+#: enters a node, so the cap bounds the time.  It bounds the count of points
+#: theta returns (each is a node), not their bytes (docs/schemas/inputs.md).
 MAX_CVP_NODES = 3 * 10 ** 5
 
 
 @dataclass(frozen=True)
 class AffineCoset:
     """Coset x + A; ``offset`` is its centred representative, however the
-    coset was made.  A wrong offset length is a DimensionMismatch."""
+    coset was made.  A wrong offset length is a DimensionMismatch.
+    ``_search``, outside ==, hash and repr, holds theta's integers."""
 
     lattice: IntLattice
     offset: tuple
+    _search: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = self.lattice
@@ -62,6 +63,7 @@ class AffineCoset:
         basis = [[d * e for e in row] for row in A.hnf_basis]
         y = _reduce(basis, A.pivots, y)
         object.__setattr__(self, "offset", tuple(Q(v, d) for v in y))
+        object.__setattr__(self, "_search", (d, y, basis))
 
     @staticmethod
     def build(A: IntLattice, offset) -> "AffineCoset":
@@ -109,19 +111,13 @@ def canonical_rep(z: AffineCoset) -> tuple:
 
 
 def theta(z: AffineCoset) -> NearestData:
-    """Certified minimum l-infinity norm over the coset and its attaining set.
-
-    The search starts from the centred representative z holds.  A search
-    past ``MAX_CVP_NODES`` nodes raises ValidationError."""
-    d, y = common(v.as_integer_ratio() for v in z.offset)
-    basis = [[d * e for e in row] for row in z.lattice.hnf_basis]
-    found = _kernels.cvp_enumerate(basis, z.lattice.pivots, y,
-                                   max(map(abs, y)), MAX_CVP_NODES)
-    if found is None:
-        raise ValidationError(
-            f"theta needs more CVP nodes than the cap "
-            f"coset.MAX_CVP_NODES = {MAX_CVP_NODES}")
-    best, pts = found
+    """Certified minimum l-infinity norm over the coset and its attaining
+    set, searched from the integers z holds.  A search past
+    ``MAX_CVP_NODES`` nodes raises ValidationError."""
+    d, y, basis = z._search
+    best, pts = _kernels.cvp_enumerate(
+        basis, z.lattice.pivots, y, max(map(abs, y)),
+        ("coset.MAX_CVP_NODES", MAX_CVP_NODES))
     points = tuple(tuple(Q(v, d) for v in p) for p in pts)
     return NearestData(theta=Q(best, d), theta_points=points)
 

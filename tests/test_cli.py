@@ -474,12 +474,13 @@ def _text_tree(text):
 
 
 def _printed(obj):
-    """A JSON tree with every scalar as the string the text form prints."""
+    """A JSON tree with every scalar as the string the text form prints:
+    as JSON spells it, a string unquoted."""
     if isinstance(obj, dict):
         return {key: _printed(value) for key, value in obj.items()}
     if isinstance(obj, list):
         return [_printed(value) for value in obj]
-    return str(obj)
+    return obj if isinstance(obj, str) else json.dumps(obj)
 
 
 class TestTextFormat:
@@ -492,9 +493,11 @@ class TestTextFormat:
 
         lat = write_json(tmp_path, "A.json",
                          {"m": 2, "generators": [[2, 0], [4, 3]]})
+        line = write_json(tmp_path, "L.json", {"m": 2, "generators": [[1, 0]]})
         ctx = write_json(tmp_path, "ctx.json", {"n": 3, "m": 2})
         return [
             ["lattice", "--in", lat],
+            ["lattice", "--in", line],
             ["coset", "--lattice", lat, "--offset", "6/5,1/2"],
             ["defect", "--trials", "200", "--seed", "11"],
             ["bounds", "--theta", "3/2", "--context", ctx, "--lattice", lat],
@@ -514,6 +517,20 @@ class TestTextFormat:
             assert cli.main([*args, "--format", "text"]) == 0
             assert _text_tree(capsys.readouterr().out) == _printed(tree), args
 
+    def test_booleans_and_nulls_print_as_json_spells_them(self, tmp_path,
+                                                         capsys):
+        from rotnorm import cli
+
+        assert cli.main(["catalog", "check", "hopf-2", "--format", "text"]) == 0
+        assert capsys.readouterr().out.endswith("name: hopf-2\nok: true\n")
+        line = write_json(tmp_path, "L.json", {"m": 2, "generators": [[1, 0]]})
+        assert cli.main(["lattice", "--in", line, "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "extension: true" in lines and "k_hat: null" in lines
+        assert list(cli._text_lines({"a": [False, None, "x"], "b": [[True]]},
+                                    "")) == ["a:", "  - false", "  - null",
+                                             "  - x", "b:", "  - [true]"]
+
     def test_each_nesting_depth_keeps_one_rule(self, capsys):
         from rotnorm import cli
 
@@ -522,6 +539,28 @@ class TestTextFormat:
         assert lines == ["a:", "  -", "    - [1, 2]", "    - [3]", "  - []",
                          "  - 4", "  -", "    b:", "      - 5", "c:"]
         assert _text_tree("\n".join(lines))["a"] == _printed(obj)["a"]
+
+
+class TestClosedStdout:
+    """A command whose stdout has no reader exits 1 with nothing on stderr,
+    whether its output fits the stdout buffer or not."""
+
+    @pytest.mark.parametrize("args", [
+        ["catalog", "list"],
+        ["coset", "--offset", "0,3000"],  # 6,001 points, about 60 kB
+    ], ids=["small", "large"])
+    def test_exits_1_with_empty_stderr(self, args, tmp_path):
+        if args[0] == "coset":
+            args = [*args, "--lattice", write_json(
+                tmp_path, "L.json", {"m": 2, "generators": [[1, 0]]})]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = subprocess.run([sys.executable, "-m", "rotnorm.cli", *args],
+                               stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (r.returncode, r.stderr) == (1, b"")
 
 
 def assert_validation_error(r):

@@ -101,6 +101,36 @@ class TestCentredRepresentative:
         for z, want in made:
             assert theta(z) == want
 
+    def test_held_search_is_the_offset_over_its_denominator(self):
+        # theta reads (D, numerators, scaled rows) off the coset; they are
+        # what common and the scaled HNF rows give from the offset, on
+        # lattices scaled near 2**40 and on 300-digit denominators.
+        rng = random.Random(52)
+        for trial in range(60):
+            m = rng.randint(1, 5)
+            scale = 2**40 + rng.randint(-9, 9) if trial % 3 == 0 else 1
+            gens = [[scale * rng.randint(-6, 6) for _ in range(m)]
+                    for _ in range(rng.randint(0, m + 1))]
+            A = normalize(gens, ambient_dim=m)
+            den = 10**299 + rng.randint(0, 10**299) if trial % 2 else 12
+            off = [Q(rng.randint(-3 * den * scale, 3 * den * scale),
+                     rng.randint(1, den)) for _ in range(m)]
+            z = AffineCoset.build(A, off)
+            d, y = common(v.as_integer_ratio() for v in z.offset)
+            basis = [[d * e for e in row] for row in A.hnf_basis]
+            assert z._search == (d, y, basis), (gens, off)
+        assert len(str(d)) >= 300
+
+    def test_held_search_is_outside_eq_hash_and_repr(self):
+        A = normalize([(2, 0), (1, 3)])  # holds 2*(2, 0) - 3*(1, 3)
+        z1 = AffineCoset.build(A, (Q(1, 3), Q(1, 2)))
+        z2 = AffineCoset.build(A, (Q(1, 3) + 1, Q(1, 2) - 9))
+        assert z1 == z2 and hash(z1) == hash(z2)
+        assert z1._search == z2._search
+        assert "_search" not in repr(z1)
+        assert repr(z1) == (f"AffineCoset(lattice={A!r}, "
+                            f"offset={z1.offset!r})")
+
 
 class TestCanonicalRep:
     def test_example(self):
@@ -377,8 +407,18 @@ class TestThetaPointsOracle:
             checked[full] += 1
 
 
+def _capped(basis, pivots, target, bound, nodes):
+    """``_kernels.cvp_enumerate`` with the node cap ``nodes``, or None once
+    it raises at that cap, as ``oracle_cvp_enumerate`` returns None."""
+    try:
+        return _kernels.cvp_enumerate(basis, pivots, target, bound,
+                                      ("test.NODES", nodes))
+    except ValidationError:
+        return None
+
+
 def _least_cap(cvp, inst, hi):
-    """The least max_nodes at which ``cvp`` succeeds, or None past hi."""
+    """The least node cap at which ``cvp`` succeeds, or None past hi."""
     if cvp(*inst, hi) is None:
         return None
     lo = 1
@@ -419,8 +459,8 @@ class TestCvpKernel:
             inst = (basis, list(A.pivots), y, max(map(abs, y)))
             want = oracle_cvp_enumerate(*inst)
             for cap in (5, 17, 60, 2000):
-                assert _kernels.cvp_enumerate(*inst, cap) in (None, want)
-            t = _least_cap(_kernels.cvp_enumerate, inst, 2000)
+                assert _capped(*inst, cap) in (None, want)
+            t = _least_cap(_capped, inst, 2000)
             if t is not None:
                 assert _kernels.cvp_enumerate(*inst) == want
                 t_old = _least_cap(oracle_cvp_enumerate, inst, 2000)
@@ -429,6 +469,21 @@ class TestCvpKernel:
                 thresholds += 1
         assert thresholds >= 16
         assert fewer or m == 1  # rank 0 is the only deficient rank at m = 1
+
+    def test_cap_raises_naming_its_pair_past_its_node_count(self):
+        # Z x {0} at (0, 3): the root and one node per c = -3..3.
+        inst = ([[1, 0]], [0], [0, 3], 3)
+        want = (3, [(c, 3) for c in range(-3, 4)])
+        assert _kernels.cvp_enumerate(*inst, ("some.CAP", 8)) == want
+        with pytest.raises(ValidationError) as info:
+            _kernels.cvp_enumerate(*inst, ("some.CAP", 7))
+        assert str(info.value) == (
+            "theta needs more CVP nodes than the cap some.CAP = 7")
+
+    def test_without_a_cap_returns_a_tuple(self):
+        # Four positional arguments, as the benchmark's kernel case calls it.
+        found = _kernels.cvp_enumerate([[1, 0]], [0], [0, 3], 3)
+        assert type(found) is tuple and found[0] == 3 and len(found[1]) == 7
 
     @pytest.mark.parametrize("m", range(1, 5))
     def test_bound_below_the_optimum_raises(self, m):
